@@ -61,8 +61,8 @@ _FLOAT_KEYS = ("a1_sq", "a2_sq", "alpha1", "alpha2", "beta1", "beta2",
 _INT_KEYS = ("steps", "grid_n", "bins", "seed")
 
 _KEY_HELP = {
-    "a1_sq": "squared modulus of the first coin's upper-left entry, in [0, 1]",
-    "a2_sq": "squared modulus of the second coin's upper-left entry, in [0, 1]",
+    "a1_sq": "squared modulus of the first coin's upper-left entry, in (0, 1)",
+    "a2_sq": "squared modulus of the second coin's upper-left entry, in (0, 1)",
     "alpha1": "phase of the first coin's diagonal entry (radians)",
     "alpha2": "phase of the second coin's diagonal entry (radians)",
     "beta1": "phase of the first coin's off-diagonal entry (radians)",

@@ -2,7 +2,7 @@
 
 State layout
 ------------
-A walker state is stored as a complex128 array of shape (2, n1, n2): component
+A walker state is a dense complex128 array of shape (2, n1, n2): component
 index first, then the two lattice axes.  The window covers the integer
 rectangle [x1_min, x1_min + n1 - 1] x [x2_min, x2_min + n2 - 1].  One time
 step applies coin 1, shift 1, coin 2, shift 2 in that order; each shift grows
@@ -10,8 +10,12 @@ the window by one site on both ends of its axis, so after t steps from a
 single site the window is the closed ball of radius t in each axis and all
 amplitude outside it is exactly zero.
 
-A shift along axis q moves component 1 to x - e_q and component 2 to x + e_q;
-equivalently the new component-1 amplitude at x is the old one at x + e_q.
+A shift along axis q moves component 1 to x - e_q and component 2 to x + e_q.
+Every step thus moves each site by +-1 on both axes, so the four parity
+classes ``amps[:, p::2, q::2]`` never mix: ``evolve`` steps each occupied
+class on its own half-resolution grid, in place, and writes the classes back
+into the dense window once at the end.  From one site only one class is ever
+nonzero, and the other three are skipped.
 
 Binary dump layout (little-endian): four int32 window bounds
 (x1_min, x1_max, x2_min, x2_max), then the amplitudes as complex float64
@@ -31,8 +35,6 @@ __all__ = [
     "Moments",
     "initial_state_delta",
     "initial_state_from_sites",
-    "apply_coin",
-    "apply_shift",
     "step",
     "evolve",
     "position_distribution",
@@ -134,47 +136,58 @@ def initial_state_from_sites(site_amps: dict) -> LatticeState:
     return LatticeState(amps=amps, x1_min=x1_min, x2_min=x2_min, time=0)
 
 
-def apply_coin(model, state: LatticeState, q: int) -> LatticeState:
-    """Apply the axis-q coin at every site; window and time are unchanged."""
-    c = model.coin_matrix(q)
-    a0, a1 = state.amps[0], state.amps[1]
-    new = np.empty_like(state.amps)
-    new[0] = c[0, 0] * a0 + c[0, 1] * a1
-    new[1] = c[1, 0] * a0 + c[1, 1] * a1
-    return LatticeState(amps=new, x1_min=state.x1_min, x2_min=state.x2_min, time=state.time)
+def _coin_shift(c: np.ndarray, src: np.ndarray, dst: np.ndarray, axis: int) -> None:
+    """Coin ``c`` on one class, then its axis shift into ``dst`` (``src`` is scratch).
+
+    Component 1 keeps its class index (x - 1) and component 2 moves up one (x + 1).
+    """
+    a0, a1 = src[0], src[1]
+    if axis == 1:
+        lo, hi = dst[0, :-1], dst[1, 1:]
+        dst[0, -1] = dst[1, 0] = 0
+    else:
+        lo, hi = dst[0, :, :-1], dst[1, :, 1:]
+        dst[0, :, -1] = dst[1, :, 0] = 0
+    # c[r, 0] * a0 + c[r, 1] * a1 as a dense step computes it.  No product is taken in
+    # place: numpy may then use its scalar loop, which rounds unlike its vector loop.
+    np.multiply(c[0, 0], a0, out=lo)
+    np.multiply(c[1, 0], a0, out=hi)
+    np.multiply(c[0, 1], a1, out=a0)
+    np.add(lo, a0, out=lo)
+    np.multiply(c[1, 1], a1, out=a0)
+    np.add(hi, a0, out=hi)
 
 
-def apply_shift(state: LatticeState, q: int) -> LatticeState:
-    """Spin-dependent shift along axis q; the window grows by one on each side."""
-    if q not in (1, 2):
-        raise ValueError(f"axis index must be 1 or 2, got {q}")
-    n1, n2 = state.amps.shape[1], state.amps.shape[2]
-    if q == 1:
-        new = np.zeros((2, n1 + 2, n2), dtype=np.complex128)
-        new[0, 0:n1, :] = state.amps[0]  # component 1 moves to x1 - 1
-        new[1, 2 : n1 + 2, :] = state.amps[1]  # component 2 moves to x1 + 1
-        return LatticeState(amps=new, x1_min=state.x1_min - 1, x2_min=state.x2_min, time=state.time)
-    new = np.zeros((2, n1, n2 + 2), dtype=np.complex128)
-    new[0, :, 0:n2] = state.amps[0]
-    new[1, :, 2 : n2 + 2] = state.amps[1]
-    return LatticeState(amps=new, x1_min=state.x1_min, x2_min=state.x2_min - 1, time=state.time)
+def evolve(model, state: LatticeState, t: int) -> LatticeState:
+    """Advance the state by t >= 0 full steps, one parity class at a time."""
+    if t < 0:
+        raise ValueError(f"step count must be nonnegative, got {t}")
+    c1, c2 = model.coin_matrix(1), model.coin_matrix(2)
+    _, n1, n2 = state.amps.shape
+    out = np.zeros((2, n1 + 2 * t, n2 + 2 * t), dtype=np.complex128)
+    cur = np.empty((2, (n1 + 1) // 2 + t, (n2 + 1) // 2 + t), dtype=np.complex128)
+    nxt = np.empty_like(cur)
+    for p in (0, 1):
+        for q in (0, 1):
+            cls = state.amps[:, p::2, q::2]
+            if not np.any(cls):
+                continue
+            _, m1, m2 = cls.shape
+            cur[:, :m1, :m2] = cls
+            for _ in range(t):
+                _coin_shift(c1, cur[:, :m1, :m2], nxt[:, : m1 + 1, :m2], 1)
+                m1 += 1
+                _coin_shift(c2, nxt[:, :m1, :m2], cur[:, :m1, : m2 + 1], 2)
+                m2 += 1
+            out[:, p::2, q::2] = cur[:, :m1, :m2]
+    return LatticeState(
+        amps=out, x1_min=state.x1_min - t, x2_min=state.x2_min - t, time=state.time + t
+    )
 
 
 def step(model, state: LatticeState) -> LatticeState:
     """One full time step: coin 1, shift 1, coin 2, shift 2."""
-    out = apply_shift(apply_coin(model, state, 1), 1)
-    out = apply_shift(apply_coin(model, out, 2), 2)
-    out.time = state.time + 1
-    return out
-
-
-def evolve(model, state: LatticeState, t: int) -> LatticeState:
-    """Advance the state by t >= 0 full steps."""
-    if t < 0:
-        raise ValueError(f"step count must be nonnegative, got {t}")
-    for _ in range(t):
-        state = step(model, state)
-    return state
+    return evolve(model, state, 1)
 
 
 def position_distribution(state: LatticeState) -> PositionDistribution:
@@ -227,9 +240,15 @@ def read_state_binary(path, time: int = 0) -> LatticeState:
     """Inverse of ``write_state_binary``; the time tag is not stored on disk."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < 16:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the 16-byte header")
     x1_min, x1_max, x2_min, x2_max = np.frombuffer(raw[:16], dtype="<i4").tolist()
+    if x1_max < x1_min or x2_max < x2_min:
+        raise ValueError(f"{path}: empty window [{x1_min}, {x1_max}] x [{x2_min}, {x2_max}]")
     n1 = x1_max - x1_min + 1
     n2 = x2_max - x2_min + 1
+    if len(raw) - 16 != 32 * n1 * n2:
+        raise ValueError(f"{path}: body of {len(raw) - 16} bytes, expected {32 * n1 * n2}")
     body = np.frombuffer(raw[16:], dtype="<c16").reshape(n1, n2, 2)
     return LatticeState(
         amps=np.ascontiguousarray(body.transpose(2, 0, 1)).astype(np.complex128),
