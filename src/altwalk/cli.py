@@ -214,12 +214,14 @@ def cmd_density(cfg: RunConfig) -> int:
     mid = -1.0 + (2.0 * np.arange(n) + 1.0) / n  # cell midpoints of [-1, 1]
     grid = limit.density_grid(model, spectrum, mid[:, None], mid[None, :])
     csv_path = out / "density.csv"
+    labels = [_fmt(x) for x in mid]
     with open(csv_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("v1,v2,f,inside\n")
         for i in range(n):
-            for j in range(n):
-                fh.write(f"{_fmt(mid[i])},{_fmt(mid[j])},"
-                         f"{_fmt(grid.f[i, j])},{int(grid.inside[i, j])}\n")
+            fh.write("".join([
+                f"{labels[i]},{label},{_fmt(f)},{int(inside)}\n"
+                for label, f, inside in zip(labels, grid.f[i].tolist(), grid.inside[i].tolist())
+            ]))
     boundary_path = out / "boundary.csv"
     _write_boundary_csv(model, boundary_path, max(cfg.grid_n, 64))
     print(csv_path)
@@ -273,14 +275,14 @@ def _parse_tolerances(pairs) -> dict:
 def cmd_verify(cfg: RunConfig, only, tolerance_pairs) -> int:
     model = model_from(cfg)
     tols = _parse_tolerances(tolerance_pairs)
+    out = _out_dir(cfg) if cfg.out is not None else None
     try:
         reports = verify.run_suite(model, spinor_from(cfg), seed=cfg.seed,
                                    only=only or None, tolerances=tols or None)
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from exc
     print(verify.summary_table(reports))
-    if cfg.out is not None:
-        out = _out_dir(cfg)
+    if out is not None:
         path = out / "reports.jsonl"
         verify.write_reports(reports, path)
         print(path)

@@ -26,6 +26,12 @@ and checking the velocity is reproduced within 1e-9; branches that fail any
 algebraic gate or that final check simply do not contribute.  This
 enumeration is the authoritative density; the published closed-form region
 bookkeeping is retained only as a soft cross-check (``weight_table_report``).
+
+``density_grid`` enumerates only the evaluable points (inside the support
+and outside the boundary shell), and runs the four m slots of each (p, n)
+only on those whose band-p rotated coordinates lie in square n's closed
+u-quadrant, the first gate of ``branch_preimages``; for an interior point
+off the rotated axes that is two squares per band.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ __all__ = [
     "OutsideSupportError",
     "BranchError",
     "Branch",
-    "JacobianTerms",
     "DensityGrid",
     "IntegralResult",
     "rotated_coords",
@@ -55,18 +60,14 @@ __all__ = [
     "support_corners",
     "support_radius",
     "support_boundary",
-    "jacobian_terms",
     "jacobian_inverse",
     "jacobian_forward",
-    "kappa_gamma",
-    "conic_residual",
     "classify_branch",
     "inverse_map",
     "branch_preimages",
     "density",
     "density_grid",
     "integrate_density",
-    "konno_density",
     "reference_ellipse_grover",
     "weight_table_report",
 ]
@@ -216,24 +217,13 @@ def support_boundary(model: Model, n: int = 512) -> np.ndarray:
     return np.stack([_SQRT_HALF * (u1 + u2), _SQRT_HALF * (u1 - u2)], axis=1)
 
 
-@dataclass(frozen=True)
-class JacobianTerms:
-    """Ingredients of the quadratic equation satisfied by 1 - tau^2 at fixed v.
-
-    A (1 - tau^2)^2 - 2 B (1 - tau^2) + C_term = 0, with discriminant
-    D_quarter = B^2 - A * C_term = 4 a^2 b^2 E_R E_T; E_R and E_T are the
-    ellipse slacks 1 - u1^2/axis_R1 - u2^2/axis_R2 and its T counterpart.
-    """
-
-    A: float
-    B: float
-    C_term: float
-    E_R: float
-    E_T: float
-    D_quarter: float
-
-
 def _terms_from_u(model: Model, u1, u2):
+    """A, B, E_R, E_T and D_quarter at rotated coordinates u.
+
+    g = 1 - tau^2 solves A g^2 - 2 B g + D_J = 0, with quarter discriminant
+    D_quarter = B^2 - A D_J = 4 a^2 b^2 E_R E_T; E_R and E_T are the slacks
+    1 - u1^2/axis_R1 - u2^2/axis_R2 of the two ellipses.
+    """
     d = model.derived
     a, b = d.a, d.b
     u1sq = np.asarray(u1) ** 2
@@ -250,19 +240,6 @@ def _terms_from_u(model: Model, u1, u2):
     e_t = 1.0 - u1sq / d.axis_T1 - u2sq / d.axis_T2
     d_quarter = 4.0 * a * a * b * b * e_r * e_t
     return big_a, big_b, e_r, e_t, d_quarter
-
-
-def jacobian_terms(model: Model, v1: float, v2: float) -> JacobianTerms:
-    u1, u2 = rotated_coords(v1, v2)
-    big_a, big_b, e_r, e_t, d_quarter = _terms_from_u(model, u1, u2)
-    return JacobianTerms(
-        A=float(big_a),
-        B=float(big_b),
-        C_term=model.derived.D_J,
-        E_R=float(e_r),
-        E_T=float(e_t),
-        D_quarter=float(d_quarter),
-    )
 
 
 def jacobian_inverse(model: Model, v1: float, v2: float, sign: int) -> float:
@@ -301,77 +278,6 @@ def jacobian_forward(model: Model, k1: float, k2: float) -> float:
         )
     quad = a * b * float(c2) ** 2 + (1.0 - a * a - b * b) * float(c1) * float(c2) + a * b * float(c1) ** 2
     return 4.0 * a * b * abs(quad) / gap_sq**2
-
-
-def kappa_gamma(model: Model, u1: float, u2: float, sign: int, shape: str | None = None) -> float:
-    """Level value of the preimage-segment family through u.
-
-    In the half-plane pair a|u2| >= b|u1| the level curves are images of the
-    segments c2 = kappa * c1 and the function returns kappa; on the other
-    side it returns gamma for the segments c1 = gamma * c2.  ``shape`` forces
-    "R" (kappa) or "T" (gamma); on the dividing lines both are admissible.
-    sign selects the larger (+1) or smaller (-1) root pairing, matching the
-    even/odd-m Jacobian families.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    d = model.derived
-    a, b = d.a, d.b
-    in_r = a * abs(u2) >= b * abs(u1)
-    in_t = a * abs(u2) <= b * abs(u1)
-    if shape is None:
-        shape = "R" if in_r else "T"
-    elif shape not in ("R", "T"):
-        raise ValueError(f"shape must be 'R' or 'T', got {shape!r}")
-    if (shape == "R" and not in_r) or (shape == "T" and not in_t):
-        raise BranchError(f"u = ({u1}, {u2}) is outside the {shape} half-plane pair")
-    _, _, _, _, d_quarter = _terms_from_u(model, u1, u2)
-    d_quarter = float(d_quarter)
-    if d_quarter < -1e-12:
-        raise OutsideSupportError(f"u = ({u1}, {u2}) is outside the support")
-    root = math.sqrt(max(d_quarter, 0.0))
-    u1sq, u2sq = u1 * u1, u2 * u2
-    num = b * b * u1sq - a * a * u2sq
-    if shape == "R":
-        denom = 2.0 * a * a - (1.0 - b * b) * u1sq - a * a * u2sq
-        val = (a / b) * (num + sign * root) / denom
-    else:
-        denom = -2.0 * b * b + b * b * u1sq + (1.0 - a * a) * u2sq
-        val = (b / a) * (num + sign * root) / denom
-    if abs(val) > 1.0 + 1e-9:
-        raise BranchError(
-            f"level value {val} escaped [-1, 1]; u = ({u1}, {u2}) is outside the {shape} family"
-        )
-    return float(min(1.0, max(-1.0, val)))
-
-
-def conic_residual(model: Model, ratio: float, u1, u2, shape: str) -> float:
-    """Defect of u against the conic traced by the ratio-``ratio`` segment.
-
-    Zero (to rounding) exactly when u lies on the image of the segment
-    c2 = ratio * c1 (shape 'R') or c1 = ratio * c2 (shape 'T').
-    """
-    d = model.derived
-    a, b = d.a, d.b
-    u1sq = np.asarray(u1) ** 2
-    u2sq = np.asarray(u2) ** 2
-    if shape == "R":
-        k = ratio
-        sq = (a - b * k) ** 2
-        return (
-            -b * b * (k * k - sq) * u1sq
-            + a * a * (1.0 - sq) * u2sq
-            - 2.0 * a * a * b * b * (1.0 - k * k)
-        )
-    if shape == "T":
-        g = ratio
-        sq = (a * g - b) ** 2
-        return (
-            -b * b * (1.0 - sq) * u1sq
-            + a * a * (g * g - sq) * u2sq
-            + 2.0 * a * a * b * b * (1.0 - g * g)
-        )
-    raise ValueError(f"shape must be 'R' or 'T', got {shape!r}")
 
 
 def _sector_of(c1, c2, j_plus):
@@ -540,7 +446,9 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
 
     Points outside the open support, or inside but with E_R * E_T < 1e-14
     (the boundary shell where the Jacobian blows up), get f = 0 and are
-    flagged through the masks.
+    flagged through the masks.  Only the remaining (evaluable) points are
+    enumerated, and each (p, n) slot only on those of them whose band-p
+    rotated coordinates lie in square n's closed u-quadrant.
     """
     v1 = np.asarray(v1, dtype=np.float64)
     v2 = np.asarray(v2, dtype=np.float64)
@@ -551,13 +459,14 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
     inside = _inside_mask(model, u1, u2)
     _, _, e_r, e_t, _ = _terms_from_u(model, u1, u2)
     evaluable = inside & (e_r * e_t >= SHELL_FLOOR)
+    points = np.nonzero(evaluable)[0]
+    accumulate = _accumulate_degenerate if model.derived.degenerate else _accumulate_generic
     f = np.zeros(fv1.shape)
     n_plus = np.zeros(fv1.shape, dtype=np.int64)
     n_minus = np.zeros(fv1.shape, dtype=np.int64)
-    if model.derived.degenerate:
-        _accumulate_degenerate(model, spectrum, fv1, fv2, evaluable, f, n_plus)
-    else:
-        _accumulate_generic(model, spectrum, fv1, fv2, evaluable, f, n_plus, n_minus)
+    f[points], n_plus[points], n_minus[points] = accumulate(
+        model, spectrum, fv1[points], fv2[points]
+    )
     return DensityGrid(
         f=f.reshape(shape),
         inside=inside.reshape(shape),
@@ -567,75 +476,89 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
     )
 
 
-def _accumulate_generic(model, spectrum, v1, v2, evaluable, f, n_plus, n_minus):
+def _preimage_slots(model: Model, v1, v2):
+    """Yield (p, m, idx, k1, k2, ok) for every (p, n, m) slot in that order.
+
+    Slot (p, n, m) runs ``branch_preimages`` only on the points idx whose
+    band-p rotated coordinates pass square n's closed quadrant gate, computed
+    exactly as that routine's first gate, so points on the rotated axes reach
+    both adjacent squares.  A (p, n) pair with no such point is skipped.
+    """
+    for p in (1, 2):
+        band_sign = 1.0 if p == 1 else -1.0
+        u1, u2 = rotated_coords(band_sign * v1, band_sign * v2)
+        for n in range(1, 9):
+            sg1, sg2 = _REGION_SIGNS[n]
+            idx = np.nonzero((sg1 * u1 >= 0.0) & (sg2 * u2 >= 0.0))[0]
+            if idx.size == 0:
+                continue
+            s1, s2 = v1[idx], v2[idx]
+            for m in range(1, 5):
+                k1, k2, ok = branch_preimages(model, s1, s2, n, m, p)
+                yield p, m, idx, k1, k2, ok
+
+
+def _keep_new(idx, k1, k2, kept):
+    """Mask of the preimages (k1, k2) at points idx that repeat none in ``kept``.
+
+    ``kept`` holds (idx, k1, k2) triples with sorted idx; two preimages at the
+    same point repeat when closer than DEDUP_K_TOL on the torus.  The new
+    preimages are appended to ``kept``.
+    """
+    new = np.ones(idx.shape, dtype=bool)
+    for kidx, kk1, kk2 in kept:
+        at = np.minimum(np.searchsorted(kidx, idx), kidx.size - 1)
+        new &= ~((kidx[at] == idx) & (_torus_dist(k1, k2, kk1[at], kk2[at]) < DEDUP_K_TOL))
+    if new.any():
+        kept.append((idx[new], k1[new], k2[new]))
+    return new
+
+
+def _add_branches(model, spectrum, p, idx, k1, k2, jinv, f, count):
+    """Add band-p weight times inverse Jacobian of preimages (k1, k2) at points idx."""
+    if idx.size:
+        w1, w2 = band_weights(model, spectrum, k1, k2)
+        f[idx] += (w1 if p == 1 else w2) * jinv[idx]
+        count[idx] += 1
+
+
+def _accumulate_generic(model, spectrum, v1, v2):
+    """f and the (plus, minus) branch counts at evaluable points of a generic model."""
     u1, u2 = rotated_coords(v1, v2)
-    big_a, big_b, e_r, e_t, d_quarter = _terms_from_u(model, u1, u2)
+    big_a, big_b, _, _, d_quarter = _terms_from_u(model, u1, u2)
     root = np.sqrt(np.maximum(d_quarter, 0.0))
-    safe = np.where(evaluable, root, 1.0)
-    jinv_plus = np.where(evaluable, (big_b + root) / (2.0 * big_a * safe), 0.0)
-    jinv_minus = np.where(evaluable, (big_b - root) / (2.0 * big_a * safe), 0.0)
+    jinv = ((big_b + root) / (2.0 * big_a * root), (big_b - root) / (2.0 * big_a * root))
+    f = np.zeros(v1.shape)
+    counts = (np.zeros(v1.shape, dtype=np.int64), np.zeros(v1.shape, dtype=np.int64))
     # On the rotated axes the reconstructed angles sit on shared corners of
     # adjacent wavenumber squares, so neighbouring region slots can emit the
     # same preimage; those (measure-zero) points get a per-band k-dedup.
-    edge = evaluable & ((np.abs(u1) < 1e-7) | (np.abs(u2) < 1e-7))
-    edge_idx = np.nonzero(edge)[0]
-    for p in (1, 2):
-        kept_edge: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for n in range(1, 9):
-            for m in range(1, 5):
-                k1, k2, ok = branch_preimages(model, v1, v2, n, m, p)
-                ok &= evaluable
-                if edge_idx.size and ok[edge_idx].any():
-                    oe = ok[edge_idx]
-                    ke1, ke2 = k1[edge_idx], k2[edge_idx]
-                    for pk1, pk2, poke in kept_edge:
-                        dup = oe & poke & (_torus_dist(ke1, ke2, pk1, pk2) < DEDUP_K_TOL)
-                        if dup.any():
-                            oe = oe & ~dup
-                            ok[edge_idx[dup]] = False
-                    if oe.any():
-                        kept_edge.append((ke1, ke2, oe))
-                if not ok.any():
-                    continue
-                idx = np.nonzero(ok)[0]
-                w1, w2 = band_weights(model, spectrum, k1[idx], k2[idx])
-                weight = w1 if p == 1 else w2
-                if m % 2 == 0:
-                    f[idx] += weight * jinv_plus[idx]
-                    n_plus[idx] += 1
-                else:
-                    f[idx] += weight * jinv_minus[idx]
-                    n_minus[idx] += 1
+    edge = (np.abs(u1) < 1e-7) | (np.abs(u2) < 1e-7)
+    kept = {1: [], 2: []}
+    for p, m, idx, k1, k2, ok in _preimage_slots(model, v1, v2):
+        at = np.nonzero(ok & edge[idx])[0]
+        if at.size:
+            ok[at] = _keep_new(idx[at], k1[at], k2[at], kept[p])
+        _add_branches(model, spectrum, p, idx[ok], k1[ok], k2[ok], jinv[m % 2], f, counts[m % 2])
+    return f, counts[0], counts[1]
 
 
-def _accumulate_degenerate(model, spectrum, v1, v2, evaluable, f, n_plus):
+def _accumulate_degenerate(model, spectrum, v1, v2):
     """Degenerate models: single Jacobian, duplicate preimages merged.
 
-    All surviving branches carry the Jacobian 1 / ((1-v1^2)(1-v2^2)); two
-    preimages closer than 1e-7 on the wavenumber torus count once.
+    All surviving branches carry the Jacobian 1 / ((1-v1^2)(1-v2^2)) and count
+    as plus; two preimages closer than 1e-7 on the wavenumber torus count
+    once, whichever band they come from.
     """
-    denom = (1.0 - v1 * v1) * (1.0 - v2 * v2)
-    jinv = np.where(evaluable, 1.0 / np.where(evaluable, denom, 1.0), 0.0)
-    kept: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-    for p in (1, 2):
-        for n in range(1, 9):
-            for m in range(1, 5):
-                k1, k2, ok = branch_preimages(model, v1, v2, n, m, p)
-                ok &= evaluable
-                if not ok.any():
-                    continue
-                # drop entries duplicating an earlier-enumerated branch
-                for _, pk1, pk2, pok in kept:
-                    ok &= ~(pok & (_torus_dist(k1, k2, pk1, pk2) < DEDUP_K_TOL))
-                if not ok.any():
-                    continue
-                kept.append((p, k1, k2, ok))
-    for p, k1, k2, ok in kept:
-        idx = np.nonzero(ok)[0]
-        w1, w2 = band_weights(model, spectrum, k1[idx], k2[idx])
-        weight = w1 if p == 1 else w2
-        f[idx] += weight * jinv[idx]
-        n_plus[idx] += 1
+    jinv = 1.0 / ((1.0 - v1 * v1) * (1.0 - v2 * v2))
+    f = np.zeros(v1.shape)
+    n_plus = np.zeros(v1.shape, dtype=np.int64)
+    kept = []
+    for p, _, idx, k1, k2, ok in _preimage_slots(model, v1, v2):
+        at = np.nonzero(ok)[0]
+        ok[at] = _keep_new(idx[at], k1[at], k2[at], kept)
+        _add_branches(model, spectrum, p, idx[ok], k1[ok], k2[ok], jinv, f, n_plus)
+    return f, n_plus, np.zeros_like(n_plus)
 
 
 def density(model: Model, spectrum, v1: float, v2: float) -> float:
@@ -729,22 +652,6 @@ def integrate_density(
         value = value.real
         shell_est = shell_est.real
     return IntegralResult(value=value, shell_estimate=shell_est, total=value + shell_est)
-
-
-def konno_density(v, r: float):
-    """One-dimensional arcsine-type limit density with interface parameter r."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"parameter r must lie in (0, 1), got {r}")
-    v = np.asarray(v, dtype=np.float64)
-    out = np.zeros_like(v)
-    mask = np.abs(v) < r
-    vm = v[mask]
-    out[mask] = math.sqrt(1.0 - r * r) / (
-        math.pi * (1.0 - vm * vm) * np.sqrt(r * r - vm * vm)
-    )
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def reference_ellipse_grover(a_param: float, v1, v2):

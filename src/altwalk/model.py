@@ -14,6 +14,7 @@ a handful of derived constants collected in ``DerivedConstants``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ class CoinParameters:
     def __post_init__(self):
         for name in ("modulus_a1", "modulus_a2"):
             m = getattr(self, name)
-            if not (isinstance(m, (int, float)) and math.isfinite(m)):
+            if not (isinstance(m, numbers.Real) and math.isfinite(m)):
                 raise ParameterDomainError(f"{name} must be a finite real, got {m!r}")
             if not 0.0 < m < 1.0:
                 raise ParameterDomainError(
@@ -68,7 +69,7 @@ class CoinParameters:
                 )
         for name in ("alpha1", "beta1", "delta1", "alpha2", "beta2", "delta2"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
                 raise ParameterDomainError(f"{name} must be a finite real, got {v!r}")
             object.__setattr__(self, name, float(wrap_angle(float(v))))
         object.__setattr__(self, "modulus_a1", float(self.modulus_a1))
@@ -96,7 +97,7 @@ class CoinParameters:
     ) -> "CoinParameters":
         """Build parameters from the squared moduli |a_q|^2 used in config files."""
         for name, v in (("a1_sq", a1_sq), ("a2_sq", a2_sq)):
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
                 raise ParameterDomainError(f"{name} must be a finite real, got {v!r}")
             if not 0.0 < v < 1.0:
                 raise ParameterDomainError(

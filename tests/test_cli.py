@@ -127,6 +127,15 @@ def test_verify_corrupted_tolerance_fails(capsys):
     assert "support_containment" in captured.err
 
 
+def test_verify_missing_out_dir_fails_before_running(tmp_path, monkeypatch):
+    def run_suite(*args, **kwargs):
+        raise AssertionError("the suite ran before the output directory was checked")
+
+    monkeypatch.setattr(cli.verify, "run_suite", run_suite)
+    missing = tmp_path / "not-here"
+    assert run_cli(["verify", "--only", "support", "--out", str(missing)]) == cli.EXIT_IO
+
+
 def test_verify_unknown_check():
     assert run_cli(["verify", "--only", "nope"]) == cli.EXIT_CONFIG
 

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altwalk import lattice, limit, spectral
+from altwalk.model import CoinParameters, build_model
 
 
 @pytest.fixture(scope="module")
@@ -98,49 +101,6 @@ def test_degenerate_jacobian_form(degenerate_model):
         expect = 1.0 / ((1.0 - v1 * v1) * (1.0 - v2 * v2))
         assert limit.jacobian_inverse(degenerate_model, v1, v2, +1) == expect
         assert limit.jacobian_inverse(degenerate_model, v1, v2, -1) == 0.0
-
-
-# --- segment families -------------------------------------------------------
-
-
-def test_kappa_gamma_at_origin(reference_model):
-    assert limit.kappa_gamma(reference_model, 0.0, 0.0, +1, "R") == pytest.approx(1.0, abs=1e-12)
-    assert limit.kappa_gamma(reference_model, 0.0, 0.0, +1, "T") == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_kappa_level_sets_close(reference_model, phased_model):
-    # the forward image of the segment c2 = kappa c1 lands on the kappa-conic
-    for model in (reference_model, phased_model):
-        d = model.derived
-        for kappa in (0.35, -0.8):
-            c1 = np.linspace(-0.93, 0.93, 11)
-            l1 = np.arccos(c1)
-            l2 = np.arccos(np.clip(kappa * c1, -1.0, 1.0))
-            k1 = (l1 - l2) / 2.0 - d.phi_1
-            k2 = (l1 + l2) / 2.0 - d.phi_2
-            v1, v2 = limit.forward_map(model, k1, k2)
-            u1, u2 = limit.rotated_coords(v1, v2)
-            res = limit.conic_residual(model, kappa, u1, u2, "R")
-            assert np.abs(res).max() < 1e-10
-
-
-def test_kappa_gamma_recovers_ratio(reference_model):
-    d = reference_model.derived
-    kappa = 0.4
-    c1 = 0.7
-    l1 = math.acos(c1)
-    l2 = math.acos(kappa * c1)
-    k1 = (l1 - l2) / 2.0 - d.phi_1
-    k2 = (l1 + l2) / 2.0 - d.phi_2
-    v1, v2 = limit.forward_map(reference_model, k1, k2)
-    u1, u2 = limit.rotated_coords(float(v1), float(v2))
-    got = []
-    for s in (+1, -1):
-        try:
-            got.append(limit.kappa_gamma(reference_model, u1, u2, s, "R"))
-        except limit.BranchError:
-            pass
-    assert any(abs(g - kappa) < 1e-9 for g in got)
 
 
 # --- branch structure -------------------------------------------------------
@@ -297,19 +257,112 @@ def test_balanced_spinor_density_symmetric(reference_model):
         assert f_a == pytest.approx(f_b, rel=1e-9)
 
 
+# --- exactness against the full enumeration ---------------------------------
+
+
+def full_density_grid(model, spectrum, v1, v2):
+    """Oracle: every (p, n, m) slot of branch_preimages run over every point.
+
+    This is the enumeration density_grid made before it selected points per
+    slot.  Generic models drop repeated preimages per band at points on the
+    rotated axes; degenerate models at every point and across both bands.
+    Returns flat (f, inside, evaluable, branch_plus, branch_minus).
+    """
+    v1, v2 = (a.ravel() for a in np.broadcast_arrays(np.asarray(v1, float), np.asarray(v2, float)))
+    u1, u2 = limit.rotated_coords(v1, v2)
+    inside = limit._inside_mask(model, u1, u2)
+    big_a, big_b, e_r, e_t, d_quarter = limit._terms_from_u(model, u1, u2)
+    evaluable = inside & (e_r * e_t >= limit.SHELL_FLOOR)
+    degenerate = model.derived.degenerate
+    if degenerate:
+        jinv = (1.0 / np.where(evaluable, (1.0 - v1 * v1) * (1.0 - v2 * v2), 1.0),) * 2
+        dedup = np.ones(v1.shape, dtype=bool)
+    else:
+        root = np.sqrt(np.maximum(d_quarter, 0.0))
+        safe = np.where(evaluable, root, 1.0)
+        jinv = ((big_b + root) / (2.0 * big_a * safe), (big_b - root) / (2.0 * big_a * safe))
+        dedup = (np.abs(u1) < 1e-7) | (np.abs(u2) < 1e-7)
+    f = np.zeros(v1.shape)
+    counts = (np.zeros(v1.shape, dtype=np.int64), np.zeros(v1.shape, dtype=np.int64))
+    kept = []
+    for p in (1, 2):
+        if not degenerate:
+            kept = []
+        for n in range(1, 9):
+            for m in range(1, 5):
+                k1, k2, ok = limit.branch_preimages(model, v1, v2, n, m, p)
+                ok &= evaluable
+                for pk1, pk2, pok in kept:
+                    ok &= ~(pok & (limit._torus_dist(k1, k2, pk1, pk2) < limit.DEDUP_K_TOL))
+                kept.append((k1, k2, ok & dedup))
+                idx = np.nonzero(ok)[0]
+                w1, w2 = spectral.band_weights(model, spectrum, k1[idx], k2[idx])
+                f[idx] += (w1 if p == 1 else w2) * jinv[m % 2][idx]
+                counts[0 if degenerate else m % 2][idx] += 1
+    return f, inside, evaluable, counts[0], counts[1]
+
+
+def assert_matches_full_enumeration(model, spectrum, v1, v2):
+    grid = limit.density_grid(model, spectrum, v1, v2)
+    fields = ("f", "inside", "evaluable", "branch_plus", "branch_minus")
+    for name, want in zip(fields, full_density_grid(model, spectrum, v1, v2)):
+        assert np.array_equal(getattr(grid, name).ravel(), want), name
+    return grid
+
+
+def _probe_points(model):
+    """A midpoint grid whose diagonals lie on the rotated axes, points on and
+    3e-8 off those axes, and points just inside the boundary and corners."""
+    mid = -1.0 + (2.0 * np.arange(41) + 1.0) / 41
+    t = np.linspace(-0.6, 0.6, 13)
+    rim = np.concatenate([limit.support_boundary(model, 48), limit.support_corners(model)])
+    v1 = [np.repeat(mid, 41), t, t, t, t + 3e-8]
+    v2 = [np.tile(mid, 41), t, -t, t + 3e-8, -t]
+    for scale in (1.0 - 1e-5, 1.0 - 1e-8, 1.0 - 1e-10):
+        v1.append(scale * rim[:, 0])
+        v2.append(scale * rim[:, 1])
+    return np.concatenate(v1), np.concatenate(v2)
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_density_grid_matches_full_enumeration(coin, request):
+    model = request.getfixturevalue(coin)
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    v1, v2 = _probe_points(model)
+    grid = assert_matches_full_enumeration(model, spectrum, v1, v2)
+    u1, u2 = limit.rotated_coords(v1, v2)
+    on_axis = (u1 == 0.0) | (u2 == 0.0)
+    assert np.any(grid.evaluable & on_axis)
+    assert np.any(grid.inside & ~grid.evaluable)  # the refused boundary shell
+
+
+def test_scalar_density_matches_full_enumeration(reference_model, degenerate_model):
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    for model in (reference_model, degenerate_model):
+        for v1, v2 in ((0.0, 0.0), (0.2, -0.2), (0.12, 0.31)):
+            want = full_density_grid(model, spectrum, np.array([v1]), np.array([v2]))[0]
+            assert limit.density(model, spectrum, v1, v2) == want[0]
+
+
+unit = st.floats(0.01, 0.99)
+phase = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=20, deadline=None)
+@given(unit, unit, st.booleans(), st.lists(phase, min_size=6, max_size=6),
+       st.floats(0.0, math.pi / 2), phase)
+def test_density_grid_matches_full_enumeration_property(a1_sq, a2_sq, degenerate, phases,
+                                                        theta, psi_phase):
+    if degenerate:  # equal moduli give a + b = 1
+        a2_sq = a1_sq
+    model = build_model(CoinParameters.from_squared_moduli(a1_sq, a2_sq, *phases))
+    spinor = np.array([math.cos(theta), np.exp(1j * psi_phase) * math.sin(theta)])
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(spinor))
+    mid = -1.0 + (2.0 * np.arange(15) + 1.0) / 15
+    assert_matches_full_enumeration(model, spectrum, mid[:, None], mid[None, :])
+
+
 # --- reference curves -------------------------------------------------------
-
-
-def test_konno_density_properties():
-    r = 1.0 / math.sqrt(2)
-    assert limit.konno_density(0.9, r) == 0.0
-    assert limit.konno_density(0.3, r) == limit.konno_density(-0.3, r)
-    # integrates to one over (-r, r)
-    phi = np.linspace(-math.pi / 2, math.pi / 2, 20001)[1:-1]
-    v = r * np.sin(phi)
-    integrand = limit.konno_density(v, r) * r * np.cos(phi)
-    total = np.trapezoid(integrand, phi)
-    assert total == pytest.approx(1.0, abs=1e-3)
 
 
 def test_grover_reference_ellipse():

@@ -28,6 +28,19 @@ def test_modulus_out_of_range_rejected():
         CoinParameters.from_squared_moduli(0.5, -0.1)
 
 
+def test_numpy_real_scalars_accepted():
+    p = CoinParameters.from_squared_moduli(np.float32(0.9), np.float64(0.1),
+                                           alpha1=np.int64(1), beta2=np.float32(-0.5))
+    assert p == CoinParameters.from_squared_moduli(float(np.float32(0.9)), 0.1,
+                                                   alpha1=1.0, beta2=float(np.float32(-0.5)))
+    assert type(p.modulus_a1) is float and type(p.alpha1) is float
+    for bad in (np.float32("nan"), np.float64("inf"), np.float32(1.5), np.int64(1)):
+        with pytest.raises(ParameterDomainError):
+            CoinParameters.from_squared_moduli(bad, 0.5)
+    with pytest.raises(ParameterDomainError):
+        CoinParameters.from_squared_moduli(0.5, 0.5, alpha1=np.float64("nan"))
+
+
 def test_moduli_complementary():
     p = CoinParameters.from_squared_moduli(0.7, 0.2)
     assert p.modulus_a1**2 + p.modulus_b1**2 == pytest.approx(1.0, abs=1e-14)
