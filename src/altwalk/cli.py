@@ -51,14 +51,13 @@ class RunConfig:
     psi2_im: float = 0.0
     steps: int = 100
     grid_n: int = 200
-    bins: int = 50
     seed: int = 0
     out: str | None = None
 
 
 _FLOAT_KEYS = ("a1_sq", "a2_sq", "alpha1", "alpha2", "beta1", "beta2",
                "delta1", "delta2", "psi1_re", "psi1_im", "psi2_re", "psi2_im")
-_INT_KEYS = ("steps", "grid_n", "bins", "seed")
+_INT_KEYS = ("steps", "grid_n", "seed")
 
 _KEY_HELP = {
     "a1_sq": "squared modulus of the first coin's upper-left entry, in (0, 1)",
@@ -75,7 +74,6 @@ _KEY_HELP = {
     "psi2_im": "imaginary part of the second spinor component",
     "steps": "number of walk steps (simulate, chars)",
     "grid_n": "points per axis for grids and quadratures",
-    "bins": "histogram bins per axis (verify weak-limit check)",
     "seed": "seed for every sampled verification check",
     "out": "output directory (must already exist)",
 }
@@ -149,6 +147,8 @@ def spinor_from(cfg: RunConfig) -> np.ndarray:
     spinor = np.array([cfg.psi1_re + 1j * cfg.psi1_im,
                        cfg.psi2_re + 1j * cfg.psi2_im])
     norm = math.sqrt(float(np.sum(np.abs(spinor) ** 2)))
+    if not math.isfinite(norm):  # a nan or infinite component, or an overflowing norm
+        raise ConfigError(f"initial spinor must be finite with a finite norm, got {spinor}")
     if norm < 1e-300:
         raise ConfigError("initial spinor must be nonzero")
     return spinor / norm
@@ -315,6 +315,7 @@ def cmd_chars(cfg: RunConfig, xi_items) -> int:
     for xi in xi_list:
         if max(abs(xi[0]), abs(xi[1])) > 3.0:
             raise ConfigError(f"|xi| <= 3 per component, got {xi}")
+    out = _out_dir(cfg) if cfg.out is not None else None
     model = model_from(cfg)
     state0 = lattice.initial_state_delta(spinor_from(cfg))
     rows, mass = verify.char_triples(model, state0, cfg.steps, xi_list,
@@ -329,8 +330,7 @@ def cmd_chars(cfg: RunConfig, xi_items) -> int:
               f"{spe.real:+.5f}{spe.imag:+.5f}j       "
               f"{den.real:+.5f}{den.imag:+.5f}j       {gap:10.3e}")
         lines.append((xi, emp, spe, den, gap))
-    if cfg.out is not None:
-        out = _out_dir(cfg)
+    if out is not None:
         path = out / "chars.csv"
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("xi1,xi2,empirical_re,empirical_im,spectral_re,spectral_im,"
@@ -362,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--steps", type=int, metavar="N", help=_KEY_HELP["steps"])
     group.add_argument("--grid_n", "--grid", dest="grid_n", type=int, metavar="N",
                        help=_KEY_HELP["grid_n"])
-    group.add_argument("--bins", type=int, metavar="N", help=_KEY_HELP["bins"])
     group.add_argument("--seed", type=int, metavar="N", help=_KEY_HELP["seed"])
     group.add_argument("--out", metavar="DIR", help=_KEY_HELP["out"])
 

@@ -242,6 +242,18 @@ def _terms_from_u(model: Model, u1, u2):
     return big_a, big_b, e_r, e_t, d_quarter
 
 
+def _jacobian_factors(model: Model, v1, v2):
+    """Inverse Jacobians (B +- sqrt(D_quarter)) / (2 A sqrt(D_quarter)) of the
+    (plus, minus) families at v; (1 / ((1 - v1^2)(1 - v2^2)), 0) if degenerate."""
+    if model.derived.degenerate:
+        plus = 1.0 / ((1.0 - v1 * v1) * (1.0 - v2 * v2))
+        return plus, np.zeros_like(plus)
+    u1, u2 = rotated_coords(v1, v2)
+    big_a, big_b, _, _, d_quarter = _terms_from_u(model, u1, u2)
+    root = np.sqrt(np.maximum(d_quarter, 0.0))
+    return (big_b + root) / (2.0 * big_a * root), (big_b - root) / (2.0 * big_a * root)
+
+
 def jacobian_inverse(model: Model, v1: float, v2: float, sign: int) -> float:
     """|J|^-1 for the + (sign=+1, even m) or - (sign=-1, odd m) branch family.
 
@@ -252,18 +264,14 @@ def jacobian_inverse(model: Model, v1: float, v2: float, sign: int) -> float:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if support_contains(model, v1, v2) != "inside":
         raise OutsideSupportError(f"({v1}, {v2}) is not strictly inside the support")
-    u1, u2 = rotated_coords(v1, v2)
-    big_a, big_b, e_r, e_t, d_quarter = _terms_from_u(model, u1, u2)
-    if model.derived.degenerate:
-        if sign != 1:
-            return 0.0
-        return 1.0 / ((1.0 - v1 * v1) * (1.0 - v2 * v2))
-    root = math.sqrt(float(max(d_quarter, 0.0)))
-    if root <= 0.0:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plus, minus = _jacobian_factors(model, np.float64(v1), np.float64(v2))
+    value = float(plus if sign == 1 else minus)
+    if not math.isfinite(value):
         raise OutsideSupportError(
             f"({v1}, {v2}) lies on an ellipse boundary where the Jacobian diverges"
         )
-    return float((big_b + sign * root) / (2.0 * big_a * root))
+    return value
 
 
 def jacobian_forward(model: Model, k1: float, k2: float) -> float:
@@ -292,37 +300,32 @@ def _sector_of(c1, c2, j_plus):
     )
 
 
+def _branch_labels(model: Model, k1, k2):
+    """Branch labels (n, m, is_r) of band-1 wavenumber arrays, is_r meaning s == "R";
+    windmill-square and sector ties resolve to the lowest admissible index."""
+    l1, l2, c1, _, c2, _, _ = angle_terms(model, k1, k2)
+    l1r = wrap_angle(l1)
+    l2r = wrap_angle(l2)
+    parity = (np.rint((l1 - l1r) / (2 * _PI)) + np.rint((l2 - l2r) / (2 * _PI))) % 2
+    n = np.zeros(np.shape(l1), dtype=np.int64)
+    for sq in range(8, 0, -1):  # descending, so a tie keeps the lowest square
+        lo1, hi1, lo2, hi2 = _REGION_BOXES[sq]
+        for off1 in (-1, 0, 1):
+            for off2 in (-1, 0, 1):
+                cand1 = l1r + 2 * _PI * off1
+                cand2 = l2r + 2 * _PI * off2
+                hit = (parity == (off1 + off2) % 2) & (lo1 <= cand1) & (cand1 <= hi1)
+                n = np.where(hit & (lo2 <= cand2) & (cand2 <= hi2), sq, n)
+    return n, _sector_of(c1, c2, model.derived.j_plus), np.abs(c2) <= np.abs(c1)
+
+
 def classify_branch(model: Model, k1: float, k2: float) -> Branch:
     """Branch label of a wavenumber under the forward map, with p = 1.
 
     Windmill-square and sector ties resolve to the lowest admissible index.
     """
-    l1, l2, c1, _, c2, _, _ = angle_terms(model, k1, k2)
-    l1, l2, c1, c2 = float(l1), float(l2), float(c1), float(c2)
-    l1r = float(wrap_angle(l1))
-    l2r = float(wrap_angle(l2))
-    parity = (round((l1 - l1r) / (2 * _PI)) + round((l2 - l2r) / (2 * _PI))) % 2
-    n_found = None
-    for n in range(1, 9):
-        lo1, hi1, lo2, hi2 = _REGION_BOXES[n]
-        for off1 in (-1, 0, 1):
-            for off2 in (-1, 0, 1):
-                if (off1 + off2) % 2 != parity:
-                    continue
-                cand1 = l1r + 2 * _PI * off1
-                cand2 = l2r + 2 * _PI * off2
-                if lo1 <= cand1 <= hi1 and lo2 <= cand2 <= hi2:
-                    n_found = n
-                    break
-            if n_found:
-                break
-        if n_found:
-            break
-    if n_found is None:  # cannot happen: the translates tile the plane
-        raise RuntimeError(f"windmill classification failed for l = ({l1}, {l2})")
-    m = int(_sector_of(c1, c2, model.derived.j_plus))
-    s = "R" if abs(c2) <= abs(c1) else "T"
-    return Branch(n=n_found, m=m, s=s, p=1)
+    n, m, is_r = _branch_labels(model, k1, k2)
+    return Branch(n=int(n), m=int(m), s="R" if is_r else "T", p=1)
 
 
 # angle reconstruction per windmill square: l_i from arccos values in [0, pi]
@@ -396,6 +399,27 @@ def branch_preimages(model: Model, v1, v2, n: int, m: int, p: int):
     return k1, k2, ok
 
 
+def _inverse_labelled(model: Model, v1, v2, n, m, is_r):
+    """Band-1 preimages (k1, k2, ok) of v under labels (n, m, is_r), arrays or scalars.
+
+    ok is False off the open support, where an even-m label demands the other
+    shape, or where ``branch_preimages`` finds no preimage for the label.
+    """
+    d = model.derived
+    u1, u2 = rotated_coords(v1, v2)
+    gate = _inside_mask(model, u1, u2)
+    gate &= (m % 2 == 1) | (is_r == (d.a * np.abs(u2) >= d.b * np.abs(u1)))
+    k1 = np.zeros(gate.shape)
+    k2 = np.zeros(gate.shape)
+    ok = np.zeros(gate.shape, dtype=bool)
+    for sq in range(1, 9):
+        for sec in range(1, 5):
+            idx = np.nonzero(gate & (n == sq) & (m == sec))[0]
+            if idx.size:
+                k1[idx], k2[idx], ok[idx] = branch_preimages(model, v1[idx], v2[idx], sq, sec, 1)
+    return k1, k2, ok
+
+
 def inverse_map(model: Model, v1: float, v2: float, branch: Branch):
     """Wavenumber of the preimage labelled by ``branch`` at interior v.
 
@@ -405,20 +429,10 @@ def inverse_map(model: Model, v1: float, v2: float, branch: Branch):
     """
     if support_contains(model, v1, v2) != "inside":
         raise OutsideSupportError(f"({v1}, {v2}) is not strictly inside the support")
-    d = model.derived
     band_sign = 1.0 if branch.p == 1 else -1.0
-    u1, u2 = rotated_coords(band_sign * v1, band_sign * v2)
-    if branch.m % 2 == 0:
-        u_shape = "R" if d.a * abs(u2) >= d.b * abs(u1) else "T"
-        if branch.s != u_shape:
-            raise BranchError(
-                f"branch {branch} demands shape {branch.s} but u lies in the "
-                f"{u_shape} half-plane pair"
-            )
-    k1, k2, ok = branch_preimages(
-        model, np.array([v1]), np.array([v2]), branch.n, branch.m, branch.p
-    )
-    if not bool(ok[0]):
+    k1, k2, ok = _inverse_labelled(model, np.array([band_sign * v1]), np.array([band_sign * v2]),
+                                   branch.n, branch.m, branch.s == "R")
+    if not ok[0]:
         raise BranchError(f"branch {branch} has no preimage at ({v1}, {v2})")
     return float(k1[0]), float(k2[0])
 
@@ -477,7 +491,7 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
 
 
 def _preimage_slots(model: Model, v1, v2):
-    """Yield (p, m, idx, k1, k2, ok) for every (p, n, m) slot in that order.
+    """Yield (p, n, m, idx, k1, k2, ok) for every (p, n, m) slot in that order.
 
     Slot (p, n, m) runs ``branch_preimages`` only on the points idx whose
     band-p rotated coordinates pass square n's closed quadrant gate, computed
@@ -495,7 +509,7 @@ def _preimage_slots(model: Model, v1, v2):
             s1, s2 = v1[idx], v2[idx]
             for m in range(1, 5):
                 k1, k2, ok = branch_preimages(model, s1, s2, n, m, p)
-                yield p, m, idx, k1, k2, ok
+                yield p, n, m, idx, k1, k2, ok
 
 
 def _keep_new(idx, k1, k2, kept):
@@ -524,18 +538,16 @@ def _add_branches(model, spectrum, p, idx, k1, k2, jinv, f, count):
 
 def _accumulate_generic(model, spectrum, v1, v2):
     """f and the (plus, minus) branch counts at evaluable points of a generic model."""
-    u1, u2 = rotated_coords(v1, v2)
-    big_a, big_b, _, _, d_quarter = _terms_from_u(model, u1, u2)
-    root = np.sqrt(np.maximum(d_quarter, 0.0))
-    jinv = ((big_b + root) / (2.0 * big_a * root), (big_b - root) / (2.0 * big_a * root))
+    jinv = _jacobian_factors(model, v1, v2)  # indexed by m % 2: plus, minus
     f = np.zeros(v1.shape)
     counts = (np.zeros(v1.shape, dtype=np.int64), np.zeros(v1.shape, dtype=np.int64))
     # On the rotated axes the reconstructed angles sit on shared corners of
     # adjacent wavenumber squares, so neighbouring region slots can emit the
     # same preimage; those (measure-zero) points get a per-band k-dedup.
+    u1, u2 = rotated_coords(v1, v2)
     edge = (np.abs(u1) < 1e-7) | (np.abs(u2) < 1e-7)
     kept = {1: [], 2: []}
-    for p, m, idx, k1, k2, ok in _preimage_slots(model, v1, v2):
+    for p, _, m, idx, k1, k2, ok in _preimage_slots(model, v1, v2):
         at = np.nonzero(ok & edge[idx])[0]
         if at.size:
             ok[at] = _keep_new(idx[at], k1[at], k2[at], kept[p])
@@ -550,11 +562,11 @@ def _accumulate_degenerate(model, spectrum, v1, v2):
     as plus; two preimages closer than 1e-7 on the wavenumber torus count
     once, whichever band they come from.
     """
-    jinv = 1.0 / ((1.0 - v1 * v1) * (1.0 - v2 * v2))
+    jinv, _ = _jacobian_factors(model, v1, v2)
     f = np.zeros(v1.shape)
     n_plus = np.zeros(v1.shape, dtype=np.int64)
     kept = []
-    for p, _, idx, k1, k2, ok in _preimage_slots(model, v1, v2):
+    for p, _, _, idx, k1, k2, ok in _preimage_slots(model, v1, v2):
         at = np.nonzero(ok)[0]
         ok[at] = _keep_new(idx[at], k1[at], k2[at], kept)
         _add_branches(model, spectrum, p, idx[ok], k1[ok], k2[ok], jinv, f, n_plus)
@@ -700,13 +712,9 @@ def weight_table_report(model: Model, v1: float, v2: float) -> dict:
     octant = _octant_of(v1, v2)
     expected_p1, expected_p2 = _TABLE_OCTANT_SETS[octant]
     actual: dict[int, set[int]] = {1: set(), 2: set()}
-    arr1, arr2 = np.array([v1]), np.array([v2])
-    for p in (1, 2):
-        for n in range(1, 9):
-            for m in range(1, 5):
-                _, _, ok = branch_preimages(model, arr1, arr2, n, m, p)
-                if bool(ok[0]):
-                    actual[p].add(n)
+    for p, n, _, _, _, _, ok in _preimage_slots(model, np.array([v1]), np.array([v2])):
+        if ok[0]:
+            actual[p].add(n)
     return {
         "octant": octant,
         "expected_band1": sorted(expected_p1),

@@ -153,23 +153,22 @@ def _phased_sibling(model: Model) -> Model:
 
 
 def _roundtrip_worst(model: Model, samples: int, rng) -> tuple[float, int]:
+    """Worst round-trip error over ``samples`` successes, and the draws excluded.
+
+    Each round draws as many pairs as successes are missing, so the stream
+    stops at the last success, as it would drawing one pair at a time."""
     worst = 0.0
     excluded = 0
     done = 0
     while done < samples:
-        k1, k2 = rng.uniform(-math.pi, math.pi, size=2)
-        v1, v2 = (float(x) for x in limit.forward_map(model, k1, k2))
-        if limit.support_contains(model, v1, v2) != "inside":
-            excluded += 1
-            continue
-        try:
-            branch = limit.classify_branch(model, k1, k2)
-            r1, r2 = limit.inverse_map(model, v1, v2, branch)
-        except (limit.BranchError, limit.OutsideSupportError):
-            excluded += 1
-            continue
-        worst = max(worst, limit._torus_dist(k1, k2, r1, r2))
-        done += 1
+        remaining = samples - done
+        k1, k2 = rng.uniform(-math.pi, math.pi, size=(remaining, 2)).T
+        v1, v2 = limit.forward_map(model, k1, k2)
+        r1, r2, ok = limit._inverse_labelled(model, v1, v2, *limit._branch_labels(model, k1, k2))
+        found = int(np.count_nonzero(ok))
+        worst = max(worst, float(limit._torus_dist(k1[ok], k2[ok], r1[ok], r2[ok]).max(initial=0.0)))
+        excluded += remaining - found
+        done += found
     return worst, excluded
 
 
@@ -203,10 +202,9 @@ def check_jacobian(model: Model, samples: int = 1000, *, seed: int = 0,
     rng = np.random.default_rng(seed)
     h = 1e-5
     fd_worst = 0.0
-    br_worst = 0.0
     excluded = 0
-    done = 0
-    while done < samples:
+    accepted = []
+    while len(accepted) < samples:
         k1, k2 = rng.uniform(-math.pi, math.pi, size=2)
         v1, v2 = (float(x) for x in limit.forward_map(model, k1, k2))
         if limit.support_contains(model, v1, v2) != "inside":
@@ -224,11 +222,12 @@ def check_jacobian(model: Model, samples: int = 1000, *, seed: int = 0,
         col2 = (dp2 - dm2) / (2.0 * h)
         det = abs(col1[0] * col2[1] - col1[1] * col2[0])
         fd_worst = max(fd_worst, abs(det - jf) / jf)
-        branch = limit.classify_branch(model, k1, k2)
-        sign = 1 if branch.m % 2 == 0 else -1
-        jinv = limit.jacobian_inverse(model, v1, v2, sign)
-        br_worst = max(br_worst, abs(jinv - 1.0 / jf) * jf)
-        done += 1
+        accepted.append((k1, k2, v1, v2, jf))
+    k1, k2, v1, v2, jf = np.array(accepted, dtype=np.float64).reshape(-1, 5).T
+    _, m, _ = limit._branch_labels(model, k1, k2)
+    plus, minus = limit._jacobian_factors(model, v1, v2)
+    jinv = np.where(m % 2 == 0, plus, minus)
+    br_worst = float(np.max(np.abs(jinv - 1.0 / jf) * jf, initial=0.0))
     details = {"samples": samples, "excluded": excluded, "h": h}
     return [
         _report("jacobian_fd", fd_worst, seed, details, tolerances),
@@ -247,8 +246,7 @@ def check_support(model: Model, grid_n: int = 512, *, seed: int = 0,
         v1, v2 = limit.forward_map(model, k1, k2)
         u1, u2 = limit.rotated_coords(v1, v2)
     d = model.derived
-    q_r = u1 * u1 / d.axis_R1 + u2 * u2 / d.axis_R2
-    q_t = u1 * u1 / d.axis_T1 + u2 * u2 / d.axis_T2
+    q_r, q_t = limit._ellipse_forms(model, u1, u2)
     # band crossings (degenerate models only) have no group velocity; skip them
     finite = np.isfinite(q_r) & np.isfinite(q_t)
     violation = float(max(0.0, np.maximum(q_r[finite], q_t[finite]).max() - 1.0))
@@ -264,15 +262,10 @@ def check_support(model: Model, grid_n: int = 512, *, seed: int = 0,
         vv = -1.0 + (2.0 * np.arange(200) + 1.0) / 200.0
         w1, w2 = np.meshgrid(vv, vv, indexing="ij")
         member = limit.reference_ellipse_grover(d.a, w1, w2)
-        flat1 = w1.ravel()
-        flat2 = w2.ravel()
-        mism = 0
-        for i in range(flat1.size):
-            inside = limit.support_contains(model, float(flat1[i]), float(flat2[i])) == "inside"
-            if inside != bool(member.ravel()[i]):
-                mism += 1
+        inside = limit._inside_mask(model, *limit.rotated_coords(w1, w2))
+        mism = int(np.count_nonzero(inside != member))
         reports.append(_report(
-            "support_ellipse_membership", mism / flat1.size, seed,
+            "support_ellipse_membership", mism / inside.size, seed,
             {"grid_n": 200, "mismatches": mism}, tolerances))
     return reports
 
@@ -429,8 +422,8 @@ def check_weight_table(model: Model, samples: int = 200, *, seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     mismatches = 0
-    done = 0
-    while done < samples:
+    # frac <= 0.95 keeps every sample strictly inside: its ellipse form is frac^2
+    for _ in range(samples):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         frac = rng.uniform(0.05, 0.95)
         rho = frac * limit.support_radius(model, theta)
@@ -438,12 +431,9 @@ def check_weight_table(model: Model, samples: int = 200, *, seed: int = 0,
         u2 = rho * math.sin(theta)
         v1 = (u1 + u2) / math.sqrt(2.0)
         v2 = (u1 - u2) / math.sqrt(2.0)
-        if limit.support_contains(model, v1, v2) != "inside":
-            continue
         rep = limit.weight_table_report(model, v1, v2)
         if not rep["matches"]:
             mismatches += 1
-        done += 1
     return [_report("weight_table", mismatches / samples, seed,
                     {"samples": samples, "mismatches": mismatches}, tolerances)]
 

@@ -104,6 +104,21 @@ def test_zero_spinor_rejected(tmp_path):
                     "--steps", "1", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
+def test_nonfinite_spinor_rejected(tmp_path):
+    assert run_cli(["simulate", "--psi1_re", "nan", "--steps", "1",
+                    "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert run_cli(["density", "--psi2_im", "inf", "--grid_n", "8",
+                    "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bins_key_removed(tmp_path):
+    cfg = tmp_path / "bins.cfg"
+    cfg.write_text("bins = 5\n")
+    assert run_cli(["simulate", "--config", str(cfg), "--steps", "1",
+                    "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+
 def test_support_outputs(tmp_path):
     assert run_cli(["support", "--grid_n", "64", "--out", str(tmp_path)]) == 0
     constants = json.loads((tmp_path / "constants.json").read_text())
@@ -154,6 +169,15 @@ def test_chars_small(tmp_path, capsys):
     row = lines[1].split(",")
     assert float(row[2]) == pytest.approx(1.0, abs=1e-9)  # empirical at xi = 0
     assert float(row[8]) < 1e-9  # all three agree exactly at xi = 0
+
+
+def test_chars_missing_out_dir_fails_before_running(tmp_path, monkeypatch):
+    def char_triples(*args, **kwargs):
+        raise AssertionError("char_triples ran before the output directory was checked")
+
+    monkeypatch.setattr(cli.verify, "char_triples", char_triples)
+    missing = tmp_path / "not-here"
+    assert run_cli(["chars", "--steps", "5", "--out", str(missing)]) == cli.EXIT_IO
 
 
 def test_chars_bad_xi():

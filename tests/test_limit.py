@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from altwalk import lattice, limit, spectral
 from altwalk.model import CoinParameters, build_model
+from oracles import scalar_classify_branch, scalar_inverse_map, scalar_weight_table_sets
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +180,77 @@ def test_forward_consistency_of_preimages(reference_model):
                 w1, w2 = limit.forward_map(reference_model, k1[ok], k2[ok])
                 assert np.abs(w1 - sign * v1[ok]).max() < 1e-9
                 assert np.abs(w2 - sign * v2[ok]).max() < 1e-9
+
+
+# --- array labels and inversion against the scalar loops -------------------
+
+
+def _label_probe_wavenumbers(model, rng, count):
+    """Random k, k on the pi/4 lattice (rotated angles l on multiples of pi/2,
+    the windmill and sector ties, for phase-free coins), k whose l are those
+    lattice values for phased coins, and k at and next to the wrap at +-pi."""
+    d = model.derived
+    k1 = [rng.uniform(-math.pi, math.pi, count)]
+    k2 = [rng.uniform(-math.pi, math.pi, count)]
+    grid = math.pi / 4 * np.arange(-4, 5)
+    k1.append(np.repeat(grid, grid.size))
+    k2.append(np.tile(grid, grid.size))
+    l1 = math.pi / 2 * np.repeat(np.arange(-4, 5), 9)
+    l2 = math.pi / 2 * np.tile(np.arange(-4, 5), 9)
+    k1.append(0.5 * (l1 - l2) - d.phi_1)
+    k2.append(0.5 * (l1 + l2) - d.phi_2)
+    edge = np.array([-math.pi, math.pi, np.nextafter(-math.pi, 0.0), np.nextafter(math.pi, 0.0)])
+    k1.append(np.repeat(edge, edge.size))
+    k2.append(np.tile(edge, edge.size))
+    return np.concatenate(k1), np.concatenate(k2)
+
+
+def assert_labels_match_scalar_loop(model, k1, k2):
+    n, m, is_r = limit._branch_labels(model, k1, k2)
+    for i in range(k1.size):
+        want = scalar_classify_branch(model, k1[i], k2[i])
+        got = (int(n[i]), int(m[i]), "R" if is_r[i] else "T")
+        assert got == (want.n, want.m, want.s), (k1[i], k2[i])
+        assert limit.classify_branch(model, k1[i], k2[i]) == want
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_branch_labels_match_scalar_loop(coin, request):
+    model = request.getfixturevalue(coin)
+    k1, k2 = _label_probe_wavenumbers(model, np.random.default_rng(21), 400)
+    assert_labels_match_scalar_loop(model, k1, k2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.01, 0.99), st.floats(0.01, 0.99),
+       st.lists(st.floats(-math.pi, math.pi), min_size=6, max_size=6), st.integers(0, 2**32 - 1))
+def test_branch_labels_match_scalar_loop_property(a1_sq, a2_sq, phases, seed):
+    model = build_model(CoinParameters.from_squared_moduli(a1_sq, a2_sq, *phases))
+    k1, k2 = _label_probe_wavenumbers(model, np.random.default_rng(seed), 20)
+    assert_labels_match_scalar_loop(model, k1, k2)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (limit.BranchError, limit.OutsideSupportError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_inverse_map_matches_scalar_path(coin, request):
+    # every branch label in both bands; band 2 is inverted as -v in band 1
+    model = request.getfixturevalue(coin)
+    v1, v2 = _interior_points(model, np.random.default_rng(22), 6)
+    pts = list(zip(v1.tolist(), v2.tolist())) + [(0.0, 0.0), (0.1, 0.1), (0.95, 0.0)]
+    for w1, w2 in pts:
+        for p in (1, 2):
+            for n in range(1, 9):
+                for m in range(1, 5):
+                    for s in ("R", "T"):
+                        br = limit.Branch(n, m, s, p)
+                        assert (_outcome(limit.inverse_map, model, w1, w2, br)
+                                == _outcome(scalar_inverse_map, model, w1, w2, br)), br
 
 
 # --- density ----------------------------------------------------------------
@@ -376,3 +448,13 @@ def test_weight_table_report_keys(reference_model):
     assert set(rep) == {"octant", "expected_band1", "expected_band2",
                         "actual_band1", "actual_band2", "matches"}
     assert sorted(rep["actual_band1"] + rep["actual_band2"]) != []
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_weight_table_report_matches_all_slots(coin, request):
+    model = request.getfixturevalue(coin)
+    v1, v2 = _interior_points(model, np.random.default_rng(23), 8)
+    for w1, w2 in list(zip(v1.tolist(), v2.tolist())) + [(0.0, 0.0), (0.1, 0.1), (0.2, 0.0)]:
+        rep = limit.weight_table_report(model, w1, w2)
+        want = scalar_weight_table_sets(model, w1, w2)
+        assert (rep["actual_band1"], rep["actual_band2"]) == (sorted(want[1]), sorted(want[2]))

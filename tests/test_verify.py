@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from altwalk import lattice, verify
+from altwalk import lattice, limit, verify
 from altwalk.lattice import PositionDistribution
+from altwalk.model import CoinParameters, build_model
+from oracles import scalar_roundtrip_worst
 
 
 def test_report_invariant_and_json(reference_model):
@@ -61,6 +63,17 @@ def test_roundtrip_adds_phased_sibling(reference_model):
     assert rep.details["phased_error"] <= rep.tolerance
 
 
+@pytest.mark.parametrize("seed", [4, 5])
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_roundtrip_matches_scalar_loop(coin, seed, request, monkeypatch):
+    # same draws, same exclusions, same worst error, same phased-sibling stream
+    model = request.getfixturevalue(coin)
+    got = [r.to_json() for r in verify.check_roundtrip(model, samples=300, seed=seed)]
+    monkeypatch.setattr(verify, "_roundtrip_worst", scalar_roundtrip_worst)
+    want = [r.to_json() for r in verify.check_roundtrip(model, samples=300, seed=seed)]
+    assert got == want
+
+
 def test_support_check_reports(reference_model):
     reports = verify.check_support(reference_model, 128)
     names = [r.name for r in reports]
@@ -73,6 +86,19 @@ def test_support_check_degenerate_membership(degenerate_model):
     by_name = {r.name: r for r in reports}
     assert by_name["support_ellipse_membership"].passed
     assert by_name["support_containment"].details["singular_points"] > 0
+
+
+@pytest.mark.parametrize("a_sq", [0.5, 0.3])
+def test_support_membership_matches_scalar_loop(a_sq):
+    model = build_model(CoinParameters.from_squared_moduli(a_sq, a_sq))
+    rep = verify.check_support(model, 128)[-1]
+    vv = -1.0 + (2.0 * np.arange(200) + 1.0) / 200.0
+    member = limit.reference_ellipse_grover(model.derived.a, vv[:, None], vv[None, :])
+    mism = sum(
+        (limit.support_contains(model, float(a), float(b)) == "inside") != bool(member[i, j])
+        for i, a in enumerate(vv) for j, b in enumerate(vv))
+    assert rep.name == "support_ellipse_membership"
+    assert (rep.details["mismatches"], rep.metric) == (mism, mism / 40000)
 
 
 def test_char_function_small(reference_model):
