@@ -146,12 +146,15 @@ def model_from(cfg: RunConfig) -> Model:
 def spinor_from(cfg: RunConfig) -> np.ndarray:
     spinor = np.array([cfg.psi1_re + 1j * cfg.psi1_im,
                        cfg.psi2_re + 1j * cfg.psi2_im])
-    norm = math.sqrt(float(np.sum(np.abs(spinor) ** 2)))
-    if not math.isfinite(norm):  # a nan or infinite component, or an overflowing norm
-        raise ConfigError(f"initial spinor must be finite with a finite norm, got {spinor}")
-    if norm < 1e-300:
+    parts = spinor.view(np.float64)  # re, im, re, im
+    if not np.all(np.isfinite(parts)):
+        raise ConfigError(f"initial spinor must be finite, got {spinor}")
+    largest = float(np.max(np.abs(parts)))
+    if largest == 0.0:
         raise ConfigError("initial spinor must be nonzero")
-    return spinor / norm
+    # an exact power-of-two prescale keeps the norm from overflowing or underflowing
+    spinor = np.ldexp(parts, -math.frexp(largest)[1]).view(np.complex128)
+    return spinor / math.sqrt(float(np.sum(np.abs(spinor) ** 2)))
 
 
 def _out_dir(cfg: RunConfig) -> Path:

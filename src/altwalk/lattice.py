@@ -37,6 +37,7 @@ __all__ = [
     "initial_state_from_sites",
     "step",
     "evolve",
+    "trajectory",
     "position_distribution",
     "moments",
     "write_distribution_csv",
@@ -88,11 +89,6 @@ class PositionDistribution:
     @property
     def x2_max(self) -> int:
         return self.x2_min + self.probs.shape[1] - 1
-
-    def weight(self, x1: int, x2: int) -> float:
-        if self.x1_min <= x1 <= self.x1_max and self.x2_min <= x2 <= self.x2_max:
-            return float(self.probs[x1 - self.x1_min, x2 - self.x2_min])
-        return 0.0
 
     def items(self):
         """Yield ((x1, x2), probability) for every site with nonzero weight."""
@@ -183,6 +179,22 @@ def evolve(model, state: LatticeState, t: int) -> LatticeState:
     return LatticeState(
         amps=out, x1_min=state.x1_min - t, x2_min=state.x2_min - t, time=state.time + t
     )
+
+
+def trajectory(model, state0: LatticeState, times):
+    """Yield the state ``t`` steps after ``state0`` for each t of ``times``, sorted.
+
+    One chained ``evolve`` pass: each snapshot is evolved from the one before,
+    which gives the same amplitudes bit for bit as evolving ``state0`` directly,
+    and only the current state is kept.  A repeated time yields the same state
+    again; time 0 yields ``state0`` itself.
+    """
+    state, prev = state0, 0
+    for t in sorted(times):
+        if t != prev:
+            state = evolve(model, state, t - prev)
+            prev = t
+        yield state
 
 
 def step(model, state: LatticeState) -> LatticeState:

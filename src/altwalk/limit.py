@@ -76,6 +76,7 @@ SUPPORT_BOUNDARY_TOL = 1e-9  # half-width of the support boundary band
 SHELL_FLOOR = 1e-14  # density refuses points with E_R * E_T below this
 FORWARD_CONSISTENCY_TOL = 1e-9  # forward-map residual accepted for a preimage
 DEDUP_K_TOL = 1e-7  # torus distance below which two preimages count once
+_QUADRATURE_SHELL = 1e-4  # width of the boundary shell integrate_density excises
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -605,7 +606,7 @@ def integrate_density(
     weight=None,
     n_theta: int = 64,
     n_rad: int = 64,
-    shell: float = 1e-4,
+    shell: float = _QUADRATURE_SHELL,
 ) -> IntegralResult:
     """Integrate f(v) weight(v) dv / (2 pi)^2 over the support.
 
@@ -616,6 +617,30 @@ def integrate_density(
     mass estimated from the boundary asymptotics; the estimate is reported
     and included in ``total``.
     """
+    return _integrate_on(_quadrature_arcs(model, spectrum, n_theta, n_rad, shell), weight)
+
+
+@dataclass(frozen=True)
+class _QuadratureArc:
+    """The nodes of one arc of ``integrate_density`` with f evaluated on them."""
+
+    f: np.ndarray  # density at the (angle, radius) nodes
+    v1: np.ndarray
+    v2: np.ndarray
+    rho: np.ndarray
+    w: np.ndarray  # radial nodes w, rho = rho_b - w^2
+    w_weight: np.ndarray  # radial Gauss-Legendre weights times the w half-width
+    th_w: np.ndarray  # angular Gauss-Legendre weights times the arc half-width
+    shell_f: np.ndarray  # density at the inner edge of the excised shell
+    shell_v1: np.ndarray
+    shell_v2: np.ndarray
+    eps: np.ndarray  # shell width per angle
+    rho_b: np.ndarray  # boundary radius per angle
+
+
+def _quadrature_arcs(model: Model, spectrum, n_theta: int, n_rad: int,
+                     shell: float = _QUADRATURE_SHELL):
+    """Build the quadrature nodes of every arc and evaluate f on them once."""
     corners = support_corners(model)
     if corners.shape[0]:
         cu1, cu2 = rotated_coords(corners[:, 0], corners[:, 1])
@@ -625,13 +650,10 @@ def integrate_density(
     edges = np.concatenate([cang, [cang[0] + 2.0 * math.pi]])
     gx, gw = np.polynomial.legendre.leggauss(n_theta)
     rx, rw = np.polynomial.legendre.leggauss(n_rad)
-    total = 0.0 + 0.0j
-    shell_mass = 0.0 + 0.0j
-    inv_two_pi_sq = 1.0 / (2.0 * math.pi) ** 2
+    arcs = []
     for left, right in zip(edges[:-1], edges[1:]):
         half = 0.5 * (right - left)
         theta = 0.5 * (right + left) + half * gx
-        th_w = half * gw
         rho_b = support_radius(model, theta)
         # radius rho = rho_b - w^2 with w from sqrt(shell) to sqrt(rho_b)
         w_lo = np.sqrt(np.minimum(shell, rho_b))
@@ -644,20 +666,32 @@ def integrate_density(
         u2 = rho * np.sin(theta)[:, None]
         p1 = _SQRT_HALF * (u1 + u2)
         p2 = _SQRT_HALF * (u1 - u2)
-        grid = density_grid(model, spectrum, p1, p2)
-        vals = grid.f * (weight(p1, p2) if weight is not None else 1.0)
-        # d rho = -2 w d w; the radial integrand is f * wt * rho * 2w
-        radial = np.sum(vals * rho * 2.0 * w_nodes * (w_half[:, None] * rw[None, :]), axis=1)
-        total += np.sum(radial * th_w)
-        # boundary asymptotics f ~ c / sqrt(rho_b - rho): estimate the shell mass
+        # boundary asymptotics f ~ c / sqrt(rho_b - rho) give the shell mass
         eps = np.minimum(shell, rho_b)
         e1 = (rho_b - eps) * np.cos(theta)
         e2 = (rho_b - eps) * np.sin(theta)
         q1 = _SQRT_HALF * (e1 + e2)
         q2 = _SQRT_HALF * (e1 - e2)
-        egrid = density_grid(model, spectrum, q1, q2)
-        evals = egrid.f * (weight(q1, q2) if weight is not None else 1.0)
-        shell_mass += np.sum(2.0 * evals * eps * rho_b * th_w)
+        arcs.append(_QuadratureArc(
+            f=density_grid(model, spectrum, p1, p2).f, v1=p1, v2=p2, rho=rho, w=w_nodes,
+            w_weight=w_half[:, None] * rw[None, :], th_w=half * gw,
+            shell_f=density_grid(model, spectrum, q1, q2).f, shell_v1=q1, shell_v2=q2,
+            eps=eps, rho_b=rho_b))
+    return arcs
+
+
+def _integrate_on(arcs, weight=None) -> IntegralResult:
+    """``integrate_density`` on the arcs of ``_quadrature_arcs``, for one weight."""
+    total = 0.0 + 0.0j
+    shell_mass = 0.0 + 0.0j
+    inv_two_pi_sq = 1.0 / (2.0 * math.pi) ** 2
+    for arc in arcs:
+        vals = arc.f * (weight(arc.v1, arc.v2) if weight is not None else 1.0)
+        # d rho = -2 w d w; the radial integrand is f * wt * rho * 2w
+        radial = np.sum(vals * arc.rho * 2.0 * arc.w * arc.w_weight, axis=1)
+        total += np.sum(radial * arc.th_w)
+        evals = arc.shell_f * (weight(arc.shell_v1, arc.shell_v2) if weight is not None else 1.0)
+        shell_mass += np.sum(2.0 * evals * arc.eps * arc.rho_b * arc.th_w)
     value = total * inv_two_pi_sq
     shell_est = shell_mass * inv_two_pi_sq
     if weight is None:

@@ -108,15 +108,8 @@ def _default_state(spinor=None) -> lattice.LatticeState:
 def check_unitarity(model: Model, t: int = 500, state0=None, *, seed: int = 0,
                     tolerances=None) -> list[ComparisonReport]:
     """Probability conservation after t exact steps."""
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
-    if state0 is None:
-        state0 = _default_state()
-    final = lattice.evolve(model, state0, t)
-    norm_sq = final.norm_sq()
-    metric = abs(norm_sq - 1.0)
-    return [_report("unitarity", metric, seed,
-                    {"t": t, "norm_sq": norm_sq}, tolerances)]
+    state0 = _default_state() if state0 is None else state0
+    return _walk_reports(model, state0, _Unitarity(t), seed, tolerances)
 
 
 def _aligned_max_diff(a: lattice.LatticeState, b: lattice.LatticeState) -> float:
@@ -279,25 +272,41 @@ def char_triples(model: Model, state0, t: int, xi_list, *, grid_n: int = 256,
     Density: velocity-space quadrature of f, normalised by its own mass so the
     shared discretisation factor cancels (and xi = 0 gives exactly 1).
     """
-    spectrum = spectral.fourier_initial(state0)
-    final = lattice.evolve(model, state0, t)
-    dist = lattice.position_distribution(final)
+    dist = lattice.position_distribution(lattice.evolve(model, state0, t))
+    return _char_rows(model, state0, _empirical_chars(dist, t, xi_list), xi_list, grid_n, quad)
+
+
+def _empirical_chars(dist: lattice.PositionDistribution, t: int, xi_list) -> list[complex]:
+    """sum_x p(x) e^{i xi.x/t} over the time-t position distribution, per xi."""
     x1 = (dist.x1_min + np.arange(dist.probs.shape[0])) / t
     x2 = (dist.x2_min + np.arange(dist.probs.shape[1])) / t
-    n_theta, n_rad = quad
-    mass = limit.integrate_density(model, spectrum, n_theta=n_theta, n_rad=n_rad).total
-    rows = []
+    emps = []
     for xi in xi_list:
         xi1, xi2 = float(xi[0]), float(xi[1])
         phase = np.exp(1j * (xi1 * x1[:, None] + xi2 * x2[None, :]))
-        emp = complex(np.sum(dist.probs * phase))
+        emps.append(complex(np.sum(dist.probs * phase)))
+    return emps
+
+
+def _char_rows(model: Model, state0, emps, xi_list, grid_n: int = 256,
+               quad: tuple[int, int] = (96, 96)):
+    """``char_triples`` from the empirical values ``emps`` of ``_empirical_chars``.
+
+    The density is evaluated once on the quadrature nodes; the mass and every
+    xi weight are summed from those values.
+    """
+    spectrum = spectral.fourier_initial(state0)
+    arcs = limit._quadrature_arcs(model, spectrum, *quad)
+    mass = limit._integrate_on(arcs).total
+    rows = []
+    for xi, emp in zip(xi_list, emps):
+        xi1, xi2 = float(xi[0]), float(xi[1])
         spe = complex(spectral.numeric_char_function(model, spectrum, (xi1, xi2), grid_n))
         if xi1 == 0.0 and xi2 == 0.0:
             den = complex(1.0)
         else:
             weight = lambda a, b: np.exp(1j * (xi1 * a + xi2 * b))
-            den = complex(limit.integrate_density(
-                model, spectrum, weight=weight, n_theta=n_theta, n_rad=n_rad).total / mass)
+            den = complex(limit._integrate_on(arcs, weight).total / mass)
         rows.append(((xi1, xi2), emp, spe, den))
     return rows, float(mass)
 
@@ -306,26 +315,9 @@ def check_char_function(model: Model, state0=None, t: int = 300,
                         xi_list=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)), *,
                         seed: int = 0, tolerances=None) -> list[ComparisonReport]:
     """Characteristic function of X_t/t three ways: lattice, wavenumber, density."""
-    for xi in xi_list:
-        if max(abs(float(xi[0])), abs(float(xi[1]))) > 3.0:
-            raise ValueError(f"|xi| <= 3 per entry, got {xi}")
-    if state0 is None:
-        state0 = _default_state()
-    rows, mass = char_triples(model, state0, t, xi_list)
-    tri = 0.0
-    quad_gap = 0.0
-    per_xi = {}
-    for (xi, emp, spe, den) in rows:
-        gaps = (abs(emp - spe), abs(emp - den), abs(spe - den))
-        tri = max(tri, *gaps)
-        quad_gap = max(quad_gap, abs(spe - den))
-        per_xi[f"{xi[0]:g},{xi[1]:g}"] = {
-            "empirical": emp, "spectral": spe, "density": den}
-    details = {"t": t, "density_mass": mass, "values": per_xi}
-    return [
-        _report("char_triangle", tri, seed, details, tolerances),
-        _report("char_quadratures", quad_gap, seed, details, tolerances),
-    ]
+    state0 = _default_state() if state0 is None else state0
+    return _walk_reports(model, state0, _CharFunction(model, state0, t, xi_list),
+                         seed, tolerances)
 
 
 def _analytic_bin_masses(model: Model, spectrum, bins: int, refine: int) -> tuple[np.ndarray, dict]:
@@ -371,46 +363,130 @@ def _empirical_bin_masses(dist: lattice.PositionDistribution, bins: int) -> np.n
     return out
 
 
+def _escape_mass(model: Model, dist: lattice.PositionDistribution, t: int) -> float:
+    """Mass of the rescaled walk X_t/t strictly beyond a 0.05 radial margin."""
+    idx1, idx2 = np.nonzero(dist.probs)
+    v1 = (dist.x1_min + idx1) / t
+    v2 = (dist.x2_min + idx2) / t
+    u1, u2 = limit.rotated_coords(v1, v2)
+    rho = np.hypot(u1, u2)
+    theta = np.arctan2(u2, u1)
+    return float(dist.probs[idx1, idx2][rho > limit.support_radius(model, theta) + 0.05].sum())
+
+
 def check_weak_limit(model: Model, state0=None, times=(100, 300, 500),
                      bins: int = 50, *, refine: int = 16, seed: int = 0,
                      tolerances=None) -> list[ComparisonReport]:
     """L1 distance between the rescaled walk and the analytic density, per time."""
-    times = tuple(sorted(int(t) for t in times))
-    if times[0] < 50:
-        raise ValueError(f"need t >= 50, got {times[0]}")
-    if state0 is None:
-        state0 = _default_state()
-    spectrum = spectral.fourier_initial(state0)
-    analytic, info = _analytic_bin_masses(model, spectrum, bins, refine)
-    l1 = {}
-    state = state0
-    prev = 0
-    last_dist = None
-    for t in times:
-        state = lattice.evolve(model, state, t - prev)
-        prev = t
-        last_dist = lattice.position_distribution(state)
-        emp = _empirical_bin_masses(last_dist, bins)
-        l1[t] = float(np.abs(emp - analytic).sum())
-    seq = [l1[t] for t in times]
-    trend = max(l2 - l1 for l1, l2 in zip(seq[:-1], seq[1:])) if len(seq) > 1 else 0.0
-    # mass of the rescaled walk strictly beyond a 0.05 radial margin
-    idx1, idx2 = np.nonzero(last_dist.probs)
-    t_max = times[-1]
-    v1 = (last_dist.x1_min + idx1) / t_max
-    v2 = (last_dist.x2_min + idx2) / t_max
-    u1, u2 = limit.rotated_coords(v1, v2)
-    rho = np.hypot(u1, u2)
-    theta = np.arctan2(u2, u1)
-    escape = float(last_dist.probs[idx1, idx2][rho > limit.support_radius(model, theta) + 0.05].sum())
-    details = {"times": list(times), "bins": bins,
-               "l1": {str(t): l1[t] for t in times}, **info}
-    return [
-        _report("weak_limit", seq[-1], seed, details, tolerances),
-        _report("weak_limit_trend", trend, seed, details, tolerances),
-        _report("weak_limit_escape", escape, seed,
-                {"t": t_max, "margin": 0.05}, tolerances),
-    ]
+    state0 = _default_state() if state0 is None else state0
+    return _walk_reports(model, state0, _WeakLimit(model, state0, times, bins, refine),
+                         seed, tolerances)
+
+
+# ---------------------------------------------------------------------------
+# checks that read the walk
+#
+# Each is an object whose ``times`` are the step counts it reads; ``observe(t,
+# state)`` keeps what it needs of the state t steps after the start, and
+# ``reports(seed, tolerances)`` builds its reports from that.  ``_observe_walk``
+# feeds every selected check from one trajectory, so the suite evolves the walk
+# once and keeps no snapshot beyond the current state; a check called on its
+# own goes through the same path.
+
+
+def _observe_walk(model: Model, state0, uses) -> None:
+    """Evolve once to every time the ``uses`` read and hand each its snapshots."""
+    times = sorted({t for use in uses for t in use.times})
+    for t, state in zip(times, lattice.trajectory(model, state0, times)):
+        for use in uses:
+            if t in use.times:
+                use.observe(t, state)
+
+
+def _walk_reports(model: Model, state0, use, seed, tolerances) -> list[ComparisonReport]:
+    _observe_walk(model, state0, [use])
+    return use.reports(seed, tolerances)
+
+
+class _Unitarity:
+    """The norm of the walk after t steps."""
+
+    def __init__(self, t: int):
+        if t < 1:
+            raise ValueError(f"need t >= 1, got {t}")
+        self.times = (t,)
+
+    def observe(self, t, state):
+        self.norm_sq = state.norm_sq()
+
+    def reports(self, seed, tolerances):
+        return [_report("unitarity", abs(self.norm_sq - 1.0), seed,
+                        {"t": self.times[0], "norm_sq": self.norm_sq}, tolerances)]
+
+
+class _CharFunction:
+    """The empirical characteristic function after t steps; the spectral and density
+    values are formed at report time."""
+
+    def __init__(self, model: Model, state0, t: int, xi_list):
+        for xi in xi_list:
+            if max(abs(float(xi[0])), abs(float(xi[1]))) > 3.0:
+                raise ValueError(f"|xi| <= 3 per entry, got {xi}")
+        self.model, self.state0, self.xi_list = model, state0, xi_list
+        self.times = (t,)
+
+    def observe(self, t, state):
+        self.emps = _empirical_chars(lattice.position_distribution(state), t, self.xi_list)
+
+    def reports(self, seed, tolerances):
+        t = self.times[0]
+        rows, mass = _char_rows(self.model, self.state0, self.emps, self.xi_list)
+        tri = 0.0
+        quad_gap = 0.0
+        per_xi = {}
+        for (xi, emp, spe, den) in rows:
+            gaps = (abs(emp - spe), abs(emp - den), abs(spe - den))
+            tri = max(tri, *gaps)
+            quad_gap = max(quad_gap, abs(spe - den))
+            per_xi[f"{xi[0]:g},{xi[1]:g}"] = {
+                "empirical": emp, "spectral": spe, "density": den}
+        details = {"t": t, "density_mass": mass, "values": per_xi}
+        return [
+            _report("char_triangle", tri, seed, details, tolerances),
+            _report("char_quadratures", quad_gap, seed, details, tolerances),
+        ]
+
+
+class _WeakLimit:
+    """Bin masses of the rescaled walk at each time, and its escape mass at the last."""
+
+    def __init__(self, model: Model, state0, times, bins: int, refine: int):
+        times = tuple(sorted(int(t) for t in times))
+        if times[0] < 50:
+            raise ValueError(f"need t >= 50, got {times[0]}")
+        self.model, self.state0, self.times = model, state0, times
+        self.bins, self.refine = bins, refine
+        self.emp = {}
+
+    def observe(self, t, state):
+        dist = lattice.position_distribution(state)
+        self.emp[t] = _empirical_bin_masses(dist, self.bins)
+        if t == self.times[-1]:
+            self.escape = _escape_mass(self.model, dist, t)
+
+    def reports(self, seed, tolerances):
+        spectrum = spectral.fourier_initial(self.state0)
+        analytic, info = _analytic_bin_masses(self.model, spectrum, self.bins, self.refine)
+        seq = [float(np.abs(self.emp[t] - analytic).sum()) for t in self.times]
+        trend = max(l2 - l1 for l1, l2 in zip(seq[:-1], seq[1:])) if len(seq) > 1 else 0.0
+        details = {"times": list(self.times), "bins": self.bins,
+                   "l1": {str(t): l1 for t, l1 in zip(self.times, seq)}, **info}
+        return [
+            _report("weak_limit", seq[-1], seed, details, tolerances),
+            _report("weak_limit_trend", trend, seed, details, tolerances),
+            _report("weak_limit_escape", self.escape, seed,
+                    {"t": self.times[-1], "margin": 0.05}, tolerances),
+        ]
 
 
 def check_weight_table(model: Model, samples: int = 200, *, seed: int = 0,
@@ -441,15 +517,21 @@ def check_weight_table(model: Model, samples: int = 200, *, seed: int = 0,
 # ---------------------------------------------------------------------------
 # suite plumbing
 
+# checks that do not read the walk
 _CHECK_FUNCS = {
-    "unitarity": lambda m, s0, seed, tol: check_unitarity(m, 500, s0, seed=seed, tolerances=tol),
     "lattice_vs_spectral": lambda m, s0, seed, tol: check_lattice_vs_spectral(m, s0, 20, seed=seed, tolerances=tol),
     "roundtrip": lambda m, s0, seed, tol: check_roundtrip(m, 10_000, seed=seed, tolerances=tol),
     "jacobian": lambda m, s0, seed, tol: check_jacobian(m, 1000, seed=seed, tolerances=tol),
     "support": lambda m, s0, seed, tol: check_support(m, 512, seed=seed, tolerances=tol),
-    "char_function": lambda m, s0, seed, tol: check_char_function(m, s0, 300, seed=seed, tolerances=tol),
-    "weak_limit": lambda m, s0, seed, tol: check_weak_limit(m, s0, seed=seed, tolerances=tol),
     "weight_table": lambda m, s0, seed, tol: check_weight_table(m, 200, seed=seed, tolerances=tol),
+}
+
+# checks that read the walk, fed by the suite's one trajectory
+_WALK_USES = {
+    "unitarity": lambda m, s0: _Unitarity(500),
+    "char_function": lambda m, s0: _CharFunction(
+        m, s0, 300, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))),
+    "weak_limit": lambda m, s0: _WeakLimit(m, s0, (100, 300, 500), 50, 16),
 }
 
 
@@ -459,23 +541,29 @@ def run_suite(model: Model, spinor=None, *, seed: int = 0, only=None,
 
     only: iterable of check names (keys of CHECK_NAMES) restricting the run.
     tolerances: mapping report-name -> overriding tolerance.
+    The walk is evolved once, to the times the selected checks read.
     """
     if only is None:
-        names = list(_CHECK_FUNCS)
+        names = list(CHECK_NAMES)
     else:
         names = list(only)
         for name in names:
-            if name not in _CHECK_FUNCS:
-                raise KeyError(f"unknown check {name!r}; valid: {sorted(_CHECK_FUNCS)}")
+            if name not in CHECK_NAMES:
+                raise KeyError(f"unknown check {name!r}; valid: {sorted(CHECK_NAMES)}")
     if tolerances:
         valid = {rep for reps in CHECK_NAMES.values() for rep in reps}
         for key in tolerances:
             if key not in valid:
                 raise KeyError(f"unknown report {key!r}; valid: {sorted(valid)}")
     state0 = _default_state(spinor)
+    uses = [_WALK_USES[name](model, state0) if name in _WALK_USES else None for name in names]
+    _observe_walk(model, state0, [use for use in uses if use is not None])
     reports: list[ComparisonReport] = []
-    for name in names:
-        reports.extend(_CHECK_FUNCS[name](model, state0, seed, tolerances))
+    for name, use in zip(names, uses):
+        if use is not None:
+            reports.extend(use.reports(seed, tolerances))
+        else:
+            reports.extend(_CHECK_FUNCS[name](model, state0, seed, tolerances))
     return reports
 
 

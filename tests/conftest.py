@@ -26,11 +26,8 @@ def degenerate_model():
 @pytest.fixture(scope="session")
 def long_run(reference_model):
     """Reference walk from the origin with spinor (1, 0); snapshots at 100/300/500."""
-    state = lattice.initial_state_delta(np.array([1.0, 0.0]))
+    state0 = lattice.initial_state_delta(np.array([1.0, 0.0]))
     snapshots = {}
-    prev = 0
-    for t in (100, 300, 500):
-        state = lattice.evolve(reference_model, state, t - prev)
-        prev = t
-        snapshots[t] = lattice.position_distribution(state)
+    for state in lattice.trajectory(reference_model, state0, (100, 300, 500)):
+        snapshots[state.time] = lattice.position_distribution(state)
     return {"snapshots": snapshots, "final_norm_sq": state.norm_sq()}

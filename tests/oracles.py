@@ -1,8 +1,9 @@
 """Scalar reference implementations kept as test oracles.
 
 These are the per-sample loops that ``limit`` and ``verify`` used before the
-branch labels, the labelled inversion and the round trip became array code.
-The array code must reproduce them exactly.
+branch labels, the labelled inversion and the round trip became array code,
+and the quadrature that evaluated the density once per weight.  The code that
+replaced them must reproduce them exactly.
 """
 
 import math
@@ -95,3 +96,54 @@ def scalar_weight_table_sets(model, v1, v2):
                 if bool(ok[0]):
                     actual[p].add(n)
     return actual
+
+
+def per_weight_integrate_density(model, spectrum, weight=None, n_theta=64, n_rad=64,
+                                 shell=1e-4):
+    """``integrate_density`` evaluating f on each arc's nodes inside the weighted sum."""
+    corners = limit.support_corners(model)
+    if corners.shape[0]:
+        cu1, cu2 = limit.rotated_coords(corners[:, 0], corners[:, 1])
+        cang = np.sort(np.mod(np.arctan2(cu2, cu1), 2.0 * math.pi))
+    else:
+        cang = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
+    edges = np.concatenate([cang, [cang[0] + 2.0 * math.pi]])
+    gx, gw = np.polynomial.legendre.leggauss(n_theta)
+    rx, rw = np.polynomial.legendre.leggauss(n_rad)
+    total = 0.0 + 0.0j
+    shell_mass = 0.0 + 0.0j
+    sqrt_half = math.sqrt(0.5)
+    for left, right in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (right - left)
+        theta = 0.5 * (right + left) + half * gx
+        th_w = half * gw
+        rho_b = limit.support_radius(model, theta)
+        w_lo = np.sqrt(np.minimum(shell, rho_b))
+        w_hi = np.sqrt(rho_b)
+        w_half = 0.5 * (w_hi - w_lo)
+        w_mid = 0.5 * (w_hi + w_lo)
+        w_nodes = w_mid[:, None] + w_half[:, None] * rx[None, :]
+        rho = rho_b[:, None] - w_nodes**2
+        u1 = rho * np.cos(theta)[:, None]
+        u2 = rho * np.sin(theta)[:, None]
+        p1 = sqrt_half * (u1 + u2)
+        p2 = sqrt_half * (u1 - u2)
+        grid = limit.density_grid(model, spectrum, p1, p2)
+        vals = grid.f * (weight(p1, p2) if weight is not None else 1.0)
+        radial = np.sum(vals * rho * 2.0 * w_nodes * (w_half[:, None] * rw[None, :]), axis=1)
+        total += np.sum(radial * th_w)
+        eps = np.minimum(shell, rho_b)
+        e1 = (rho_b - eps) * np.cos(theta)
+        e2 = (rho_b - eps) * np.sin(theta)
+        q1 = sqrt_half * (e1 + e2)
+        q2 = sqrt_half * (e1 - e2)
+        egrid = limit.density_grid(model, spectrum, q1, q2)
+        evals = egrid.f * (weight(q1, q2) if weight is not None else 1.0)
+        shell_mass += np.sum(2.0 * evals * eps * rho_b * th_w)
+    inv_two_pi_sq = 1.0 / (2.0 * math.pi) ** 2
+    value = total * inv_two_pi_sq
+    shell_est = shell_mass * inv_two_pi_sq
+    if weight is None:
+        value = value.real
+        shell_est = shell_est.real
+    return limit.IntegralResult(value=value, shell_estimate=shell_est, total=value + shell_est)

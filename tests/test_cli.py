@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altwalk import cli
 
@@ -110,6 +113,33 @@ def test_nonfinite_spinor_rejected(tmp_path):
     assert run_cli(["density", "--psi2_im", "inf", "--grid_n", "8",
                     "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("psi1_re", ["1e-200", "1e200"])
+def test_extreme_spinor_magnitudes_normalise(tmp_path, psi1_re):
+    # the norm of (1e-200, 0) underflows and that of (1e200, 0) overflows unscaled
+    outs = {}
+    for value in ("1", psi1_re):
+        outs[value] = tmp_path / value
+        outs[value].mkdir()
+        assert run_cli(["simulate", "--psi1_re", value, "--psi2_re", "0", "--steps", "1",
+                        "--out", str(outs[value])]) == 0
+    for name in ("distribution.csv", "moments.json"):
+        assert (outs[psi1_re] / name).read_bytes() == (outs["1"] / name).read_bytes()
+
+
+moderate = st.one_of(st.just(0.0), st.floats(1e-50, 1e50), st.floats(-1e50, -1e-50))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(moderate, moderate, moderate, moderate).filter(any))
+def test_spinor_prescale_is_bit_identical(parts):
+    # scaling by a power of two is exact, so moderate spinors keep their bits
+    cfg = cli.RunConfig(psi1_re=parts[0], psi1_im=parts[1], psi2_re=parts[2], psi2_im=parts[3])
+    spinor = np.array([parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]])
+    unscaled = spinor / math.sqrt(float(np.sum(np.abs(spinor) ** 2)))
+    assert np.array_equal(cli.spinor_from(cfg).view(np.int64), unscaled.view(np.int64))
 
 
 def test_bins_key_removed(tmp_path):

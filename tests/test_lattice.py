@@ -151,8 +151,7 @@ def test_state_binary_roundtrip(tmp_path, phased_model, origin_state):
     assert np.array_equal(back.amps, state.amps)
 
 
-@pytest.mark.parametrize("t", [0, 1, 2, 7, 40])
-@pytest.mark.parametrize("start", [
+STARTS = pytest.mark.parametrize("start", [
     lattice.initial_state_delta(np.array([0.6, 0.8j])),
     # one site in each of the four parity classes of the window
     lattice.initial_state_from_sites({
@@ -162,9 +161,33 @@ def test_state_binary_roundtrip(tmp_path, phased_model, origin_state):
         (3, 1): (0.2, 0.55 + 0.1j),
     }),
 ], ids=["delta", "four_classes"])
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 7, 40])
+@STARTS
 def test_evolve_matches_dense_reference(phased_model, start, t):
     assert_same_state(lattice.evolve(phased_model, start, t),
                       dense_evolve(phased_model, start, t))
+
+
+@STARTS
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model"])
+def test_trajectory_matches_one_shot_evolve(coin, start, request):
+    # chained evolve equals one-shot evolve bit for bit, zero sign bits included
+    model = request.getfixturevalue(coin)
+    times = [40, 0, 13, 40, 2, 13]
+    snaps = list(lattice.trajectory(model, start, times))
+    assert [s.time for s in snaps] == sorted(times)
+    assert snaps[0] is start
+    for t, got in zip(sorted(times), snaps):
+        want = lattice.evolve(model, start, t)
+        assert (got.x1_min, got.x2_min, got.time) == (want.x1_min, want.x2_min, want.time)
+        assert np.array_equal(got.amps.view(np.int64), want.amps.view(np.int64))
+
+
+def test_trajectory_rejects_negative_time(reference_model, origin_state):
+    with pytest.raises(ValueError):
+        list(lattice.trajectory(reference_model, origin_state, [3, -1]))
 
 
 unit = st.floats(0.01, 0.99)

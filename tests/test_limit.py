@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from altwalk import lattice, limit, spectral
 from altwalk.model import CoinParameters, build_model
-from oracles import scalar_classify_branch, scalar_inverse_map, scalar_weight_table_sets
+from oracles import (
+    per_weight_integrate_density,
+    scalar_classify_branch,
+    scalar_inverse_map,
+    scalar_weight_table_sets,
+)
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +310,19 @@ def test_density_mass_near_one(reference_model, reference_spectrum):
     result = limit.integrate_density(reference_model, reference_spectrum)
     assert result.total == pytest.approx(1.0, abs=1e-2)
     assert result.shell_estimate >= 0.0
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_integrate_density_matches_per_weight_quadrature(coin, request):
+    # f evaluated once per node set, then weighted: the same bits as weighting inside
+    model = request.getfixturevalue(coin)
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    weights = (None, lambda a, b: np.exp(1j * (1.0 * a - 0.5 * b)))
+    for weight in weights:
+        got = limit.integrate_density(model, spectrum, weight, n_theta=20, n_rad=16)
+        want = per_weight_integrate_density(model, spectrum, weight, n_theta=20, n_rad=16)
+        assert (got.value, got.shell_estimate, got.total) == (
+            want.value, want.shell_estimate, want.total)
 
 
 def test_density_swap_plus_reflection_symmetric(reference_model):
