@@ -269,9 +269,12 @@ def _parse_tolerances(pairs) -> dict:
         if not sep:
             raise ConfigError(f"--tolerance expects NAME=VALUE, got {item!r}")
         try:
-            tols[name.strip()] = float(value)
+            tol = float(value)
         except ValueError:
             raise ConfigError(f"--tolerance {name}: not a number: {value!r}")
+        if not tol >= 0.0:  # also rejects nan
+            raise ConfigError(f"--tolerance {name}: must be >= 0, got {value!r}")
+        tols[name.strip()] = tol
     return tols
 
 

@@ -5,6 +5,13 @@ measured error against a fixed tolerance.  Checks that bound several distinct
 quantities emit one report per bound so that ``passed == (metric <= tolerance)``
 holds for each record.  All sampling is seeded; identical seeds reproduce
 reports byte-for-byte.
+
+One table, ``_CHECKS``, lists the checks in suite order.  For each it holds the
+report names with their default tolerances and how to build the check for a
+model and start state.  ``CHECK_NAMES``, the tolerance-name validation and the
+tolerance defaults all read it, and ``run_suite`` runs any subset of it through
+one path: the checks that read the walk share one trajectory, the others call
+their public ``check_*`` function.
 """
 
 from __future__ import annotations
@@ -12,40 +19,51 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import lattice, limit, spectral
 from .model import CoinParameters, Model, build_model
 
-_DEFAULT_TOLERANCES = {
-    "unitarity": 1e-10,
-    "lattice_vs_spectral": 1e-8,
-    "roundtrip": 1e-9,
-    "jacobian_fd": 1e-6,
-    "jacobian_branch": 1e-8,
-    "support_containment": 1e-12,
-    "support_tightness": 1e-3,
-    "support_ellipse_membership": 0.0,
-    "char_triangle": 5e-2,
-    "char_quadratures": 1e-2,
-    "weak_limit": 0.1,
-    "weak_limit_trend": 0.0,
-    "weak_limit_escape": 0.02,
-    "weight_table": 1.0,  # informational; mismatches logged, never fatal
+
+class _Check(NamedTuple):
+    """One check of the suite: the default tolerance of each report it emits, in
+    report order, and ``build(model, state0)``, which makes the check's runner."""
+
+    tolerances: dict
+    build: Callable
+
+
+# Every check, in suite order; the runners are under "check runners" below.
+_CHECKS = {
+    "unitarity": _Check({"unitarity": 1e-10}, lambda m, s0: _Unitarity(500)),
+    "lattice_vs_spectral": _Check(
+        {"lattice_vs_spectral": 1e-8},
+        lambda m, s0: _Direct(check_lattice_vs_spectral, m, s0, 20)),
+    "roundtrip": _Check(
+        {"roundtrip": 1e-9}, lambda m, s0: _Direct(check_roundtrip, m, 10_000)),
+    "jacobian": _Check(
+        {"jacobian_fd": 1e-6, "jacobian_branch": 1e-8},
+        lambda m, s0: _Direct(check_jacobian, m, 1000)),
+    "support": _Check(
+        {"support_containment": 1e-12, "support_tightness": 1e-3,
+         "support_ellipse_membership": 0.0},  # the last for degenerate coins only
+        lambda m, s0: _Direct(check_support, m, 512)),
+    "char_function": _Check(
+        {"char_triangle": 5e-2, "char_quadratures": 1e-2},
+        lambda m, s0: _CharFunction(
+            m, s0, 300, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))),
+    "weak_limit": _Check(
+        {"weak_limit": 0.1, "weak_limit_trend": 0.0, "weak_limit_escape": 0.02},
+        lambda m, s0: _WeakLimit(m, s0, (100, 300, 500), 50, 16)),
+    "weight_table": _Check(
+        {"weight_table": 1.0},  # informational; mismatches logged, never fatal
+        lambda m, s0: _Direct(check_weight_table, m, 200)),
 }
 
-# check name -> report names it can emit (used for tolerance-override validation)
-CHECK_NAMES = {
-    "unitarity": ("unitarity",),
-    "lattice_vs_spectral": ("lattice_vs_spectral",),
-    "roundtrip": ("roundtrip",),
-    "jacobian": ("jacobian_fd", "jacobian_branch"),
-    "support": ("support_containment", "support_tightness", "support_ellipse_membership"),
-    "char_function": ("char_triangle", "char_quadratures"),
-    "weak_limit": ("weak_limit", "weak_limit_trend", "weak_limit_escape"),
-    "weight_table": ("weight_table",),
-}
+# check name -> report names it can emit
+CHECK_NAMES = {name: tuple(check.tolerances) for name, check in _CHECKS.items()}
 
 
 @dataclass
@@ -88,7 +106,7 @@ def _jsonable(value):
 
 
 def _report(name, metric, seed, details, tolerances=None) -> ComparisonReport:
-    tol = _DEFAULT_TOLERANCES[name]
+    tol = next(c.tolerances[name] for c in _CHECKS.values() if name in c.tolerances)
     if tolerances and name in tolerances:
         tol = float(tolerances[name])
     metric = float(metric)
@@ -103,13 +121,6 @@ def _default_state(spinor=None) -> lattice.LatticeState:
 
 # ---------------------------------------------------------------------------
 # individual checks
-
-
-def check_unitarity(model: Model, t: int = 500, state0=None, *, seed: int = 0,
-                    tolerances=None) -> list[ComparisonReport]:
-    """Probability conservation after t exact steps."""
-    state0 = _default_state() if state0 is None else state0
-    return _walk_reports(model, state0, _Unitarity(t), seed, tolerances)
 
 
 def _aligned_max_diff(a: lattice.LatticeState, b: lattice.LatticeState) -> float:
@@ -311,15 +322,6 @@ def _char_rows(model: Model, state0, emps, xi_list, grid_n: int = 256,
     return rows, float(mass)
 
 
-def check_char_function(model: Model, state0=None, t: int = 300,
-                        xi_list=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)), *,
-                        seed: int = 0, tolerances=None) -> list[ComparisonReport]:
-    """Characteristic function of X_t/t three ways: lattice, wavenumber, density."""
-    state0 = _default_state() if state0 is None else state0
-    return _walk_reports(model, state0, _CharFunction(model, state0, t, xi_list),
-                         seed, tolerances)
-
-
 def _analytic_bin_masses(model: Model, spectrum, bins: int, refine: int) -> tuple[np.ndarray, dict]:
     """Per-bin mass of f(v) dv / (2 pi)^2 on a bins x bins grid over [-1,1]^2.
 
@@ -374,121 +376,6 @@ def _escape_mass(model: Model, dist: lattice.PositionDistribution, t: int) -> fl
     return float(dist.probs[idx1, idx2][rho > limit.support_radius(model, theta) + 0.05].sum())
 
 
-def check_weak_limit(model: Model, state0=None, times=(100, 300, 500),
-                     bins: int = 50, *, refine: int = 16, seed: int = 0,
-                     tolerances=None) -> list[ComparisonReport]:
-    """L1 distance between the rescaled walk and the analytic density, per time."""
-    state0 = _default_state() if state0 is None else state0
-    return _walk_reports(model, state0, _WeakLimit(model, state0, times, bins, refine),
-                         seed, tolerances)
-
-
-# ---------------------------------------------------------------------------
-# checks that read the walk
-#
-# Each is an object whose ``times`` are the step counts it reads; ``observe(t,
-# state)`` keeps what it needs of the state t steps after the start, and
-# ``reports(seed, tolerances)`` builds its reports from that.  ``_observe_walk``
-# feeds every selected check from one trajectory, so the suite evolves the walk
-# once and keeps no snapshot beyond the current state; a check called on its
-# own goes through the same path.
-
-
-def _observe_walk(model: Model, state0, uses) -> None:
-    """Evolve once to every time the ``uses`` read and hand each its snapshots."""
-    times = sorted({t for use in uses for t in use.times})
-    for t, state in zip(times, lattice.trajectory(model, state0, times)):
-        for use in uses:
-            if t in use.times:
-                use.observe(t, state)
-
-
-def _walk_reports(model: Model, state0, use, seed, tolerances) -> list[ComparisonReport]:
-    _observe_walk(model, state0, [use])
-    return use.reports(seed, tolerances)
-
-
-class _Unitarity:
-    """The norm of the walk after t steps."""
-
-    def __init__(self, t: int):
-        if t < 1:
-            raise ValueError(f"need t >= 1, got {t}")
-        self.times = (t,)
-
-    def observe(self, t, state):
-        self.norm_sq = state.norm_sq()
-
-    def reports(self, seed, tolerances):
-        return [_report("unitarity", abs(self.norm_sq - 1.0), seed,
-                        {"t": self.times[0], "norm_sq": self.norm_sq}, tolerances)]
-
-
-class _CharFunction:
-    """The empirical characteristic function after t steps; the spectral and density
-    values are formed at report time."""
-
-    def __init__(self, model: Model, state0, t: int, xi_list):
-        for xi in xi_list:
-            if max(abs(float(xi[0])), abs(float(xi[1]))) > 3.0:
-                raise ValueError(f"|xi| <= 3 per entry, got {xi}")
-        self.model, self.state0, self.xi_list = model, state0, xi_list
-        self.times = (t,)
-
-    def observe(self, t, state):
-        self.emps = _empirical_chars(lattice.position_distribution(state), t, self.xi_list)
-
-    def reports(self, seed, tolerances):
-        t = self.times[0]
-        rows, mass = _char_rows(self.model, self.state0, self.emps, self.xi_list)
-        tri = 0.0
-        quad_gap = 0.0
-        per_xi = {}
-        for (xi, emp, spe, den) in rows:
-            gaps = (abs(emp - spe), abs(emp - den), abs(spe - den))
-            tri = max(tri, *gaps)
-            quad_gap = max(quad_gap, abs(spe - den))
-            per_xi[f"{xi[0]:g},{xi[1]:g}"] = {
-                "empirical": emp, "spectral": spe, "density": den}
-        details = {"t": t, "density_mass": mass, "values": per_xi}
-        return [
-            _report("char_triangle", tri, seed, details, tolerances),
-            _report("char_quadratures", quad_gap, seed, details, tolerances),
-        ]
-
-
-class _WeakLimit:
-    """Bin masses of the rescaled walk at each time, and its escape mass at the last."""
-
-    def __init__(self, model: Model, state0, times, bins: int, refine: int):
-        times = tuple(sorted(int(t) for t in times))
-        if times[0] < 50:
-            raise ValueError(f"need t >= 50, got {times[0]}")
-        self.model, self.state0, self.times = model, state0, times
-        self.bins, self.refine = bins, refine
-        self.emp = {}
-
-    def observe(self, t, state):
-        dist = lattice.position_distribution(state)
-        self.emp[t] = _empirical_bin_masses(dist, self.bins)
-        if t == self.times[-1]:
-            self.escape = _escape_mass(self.model, dist, t)
-
-    def reports(self, seed, tolerances):
-        spectrum = spectral.fourier_initial(self.state0)
-        analytic, info = _analytic_bin_masses(self.model, spectrum, self.bins, self.refine)
-        seq = [float(np.abs(self.emp[t] - analytic).sum()) for t in self.times]
-        trend = max(l2 - l1 for l1, l2 in zip(seq[:-1], seq[1:])) if len(seq) > 1 else 0.0
-        details = {"times": list(self.times), "bins": self.bins,
-                   "l1": {str(t): l1 for t, l1 in zip(self.times, seq)}, **info}
-        return [
-            _report("weak_limit", seq[-1], seed, details, tolerances),
-            _report("weak_limit_trend", trend, seed, details, tolerances),
-            _report("weak_limit_escape", self.escape, seed,
-                    {"t": self.times[-1], "margin": 0.05}, tolerances),
-        ]
-
-
 def check_weight_table(model: Model, samples: int = 200, *, seed: int = 0,
                        tolerances=None) -> list[ComparisonReport]:
     """Soft cross-check of the published band/region case tables.
@@ -515,56 +402,136 @@ def check_weight_table(model: Model, samples: int = 200, *, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# suite plumbing
+# check runners
+#
+# ``_CHECKS`` builds one runner per selected check.  A runner's ``times`` are
+# the step counts it reads off the walk, empty for a check that reads none;
+# ``observe(t, state)`` keeps what it needs of the state t steps after the
+# start, and ``reports(seed, tolerances)`` builds its reports.  ``_observe_walk``
+# feeds every runner from one trajectory, so the suite evolves the walk once
+# and keeps no snapshot beyond the current state.
 
-# checks that do not read the walk
-_CHECK_FUNCS = {
-    "lattice_vs_spectral": lambda m, s0, seed, tol: check_lattice_vs_spectral(m, s0, 20, seed=seed, tolerances=tol),
-    "roundtrip": lambda m, s0, seed, tol: check_roundtrip(m, 10_000, seed=seed, tolerances=tol),
-    "jacobian": lambda m, s0, seed, tol: check_jacobian(m, 1000, seed=seed, tolerances=tol),
-    "support": lambda m, s0, seed, tol: check_support(m, 512, seed=seed, tolerances=tol),
-    "weight_table": lambda m, s0, seed, tol: check_weight_table(m, 200, seed=seed, tolerances=tol),
-}
 
-# checks that read the walk, fed by the suite's one trajectory
-_WALK_USES = {
-    "unitarity": lambda m, s0: _Unitarity(500),
-    "char_function": lambda m, s0: _CharFunction(
-        m, s0, 300, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))),
-    "weak_limit": lambda m, s0: _WeakLimit(m, s0, (100, 300, 500), 50, 16),
-}
+def _observe_walk(model: Model, state0, runners) -> None:
+    """Evolve once to every time the ``runners`` read and hand each its snapshots."""
+    times = sorted({t for runner in runners for t in runner.times})
+    for t, state in zip(times, lattice.trajectory(model, state0, times)):
+        for runner in runners:
+            if t in runner.times:
+                runner.observe(t, state)
+
+
+class _Direct:
+    """A check that reads no walk: one call of its ``check_*`` function."""
+
+    times = ()
+
+    def __init__(self, check, *args):
+        self.check, self.args = check, args
+
+    def reports(self, seed, tolerances):
+        return self.check(*self.args, seed=seed, tolerances=tolerances)
+
+
+class _Unitarity:
+    """Probability conservation: the norm of the walk after t steps."""
+
+    def __init__(self, t: int):
+        self.times = (t,)
+
+    def observe(self, t, state):
+        self.norm_sq = state.norm_sq()
+
+    def reports(self, seed, tolerances):
+        return [_report("unitarity", abs(self.norm_sq - 1.0), seed,
+                        {"t": self.times[0], "norm_sq": self.norm_sq}, tolerances)]
+
+
+class _CharFunction:
+    """Characteristic function of X_t/t three ways: lattice, wavenumber, density.
+
+    The lattice values are taken after t steps; the spectral and density values
+    are formed at report time."""
+
+    def __init__(self, model: Model, state0, t: int, xi_list):
+        self.model, self.state0, self.xi_list = model, state0, xi_list
+        self.times = (t,)
+
+    def observe(self, t, state):
+        self.emps = _empirical_chars(lattice.position_distribution(state), t, self.xi_list)
+
+    def reports(self, seed, tolerances):
+        t = self.times[0]
+        rows, mass = _char_rows(self.model, self.state0, self.emps, self.xi_list)
+        tri = 0.0
+        quad_gap = 0.0
+        per_xi = {}
+        for (xi, emp, spe, den) in rows:
+            gaps = (abs(emp - spe), abs(emp - den), abs(spe - den))
+            tri = max(tri, *gaps)
+            quad_gap = max(quad_gap, abs(spe - den))
+            per_xi[f"{xi[0]:g},{xi[1]:g}"] = {
+                "empirical": emp, "spectral": spe, "density": den}
+        details = {"t": t, "density_mass": mass, "values": per_xi}
+        return [
+            _report("char_triangle", tri, seed, details, tolerances),
+            _report("char_quadratures", quad_gap, seed, details, tolerances),
+        ]
+
+
+class _WeakLimit:
+    """L1 distance between the rescaled walk and the analytic density, per time.
+
+    Keeps the walk's bin masses at each time and its escape mass at the last."""
+
+    def __init__(self, model: Model, state0, times, bins: int, refine: int):
+        self.model, self.state0 = model, state0
+        self.times = tuple(sorted(int(t) for t in times))
+        self.bins, self.refine = bins, refine
+        self.emp = {}
+
+    def observe(self, t, state):
+        dist = lattice.position_distribution(state)
+        self.emp[t] = _empirical_bin_masses(dist, self.bins)
+        if t == self.times[-1]:
+            self.escape = _escape_mass(self.model, dist, t)
+
+    def reports(self, seed, tolerances):
+        spectrum = spectral.fourier_initial(self.state0)
+        analytic, info = _analytic_bin_masses(self.model, spectrum, self.bins, self.refine)
+        seq = [float(np.abs(self.emp[t] - analytic).sum()) for t in self.times]
+        trend = max(l2 - l1 for l1, l2 in zip(seq[:-1], seq[1:])) if len(seq) > 1 else 0.0
+        details = {"times": list(self.times), "bins": self.bins,
+                   "l1": {str(t): l1 for t, l1 in zip(self.times, seq)}, **info}
+        return [
+            _report("weak_limit", seq[-1], seed, details, tolerances),
+            _report("weak_limit_trend", trend, seed, details, tolerances),
+            _report("weak_limit_escape", self.escape, seed,
+                    {"t": self.times[-1], "margin": 0.05}, tolerances),
+        ]
 
 
 def run_suite(model: Model, spinor=None, *, seed: int = 0, only=None,
               tolerances=None) -> list[ComparisonReport]:
     """Run the verification checks and return their reports in a fixed order.
 
-    only: iterable of check names (keys of CHECK_NAMES) restricting the run.
+    only: iterable of check names (keys of CHECK_NAMES) restricting the run to
+    those checks, in the order each name first appears.
     tolerances: mapping report-name -> overriding tolerance.
     The walk is evolved once, to the times the selected checks read.
     """
-    if only is None:
-        names = list(CHECK_NAMES)
-    else:
-        names = list(only)
-        for name in names:
-            if name not in CHECK_NAMES:
-                raise KeyError(f"unknown check {name!r}; valid: {sorted(CHECK_NAMES)}")
-    if tolerances:
-        valid = {rep for reps in CHECK_NAMES.values() for rep in reps}
-        for key in tolerances:
-            if key not in valid:
-                raise KeyError(f"unknown report {key!r}; valid: {sorted(valid)}")
+    names = list(CHECK_NAMES if only is None else dict.fromkeys(only))
+    for name in names:
+        if name not in CHECK_NAMES:
+            raise KeyError(f"unknown check {name!r}; valid: {sorted(CHECK_NAMES)}")
+    valid = {rep for reps in CHECK_NAMES.values() for rep in reps}
+    for key in tolerances or ():
+        if key not in valid:
+            raise KeyError(f"unknown report {key!r}; valid: {sorted(valid)}")
     state0 = _default_state(spinor)
-    uses = [_WALK_USES[name](model, state0) if name in _WALK_USES else None for name in names]
-    _observe_walk(model, state0, [use for use in uses if use is not None])
-    reports: list[ComparisonReport] = []
-    for name, use in zip(names, uses):
-        if use is not None:
-            reports.extend(use.reports(seed, tolerances))
-        else:
-            reports.extend(_CHECK_FUNCS[name](model, state0, seed, tolerances))
-    return reports
+    runners = [_CHECKS[name].build(model, state0) for name in names]
+    _observe_walk(model, state0, runners)
+    return [rep for runner in runners for rep in runner.reports(seed, tolerances)]
 
 
 def summary_table(reports: list[ComparisonReport]) -> str:

@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from altwalk import lattice
+from altwalk import lattice, verify
 from altwalk.model import CoinParameters, build_model
 
 
@@ -23,11 +22,45 @@ def degenerate_model():
     return build_model(CoinParameters.from_squared_moduli(0.5, 0.5))
 
 
+def _count_evolve_steps(mp):
+    """Patch ``lattice.evolve`` through ``mp`` to record the step count of each call."""
+    steps = []
+    evolve = lattice.evolve
+
+    def counting(model, state, t):
+        steps.append(t)
+        return evolve(model, state, t)
+
+    mp.setattr(lattice, "evolve", counting)
+    return steps
+
+
+@pytest.fixture
+def evolve_steps(monkeypatch):
+    """The step count of each ``lattice.evolve`` call the test makes."""
+    return _count_evolve_steps(monkeypatch)
+
+
+# the reports of the reference coin's suite, in the order _CHECKS lists them
+REFERENCE_REPORT_NAMES = [
+    "unitarity", "lattice_vs_spectral", "roundtrip", "jacobian_fd", "jacobian_branch",
+    "support_containment", "support_tightness", "char_triangle", "char_quadratures",
+    "weak_limit", "weak_limit_trend", "weak_limit_escape", "weight_table",
+]
+
+
 @pytest.fixture(scope="session")
-def long_run(reference_model):
-    """Reference walk from the origin with spinor (1, 0); snapshots at 100/300/500."""
-    state0 = lattice.initial_state_delta(np.array([1.0, 0.0]))
-    snapshots = {}
-    for state in lattice.trajectory(reference_model, state0, (100, 300, 500)):
-        snapshots[state.time] = lattice.position_distribution(state)
-    return {"snapshots": snapshots, "final_norm_sq": state.norm_sq()}
+def reference_suite(reference_model):
+    """``run_suite(reference_model, seed=3)`` at full size, run once per session.
+
+    Returns the reports by name and the number of steps ``lattice.evolve`` took
+    during the run.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        steps = _count_evolve_steps(mp)
+        reports = verify.run_suite(reference_model, seed=3)
+    names = [r.name for r in reports]
+    assert names == REFERENCE_REPORT_NAMES
+    assert names == [rep for reps in verify.CHECK_NAMES.values() for rep in reps
+                     if rep != "support_ellipse_membership"]
+    return {"reports": {r.name: r for r in reports}, "evolve_steps": sum(steps)}

@@ -37,9 +37,11 @@ def test_criterion_01_hadamard_single_step(degenerate_model):
                failures)
 
 
-def test_criterion_02_norm_conservation(long_run):
+def test_criterion_02_norm_conservation(reference_suite):
     """Reference model: norm drift over 500 exact steps."""
-    drift = abs(long_run["final_norm_sq"] - 1.0)
+    details = reference_suite["reports"]["unitarity"].details
+    assert details["t"] == 500
+    drift = abs(details["norm_sq"] - 1.0)
     failures = [] if drift <= 1e-10 else [f"drift = {drift:.3e}"]
     _criterion(2, f"norm drift after 500 steps = {drift:.3e} (tol 1e-10)", failures)
 
@@ -188,15 +190,12 @@ def test_criterion_10_density_normalisation(reference_model):
                failures)
 
 
-def test_criterion_11_weak_limit(reference_model, long_run):
+def test_criterion_11_weak_limit(reference_suite):
     """Rescaled walk converges to the analytic density in binned L1."""
-    spectrum = spectral.fourier_initial(
-        lattice.initial_state_delta(np.array([1.0, 0.0])))
-    analytic, info = verify._analytic_bin_masses(reference_model, spectrum, 50, 16)
-    l1 = {}
-    for t, dist in long_run["snapshots"].items():
-        emp = verify._empirical_bin_masses(dist, 50)
-        l1[t] = float(np.abs(emp - analytic).sum())
+    details = reference_suite["reports"]["weak_limit"].details
+    assert (details["bins"], details["refine"]) == (50, 16)
+    l1 = {int(t): v for t, v in details["l1"].items()}
+    assert sorted(l1) == [100, 300, 500]
     failures = []
     if l1[500] > 0.1:
         failures.append(f"L1(500) = {l1[500]:.4f}")
@@ -207,33 +206,23 @@ def test_criterion_11_weak_limit(reference_model, long_run):
                    f"(final tol 0.1, strictly decreasing)", failures)
 
 
-def test_criterion_12_char_function_triangle(reference_model, long_run):
+def test_criterion_12_char_function_triangle(reference_suite):
     """Characteristic function: lattice, wavenumber, and density sides agree."""
-    dist = long_run["snapshots"][300]
-    spectrum = spectral.fourier_initial(
-        lattice.initial_state_delta(np.array([1.0, 0.0])))
-    x1 = (dist.x1_min + np.arange(dist.probs.shape[0])) / 300.0
-    x2 = (dist.x2_min + np.arange(dist.probs.shape[1])) / 300.0
-    mass = limit.integrate_density(reference_model, spectrum,
-                                   n_theta=96, n_rad=96).total
+    details = reference_suite["reports"]["char_triangle"].details
+    assert details["t"] == 300
     failures = []
     tri_worst = 0.0
     quad_worst = 0.0
-    for xi in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
-        phase = np.exp(1j * (xi[0] * x1[:, None] + xi[1] * x2[None, :]))
-        emp = complex(np.sum(dist.probs * phase))
-        spe = complex(spectral.numeric_char_function(reference_model, spectrum, xi, 256))
-        den = complex(limit.integrate_density(
-            reference_model, spectrum,
-            weight=lambda a, b: np.exp(1j * (xi[0] * a + xi[1] * b)),
-            n_theta=96, n_rad=96).total / mass)
+    for xi in ("1,0", "0,1", "1,1"):
+        values = details["values"][xi]
+        emp, spe, den = values["empirical"], values["spectral"], values["density"]
         tri = max(abs(emp - spe), abs(emp - den), abs(spe - den))
         tri_worst = max(tri_worst, tri)
         quad_worst = max(quad_worst, abs(spe - den))
         if tri > 5e-2:
-            failures.append(f"xi={xi}: pairwise gap {tri:.3e}")
+            failures.append(f"xi=({xi}): pairwise gap {tri:.3e}")
         if abs(spe - den) > 1e-2:
-            failures.append(f"xi={xi}: quadrature gap {abs(spe - den):.3e}")
+            failures.append(f"xi=({xi}): quadrature gap {abs(spe - den):.3e}")
     _criterion(12, f"char function t=300: worst pairwise gap {tri_worst:.3e} "
                    f"(tol 5e-2), worst quadrature gap {quad_worst:.3e} (tol 1e-2)",
                failures)

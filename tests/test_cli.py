@@ -190,6 +190,18 @@ def test_verify_bad_tolerance_syntax():
                     "--tolerance", "support_containment"]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_verify_tolerance_below_zero_or_nan_rejected(value, capsys):
+    assert run_cli(["verify", "--only", "support",
+                    "--tolerance", f"support_containment={value}"]) == cli.EXIT_CONFIG
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_verify_infinite_tolerance_accepted():
+    assert run_cli(["verify", "--only", "support",
+                    "--tolerance", "support_containment=inf"]) == cli.EXIT_OK
+
+
 def test_chars_small(tmp_path, capsys):
     code = run_cli(["chars", "--steps", "40", "--grid_n", "64",
                     "--xi", "0,0", "--out", str(tmp_path)])

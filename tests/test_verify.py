@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -8,9 +9,24 @@ from altwalk.lattice import PositionDistribution
 from altwalk.model import CoinParameters, build_model
 from oracles import scalar_roundtrip_worst
 
+DELTA = lattice.initial_state_delta(np.array([1.0, 0.0]))
+
+
+def _read_walk(model, state0, runners, seed=0, tolerances=None):
+    """Feed the walk runners from one trajectory and return their reports in order."""
+    verify._observe_walk(model, state0, runners)
+    return [rep for runner in runners for rep in runner.reports(seed, tolerances)]
+
+
+@pytest.fixture
+def small_char_rows(monkeypatch):
+    """The char_function runner's spectral grid and quadrature at reduced sizes."""
+    monkeypatch.setattr(verify, "_char_rows",
+                        functools.partial(verify._char_rows, grid_n=32, quad=(20, 16)))
+
 
 def test_report_invariant_and_json(reference_model):
-    reports = verify.check_unitarity(reference_model, t=20)
+    reports = _read_walk(reference_model, DELTA, [verify._Unitarity(20)])
     assert len(reports) == 1
     rep = reports[0]
     assert rep.passed == (rep.metric <= rep.tolerance)
@@ -28,14 +44,14 @@ def test_reports_reproducible(reference_model):
 
 
 def test_tolerance_override(reference_model):
-    rep = verify.check_unitarity(reference_model, t=5,
-                                 tolerances={"unitarity": 0.0})[0]
+    rep = _read_walk(reference_model, DELTA, [verify._Unitarity(5)],
+                     tolerances={"unitarity": 0.0})[0]
     assert rep.tolerance == 0.0
     assert not rep.passed
 
 
 def test_unitarity_single_step(reference_model):
-    rep = verify.check_unitarity(reference_model, t=1)[0]
+    rep = _read_walk(reference_model, DELTA, [verify._Unitarity(1)])[0]
     assert rep.metric <= 1e-15
 
 
@@ -102,8 +118,8 @@ def test_support_membership_matches_scalar_loop(a_sq):
 
 
 def test_char_function_small(reference_model):
-    reports = verify.check_char_function(
-        reference_model, None, 60, ((0.0, 0.0), (1.0, 1.0)))
+    reader = verify._CharFunction(reference_model, DELTA, 60, ((0.0, 0.0), (1.0, 1.0)))
+    reports = _read_walk(reference_model, DELTA, [reader])
     by_name = {r.name: r for r in reports}
     zero = by_name["char_triangle"].details["values"]["0,0"]
     for key in ("empirical", "spectral", "density"):
@@ -126,11 +142,6 @@ def test_char_triples_density_matches_integrate_density(coin, request):
         weight = lambda a, b: np.exp(1j * (xi1 * a + xi2 * b))
         total = limit.integrate_density(model, spectrum, weight, n_theta=20, n_rad=16).total
         assert den == complex(total / want_mass)
-
-
-def test_char_function_rejects_large_xi(reference_model):
-    with pytest.raises(ValueError):
-        verify.check_char_function(reference_model, None, 60, ((4.0, 0.0),))
 
 
 def test_empirical_bins_lower_edge_rule():
@@ -165,79 +176,73 @@ def test_run_suite_subset_and_unknown(reference_model):
         verify.run_suite(reference_model, only=["support"], tolerances={"nope": 1.0})
 
 
-def _standalone(model, seed):
-    """Every check called on its own with the suite's arguments, in suite order."""
-    return (verify.check_unitarity(model, 500, seed=seed)
-            + verify.check_lattice_vs_spectral(model, None, 20, seed=seed)
-            + verify.check_roundtrip(model, 10_000, seed=seed)
-            + verify.check_jacobian(model, 1000, seed=seed)
-            + verify.check_support(model, 512, seed=seed)
-            + verify.check_char_function(model, None, 300, seed=seed)
-            + verify.check_weak_limit(model, None, (100, 300, 500), 50, seed=seed)
-            + verify.check_weight_table(model, 200, seed=seed))
+def test_run_suite_drops_repeated_names(reference_model):
+    once = verify.run_suite(reference_model, only=["support"])
+    twice = verify.run_suite(reference_model, only=["support", "support"])
+    assert [r.to_json() for r in twice] == [r.to_json() for r in once]
+    mixed = verify.run_suite(reference_model, only=["support", "lattice_vs_spectral", "support"])
+    assert [r.name for r in mixed] == [r.name for r in once] + ["lattice_vs_spectral"]
 
 
-def _count_steps(monkeypatch):
-    steps = []
-    evolve = lattice.evolve
-
-    def counting(model, state, t):
-        steps.append(t)
-        return evolve(model, state, t)
-
-    monkeypatch.setattr(lattice, "evolve", counting)
-    return steps
-
-
-def test_run_suite_shares_one_walk(reference_model, monkeypatch):
+def test_run_suite_shares_one_walk(reference_model, reference_suite):
     # one trajectory to T=500 plus the 20 steps of lattice_vs_spectral
-    steps = _count_steps(monkeypatch)
-    got = verify.run_suite(reference_model, seed=3)
-    assert sum(steps) == 520
-    monkeypatch.undo()
-    assert [r.to_json() for r in got] == [r.to_json() for r in _standalone(reference_model, 3)]
+    assert reference_suite["evolve_steps"] == 520
+    # each check that reads no walk equals its public function with the suite's arguments
+    direct = (verify.check_lattice_vs_spectral(reference_model, None, 20, seed=3)
+              + verify.check_roundtrip(reference_model, 10_000, seed=3)
+              + verify.check_jacobian(reference_model, 1000, seed=3)
+              + verify.check_support(reference_model, 512, seed=3)
+              + verify.check_weight_table(reference_model, 200, seed=3))
+    assert [r.name for r in direct] == [
+        "lattice_vs_spectral", "roundtrip", "jacobian_fd", "jacobian_branch",
+        "support_containment", "support_tightness", "weight_table"]
+    for r in direct:
+        assert reference_suite["reports"][r.name].to_json() == r.to_json()
 
 
-def test_run_suite_roundtrip_runs_no_walk(reference_model, monkeypatch):
-    steps = _count_steps(monkeypatch)
+def test_run_suite_roundtrip_runs_no_walk(reference_model, evolve_steps):
     reports = verify.run_suite(reference_model, only=["roundtrip"])
-    assert [r.name for r in reports] == ["roundtrip"] and steps == []
+    assert [r.name for r in reports] == ["roundtrip"] and evolve_steps == []
 
 
 @pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
-def test_run_suite_matches_standalone_checks_small(coin, request, monkeypatch):
-    # the suite's walk plumbing on reduced sizes: shared times 60 and 80
+def test_run_suite_matches_standalone_checks_small(coin, request, monkeypatch, small_char_rows):
+    # the suite's one dispatch path on reduced sizes, walk times 60 and 80 shared,
+    # against each walk runner fed from a walk of its own
     model = request.getfixturevalue(coin)
     xi_list = ((0.0, 0.0), (1.0, -1.0))
-    monkeypatch.setattr(verify, "_WALK_USES", {
+    small = {
         "unitarity": lambda m, s0: verify._Unitarity(80),
         "char_function": lambda m, s0: verify._CharFunction(m, s0, 60, xi_list),
         "weak_limit": lambda m, s0: verify._WeakLimit(m, s0, (80, 50, 60), 10, 4),
-    })
+    }
+    for name, build in small.items():
+        monkeypatch.setitem(verify._CHECKS, name, verify._CHECKS[name]._replace(build=build))
     only = ["weak_limit", "support", "unitarity", "char_function"]
     got = verify.run_suite(model, seed=2, only=only)
-    want = (verify.check_weak_limit(model, None, (50, 60, 80), 10, refine=4, seed=2)
+    want = (_read_walk(model, DELTA, [verify._WeakLimit(model, DELTA, (50, 60, 80), 10, 4)], 2)
             + verify.check_support(model, 512, seed=2)
-            + verify.check_unitarity(model, 80, seed=2)
-            + verify.check_char_function(model, None, 60, xi_list, seed=2))
+            + _read_walk(model, DELTA, [verify._Unitarity(80)], 2)
+            + _read_walk(model, DELTA, [verify._CharFunction(model, DELTA, 60, xi_list)], 2))
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
 
 
-def test_walk_checks_read_their_snapshots(phased_model):
-    # each walk check against its quantity from a one-shot evolve per time
+def test_walk_checks_read_their_snapshots(phased_model, small_char_rows):
+    # each walk runner against its quantity from a one-shot evolve per time
     s0 = lattice.initial_state_delta(np.array([0.6, 0.8j]))
     states = {t: lattice.evolve(phased_model, s0, t) for t in (50, 60, 80)}
     dists = {t: lattice.position_distribution(st) for t, st in states.items()}
-    unit = verify.check_unitarity(phased_model, 80, s0)[0]
+    xi_list = ((0.0, 0.0), (1.0, -1.0))
+    unit, *weak, char, _ = _read_walk(phased_model, s0, [
+        verify._Unitarity(80),
+        verify._WeakLimit(phased_model, s0, (80, 50, 60), 10, 4),
+        verify._CharFunction(phased_model, s0, 60, xi_list)])
     assert unit.details["norm_sq"] == states[80].norm_sq()
-    weak = verify.check_weak_limit(phased_model, s0, (80, 50, 60), 10, refine=4)
     analytic, _ = verify._analytic_bin_masses(phased_model, spectral.fourier_initial(s0), 10, 4)
     assert weak[0].details["l1"] == {
         str(t): float(np.abs(verify._empirical_bin_masses(d, 10) - analytic).sum())
         for t, d in dists.items()}
     assert weak[2].metric == verify._escape_mass(phased_model, dists[80], 80)
-    xi_list = ((0.0, 0.0), (1.0, -1.0))
-    char = verify.check_char_function(phased_model, s0, 60, xi_list)[0]
     emps = verify._empirical_chars(dists[60], 60, xi_list)
     assert [v["empirical"] for v in char.details["values"].values()] == emps
 
