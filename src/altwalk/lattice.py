@@ -64,7 +64,8 @@ class LatticeState:
         return self.x2_min + self.amps.shape[2] - 1
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
+        sq = np.abs(self.amps)
+        return float(np.sum(np.square(sq, out=sq)))
 
     def amplitude(self, x1: int, x2: int) -> np.ndarray:
         """Spinor at a site; zero outside the stored window."""
@@ -162,7 +163,6 @@ def evolve(model, state: LatticeState, t: int) -> LatticeState:
     _, n1, n2 = state.amps.shape
     out = np.zeros((2, n1 + 2 * t, n2 + 2 * t), dtype=np.complex128)
     cur = np.empty((2, (n1 + 1) // 2 + t, (n2 + 1) // 2 + t), dtype=np.complex128)
-    nxt = np.empty_like(cur)
     for p in (0, 1):
         for q in (0, 1):
             cls = state.amps[:, p::2, q::2]
@@ -170,11 +170,13 @@ def evolve(model, state: LatticeState, t: int) -> LatticeState:
                 continue
             _, m1, m2 = cls.shape
             cur[:, :m1, :m2] = cls
+            nxt = np.empty_like(cur)
             for _ in range(t):
                 _coin_shift(c1, cur[:, :m1, :m2], nxt[:, : m1 + 1, :m2], 1)
                 m1 += 1
                 _coin_shift(c2, nxt[:, :m1, :m2], cur[:, :m1, : m2 + 1], 2)
                 m2 += 1
+            del nxt  # freed before the write fills the pages of ``out``
             out[:, p::2, q::2] = cur[:, :m1, :m2]
     return LatticeState(
         amps=out, x1_min=state.x1_min - t, x2_min=state.x2_min - t, time=state.time + t
@@ -203,7 +205,11 @@ def step(model, state: LatticeState) -> LatticeState:
 
 
 def position_distribution(state: LatticeState) -> PositionDistribution:
-    probs = np.abs(state.amps[0]) ** 2 + np.abs(state.amps[1]) ** 2
+    # |psi_1|^2 + |psi_2|^2, squared in place: one window-sized temporary besides the result
+    probs = np.abs(state.amps[0])
+    np.square(probs, out=probs)
+    sq = np.abs(state.amps[1])
+    probs += np.square(sq, out=sq)
     return PositionDistribution(
         probs=probs, x1_min=state.x1_min, x2_min=state.x2_min, time=state.time
     )

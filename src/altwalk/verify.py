@@ -11,13 +11,16 @@ report names with their default tolerances and how to build the check for a
 model and start state.  ``CHECK_NAMES``, the tolerance-name validation and the
 tolerance defaults all read it, and ``run_suite`` runs any subset of it through
 one path: the checks that read the walk share one trajectory, the others call
-their public ``check_*`` function.
+their public ``check_*`` function.  The walk runs on a second thread beside the
+work that reads no walk; the reports are the same, byte for byte, as when the
+two run one after the other.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -49,7 +52,7 @@ _CHECKS = {
     "support": _Check(
         {"support_containment": 1e-12, "support_tightness": 1e-3,
          "support_ellipse_membership": 0.0},  # the last for degenerate coins only
-        lambda m, s0: _Direct(check_support, m, 512)),
+        lambda m, s0: _AfterWalk(check_support, m, 512)),
     "char_function": _Check(
         {"char_triangle": 5e-2, "char_quadratures": 1e-2},
         lambda m, s0: _CharFunction(
@@ -64,6 +67,11 @@ _CHECKS = {
 
 # check name -> report names it can emit
 CHECK_NAMES = {name: tuple(check.tolerances) for name, check in _CHECKS.items()}
+
+# sites or density cells per block of the per-point work on a walk's position
+# distribution and on the analytic bins; the walk-free side's share of the
+# suite's peak memory grows with it
+_SITE_BLOCK = 1 << 15
 
 
 @dataclass
@@ -284,7 +292,9 @@ def char_triples(model: Model, state0, t: int, xi_list, *, grid_n: int = 256,
     shared discretisation factor cancels (and xi = 0 gives exactly 1).
     """
     dist = lattice.position_distribution(lattice.evolve(model, state0, t))
-    return _char_rows(model, state0, _empirical_chars(dist, t, xi_list), xi_list, grid_n, quad)
+    emps = _empirical_chars(dist, t, xi_list)
+    rows, mass = _char_rows(model, state0, xi_list, grid_n, quad)
+    return [(xi, emp, spe, den) for (xi, spe, den), emp in zip(rows, emps)], mass
 
 
 def _empirical_chars(dist: lattice.PositionDistribution, t: int, xi_list) -> list[complex]:
@@ -299,9 +309,10 @@ def _empirical_chars(dist: lattice.PositionDistribution, t: int, xi_list) -> lis
     return emps
 
 
-def _char_rows(model: Model, state0, emps, xi_list, grid_n: int = 256,
+def _char_rows(model: Model, state0, xi_list, grid_n: int = 256,
                quad: tuple[int, int] = (96, 96)):
-    """``char_triples`` from the empirical values ``emps`` of ``_empirical_chars``.
+    """(xi, spectral, density) per xi and the density mass: ``char_triples``
+    without the walk.
 
     The density is evaluated once on the quadrature nodes; the mass and every
     xi weight are summed from those values.
@@ -310,7 +321,7 @@ def _char_rows(model: Model, state0, emps, xi_list, grid_n: int = 256,
     arcs = limit._quadrature_arcs(model, spectrum, *quad)
     mass = limit._integrate_on(arcs).total
     rows = []
-    for xi, emp in zip(xi_list, emps):
+    for xi in xi_list:
         xi1, xi2 = float(xi[0]), float(xi[1])
         spe = complex(spectral.numeric_char_function(model, spectrum, (xi1, xi2), grid_n))
         if xi1 == 0.0 and xi2 == 0.0:
@@ -318,7 +329,7 @@ def _char_rows(model: Model, state0, emps, xi_list, grid_n: int = 256,
         else:
             weight = lambda a, b: np.exp(1j * (xi1 * a + xi2 * b))
             den = complex(limit._integrate_on(arcs, weight).total / mass)
-        rows.append(((xi1, xi2), emp, spe, den))
+        rows.append(((xi1, xi2), spe, den))
     return rows, float(mass)
 
 
@@ -331,9 +342,18 @@ def _analytic_bin_masses(model: Model, spectrum, bins: int, refine: int) -> tupl
     """
     n = bins * refine
     mid = -1.0 + (2.0 * np.arange(n) + 1.0) / n
-    grid = limit.density_grid(model, spectrum, mid[:, None], mid[None, :])
-    cell = np.where(grid.evaluable, grid.f, 0.0) * (2.0 / n) ** 2 / (2.0 * math.pi) ** 2
-    refused = grid.inside & ~grid.evaluable
+    cell = np.empty((n, n))
+    evaluable = np.empty((n, n), dtype=bool)
+    refused = np.empty((n, n), dtype=bool)
+    # strips of about _SITE_BLOCK cells: no n x n field of the density grid is kept whole
+    rows = max(1, _SITE_BLOCK // n)
+    for lo in range(0, n, rows):
+        grid = limit.density_grid(model, spectrum, mid[lo:lo + rows, None], mid[None, :])
+        cell[lo:lo + rows] = np.where(grid.evaluable, grid.f, 0.0)
+        evaluable[lo:lo + rows] = grid.evaluable
+        refused[lo:lo + rows] = grid.inside & ~grid.evaluable
+    cell *= (2.0 / n) ** 2
+    cell /= (2.0 * math.pi) ** 2
     n_refused = int(refused.sum())
     if n_refused:
         idx1, idx2 = np.nonzero(refused)
@@ -341,7 +361,7 @@ def _analytic_bin_masses(model: Model, spectrum, bins: int, refine: int) -> tupl
             neigh = []
             for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                 a, b = i + di, j + dj
-                if 0 <= a < n and 0 <= b < n and grid.evaluable[a, b]:
+                if 0 <= a < n and 0 <= b < n and evaluable[a, b]:
                     neigh.append(cell[a, b])
             if neigh:
                 cell[i, j] = float(np.mean(neigh))
@@ -351,29 +371,39 @@ def _analytic_bin_masses(model: Model, spectrum, bins: int, refine: int) -> tupl
     return masses, info
 
 
+def _sites(dist: lattice.PositionDistribution, t: int):
+    """Yield (v1, v2, probs) of the nonzero sites, v = x / t, in row-major order.
+
+    The sites come in blocks of rows of about ``_SITE_BLOCK`` sites, which
+    bounds the temporaries of the per-site work on a large window."""
+    rows = max(1, _SITE_BLOCK // dist.probs.shape[1])
+    for lo in range(0, dist.probs.shape[0], rows):
+        block = dist.probs[lo:lo + rows]
+        idx1, idx2 = np.nonzero(block)
+        yield (dist.x1_min + lo + idx1) / t, (dist.x2_min + idx2) / t, block[idx1, idx2]
+
+
 def _empirical_bin_masses(dist: lattice.PositionDistribution, bins: int) -> np.ndarray:
     """Histogram of the rescaled walk X_t/t; edge points go to the lower bin."""
-    t = dist.time
     h = 2.0 / bins
     out = np.zeros((bins, bins))
-    idx1, idx2 = np.nonzero(dist.probs)
-    v1 = (dist.x1_min + idx1) / t
-    v2 = (dist.x2_min + idx2) / t
-    b1 = np.clip(np.ceil((v1 + 1.0) / h).astype(int) - 1, 0, bins - 1)
-    b2 = np.clip(np.ceil((v2 + 1.0) / h).astype(int) - 1, 0, bins - 1)
-    np.add.at(out, (b1, b2), dist.probs[idx1, idx2])
+    for v1, v2, probs in _sites(dist, dist.time):
+        b1 = np.clip(np.ceil((v1 + 1.0) / h).astype(int) - 1, 0, bins - 1)
+        b2 = np.clip(np.ceil((v2 + 1.0) / h).astype(int) - 1, 0, bins - 1)
+        np.add.at(out, (b1, b2), probs)
     return out
 
 
 def _escape_mass(model: Model, dist: lattice.PositionDistribution, t: int) -> float:
     """Mass of the rescaled walk X_t/t strictly beyond a 0.05 radial margin."""
-    idx1, idx2 = np.nonzero(dist.probs)
-    v1 = (dist.x1_min + idx1) / t
-    v2 = (dist.x2_min + idx2) / t
-    u1, u2 = limit.rotated_coords(v1, v2)
-    rho = np.hypot(u1, u2)
-    theta = np.arctan2(u2, u1)
-    return float(dist.probs[idx1, idx2][rho > limit.support_radius(model, theta) + 0.05].sum())
+    escaped = []
+    for v1, v2, probs in _sites(dist, t):
+        u1, u2 = limit.rotated_coords(v1, v2)
+        rho = np.hypot(u1, u2)
+        theta = np.arctan2(u2, u1)
+        escaped.append(probs[rho > limit.support_radius(model, theta) + 0.05])
+    # one sum over the escaped sites in row-major order, as over the whole window
+    return float(np.concatenate(escaped).sum())
 
 
 def check_weight_table(model: Model, samples: int = 200, *, seed: int = 0,
@@ -384,19 +414,15 @@ def check_weight_table(model: Model, samples: int = 200, *, seed: int = 0,
     never fatal, so the tolerance is 1 (any mismatch fraction passes).
     """
     rng = np.random.default_rng(seed)
-    mismatches = 0
+    # per sample one theta draw, then one frac draw, as a loop over samples draws them;
     # frac <= 0.95 keeps every sample strictly inside: its ellipse form is frac^2
-    for _ in range(samples):
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        frac = rng.uniform(0.05, 0.95)
-        rho = frac * limit.support_radius(model, theta)
-        u1 = rho * math.cos(theta)
-        u2 = rho * math.sin(theta)
-        v1 = (u1 + u2) / math.sqrt(2.0)
-        v2 = (u1 - u2) / math.sqrt(2.0)
-        rep = limit.weight_table_report(model, v1, v2)
-        if not rep["matches"]:
-            mismatches += 1
+    theta, frac = rng.uniform((0.0, 0.05), (2.0 * math.pi, 0.95), size=(samples, 2)).T
+    rho = frac * limit.support_radius(model, theta)
+    u1 = rho * np.cos(theta)
+    u2 = rho * np.sin(theta)
+    v1 = (u1 + u2) / math.sqrt(2.0)
+    v2 = (u1 - u2) / math.sqrt(2.0)
+    mismatches = int(np.count_nonzero(~limit._table_matches(model, v1, v2)))
     return [_report("weight_table", mismatches / samples, seed,
                     {"samples": samples, "mismatches": mismatches}, tolerances)]
 
@@ -407,9 +433,12 @@ def check_weight_table(model: Model, samples: int = 200, *, seed: int = 0,
 # ``_CHECKS`` builds one runner per selected check.  A runner's ``times`` are
 # the step counts it reads off the walk, empty for a check that reads none;
 # ``observe(t, state)`` keeps what it needs of the state t steps after the
-# start, and ``reports(seed, tolerances)`` builds its reports.  ``_observe_walk``
-# feeds every runner from one trajectory, so the suite evolves the walk once
-# and keeps no snapshot beyond the current state.
+# start.  ``_observe_walk`` feeds every runner from one trajectory, so the
+# suite evolves the walk once and keeps no snapshot beyond the current state.
+# ``prepare(seed, tolerances)`` does the check's work that reads no walk, and
+# ``reports(seed, tolerances)`` builds its reports once both are done.
+# ``run_suite`` observes the walk on a second thread while the caller's thread
+# prepares every runner; the two write disjoint attributes of a runner.
 
 
 def _observe_walk(model: Model, state0, runners) -> None:
@@ -421,19 +450,40 @@ def _observe_walk(model: Model, state0, runners) -> None:
                 runner.observe(t, state)
 
 
-class _Direct:
-    """A check that reads no walk: one call of its ``check_*`` function."""
+class _Runner:
+    """A runner's defaults: it reads no walk and prepares nothing."""
 
     times = ()
 
+    def prepare(self, seed, tolerances):
+        pass
+
+
+class _Direct(_Runner):
+    """A check that reads no walk: one call of its ``check_*`` function, made
+    beside the walk."""
+
     def __init__(self, check, *args):
         self.check, self.args = check, args
+
+    def prepare(self, seed, tolerances):
+        self.done = self.check(*self.args, seed=seed, tolerances=tolerances)
+
+    def reports(self, seed, tolerances):
+        return self.done
+
+
+class _AfterWalk(_Direct):
+    """A ``_Direct`` check called after the walk, whose peak memory it would add to."""
+
+    def prepare(self, seed, tolerances):
+        pass
 
     def reports(self, seed, tolerances):
         return self.check(*self.args, seed=seed, tolerances=tolerances)
 
 
-class _Unitarity:
+class _Unitarity(_Runner):
     """Probability conservation: the norm of the walk after t steps."""
 
     def __init__(self, t: int):
@@ -447,11 +497,11 @@ class _Unitarity:
                         {"t": self.times[0], "norm_sq": self.norm_sq}, tolerances)]
 
 
-class _CharFunction:
+class _CharFunction(_Runner):
     """Characteristic function of X_t/t three ways: lattice, wavenumber, density.
 
     The lattice values are taken after t steps; the spectral and density values
-    are formed at report time."""
+    read no walk and are formed by ``prepare``."""
 
     def __init__(self, model: Model, state0, t: int, xi_list):
         self.model, self.state0, self.xi_list = model, state0, xi_list
@@ -460,29 +510,32 @@ class _CharFunction:
     def observe(self, t, state):
         self.emps = _empirical_chars(lattice.position_distribution(state), t, self.xi_list)
 
+    def prepare(self, seed, tolerances):
+        self.rows, self.mass = _char_rows(self.model, self.state0, self.xi_list)
+
     def reports(self, seed, tolerances):
         t = self.times[0]
-        rows, mass = _char_rows(self.model, self.state0, self.emps, self.xi_list)
         tri = 0.0
         quad_gap = 0.0
         per_xi = {}
-        for (xi, emp, spe, den) in rows:
+        for (xi, spe, den), emp in zip(self.rows, self.emps):
             gaps = (abs(emp - spe), abs(emp - den), abs(spe - den))
             tri = max(tri, *gaps)
             quad_gap = max(quad_gap, abs(spe - den))
             per_xi[f"{xi[0]:g},{xi[1]:g}"] = {
                 "empirical": emp, "spectral": spe, "density": den}
-        details = {"t": t, "density_mass": mass, "values": per_xi}
+        details = {"t": t, "density_mass": self.mass, "values": per_xi}
         return [
             _report("char_triangle", tri, seed, details, tolerances),
             _report("char_quadratures", quad_gap, seed, details, tolerances),
         ]
 
 
-class _WeakLimit:
+class _WeakLimit(_Runner):
     """L1 distance between the rescaled walk and the analytic density, per time.
 
-    Keeps the walk's bin masses at each time and its escape mass at the last."""
+    Keeps the walk's bin masses at each time and its escape mass at the last;
+    ``prepare`` forms the analytic bin masses."""
 
     def __init__(self, model: Model, state0, times, bins: int, refine: int):
         self.model, self.state0 = model, state0
@@ -496,13 +549,16 @@ class _WeakLimit:
         if t == self.times[-1]:
             self.escape = _escape_mass(self.model, dist, t)
 
-    def reports(self, seed, tolerances):
+    def prepare(self, seed, tolerances):
         spectrum = spectral.fourier_initial(self.state0)
-        analytic, info = _analytic_bin_masses(self.model, spectrum, self.bins, self.refine)
-        seq = [float(np.abs(self.emp[t] - analytic).sum()) for t in self.times]
+        self.analytic, self.info = _analytic_bin_masses(
+            self.model, spectrum, self.bins, self.refine)
+
+    def reports(self, seed, tolerances):
+        seq = [float(np.abs(self.emp[t] - self.analytic).sum()) for t in self.times]
         trend = max(l2 - l1 for l1, l2 in zip(seq[:-1], seq[1:])) if len(seq) > 1 else 0.0
         details = {"times": list(self.times), "bins": self.bins,
-                   "l1": {str(t): l1 for t, l1 in zip(self.times, seq)}, **info}
+                   "l1": {str(t): l1 for t, l1 in zip(self.times, seq)}, **self.info}
         return [
             _report("weak_limit", seq[-1], seed, details, tolerances),
             _report("weak_limit_trend", trend, seed, details, tolerances),
@@ -518,7 +574,9 @@ def run_suite(model: Model, spinor=None, *, seed: int = 0, only=None,
     only: iterable of check names (keys of CHECK_NAMES) restricting the run to
     those checks, in the order each name first appears.
     tolerances: mapping report-name -> overriding tolerance.
-    The walk is evolved once, to the times the selected checks read.
+    The walk is evolved once, to the times the selected checks read, on a
+    second thread while this one does the checks' work that reads no walk; an
+    exception on either thread is raised here once the walk thread has ended.
     """
     names = list(CHECK_NAMES if only is None else dict.fromkeys(only))
     for name in names:
@@ -530,7 +588,23 @@ def run_suite(model: Model, spinor=None, *, seed: int = 0, only=None,
             raise KeyError(f"unknown report {key!r}; valid: {sorted(valid)}")
     state0 = _default_state(spinor)
     runners = [_CHECKS[name].build(model, state0) for name in names]
-    _observe_walk(model, state0, runners)
+    walk_error = []
+
+    def walk():
+        try:
+            _observe_walk(model, state0, runners)
+        except BaseException as exc:  # raised again in the caller
+            walk_error.append(exc)
+
+    walker = threading.Thread(target=walk, name="altwalk-walk")
+    walker.start()
+    try:
+        for runner in runners:
+            runner.prepare(seed, tolerances)
+    finally:
+        walker.join()
+    if walk_error:
+        raise walk_error[0]
     return [rep for runner in runners for rep in runner.reports(seed, tolerances)]
 
 

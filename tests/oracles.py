@@ -1,16 +1,18 @@
 """Scalar reference implementations kept as test oracles.
 
 These are the per-sample loops that ``limit`` and ``verify`` used before the
-branch labels, the labelled inversion and the round trip became array code,
-and the quadrature that evaluated the density once per weight.  The code that
-replaced them must reproduce them exactly.
+branch labels, the labelled inversion, the round trip and the weight table
+became array code, the quadrature that evaluated the density once per weight,
+the density and walk-site work done on whole arrays before it went in blocks,
+and the suite run on one thread.  The code that replaced them must reproduce
+them exactly.
 """
 
 import math
 
 import numpy as np
 
-from altwalk import limit
+from altwalk import limit, verify
 from altwalk.model import wrap_angle
 from altwalk.spectral import angle_terms
 
@@ -96,6 +98,108 @@ def scalar_weight_table_sets(model, v1, v2):
                 if bool(ok[0]):
                     actual[p].add(n)
     return actual
+
+
+def scalar_octant(v1, v2):
+    """Octant of the published weight table, one point."""
+    if abs(v1) <= abs(v2) and v1 >= 0:
+        return 1
+    if abs(v1) >= abs(v2) and v2 >= 0:
+        return 2
+    if abs(v1) <= abs(v2) and v1 <= 0:
+        return 3
+    return 4
+
+
+def scalar_table_matches(model, v1, v2):
+    """Whether the windmill squares of both bands at one point are the table's."""
+    actual = scalar_weight_table_sets(model, v1, v2)
+    expected = limit._TABLE_OCTANT_SETS[scalar_octant(v1, v2)]
+    return actual[1] == expected[0] and actual[2] == expected[1]
+
+
+def scalar_check_weight_table(model, samples=200, *, seed=0, tolerances=None):
+    """``verify.check_weight_table`` drawing and testing one sample at a time."""
+    rng = np.random.default_rng(seed)
+    mismatches = 0
+    for _ in range(samples):
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        frac = rng.uniform(0.05, 0.95)
+        rho = frac * limit.support_radius(model, theta)
+        u1 = rho * math.cos(theta)
+        u2 = rho * math.sin(theta)
+        v1 = (u1 + u2) / math.sqrt(2.0)
+        v2 = (u1 - u2) / math.sqrt(2.0)
+        if not scalar_table_matches(model, v1, v2):
+            mismatches += 1
+    return [verify._report("weight_table", mismatches / samples, seed,
+                           {"samples": samples, "mismatches": mismatches}, tolerances)]
+
+
+def whole_grid_analytic_bin_masses(model, spectrum, bins, refine):
+    """``verify._analytic_bin_masses`` from one ``density_grid`` call over all cells."""
+    n = bins * refine
+    mid = -1.0 + (2.0 * np.arange(n) + 1.0) / n
+    grid = limit.density_grid(model, spectrum, mid[:, None], mid[None, :])
+    cell = np.where(grid.evaluable, grid.f, 0.0) * (2.0 / n) ** 2 / (2.0 * math.pi) ** 2
+    refused = grid.inside & ~grid.evaluable
+    for i, j in zip(*np.nonzero(refused)):
+        neigh = [cell[a, b] for a, b in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1))
+                 if 0 <= a < n and 0 <= b < n and grid.evaluable[a, b]]
+        if neigh:
+            cell[i, j] = float(np.mean(neigh))
+    masses = cell.reshape(bins, refine, bins, refine).sum(axis=(1, 3))
+    info = {"refine": refine, "refused_cells": int(refused.sum()),
+            "analytic_total": float(cell.sum())}
+    return masses, info
+
+
+def whole_window_bin_masses(dist, bins):
+    """``verify._empirical_bin_masses`` over all nonzero sites at once."""
+    t = dist.time
+    h = 2.0 / bins
+    out = np.zeros((bins, bins))
+    idx1, idx2 = np.nonzero(dist.probs)
+    v1 = (dist.x1_min + idx1) / t
+    v2 = (dist.x2_min + idx2) / t
+    b1 = np.clip(np.ceil((v1 + 1.0) / h).astype(int) - 1, 0, bins - 1)
+    b2 = np.clip(np.ceil((v2 + 1.0) / h).astype(int) - 1, 0, bins - 1)
+    np.add.at(out, (b1, b2), dist.probs[idx1, idx2])
+    return out
+
+
+def whole_window_escape_mass(model, dist, t):
+    """``verify._escape_mass`` over all nonzero sites at once."""
+    idx1, idx2 = np.nonzero(dist.probs)
+    v1 = (dist.x1_min + idx1) / t
+    v2 = (dist.x2_min + idx2) / t
+    u1, u2 = limit.rotated_coords(v1, v2)
+    rho = np.hypot(u1, u2)
+    theta = np.arctan2(u2, u1)
+    return float(dist.probs[idx1, idx2][rho > limit.support_radius(model, theta) + 0.05].sum())
+
+
+def whole_window_norm_sq(state):
+    """``LatticeState.norm_sq`` squaring into a second array."""
+    return float(np.sum(np.abs(state.amps) ** 2))
+
+
+def whole_window_probs(state):
+    """``lattice.position_distribution``'s probabilities squaring into new arrays."""
+    return np.abs(state.amps[0]) ** 2 + np.abs(state.amps[1]) ** 2
+
+
+def serial_run_suite(model, spinor=None, *, seed=0, only=None, tolerances=None):
+    """``verify.run_suite`` on one thread: the walk first, then each check in order."""
+    names = list(verify.CHECK_NAMES if only is None else dict.fromkeys(only))
+    state0 = verify._default_state(spinor)
+    runners = [verify._CHECKS[name].build(model, state0) for name in names]
+    verify._observe_walk(model, state0, runners)
+    reports = []
+    for runner in runners:
+        runner.prepare(seed, tolerances)
+        reports += runner.reports(seed, tolerances)
+    return reports
 
 
 def per_weight_integrate_density(model, spectrum, weight=None, n_theta=64, n_rad=64,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from altwalk import lattice
 from altwalk.model import CoinParameters, build_model
+from oracles import whole_window_norm_sq, whole_window_probs
 
 
 def dense_evolve(model, state, t):
@@ -183,6 +184,15 @@ def test_trajectory_matches_one_shot_evolve(coin, start, request):
         want = lattice.evolve(model, start, t)
         assert (got.x1_min, got.x2_min, got.time) == (want.x1_min, want.x2_min, want.time)
         assert np.array_equal(got.amps.view(np.int64), want.amps.view(np.int64))
+
+
+@STARTS
+def test_squares_in_place_match_reference(phased_model, start):
+    # |a|^2 squared in place: the same norm and probabilities, bit for bit
+    state = lattice.evolve(phased_model, start, 40)
+    assert state.norm_sq() == whole_window_norm_sq(state)
+    probs = lattice.position_distribution(state).probs
+    assert np.array_equal(probs.view(np.int64), whole_window_probs(state).view(np.int64))
 
 
 def test_trajectory_rejects_negative_time(reference_model, origin_state):

@@ -11,6 +11,8 @@ from oracles import (
     per_weight_integrate_density,
     scalar_classify_branch,
     scalar_inverse_map,
+    scalar_octant,
+    scalar_table_matches,
     scalar_weight_table_sets,
 )
 
@@ -476,3 +478,35 @@ def test_weight_table_report_matches_all_slots(coin, request):
         rep = limit.weight_table_report(model, w1, w2)
         want = scalar_weight_table_sets(model, w1, w2)
         assert (rep["actual_band1"], rep["actual_band2"]) == (sorted(want[1]), sorted(want[2]))
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_table_matches_per_point(coin, request, monkeypatch):
+    # the batched squares and table test against one point at a time, all 64 slots
+    model = request.getfixturevalue(coin)
+    v1, v2 = _interior_points(model, np.random.default_rng(29), 6)
+    v1 = np.append(v1, [0.0, 0.1, 0.2])
+    v2 = np.append(v2, [0.0, 0.1, 0.0])
+    points = list(zip(v1.tolist(), v2.tolist()))
+    sets = [scalar_weight_table_sets(model, a, b) for a, b in points]
+    for row, want in zip(limit._preimage_squares(model, v1, v2), sets):
+        assert [set((np.nonzero(band)[0] + 1).tolist()) for band in row] == [want[1], want[2]]
+    # a table the first point meets, so that both outcomes occur
+    table = dict(limit._TABLE_OCTANT_SETS)
+    table[scalar_octant(*points[0])] = (sets[0][1], sets[0][2])
+    monkeypatch.setattr(limit, "_TABLE_OCTANT_SETS", table)
+    want = [scalar_table_matches(model, a, b) for a, b in points]
+    assert want[0] and not all(want)
+    assert limit._table_matches(model, v1, v2).tolist() == want
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_density_grid_blocks_are_exact(coin, request, monkeypatch):
+    # odd blocks that cross rows of a 2-d grid, against the full enumeration
+    model = request.getfixturevalue(coin)
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    vv = np.linspace(-0.95, 0.95, 25)  # the diagonals lie on the rotated axes
+    monkeypatch.setattr(limit, "_DENSITY_BLOCK", 37)
+    grid = assert_matches_full_enumeration(model, spectrum, vv[:, None], vv[None, :])
+    assert grid.f.shape == (25, 25)
+    assert grid.evaluable.any() and not grid.inside.all()

@@ -1,5 +1,7 @@
 import functools
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,14 +9,23 @@ import pytest
 from altwalk import lattice, limit, spectral, verify
 from altwalk.lattice import PositionDistribution
 from altwalk.model import CoinParameters, build_model
-from oracles import scalar_roundtrip_worst
+from oracles import (
+    scalar_check_weight_table,
+    scalar_roundtrip_worst,
+    serial_run_suite,
+    whole_grid_analytic_bin_masses,
+    whole_window_bin_masses,
+    whole_window_escape_mass,
+)
 
 DELTA = lattice.initial_state_delta(np.array([1.0, 0.0]))
 
 
 def _read_walk(model, state0, runners, seed=0, tolerances=None):
-    """Feed the walk runners from one trajectory and return their reports in order."""
+    """Feed the walk runners from one trajectory, prepare each, return their reports in order."""
     verify._observe_walk(model, state0, runners)
+    for runner in runners:
+        runner.prepare(seed, tolerances)
     return [rep for runner in runners for rep in runner.reports(seed, tolerances)]
 
 
@@ -23,6 +34,34 @@ def small_char_rows(monkeypatch):
     """The char_function runner's spectral grid and quadrature at reduced sizes."""
     monkeypatch.setattr(verify, "_char_rows",
                         functools.partial(verify._char_rows, grid_n=32, quad=(20, 16)))
+
+
+SMALL_XI = ((0.0, 0.0), (1.0, -1.0))
+
+
+@pytest.fixture
+def small_walk_checks(monkeypatch, small_char_rows):
+    """The table's walk checks at reduced sizes: walk times 60 and 80, 10 x 10 bins."""
+    small = {
+        "unitarity": lambda m, s0: verify._Unitarity(80),
+        "char_function": lambda m, s0: verify._CharFunction(m, s0, 60, SMALL_XI),
+        "weak_limit": lambda m, s0: verify._WeakLimit(m, s0, (80, 50, 60), 10, 4),
+    }
+    for name, build in small.items():
+        monkeypatch.setitem(verify._CHECKS, name, verify._CHECKS[name]._replace(build=build))
+
+
+@pytest.fixture
+def small_suite(monkeypatch, small_walk_checks):
+    """Every check of the table at reduced size."""
+    small = {
+        "roundtrip": lambda m, s0: verify._Direct(verify.check_roundtrip, m, 500),
+        "jacobian": lambda m, s0: verify._Direct(verify.check_jacobian, m, 100),
+        "support": lambda m, s0: verify._AfterWalk(verify.check_support, m, 128),
+        "weight_table": lambda m, s0: verify._Direct(verify.check_weight_table, m, 20),
+    }
+    for name, build in small.items():
+        monkeypatch.setitem(verify._CHECKS, name, verify._CHECKS[name]._replace(build=build))
 
 
 def test_report_invariant_and_json(reference_model):
@@ -161,6 +200,32 @@ def test_analytic_bins_total(reference_model):
     assert info["refused_cells"] == 0
 
 
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_weight_table_matches_scalar_loop(coin, request):
+    # one batched pass over the samples: same draws, same mismatch count
+    model = request.getfixturevalue(coin)
+    got = verify.check_weight_table(model, 8, seed=5)
+    want = scalar_check_weight_table(model, 8, seed=5)
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_site_blocks_are_exact(coin, request, monkeypatch):
+    # odd blocks of rows and of density strips, against the whole window and grid
+    model = request.getfixturevalue(coin)
+    s0 = lattice.initial_state_delta(np.array([0.6, 0.8j]))
+    dist = lattice.position_distribution(lattice.evolve(model, s0, 80))
+    monkeypatch.setattr(verify, "_SITE_BLOCK", 501)  # 3 of 161 rows; 12 of 40 strip rows
+    assert np.array_equal(verify._empirical_bin_masses(dist, 10),
+                          whole_window_bin_masses(dist, 10))
+    escape = verify._escape_mass(model, dist, 80)
+    assert escape > 0.0 and escape == whole_window_escape_mass(model, dist, 80)
+    spectrum = spectral.fourier_initial(s0)
+    masses, info = verify._analytic_bin_masses(model, spectrum, 10, 4)
+    want_masses, want_info = whole_grid_analytic_bin_masses(model, spectrum, 10, 4)
+    assert np.array_equal(masses, want_masses) and info == want_info
+
+
 def test_weight_table_soft(reference_model):
     rep = verify.check_weight_table(reference_model, samples=10, seed=3)[0]
     assert rep.passed  # mismatches are informational, never fatal
@@ -206,25 +271,86 @@ def test_run_suite_roundtrip_runs_no_walk(reference_model, evolve_steps):
 
 
 @pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
-def test_run_suite_matches_standalone_checks_small(coin, request, monkeypatch, small_char_rows):
+def test_run_suite_matches_standalone_checks_small(coin, request, small_walk_checks):
     # the suite's one dispatch path on reduced sizes, walk times 60 and 80 shared,
     # against each walk runner fed from a walk of its own
     model = request.getfixturevalue(coin)
-    xi_list = ((0.0, 0.0), (1.0, -1.0))
-    small = {
-        "unitarity": lambda m, s0: verify._Unitarity(80),
-        "char_function": lambda m, s0: verify._CharFunction(m, s0, 60, xi_list),
-        "weak_limit": lambda m, s0: verify._WeakLimit(m, s0, (80, 50, 60), 10, 4),
-    }
-    for name, build in small.items():
-        monkeypatch.setitem(verify._CHECKS, name, verify._CHECKS[name]._replace(build=build))
     only = ["weak_limit", "support", "unitarity", "char_function"]
     got = verify.run_suite(model, seed=2, only=only)
     want = (_read_walk(model, DELTA, [verify._WeakLimit(model, DELTA, (50, 60, 80), 10, 4)], 2)
             + verify.check_support(model, 512, seed=2)
             + _read_walk(model, DELTA, [verify._Unitarity(80)], 2)
-            + _read_walk(model, DELTA, [verify._CharFunction(model, DELTA, 60, xi_list)], 2))
+            + _read_walk(model, DELTA, [verify._CharFunction(model, DELTA, 60, SMALL_XI)], 2))
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_run_suite_matches_serial_oracle(coin, request, small_suite):
+    # the walk on its own thread beside the walk-free checks changes no report
+    model = request.getfixturevalue(coin)
+    spinor = np.array([0.6, 0.8j])
+    got = verify.run_suite(model, spinor, seed=4)
+    want = serial_run_suite(model, spinor, seed=4)
+    assert [r.name for r in got] == [r.name for r in want]
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+
+
+@pytest.mark.parametrize("only", [
+    ["weak_limit", "lattice_vs_spectral", "char_function"],
+    ["support", "weight_table", "jacobian"],
+    ["unitarity", "support"],
+    ["weak_limit"],
+])
+def test_run_suite_subsets_match_serial_oracle(only, reference_model, small_suite):
+    tolerances = {"weak_limit": 0.5, "support_tightness": 0.0}
+    got = verify.run_suite(reference_model, seed=6, only=only, tolerances=tolerances)
+    want = serial_run_suite(reference_model, seed=6, only=only, tolerances=tolerances)
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+
+
+def _hold_walk(monkeypatch):
+    """Patch ``lattice.evolve`` to wait for the returned event, then 0.2 s more."""
+    release = threading.Event()
+    evolve = lattice.evolve
+
+    def held(model, state, t):
+        release.wait(timeout=10)
+        time.sleep(0.2)
+        return evolve(model, state, t)
+
+    monkeypatch.setattr(lattice, "evolve", held)
+    return release
+
+
+def test_run_suite_raises_walk_error_after_join(reference_model, monkeypatch, small_walk_checks):
+    boom = RuntimeError("walk failed")
+
+    def evolve(model, state, t):
+        raise boom
+
+    monkeypatch.setattr(lattice, "evolve", evolve)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        verify.run_suite(reference_model, only=["roundtrip", "unitarity"])
+    assert info.value is boom
+    assert threading.active_count() == before
+
+
+def test_run_suite_raises_check_error_after_join(reference_model, monkeypatch, small_walk_checks):
+    # the walk is still running when the walk-free check raises; run_suite waits for it
+    boom = RuntimeError("check failed")
+    release = _hold_walk(monkeypatch)
+
+    def check(*args, **kwargs):
+        release.set()
+        raise boom
+
+    monkeypatch.setattr(verify, "check_roundtrip", check)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        verify.run_suite(reference_model, only=["unitarity", "roundtrip"])
+    assert info.value is boom
+    assert threading.active_count() == before
 
 
 def test_walk_checks_read_their_snapshots(phased_model, small_char_rows):
@@ -232,7 +358,7 @@ def test_walk_checks_read_their_snapshots(phased_model, small_char_rows):
     s0 = lattice.initial_state_delta(np.array([0.6, 0.8j]))
     states = {t: lattice.evolve(phased_model, s0, t) for t in (50, 60, 80)}
     dists = {t: lattice.position_distribution(st) for t, st in states.items()}
-    xi_list = ((0.0, 0.0), (1.0, -1.0))
+    xi_list = SMALL_XI
     unit, *weak, char, _ = _read_walk(phased_model, s0, [
         verify._Unitarity(80),
         verify._WeakLimit(phased_model, s0, (80, 50, 60), 10, 4),
