@@ -207,6 +207,28 @@ def _write_boundary_csv(model: Model, path: Path, n: int) -> None:
             fh.write(f"{_fmt(v1)},{_fmt(v2)}\n")
 
 
+def _write_density_csv(path: Path, mid, f, inside) -> None:
+    """Rows v1,v2,f,inside over the grid mid x mid, v1 outer, f and inside (n, n).
+
+    Most cells lie outside the support and print as ``,0,0``.  Each row starts
+    from those tails, puts a ``%.17g`` template in the cells that differ (f
+    nonzero or -0.0, or inside), joins the tails with the row's v1 label and
+    fills the templates with the row's f values by ``%``.
+    """
+    labels = [_fmt(x) for x in mid]
+    blank = [f",{label},0,0\n" for label in labels]
+    cells = ([f",{label},%.17g,0\n" for label in labels],
+             [f",{label},%.17g,1\n" for label in labels])
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("v1,v2,f,inside\n")
+        for label, f_row, in_row in zip(labels, f, inside):
+            tails = blank.copy()
+            js = np.flatnonzero((f_row != 0.0) | in_row | np.signbit(f_row))
+            for j, in_j in zip(js.tolist(), in_row[js].tolist()):
+                tails[j] = cells[in_j][j]
+            fh.write((label + label.join(tails)) % tuple(f_row[js].tolist()))
+
+
 def cmd_density(cfg: RunConfig) -> int:
     if cfg.grid_n < 1:
         raise ConfigError(f"grid_n must be positive, got {cfg.grid_n}")
@@ -217,14 +239,7 @@ def cmd_density(cfg: RunConfig) -> int:
     mid = -1.0 + (2.0 * np.arange(n) + 1.0) / n  # cell midpoints of [-1, 1]
     grid = limit.density_grid(model, spectrum, mid[:, None], mid[None, :])
     csv_path = out / "density.csv"
-    labels = [_fmt(x) for x in mid]
-    with open(csv_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("v1,v2,f,inside\n")
-        for i in range(n):
-            fh.write("".join([
-                f"{labels[i]},{label},{_fmt(f)},{int(inside)}\n"
-                for label, f, inside in zip(labels, grid.f[i].tolist(), grid.inside[i].tolist())
-            ]))
+    _write_density_csv(csv_path, mid, grid.f, grid.inside)
     boundary_path = out / "boundary.csv"
     _write_boundary_csv(model, boundary_path, max(cfg.grid_n, 64))
     print(csv_path)
@@ -317,6 +332,8 @@ def _parse_xi(items) -> list[tuple[float, float]]:
 def cmd_chars(cfg: RunConfig, xi_items) -> int:
     if cfg.steps < 1:
         raise ConfigError(f"steps must be at least 1, got {cfg.steps}")
+    if cfg.grid_n < 1:
+        raise ConfigError(f"grid_n must be positive, got {cfg.grid_n}")
     xi_list = _parse_xi(xi_items)
     for xi in xi_list:
         if max(abs(xi[0]), abs(xi[1])) > 3.0:

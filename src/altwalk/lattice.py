@@ -232,14 +232,18 @@ def moments(dist: PositionDistribution) -> Moments:
 
 
 def write_distribution_csv(dist: PositionDistribution, path) -> None:
-    """CSV rows x1,x2,probability for nonzero sites, in row-major site order."""
+    """CSV rows x1,x2,probability for nonzero sites, in row-major site order.
+
+    Each row is written at once: one template holding the x1 and x2 labels of
+    its nonzero sites, filled with their probabilities by ``%``.
+    """
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("x1,x2,probability\n")
-        idx1, idx2 = np.nonzero(dist.probs)
-        for i, j in zip(idx1.tolist(), idx2.tolist()):
-            fh.write(
-                f"{dist.x1_min + i},{dist.x2_min + j},{dist.probs[i, j]:.17g}\n"
-            )
+        for i, row in enumerate(dist.probs):
+            js = np.flatnonzero(row)
+            x1 = dist.x1_min + i
+            template = "".join([f"{x1},{dist.x2_min + j},%.17g\n" for j in js.tolist()])
+            fh.write(template % tuple(row[js].tolist()))
 
 
 def write_state_binary(state: LatticeState, path) -> None:

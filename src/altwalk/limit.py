@@ -31,7 +31,9 @@ bookkeeping is retained only as a soft cross-check (``weight_table_report``).
 and outside the boundary shell), and runs the four m slots of each (p, n)
 only on those whose band-p rotated coordinates lie in square n's closed
 u-quadrant, the first gate of ``branch_preimages``; for an interior point
-off the rotated axes that is two squares per band.
+off the rotated axes that is two squares per band.  It weighs each preimage
+with the tau = a cos(l1) - b cos(l2) that the forward-consistency gate has
+computed there, the same values ``spectral.band_weights`` would recompute.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Model, wrap_angle
-from .spectral import DEGENERATE_GAP_TOL, angle_terms, band_weights, group_velocity
+from .spectral import DEGENERATE_GAP_TOL, _band_weights, angle_terms, group_velocity
 
 __all__ = [
     "SUPPORT_BOUNDARY_TOL",
@@ -361,6 +363,11 @@ def branch_preimages(model: Model, v1, v2, n: int, m: int, p: int):
     points where this slot produces a preimage whose forward velocity
     reproduces the target within 1e-9.  Entries with ok == False hold junk.
     """
+    return _branch_preimages(model, v1, v2, n, m, p)[:3]
+
+
+def _branch_preimages(model: Model, v1, v2, n: int, m: int, p: int):
+    """``branch_preimages`` plus tau at the preimages, from the forward gate."""
     d = model.derived
     a, b = d.a, d.b
     band_sign = 1.0 if p == 1 else -1.0
@@ -403,7 +410,7 @@ def branch_preimages(model: Model, v1, v2, n: int, m: int, p: int):
     ok &= (np.abs(f1 - w1) <= FORWARD_CONSISTENCY_TOL) & (
         np.abs(f2 - w2) <= FORWARD_CONSISTENCY_TOL
     )
-    return k1, k2, ok
+    return k1, k2, ok, tauf
 
 
 def _inverse_labelled(model: Model, v1, v2, n, m, is_r):
@@ -504,9 +511,9 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
 
 
 def _preimage_slots(model: Model, v1, v2):
-    """Yield (p, n, m, idx, k1, k2, ok) for every (p, n, m) slot in that order.
+    """Yield (p, n, m, idx, k1, k2, ok, tau) for every (p, n, m) slot in that order.
 
-    Slot (p, n, m) runs ``branch_preimages`` only on the points idx whose
+    Slot (p, n, m) runs ``_branch_preimages`` only on the points idx whose
     band-p rotated coordinates pass square n's closed quadrant gate, computed
     exactly as that routine's first gate, so points on the rotated axes reach
     both adjacent squares.  A (p, n) pair with no such point is skipped.
@@ -521,8 +528,7 @@ def _preimage_slots(model: Model, v1, v2):
                 continue
             s1, s2 = v1[idx], v2[idx]
             for m in range(1, 5):
-                k1, k2, ok = branch_preimages(model, s1, s2, n, m, p)
-                yield p, n, m, idx, k1, k2, ok
+                yield (p, n, m, idx, *_branch_preimages(model, s1, s2, n, m, p))
 
 
 def _keep_new(idx, k1, k2, kept):
@@ -541,10 +547,11 @@ def _keep_new(idx, k1, k2, kept):
     return new
 
 
-def _add_branches(model, spectrum, p, idx, k1, k2, jinv, f, count):
-    """Add band-p weight times inverse Jacobian of preimages (k1, k2) at points idx."""
+def _add_branches(model, spectrum, p, idx, k1, k2, tau, jinv, f, count):
+    """Add band-p weight times inverse Jacobian of preimages (k1, k2) at points idx;
+    tau is the forward gate's trace term at those preimages."""
     if idx.size:
-        w1, w2 = band_weights(model, spectrum, k1, k2)
+        w1, w2 = _band_weights(model, spectrum, k1, k2, tau)
         f[idx] += (w1 if p == 1 else w2) * jinv[idx]
         count[idx] += 1
 
@@ -560,11 +567,13 @@ def _accumulate_generic(model, spectrum, v1, v2):
     u1, u2 = rotated_coords(v1, v2)
     edge = (np.abs(u1) < 1e-7) | (np.abs(u2) < 1e-7)
     kept = {1: [], 2: []}
-    for p, _, m, idx, k1, k2, ok in _preimage_slots(model, v1, v2):
+    for p, _, m, idx, k1, k2, ok, tau in _preimage_slots(model, v1, v2):
         at = np.nonzero(ok & edge[idx])[0]
         if at.size:
             ok[at] = _keep_new(idx[at], k1[at], k2[at], kept[p])
-        _add_branches(model, spectrum, p, idx[ok], k1[ok], k2[ok], jinv[m % 2], f, counts[m % 2])
+        _add_branches(model, spectrum, p, idx[ok], k1[ok], k2[ok], tau[ok], jinv[m % 2], f,
+                      counts[m % 2])
+        del k1, k2, ok, tau  # freed before the next slot's temporaries, which set the peak
     return f, counts[0], counts[1]
 
 
@@ -579,10 +588,11 @@ def _accumulate_degenerate(model, spectrum, v1, v2):
     f = np.zeros(v1.shape)
     n_plus = np.zeros(v1.shape, dtype=np.int64)
     kept = []
-    for p, _, _, idx, k1, k2, ok in _preimage_slots(model, v1, v2):
+    for p, _, _, idx, k1, k2, ok, tau in _preimage_slots(model, v1, v2):
         at = np.nonzero(ok)[0]
         ok[at] = _keep_new(idx[at], k1[at], k2[at], kept)
-        _add_branches(model, spectrum, p, idx[ok], k1[ok], k2[ok], jinv, f, n_plus)
+        _add_branches(model, spectrum, p, idx[ok], k1[ok], k2[ok], tau[ok], jinv, f, n_plus)
+        del k1, k2, ok, tau  # as in _accumulate_generic
     return f, n_plus, np.zeros_like(n_plus)
 
 
@@ -747,7 +757,7 @@ def _octants(v1, v2):
 def _preimage_squares(model: Model, v1, v2):
     """Mask (points, band p - 1, square n - 1) of the squares that hold a preimage."""
     has = np.zeros((v1.size, 2, 8), dtype=bool)
-    for p, n, _, idx, _, _, ok in _preimage_slots(model, v1, v2):
+    for p, n, _, idx, _, _, ok, _ in _preimage_slots(model, v1, v2):
         has[idx[ok], p - 1, n - 1] = True
     return has
 

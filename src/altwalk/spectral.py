@@ -85,12 +85,16 @@ def bloch_matrix(model, k1: float, k2: float) -> np.ndarray:
     return np.array([[m11, m12], [m21, m22]], dtype=np.complex128)
 
 
-def eigenvalues(model, k1, k2):
-    """Band eigenvalues (lam1, lam2); band 1 takes + i sqrt(1 - tau^2)."""
-    tau = tau_of(model, k1, k2)
+def _eigenvalues_at(model, tau):
+    """Band eigenvalues (lam1, lam2) at the wavenumbers whose trace term is tau."""
     gap = np.sqrt(np.maximum(1.0 - tau * tau, 0.0))
     phase = np.exp(0.5j * model.derived.delta)
     return (tau + 1j * gap) * phase, (tau - 1j * gap) * phase
+
+
+def eigenvalues(model, k1, k2):
+    """Band eigenvalues (lam1, lam2); band 1 takes + i sqrt(1 - tau^2)."""
+    return _eigenvalues_at(model, tau_of(model, k1, k2))
 
 
 @dataclass(frozen=True)
@@ -228,12 +232,19 @@ def band_weights(model, spectrum: InitialSpectrum, k1, k2):
     """Spectral weights P_p(k) = |<psi_hat_0(k)|band p>|^2 for p = 1, 2.
 
     Computed through the spectral projector (U - lam_2)/(lam_1 - lam_2), which
-    avoids picking eigenvector phases.  P_1 + P_2 = |psi_hat_0(k)|^2.
+    avoids picking eigenvector phases.  P_1 + P_2 = |psi_hat_0(k)|^2.  The limit
+    density takes the same weights from the tau its forward-consistency gate has
+    already computed at each preimage, through ``_band_weights``.
     """
+    return _band_weights(model, spectrum, k1, k2, tau_of(model, k1, k2))
+
+
+def _band_weights(model, spectrum: InitialSpectrum, k1, k2, tau):
+    """``band_weights`` at wavenumbers k whose trace term tau is already known."""
     psi = spectrum(k1, k2)
     p0, p1 = psi[..., 0], psi[..., 1]
     m11, m12, m21, m22 = bloch_entries(model, k1, k2)
-    lam1, lam2 = eigenvalues(model, k1, k2)
+    lam1, lam2 = _eigenvalues_at(model, tau)
     ip = np.conj(p0) * (m11 * p0 + m12 * p1) + np.conj(p1) * (m21 * p0 + m22 * p1)
     nrm = np.abs(p0) ** 2 + np.abs(p1) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -251,27 +262,36 @@ def numeric_char_function(
     have no defined group velocity and are skipped; the average runs over the
     remaining points and the skipped count is available via ``with_info``.
     """
+    values, skipped = _char_values(model, spectrum, [xi], grid_n)
+    if with_info:
+        return values[0], skipped
+    return values[0]
+
+
+def _char_values(model, spectrum: InitialSpectrum, xi_list, grid_n: int):
+    """``numeric_char_function`` at every xi of ``xi_list``, and the skipped count.
+
+    The wavenumber grid, its group velocities and its band weights do not
+    depend on xi; they are built once and each xi only sums its phases.
+    """
     if grid_n < 1:
         raise ValueError(f"grid size must be positive, got {grid_n}")
-    xi1, xi2 = float(xi[0]), float(xi[1])
     g1 = -math.pi + (2.0 * math.pi / grid_n) * np.arange(grid_n)[:, None]
     g2 = -math.pi + (2.0 * math.pi / grid_n) * np.arange(grid_n)[None, :]
     d = model.derived
     _, _, _, s1, _, s2, tau = angle_terms(model, g1, g2)
     gap_sq = 1.0 - tau * tau
     ok = gap_sq > DEGENERATE_GAP_TOL
-    gap = np.sqrt(np.where(ok, gap_sq, 1.0))
-    v1 = -(d.a * s1 + d.b * s2) / gap
-    v2 = -(d.a * s1 - d.b * s2) / gap
-    w1, w2 = band_weights(model, spectrum, g1, g2)
-    vals = np.exp(1j * (xi1 * v1 + xi2 * v2)) * w1 + np.exp(
-        -1j * (xi1 * v1 + xi2 * v2)
-    ) * w2
     n_ok = int(np.count_nonzero(ok))
     if n_ok == 0:
         raise DegeneracyError("all grid points are spectrally degenerate")
-    value = complex(np.sum(np.where(ok, vals, 0.0)) / n_ok)
-    skipped = grid_n * grid_n - n_ok
-    if with_info:
-        return value, skipped
-    return value
+    gap = np.sqrt(np.where(ok, gap_sq, 1.0))
+    v1 = -(d.a * s1 + d.b * s2) / gap
+    v2 = -(d.a * s1 - d.b * s2) / gap
+    w1, w2 = _band_weights(model, spectrum, g1, g2, tau)
+    values = []
+    for xi in xi_list:
+        phase = float(xi[0]) * v1 + float(xi[1]) * v2
+        vals = np.exp(1j * phase) * w1 + np.exp(-1j * phase) * w2
+        values.append(complex(np.sum(np.where(ok, vals, 0.0)) / n_ok))
+    return values, grid_n * grid_n - n_ok

@@ -314,16 +314,17 @@ def _char_rows(model: Model, state0, xi_list, grid_n: int = 256,
     """(xi, spectral, density) per xi and the density mass: ``char_triples``
     without the walk.
 
-    The density is evaluated once on the quadrature nodes; the mass and every
-    xi weight are summed from those values.
+    The density is evaluated once on the quadrature nodes, and the spectral
+    side's wavenumber grid is built once; the mass and every xi value are
+    summed from those.
     """
     spectrum = spectral.fourier_initial(state0)
     arcs = limit._quadrature_arcs(model, spectrum, *quad)
     mass = limit._integrate_on(arcs).total
+    spes, _ = spectral._char_values(model, spectrum, xi_list, grid_n)
     rows = []
-    for xi in xi_list:
+    for xi, spe in zip(xi_list, spes):
         xi1, xi2 = float(xi[0]), float(xi[1])
-        spe = complex(spectral.numeric_char_function(model, spectrum, (xi1, xi2), grid_n))
         if xi1 == 0.0 and xi2 == 0.0:
             den = complex(1.0)
         else:

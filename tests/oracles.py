@@ -4,15 +4,16 @@ These are the per-sample loops that ``limit`` and ``verify`` used before the
 branch labels, the labelled inversion, the round trip and the weight table
 became array code, the quadrature that evaluated the density once per weight,
 the density and walk-site work done on whole arrays before it went in blocks,
-and the suite run on one thread.  The code that replaced them must reproduce
-them exactly.
+the suite run on one thread, the characteristic function that built its
+wavenumber grid once per xi, and the CSV writers that formatted one cell or
+site at a time.  The code that replaced them must reproduce them exactly.
 """
 
 import math
 
 import numpy as np
 
-from altwalk import limit, verify
+from altwalk import cli, limit, spectral, verify
 from altwalk.model import wrap_angle
 from altwalk.spectral import angle_terms
 
@@ -251,3 +252,51 @@ def per_weight_integrate_density(model, spectrum, weight=None, n_theta=64, n_rad
         value = value.real
         shell_est = shell_est.real
     return limit.IntegralResult(value=value, shell_estimate=shell_est, total=value + shell_est)
+
+
+def per_xi_char_function(model, spectrum, xi, grid_n):
+    """``spectral.numeric_char_function`` rebuilding the whole grid for its one xi;
+    returns (value, skipped)."""
+    if grid_n < 1:
+        raise ValueError(f"grid size must be positive, got {grid_n}")
+    xi1, xi2 = float(xi[0]), float(xi[1])
+    g1 = -math.pi + (2.0 * math.pi / grid_n) * np.arange(grid_n)[:, None]
+    g2 = -math.pi + (2.0 * math.pi / grid_n) * np.arange(grid_n)[None, :]
+    d = model.derived
+    _, _, _, s1, _, s2, tau = angle_terms(model, g1, g2)
+    gap_sq = 1.0 - tau * tau
+    ok = gap_sq > spectral.DEGENERATE_GAP_TOL
+    gap = np.sqrt(np.where(ok, gap_sq, 1.0))
+    v1 = -(d.a * s1 + d.b * s2) / gap
+    v2 = -(d.a * s1 - d.b * s2) / gap
+    w1, w2 = spectral.band_weights(model, spectrum, g1, g2)
+    vals = np.exp(1j * (xi1 * v1 + xi2 * v2)) * w1 + np.exp(
+        -1j * (xi1 * v1 + xi2 * v2)
+    ) * w2
+    n_ok = int(np.count_nonzero(ok))
+    if n_ok == 0:
+        raise spectral.DegeneracyError("all grid points are spectrally degenerate")
+    return complex(np.sum(np.where(ok, vals, 0.0)) / n_ok), grid_n * grid_n - n_ok
+
+
+def per_cell_density_csv(path, mid, f, inside):
+    """``cli._write_density_csv`` formatting every cell of the grid."""
+    labels = [cli._fmt(x) for x in mid]
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("v1,v2,f,inside\n")
+        for i in range(len(labels)):
+            fh.write("".join([
+                f"{labels[i]},{label},{cli._fmt(fv)},{int(iv)}\n"
+                for label, fv, iv in zip(labels, f[i].tolist(), inside[i].tolist())
+            ]))
+
+
+def per_site_distribution_csv(dist, path):
+    """``lattice.write_distribution_csv`` from one whole-window nonzero scan, site by site."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("x1,x2,probability\n")
+        idx1, idx2 = np.nonzero(dist.probs)
+        for i, j in zip(idx1.tolist(), idx2.tolist()):
+            fh.write(
+                f"{dist.x1_min + i},{dist.x2_min + j},{dist.probs[i, j]:.17g}\n"
+            )

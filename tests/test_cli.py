@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altwalk import cli
+from altwalk import cli, lattice, limit, spectral
+from oracles import per_cell_density_csv
 
 
 def run_cli(args):
@@ -222,6 +223,16 @@ def test_chars_missing_out_dir_fails_before_running(tmp_path, monkeypatch):
     assert run_cli(["chars", "--steps", "5", "--out", str(missing)]) == cli.EXIT_IO
 
 
+@pytest.mark.parametrize("grid_n", ["0", "-3"])
+def test_chars_nonpositive_grid_is_config_error(grid_n, monkeypatch, capsys):
+    def char_triples(*args, **kwargs):
+        raise AssertionError("char_triples ran before grid_n was checked")
+
+    monkeypatch.setattr(cli.verify, "char_triples", char_triples)
+    assert run_cli(["chars", "--steps", "5", "--grid_n", grid_n]) == cli.EXIT_CONFIG
+    assert "grid_n must be positive" in capsys.readouterr().err
+
+
 def test_chars_bad_xi():
     assert run_cli(["chars", "--steps", "5", "--xi", "1;2"]) == cli.EXIT_CONFIG
     assert run_cli(["chars", "--steps", "5", "--xi", "4,0"]) == cli.EXIT_CONFIG
@@ -252,3 +263,59 @@ def test_help_documents_every_key(capsys):
 def test_grid_alias(tmp_path):
     assert run_cli(["density", "--grid", "20", "--out", str(tmp_path)]) == 0
     assert len((tmp_path / "density.csv").read_text().splitlines()) == 401
+
+
+# --- density.csv against the per-cell writer -----------------------------------
+
+
+def _density_spectrum():
+    return spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+
+
+def assert_density_csv_matches_per_cell(tmp_path, mid, f, inside):
+    cli._write_density_csv(tmp_path / "rows.csv", mid, f, inside)
+    per_cell_density_csv(tmp_path / "cells.csv", mid, f, inside)
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 97])
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_density_csv_matches_per_cell_writer(coin, n, request, tmp_path):
+    model = request.getfixturevalue(coin)
+    mid = -1.0 + (2.0 * np.arange(n) + 1.0) / n
+    grid = limit.density_grid(model, _density_spectrum(), mid[:, None], mid[None, :])
+    assert_density_csv_matches_per_cell(tmp_path, mid, grid.f, grid.inside)
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_density_csv_shell_cells(coin, request, tmp_path):
+    # a point 1e-8 inside a corner (or, with no corners, the boundary) lies in
+    # the shell: inside, not evaluable, f = 0
+    model = request.getfixturevalue(coin)
+    corners = limit.support_corners(model)
+    rim = corners[0] if corners.size else limit.support_boundary(model, 8)[1]
+    mid = np.concatenate([(1.0 - 1e-8) * rim, [0.0]])
+    grid = limit.density_grid(model, _density_spectrum(), mid[:, None], mid[None, :])
+    shell = grid.inside & ~grid.evaluable
+    assert shell.any() and (grid.f[shell] == 0.0).all() and grid.evaluable.any()
+    assert_density_csv_matches_per_cell(tmp_path, mid, grid.f, grid.inside)
+
+
+def test_density_csv_signed_zero_and_nonfinite(tmp_path):
+    mid = np.array([-0.5, 0.0, 0.25])
+    f = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -2.5e-300], [np.nan, np.inf, 0.0]])
+    inside = np.array([[False, False, True], [True, True, False], [False, True, True]])
+    assert_density_csv_matches_per_cell(tmp_path, mid, f, inside)
+    rows = (tmp_path / "rows.csv").read_text().splitlines()
+    assert rows[2] == "-0.5,0,-0,0" and rows[4] == "0,-0.5,-0,1"
+
+
+def test_density_cli_writes_the_grid(tmp_path):
+    assert run_cli(["density", "--grid_n", "30", "--psi1_re", "0.6", "--psi2_im", "0.8",
+                    "--out", str(tmp_path)]) == 0
+    cfg = cli.RunConfig(psi1_re=0.6, psi2_im=0.8)
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(cli.spinor_from(cfg)))
+    mid = -1.0 + (2.0 * np.arange(30) + 1.0) / 30
+    grid = limit.density_grid(cli.model_from(cfg), spectrum, mid[:, None], mid[None, :])
+    per_cell_density_csv(tmp_path / "cells.csv", mid, grid.f, grid.inside)
+    assert (tmp_path / "density.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()

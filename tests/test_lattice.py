@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from altwalk import lattice
 from altwalk.model import CoinParameters, build_model
-from oracles import whole_window_norm_sq, whole_window_probs
+from oracles import per_site_distribution_csv, whole_window_norm_sq, whole_window_probs
 
 
 def dense_evolve(model, state, t):
@@ -227,3 +227,29 @@ def test_read_state_binary_rejects_malformed(tmp_path, phased_model, origin_stat
         path.write_bytes(bad)
         with pytest.raises(ValueError):
             lattice.read_state_binary(path)
+
+
+def _assert_distribution_csv_matches_per_site(tmp_path, dist):
+    lattice.write_distribution_csv(dist, tmp_path / "rows.csv")
+    per_site_distribution_csv(dist, tmp_path / "sites.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "sites.csv").read_bytes()
+
+
+@pytest.mark.parametrize("steps", [0, 1, 6, 25])
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_distribution_csv_matches_per_site_writer(coin, steps, request, tmp_path):
+    state = lattice.initial_state_delta(np.array([0.6, 0.8j]))
+    final = lattice.evolve(request.getfixturevalue(coin), state, steps)
+    _assert_distribution_csv_matches_per_site(tmp_path, lattice.position_distribution(final))
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_distribution_csv_skips_zero_rows(phased_model, steps, tmp_path):
+    # rows x1 = 1 and 2 of the start window hold no amplitude
+    state = lattice.initial_state_from_sites({(0, 0): (0.6, 0.0), (3, 1): (0.0, 0.8j)})
+    dist = lattice.position_distribution(lattice.evolve(phased_model, state, steps))
+    assert not dist.probs.any(axis=1).all()
+    _assert_distribution_csv_matches_per_site(tmp_path, dist)
+    if steps == 0:
+        assert (tmp_path / "rows.csv").read_text().splitlines()[1:] == [
+            "0,0,0.35999999999999999", "3,1,0.64000000000000012"]

@@ -394,6 +394,25 @@ def full_density_grid(model, spectrum, v1, v2):
     return f, inside, evaluable, counts[0], counts[1]
 
 
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_gate_tau_is_tau_at_the_preimages(coin, request):
+    # the density weighs each preimage with the forward gate's tau
+    model = request.getfixturevalue(coin)
+    mid = -1.0 + (2.0 * np.arange(41) + 1.0) / 41
+    v1, v2 = np.repeat(mid, 41), np.tile(mid, 41)
+    found = 0
+    for p in (1, 2):
+        for n in range(1, 9):
+            for m in range(1, 5):
+                k1, k2, ok, tau = limit._branch_preimages(model, v1, v2, n, m, p)
+                public = limit.branch_preimages(model, v1, v2, n, m, p)
+                for got, want in zip((k1, k2, ok), public):
+                    assert np.array_equal(got, want)
+                assert np.array_equal(tau, spectral.tau_of(model, k1, k2))
+                found += int(ok.sum())
+    assert found > 0
+
+
 def assert_matches_full_enumeration(model, spectrum, v1, v2):
     grid = limit.density_grid(model, spectrum, v1, v2)
     fields = ("f", "inside", "evaluable", "branch_plus", "branch_minus")

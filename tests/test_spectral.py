@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from altwalk import lattice, spectral
+from altwalk.model import CoinParameters, build_model
+from oracles import per_xi_char_function
 
 
 def _rand_k(rng, n):
@@ -142,3 +144,51 @@ def test_char_function_skips_crossings(degenerate_model):
         degenerate_model, spectrum, (0.0, 0.0), 64, with_info=True)
     assert skipped > 0
     assert val == pytest.approx(1.0, abs=1e-12)
+
+
+# the four wavenumbers where the degenerate coin's bands cross (tau = +-1)
+_CROSSINGS = (np.array([-1.0, 1.0, -1.0, 1.0]) * math.pi / 2,
+              np.array([1.0, -1.0, -1.0, 1.0]) * math.pi / 2)
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_band_weights_from_known_tau(coin, request):
+    model = request.getfixturevalue(coin)
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    k1, k2 = _rand_k(np.random.default_rng(12), 300)
+    k1 = np.concatenate([k1, _CROSSINGS[0]])
+    k2 = np.concatenate([k2, _CROSSINGS[1]])
+    want = spectral.band_weights(model, spectrum, k1, k2)
+    got = spectral._band_weights(model, spectrum, k1, k2, spectral.tau_of(model, k1, k2))
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g, equal_nan=True)
+    if model.derived.degenerate:
+        assert np.isnan(want[0][-4:]).all()  # the crossings are really hit
+
+
+_XIS = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-2.5, 0.75)]
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_char_values_match_one_call_per_xi(coin, request):
+    model = request.getfixturevalue(coin)
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    values, skipped = spectral._char_values(model, spectrum, _XIS, 64)
+    assert len(values) == len(_XIS)
+    for xi, value in zip(_XIS, values):
+        one = spectral.numeric_char_function(model, spectrum, xi, 64, with_info=True)
+        assert (value, skipped) == one == per_xi_char_function(model, spectrum, xi, 64)
+    assert (skipped > 0) == model.derived.degenerate
+
+
+def test_char_values_reject_all_degenerate_grid():
+    # the one point of a 1 x 1 grid is a band crossing of this degenerate coin
+    model = build_model(CoinParameters.from_squared_moduli(0.5, 0.5, beta2=math.pi))
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([1.0, 0.0])))
+    for xis in ([(0.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)]):
+        with pytest.raises(spectral.DegeneracyError):
+            spectral._char_values(model, spectrum, xis, 1)
+    with pytest.raises(spectral.DegeneracyError):
+        spectral.numeric_char_function(model, spectrum, (0.0, 0.0), 1)
+    with pytest.raises(ValueError):
+        spectral._char_values(model, spectrum, [(0.0, 0.0)], 0)
