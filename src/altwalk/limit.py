@@ -33,7 +33,8 @@ only on those whose band-p rotated coordinates lie in square n's closed
 u-quadrant, the first gate of ``branch_preimages``; for an interior point
 off the rotated axes that is two squares per band.  It weighs each preimage
 with the tau = a cos(l1) - b cos(l2) that the forward-consistency gate has
-computed there, the same values ``spectral.band_weights`` would recompute.
+computed there, which ``branch_preimages`` returns and ``spectral.band_weights``
+takes in place of recomputing it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Model, wrap_angle
-from .spectral import DEGENERATE_GAP_TOL, _band_weights, angle_terms, group_velocity
+from .spectral import DEGENERATE_GAP_TOL, angle_terms, band_weights, group_velocity
 
 __all__ = [
     "SUPPORT_BOUNDARY_TOL",
@@ -359,15 +360,11 @@ def _angles_for_square(n, arc1, arc2):
 def branch_preimages(model: Model, v1, v2, n: int, m: int, p: int):
     """Vectorized preimage construction for one (n, m, p) slot.
 
-    Returns (k1, k2, ok): wavenumbers in [-pi, pi)^2 and a boolean mask of the
-    points where this slot produces a preimage whose forward velocity
-    reproduces the target within 1e-9.  Entries with ok == False hold junk.
+    Returns (k1, k2, ok, tau): wavenumbers in [-pi, pi)^2, a boolean mask of
+    the points where this slot produces a preimage whose forward velocity
+    reproduces the target within 1e-9, and ``tau_of`` at (k1, k2) as the
+    forward gate computed it.  Entries with ok == False hold junk.
     """
-    return _branch_preimages(model, v1, v2, n, m, p)[:3]
-
-
-def _branch_preimages(model: Model, v1, v2, n: int, m: int, p: int):
-    """``branch_preimages`` plus tau at the preimages, from the forward gate."""
     d = model.derived
     a, b = d.a, d.b
     band_sign = 1.0 if p == 1 else -1.0
@@ -430,7 +427,8 @@ def _inverse_labelled(model: Model, v1, v2, n, m, is_r):
         for sec in range(1, 5):
             idx = np.nonzero(gate & (n == sq) & (m == sec))[0]
             if idx.size:
-                k1[idx], k2[idx], ok[idx] = branch_preimages(model, v1[idx], v2[idx], sq, sec, 1)
+                k1[idx], k2[idx], ok[idx], _ = branch_preimages(
+                    model, v1[idx], v2[idx], sq, sec, 1)
     return k1, k2, ok
 
 
@@ -513,7 +511,7 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
 def _preimage_slots(model: Model, v1, v2):
     """Yield (p, n, m, idx, k1, k2, ok, tau) for every (p, n, m) slot in that order.
 
-    Slot (p, n, m) runs ``_branch_preimages`` only on the points idx whose
+    Slot (p, n, m) runs ``branch_preimages`` only on the points idx whose
     band-p rotated coordinates pass square n's closed quadrant gate, computed
     exactly as that routine's first gate, so points on the rotated axes reach
     both adjacent squares.  A (p, n) pair with no such point is skipped.
@@ -528,7 +526,7 @@ def _preimage_slots(model: Model, v1, v2):
                 continue
             s1, s2 = v1[idx], v2[idx]
             for m in range(1, 5):
-                yield (p, n, m, idx, *_branch_preimages(model, s1, s2, n, m, p))
+                yield (p, n, m, idx, *branch_preimages(model, s1, s2, n, m, p))
 
 
 def _keep_new(idx, k1, k2, kept):
@@ -551,7 +549,7 @@ def _add_branches(model, spectrum, p, idx, k1, k2, tau, jinv, f, count):
     """Add band-p weight times inverse Jacobian of preimages (k1, k2) at points idx;
     tau is the forward gate's trace term at those preimages."""
     if idx.size:
-        w1, w2 = _band_weights(model, spectrum, k1, k2, tau)
+        w1, w2 = band_weights(model, spectrum, k1, k2, tau)
         f[idx] += (w1 if p == 1 else w2) * jinv[idx]
         count[idx] += 1
 

@@ -228,19 +228,17 @@ def spectral_reconstruct(model, state0: LatticeState, t: int) -> LatticeState:
     return LatticeState(amps=amps, x1_min=x1_min, x2_min=x2_min, time=t)
 
 
-def band_weights(model, spectrum: InitialSpectrum, k1, k2):
+def band_weights(model, spectrum: InitialSpectrum, k1, k2, tau=None):
     """Spectral weights P_p(k) = |<psi_hat_0(k)|band p>|^2 for p = 1, 2.
 
     Computed through the spectral projector (U - lam_2)/(lam_1 - lam_2), which
-    avoids picking eigenvector phases.  P_1 + P_2 = |psi_hat_0(k)|^2.  The limit
-    density takes the same weights from the tau its forward-consistency gate has
-    already computed at each preimage, through ``_band_weights``.
+    avoids picking eigenvector phases.  P_1 + P_2 = |psi_hat_0(k)|^2.  tau is
+    the trace term ``tau_of(model, k1, k2)``, computed here when not given; the
+    limit density passes the tau its forward-consistency gate has already
+    computed at each preimage.
     """
-    return _band_weights(model, spectrum, k1, k2, tau_of(model, k1, k2))
-
-
-def _band_weights(model, spectrum: InitialSpectrum, k1, k2, tau):
-    """``band_weights`` at wavenumbers k whose trace term tau is already known."""
+    if tau is None:
+        tau = tau_of(model, k1, k2)
     psi = spectrum(k1, k2)
     p0, p1 = psi[..., 0], psi[..., 1]
     m11, m12, m21, m22 = bloch_entries(model, k1, k2)
@@ -261,21 +259,16 @@ def numeric_char_function(
     wavenumber grid.  Grid points where the bands touch (1 - tau^2 <= 1e-12)
     have no defined group velocity and are skipped; the average runs over the
     remaining points and the skipped count is available via ``with_info``.
-    """
-    values, skipped = _char_values(model, spectrum, [xi], grid_n)
-    if with_info:
-        return values[0], skipped
-    return values[0]
 
-
-def _char_values(model, spectrum: InitialSpectrum, xi_list, grid_n: int):
-    """``numeric_char_function`` at every xi of ``xi_list``, and the skipped count.
-
-    The wavenumber grid, its group velocities and its band weights do not
-    depend on xi; they are built once and each xi only sums its phases.
+    xi is one pair (xi1, xi2), giving one complex value, or a sequence of
+    pairs, giving a list with one value per pair.  The grid, its group
+    velocities and its band weights do not depend on xi and are built once.
     """
     if grid_n < 1:
         raise ValueError(f"grid size must be positive, got {grid_n}")
+    xis = np.asarray(xi, dtype=np.float64)
+    if xis.ndim not in (1, 2) or xis.shape[-1] != 2:
+        raise ValueError(f"xi must be a pair or a sequence of pairs, got shape {xis.shape}")
     g1 = -math.pi + (2.0 * math.pi / grid_n) * np.arange(grid_n)[:, None]
     g2 = -math.pi + (2.0 * math.pi / grid_n) * np.arange(grid_n)[None, :]
     d = model.derived
@@ -288,10 +281,13 @@ def _char_values(model, spectrum: InitialSpectrum, xi_list, grid_n: int):
     gap = np.sqrt(np.where(ok, gap_sq, 1.0))
     v1 = -(d.a * s1 + d.b * s2) / gap
     v2 = -(d.a * s1 - d.b * s2) / gap
-    w1, w2 = _band_weights(model, spectrum, g1, g2, tau)
+    w1, w2 = band_weights(model, spectrum, g1, g2, tau)
     values = []
-    for xi in xi_list:
-        phase = float(xi[0]) * v1 + float(xi[1]) * v2
+    for xi1, xi2 in xis.reshape(-1, 2).tolist():
+        phase = xi1 * v1 + xi2 * v2
         vals = np.exp(1j * phase) * w1 + np.exp(-1j * phase) * w2
         values.append(complex(np.sum(np.where(ok, vals, 0.0)) / n_ok))
-    return values, grid_n * grid_n - n_ok
+    value = values[0] if xis.ndim == 1 else values
+    if with_info:
+        return value, grid_n * grid_n - n_ok
+    return value

@@ -321,7 +321,7 @@ def _char_rows(model: Model, state0, xi_list, grid_n: int = 256,
     spectrum = spectral.fourier_initial(state0)
     arcs = limit._quadrature_arcs(model, spectrum, *quad)
     mass = limit._integrate_on(arcs).total
-    spes, _ = spectral._char_values(model, spectrum, xi_list, grid_n)
+    spes = spectral.numeric_char_function(model, spectrum, xi_list, grid_n)
     rows = []
     for xi, spe in zip(xi_list, spes):
         xi1, xi2 = float(xi[0]), float(xi[1])

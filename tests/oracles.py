@@ -5,8 +5,8 @@ branch labels, the labelled inversion, the round trip and the weight table
 became array code, the quadrature that evaluated the density once per weight,
 the density and walk-site work done on whole arrays before it went in blocks,
 the suite run on one thread, the characteristic function that built its
-wavenumber grid once per xi, and the CSV writers that formatted one cell or
-site at a time.  The code that replaced them must reproduce them exactly.
+wavenumber grid once per xi, the band weights that always computed their own
+tau, and the CSV writers that formatted one cell or site at a time.  The code that replaced them must reproduce them exactly.
 """
 
 import math
@@ -59,7 +59,7 @@ def scalar_inverse_map(model, v1, v2, branch):
         u_shape = "R" if d.a * abs(u2) >= d.b * abs(u1) else "T"
         if branch.s != u_shape:
             raise limit.BranchError(f"branch {branch} demands the other shape")
-    k1, k2, ok = limit.branch_preimages(
+    k1, k2, ok, _ = limit.branch_preimages(
         model, np.array([v1]), np.array([v2]), branch.n, branch.m, branch.p
     )
     if not bool(ok[0]):
@@ -95,7 +95,8 @@ def scalar_weight_table_sets(model, v1, v2):
     for p in (1, 2):
         for n in range(1, 9):
             for m in range(1, 5):
-                _, _, ok = limit.branch_preimages(model, np.array([v1]), np.array([v2]), n, m, p)
+                _, _, ok, _ = limit.branch_preimages(
+                    model, np.array([v1]), np.array([v2]), n, m, p)
                 if bool(ok[0]):
                     actual[p].add(n)
     return actual
@@ -277,6 +278,22 @@ def per_xi_char_function(model, spectrum, xi, grid_n):
     if n_ok == 0:
         raise spectral.DegeneracyError("all grid points are spectrally degenerate")
     return complex(np.sum(np.where(ok, vals, 0.0)) / n_ok), grid_n * grid_n - n_ok
+
+
+def own_tau_band_weights(model, spectrum, k1, k2):
+    """``spectral.band_weights`` computing tau and the eigenvalues from k itself."""
+    tau = spectral.tau_of(model, k1, k2)
+    gap = np.sqrt(np.maximum(1.0 - tau * tau, 0.0))
+    phase = np.exp(0.5j * model.derived.delta)
+    lam1, lam2 = (tau + 1j * gap) * phase, (tau - 1j * gap) * phase
+    psi = spectrum(k1, k2)
+    p0, p1 = psi[..., 0], psi[..., 1]
+    m11, m12, m21, m22 = spectral.bloch_entries(model, k1, k2)
+    ip = np.conj(p0) * (m11 * p0 + m12 * p1) + np.conj(p1) * (m21 * p0 + m22 * p1)
+    nrm = np.abs(p0) ** 2 + np.abs(p1) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w1 = np.real((ip - lam2 * nrm) / (lam1 - lam2))
+    return w1, nrm - w1
 
 
 def per_cell_density_csv(path, mid, f, inside):

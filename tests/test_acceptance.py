@@ -146,7 +146,7 @@ def test_criterion_08_branch_count(reference_model):
     for p in (1, 2):
         for n in range(1, 9):
             for m in range(1, 5):
-                _, _, ok = limit.branch_preimages(reference_model, v1, v2, n, m, p)
+                _, _, ok, _ = limit.branch_preimages(reference_model, v1, v2, n, m, p)
                 if m % 2 == 0:
                     count_plus += ok
                 else:

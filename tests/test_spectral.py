@@ -5,7 +5,7 @@ import pytest
 
 from altwalk import lattice, spectral
 from altwalk.model import CoinParameters, build_model
-from oracles import per_xi_char_function
+from oracles import own_tau_band_weights, per_xi_char_function
 
 
 def _rand_k(rng, n):
@@ -158,10 +158,12 @@ def test_band_weights_from_known_tau(coin, request):
     k1, k2 = _rand_k(np.random.default_rng(12), 300)
     k1 = np.concatenate([k1, _CROSSINGS[0]])
     k2 = np.concatenate([k2, _CROSSINGS[1]])
-    want = spectral.band_weights(model, spectrum, k1, k2)
-    got = spectral._band_weights(model, spectrum, k1, k2, spectral.tau_of(model, k1, k2))
-    for w, g in zip(want, got):
-        assert np.array_equal(w, g, equal_nan=True)
+    want = own_tau_band_weights(model, spectrum, k1, k2)
+    tau = spectral.tau_of(model, k1, k2)
+    for got in (spectral.band_weights(model, spectrum, k1, k2),
+                spectral.band_weights(model, spectrum, k1, k2, tau)):
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g, equal_nan=True)
     if model.derived.degenerate:
         assert np.isnan(want[0][-4:]).all()  # the crossings are really hit
 
@@ -170,25 +172,32 @@ _XIS = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-2.5, 0.75)]
 
 
 @pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
-def test_char_values_match_one_call_per_xi(coin, request):
+def test_char_function_of_many_xi_matches_one_call_per_xi(coin, request):
     model = request.getfixturevalue(coin)
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
-    values, skipped = spectral._char_values(model, spectrum, _XIS, 64)
-    assert len(values) == len(_XIS)
-    for xi, value in zip(_XIS, values):
-        one = spectral.numeric_char_function(model, spectrum, xi, 64, with_info=True)
-        assert (value, skipped) == one == per_xi_char_function(model, spectrum, xi, 64)
+    for xis in (_XIS, np.array(_XIS), _XIS[:1]):
+        values, skipped = spectral.numeric_char_function(model, spectrum, xis, 64, with_info=True)
+        assert isinstance(values, list) and len(values) == len(xis)
+        for xi, value in zip(_XIS, values):
+            one = spectral.numeric_char_function(model, spectrum, xi, 64, with_info=True)
+            assert (value, skipped) == one == per_xi_char_function(model, spectrum, xi, 64)
+        assert values == spectral.numeric_char_function(model, spectrum, xis, 64)
     assert (skipped > 0) == model.derived.degenerate
 
 
-def test_char_values_reject_all_degenerate_grid():
+def test_char_function_rejects_bad_xi_shapes(reference_model):
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([1.0, 0.0])))
+    for xi in ((1.0,), (1.0, 0.0, 0.0), [], [[(0.0, 0.0)]], 0.5):
+        with pytest.raises(ValueError):
+            spectral.numeric_char_function(reference_model, spectrum, xi, 8)
+
+
+def test_char_function_rejects_all_degenerate_grid():
     # the one point of a 1 x 1 grid is a band crossing of this degenerate coin
     model = build_model(CoinParameters.from_squared_moduli(0.5, 0.5, beta2=math.pi))
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([1.0, 0.0])))
-    for xis in ([(0.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)]):
+    for xi in ((0.0, 0.0), [(0.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)]):
         with pytest.raises(spectral.DegeneracyError):
-            spectral._char_values(model, spectrum, xis, 1)
-    with pytest.raises(spectral.DegeneracyError):
-        spectral.numeric_char_function(model, spectrum, (0.0, 0.0), 1)
+            spectral.numeric_char_function(model, spectrum, xi, 1)
     with pytest.raises(ValueError):
-        spectral._char_values(model, spectrum, [(0.0, 0.0)], 0)
+        spectral.numeric_char_function(model, spectrum, [(0.0, 0.0)], 0)
