@@ -294,6 +294,8 @@ def _parse_tolerances(pairs) -> dict:
 
 
 def cmd_verify(cfg: RunConfig, only, tolerance_pairs) -> int:
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     model = model_from(cfg)
     tols = _parse_tolerances(tolerance_pairs)
     out = _out_dir(cfg) if cfg.out is not None else None
@@ -336,7 +338,7 @@ def cmd_chars(cfg: RunConfig, xi_items) -> int:
         raise ConfigError(f"grid_n must be positive, got {cfg.grid_n}")
     xi_list = _parse_xi(xi_items)
     for xi in xi_list:
-        if max(abs(xi[0]), abs(xi[1])) > 3.0:
+        if not all(abs(x) <= 3.0 for x in xi):  # also rejects nan
             raise ConfigError(f"|xi| <= 3 per component, got {xi}")
     out = _out_dir(cfg) if cfg.out is not None else None
     model = model_from(cfg)

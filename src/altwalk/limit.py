@@ -25,7 +25,8 @@ inverse Jacobian, and every inverse is validated by applying the forward map
 and checking the velocity is reproduced within 1e-9; branches that fail any
 algebraic gate or that final check simply do not contribute.  This
 enumeration is the authoritative density; the published closed-form region
-bookkeeping is retained only as a soft cross-check (``weight_table_report``).
+bookkeeping is retained only as a soft cross-check (``_table_matches``, run
+by ``verify.check_weight_table``).
 
 ``density_grid`` enumerates only the evaluable points (inside the support
 and outside the boundary shell), and runs the four m slots of each (p, n)
@@ -72,7 +73,6 @@ __all__ = [
     "density_grid",
     "integrate_density",
     "reference_ellipse_grover",
-    "weight_table_report",
 ]
 
 SUPPORT_BOUNDARY_TOL = 1e-9  # half-width of the support boundary band
@@ -284,18 +284,19 @@ def jacobian_inverse(model: Model, v1: float, v2: float, sign: int) -> float:
     return value
 
 
-def jacobian_forward(model: Model, k1: float, k2: float) -> float:
-    """|J|(k): absolute Jacobian determinant of the band-1 velocity map."""
+def jacobian_forward(model: Model, k1, k2):
+    """|J|(k): absolute Jacobian determinant of the band-1 velocity map, broadcast
+    over k; raises OutsideSupportError if any k is spectrally degenerate."""
     d = model.derived
     a, b = d.a, d.b
     _, _, c1, _, c2, _, tau = angle_terms(model, k1, k2)
-    gap_sq = 1.0 - float(tau) ** 2
-    if gap_sq <= DEGENERATE_GAP_TOL:
+    gap_sq = 1.0 - tau * tau
+    if np.any(gap_sq <= DEGENERATE_GAP_TOL):
         raise OutsideSupportError(
             f"velocity map undefined at spectrally degenerate k = ({k1}, {k2})"
         )
-    quad = a * b * float(c2) ** 2 + (1.0 - a * a - b * b) * float(c1) * float(c2) + a * b * float(c1) ** 2
-    return 4.0 * a * b * abs(quad) / gap_sq**2
+    quad = a * b * (c2 * c2) + (1.0 - a * a - b * b) * c1 * c2 + a * b * (c1 * c1)
+    return 4.0 * a * b * np.abs(quad) / (gap_sq * gap_sq)
 
 
 def _sector_of(c1, c2, j_plus):
@@ -620,47 +621,22 @@ class IntegralResult:
     total: complex  # value + shell_estimate
 
 
-def integrate_density(
-    model: Model,
-    spectrum,
-    weight=None,
-    n_theta: int = 64,
-    n_rad: int = 64,
-    shell: float = _QUADRATURE_SHELL,
-) -> IntegralResult:
+def integrate_density(model: Model, spectrum, weight=None, n_theta: int = 64,
+                      n_rad: int = 64) -> IntegralResult | list[IntegralResult]:
     """Integrate f(v) weight(v) dv / (2 pi)^2 over the support.
 
     Polar quadrature in the rotated frame: Gauss-Legendre in angle on each
     arc between ellipse crossings, and in radius after the substitution
     rho = rho_b - w^2 that removes the inverse-square-root blowup at the
-    boundary.  A shell of width ``shell`` at the boundary is excised and its
-    mass estimated from the boundary asymptotics; the estimate is reported
-    and included in ``total``.
+    boundary.  A shell of width ``_QUADRATURE_SHELL`` at the boundary is
+    excised and its mass estimated from the boundary asymptotics; the
+    estimate is reported and included in ``total``.
+
+    ``weight`` is None, one callable of (v1, v2) arrays, or a list of those.
+    A list returns one ``IntegralResult`` per entry: f is evaluated once per
+    arc and every weight summed on it, with the same bits as one call each.
     """
-    return _integrate_on(_quadrature_arcs(model, spectrum, n_theta, n_rad, shell), weight)
-
-
-@dataclass(frozen=True)
-class _QuadratureArc:
-    """The nodes of one arc of ``integrate_density`` with f evaluated on them."""
-
-    f: np.ndarray  # density at the (angle, radius) nodes
-    v1: np.ndarray
-    v2: np.ndarray
-    rho: np.ndarray
-    w: np.ndarray  # radial nodes w, rho = rho_b - w^2
-    w_weight: np.ndarray  # radial Gauss-Legendre weights times the w half-width
-    th_w: np.ndarray  # angular Gauss-Legendre weights times the arc half-width
-    shell_f: np.ndarray  # density at the inner edge of the excised shell
-    shell_v1: np.ndarray
-    shell_v2: np.ndarray
-    eps: np.ndarray  # shell width per angle
-    rho_b: np.ndarray  # boundary radius per angle
-
-
-def _quadrature_arcs(model: Model, spectrum, n_theta: int, n_rad: int,
-                     shell: float = _QUADRATURE_SHELL):
-    """Build the quadrature nodes of every arc and evaluate f on them once."""
+    weights = weight if isinstance(weight, list) else [weight]
     corners = support_corners(model)
     if corners.shape[0]:
         cu1, cu2 = rotated_coords(corners[:, 0], corners[:, 1])
@@ -670,54 +646,51 @@ def _quadrature_arcs(model: Model, spectrum, n_theta: int, n_rad: int,
     edges = np.concatenate([cang, [cang[0] + 2.0 * math.pi]])
     gx, gw = np.polynomial.legendre.leggauss(n_theta)
     rx, rw = np.polynomial.legendre.leggauss(n_rad)
-    arcs = []
+    total = [0.0 + 0.0j] * len(weights)
+    shell_mass = [0.0 + 0.0j] * len(weights)
     for left, right in zip(edges[:-1], edges[1:]):
         half = 0.5 * (right - left)
         theta = 0.5 * (right + left) + half * gx
+        th_w = half * gw
         rho_b = support_radius(model, theta)
         # radius rho = rho_b - w^2 with w from sqrt(shell) to sqrt(rho_b)
-        w_lo = np.sqrt(np.minimum(shell, rho_b))
+        w_lo = np.sqrt(np.minimum(_QUADRATURE_SHELL, rho_b))
         w_hi = np.sqrt(rho_b)
         w_half = 0.5 * (w_hi - w_lo)
         w_mid = 0.5 * (w_hi + w_lo)
         w_nodes = w_mid[:, None] + w_half[:, None] * rx[None, :]
+        w_weight = w_half[:, None] * rw[None, :]
         rho = rho_b[:, None] - w_nodes**2
         u1 = rho * np.cos(theta)[:, None]
         u2 = rho * np.sin(theta)[:, None]
         p1 = _SQRT_HALF * (u1 + u2)
         p2 = _SQRT_HALF * (u1 - u2)
         # boundary asymptotics f ~ c / sqrt(rho_b - rho) give the shell mass
-        eps = np.minimum(shell, rho_b)
+        eps = np.minimum(_QUADRATURE_SHELL, rho_b)
         e1 = (rho_b - eps) * np.cos(theta)
         e2 = (rho_b - eps) * np.sin(theta)
         q1 = _SQRT_HALF * (e1 + e2)
         q2 = _SQRT_HALF * (e1 - e2)
-        arcs.append(_QuadratureArc(
-            f=density_grid(model, spectrum, p1, p2).f, v1=p1, v2=p2, rho=rho, w=w_nodes,
-            w_weight=w_half[:, None] * rw[None, :], th_w=half * gw,
-            shell_f=density_grid(model, spectrum, q1, q2).f, shell_v1=q1, shell_v2=q2,
-            eps=eps, rho_b=rho_b))
-    return arcs
-
-
-def _integrate_on(arcs, weight=None) -> IntegralResult:
-    """``integrate_density`` on the arcs of ``_quadrature_arcs``, for one weight."""
-    total = 0.0 + 0.0j
-    shell_mass = 0.0 + 0.0j
+        f = density_grid(model, spectrum, p1, p2).f
+        shell_f = density_grid(model, spectrum, q1, q2).f
+        for i, wt in enumerate(weights):
+            vals = f * (wt(p1, p2) if wt is not None else 1.0)
+            # d rho = -2 w d w; the radial integrand is f * wt * rho * 2w
+            radial = np.sum(vals * rho * 2.0 * w_nodes * w_weight, axis=1)
+            total[i] += np.sum(radial * th_w)
+            evals = shell_f * (wt(q1, q2) if wt is not None else 1.0)
+            shell_mass[i] += np.sum(2.0 * evals * eps * rho_b * th_w)
     inv_two_pi_sq = 1.0 / (2.0 * math.pi) ** 2
-    for arc in arcs:
-        vals = arc.f * (weight(arc.v1, arc.v2) if weight is not None else 1.0)
-        # d rho = -2 w d w; the radial integrand is f * wt * rho * 2w
-        radial = np.sum(vals * arc.rho * 2.0 * arc.w * arc.w_weight, axis=1)
-        total += np.sum(radial * arc.th_w)
-        evals = arc.shell_f * (weight(arc.shell_v1, arc.shell_v2) if weight is not None else 1.0)
-        shell_mass += np.sum(2.0 * evals * arc.eps * arc.rho_b * arc.th_w)
-    value = total * inv_two_pi_sq
-    shell_est = shell_mass * inv_two_pi_sq
-    if weight is None:
-        value = value.real
-        shell_est = shell_est.real
-    return IntegralResult(value=value, shell_estimate=shell_est, total=value + shell_est)
+    results = []
+    for wt, arcs_sum, shell_sum in zip(weights, total, shell_mass):
+        value = arcs_sum * inv_two_pi_sq
+        shell_est = shell_sum * inv_two_pi_sq
+        if wt is None:
+            value = value.real
+            shell_est = shell_est.real
+        results.append(IntegralResult(value=value, shell_estimate=shell_est,
+                                      total=value + shell_est))
+    return results if isinstance(weight, list) else results[0]
 
 
 def reference_ellipse_grover(a_param: float, v1, v2):
@@ -767,25 +740,3 @@ def _table_matches(model: Model, v1, v2):
         for p, squares in enumerate(bands):
             expected[octant, p, [n - 1 for n in squares]] = True
     return (_preimage_squares(model, v1, v2) == expected[_octants(v1, v2)]).all(axis=(1, 2))
-
-
-def weight_table_report(model: Model, v1: float, v2: float) -> dict:
-    """Compare enumerated preimage regions against the published octant table.
-
-    The published per-octant windmill-square sets disagree with the quadrant
-    geometry of the rotated frame on generic points, so mismatches here are
-    expected and informational; the enumeration itself is validated by the
-    forward map, not by this table.
-    """
-    w1, w2 = np.array([v1], dtype=np.float64), np.array([v2], dtype=np.float64)
-    octant = int(_octants(w1, w2)[0])
-    expected_p1, expected_p2 = _TABLE_OCTANT_SETS[octant]
-    actual = [set((np.nonzero(band)[0] + 1).tolist()) for band in _preimage_squares(model, w1, w2)[0]]
-    return {
-        "octant": octant,
-        "expected_band1": sorted(expected_p1),
-        "expected_band2": sorted(expected_p2),
-        "actual_band1": sorted(actual[0]),
-        "actual_band2": sorted(actual[1]),
-        "matches": actual[0] == expected_p1 and actual[1] == expected_p2,
-    }

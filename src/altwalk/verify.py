@@ -209,33 +209,33 @@ def check_jacobian(model: Model, samples: int = 1000, *, seed: int = 0,
     """Forward Jacobian against finite differences and the branch-matched inverse.
 
     Points with |J| <= 1e-4 sit near the fold curves where the derivative
-    degenerates; they are excluded and counted.
+    degenerates; they are excluded and counted, as are points off the open
+    support.  The draws go in rounds as in ``_roundtrip_worst``.
     """
     rng = np.random.default_rng(seed)
     h = 1e-5
-    fd_worst = 0.0
     excluded = 0
-    accepted = []
-    while len(accepted) < samples:
-        k1, k2 = rng.uniform(-math.pi, math.pi, size=2)
-        v1, v2 = (float(x) for x in limit.forward_map(model, k1, k2))
-        if limit.support_contains(model, v1, v2) != "inside":
-            excluded += 1
-            continue
-        jf = limit.jacobian_forward(model, k1, k2)
-        if jf <= 1e-4:
-            excluded += 1
-            continue
-        dp1 = np.array(limit.forward_map(model, k1 + h, k2))
-        dm1 = np.array(limit.forward_map(model, k1 - h, k2))
-        dp2 = np.array(limit.forward_map(model, k1, k2 + h))
-        dm2 = np.array(limit.forward_map(model, k1, k2 - h))
-        col1 = (dp1 - dm1) / (2.0 * h)
-        col2 = (dp2 - dm2) / (2.0 * h)
-        det = abs(col1[0] * col2[1] - col1[1] * col2[0])
-        fd_worst = max(fd_worst, abs(det - jf) / jf)
-        accepted.append((k1, k2, v1, v2, jf))
-    k1, k2, v1, v2, jf = np.array(accepted, dtype=np.float64).reshape(-1, 5).T
+    kept = [(np.empty(0),) * 5]  # (k1, k2, v1, v2, |J|) of each round's accepted draws
+    done = 0
+    while done < samples:
+        remaining = samples - done
+        k1, k2 = rng.uniform(-math.pi, math.pi, size=(remaining, 2)).T
+        v1, v2 = limit.forward_map(model, k1, k2)
+        at = np.nonzero(limit._inside_mask(model, *limit.rotated_coords(v1, v2)))[0]
+        jf = limit.jacobian_forward(model, k1[at], k2[at])
+        at, jf = at[jf > 1e-4], jf[jf > 1e-4]
+        kept.append((k1[at], k2[at], v1[at], v2[at], jf))
+        excluded += remaining - at.size
+        done += at.size
+    k1, k2, v1, v2, jf = (np.concatenate(col) for col in zip(*kept))
+    dp1 = limit.forward_map(model, k1 + h, k2)
+    dm1 = limit.forward_map(model, k1 - h, k2)
+    dp2 = limit.forward_map(model, k1, k2 + h)
+    dm2 = limit.forward_map(model, k1, k2 - h)
+    col1 = [(p - m) / (2.0 * h) for p, m in zip(dp1, dm1)]
+    col2 = [(p - m) / (2.0 * h) for p, m in zip(dp2, dm2)]
+    det = np.abs(col1[0] * col2[1] - col1[1] * col2[0])
+    fd_worst = float(np.max(np.abs(det - jf) / jf, initial=0.0))
     _, m, _ = limit._branch_labels(model, k1, k2)
     plus, minus = limit._jacobian_factors(model, v1, v2)
     jinv = np.where(m % 2 == 0, plus, minus)
@@ -314,24 +314,18 @@ def _char_rows(model: Model, state0, xi_list, grid_n: int = 256,
     """(xi, spectral, density) per xi and the density mass: ``char_triples``
     without the walk.
 
-    The density is evaluated once on the quadrature nodes, and the spectral
-    side's wavenumber grid is built once; the mass and every xi value are
-    summed from those.
+    One ``integrate_density`` call gives the mass and every xi's density value
+    from one evaluation of f on the quadrature nodes, and the spectral side's
+    wavenumber grid is built once.
     """
     spectrum = spectral.fourier_initial(state0)
-    arcs = limit._quadrature_arcs(model, spectrum, *quad)
-    mass = limit._integrate_on(arcs).total
+    xis = [(float(xi[0]), float(xi[1])) for xi in xi_list]
+    weights = [lambda a, b, xi=xi: np.exp(1j * (xi[0] * a + xi[1] * b)) for xi in xis]
+    mass, *weighted = limit.integrate_density(model, spectrum, [None, *weights], *quad)
     spes = spectral.numeric_char_function(model, spectrum, xi_list, grid_n)
-    rows = []
-    for xi, spe in zip(xi_list, spes):
-        xi1, xi2 = float(xi[0]), float(xi[1])
-        if xi1 == 0.0 and xi2 == 0.0:
-            den = complex(1.0)
-        else:
-            weight = lambda a, b: np.exp(1j * (xi1 * a + xi2 * b))
-            den = complex(limit._integrate_on(arcs, weight).total / mass)
-        rows.append(((xi1, xi2), spe, den))
-    return rows, float(mass)
+    rows = [(xi, spe, complex(1.0) if xi == (0.0, 0.0) else complex(res.total / mass.total))
+            for xi, spe, res in zip(xis, spes, weighted)]
+    return rows, float(mass.total)
 
 
 def _analytic_bin_masses(model: Model, spectrum, bins: int, refine: int) -> tuple[np.ndarray, dict]:

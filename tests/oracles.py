@@ -1,8 +1,8 @@
 """Scalar reference implementations kept as test oracles.
 
 These are the per-sample loops that ``limit`` and ``verify`` used before the
-branch labels, the labelled inversion, the round trip and the weight table
-became array code, the quadrature that evaluated the density once per weight,
+branch labels, the labelled inversion, the round trip, the Jacobian check and
+the weight table became array code, the quadrature that evaluated the density once per weight,
 the density and walk-site work done on whole arrays before it went in blocks,
 the suite run on one thread, the characteristic function that built its
 wavenumber grid once per xi, the band weights that always computed their own
@@ -87,6 +87,44 @@ def scalar_roundtrip_worst(model, samples, rng):
         worst = max(worst, limit._torus_dist(k1, k2, r1, r2))
         done += 1
     return worst, excluded
+
+
+def scalar_check_jacobian(model, samples=1000, *, seed=0, tolerances=None):
+    """``verify.check_jacobian`` drawing, gating and differencing one sample at a time."""
+    rng = np.random.default_rng(seed)
+    h = 1e-5
+    fd_worst = 0.0
+    excluded = 0
+    accepted = []
+    while len(accepted) < samples:
+        k1, k2 = rng.uniform(-math.pi, math.pi, size=2)
+        v1, v2 = (float(x) for x in limit.forward_map(model, k1, k2))
+        if limit.support_contains(model, v1, v2) != "inside":
+            excluded += 1
+            continue
+        jf = limit.jacobian_forward(model, k1, k2)
+        if jf <= 1e-4:
+            excluded += 1
+            continue
+        dp1 = np.array(limit.forward_map(model, k1 + h, k2))
+        dm1 = np.array(limit.forward_map(model, k1 - h, k2))
+        dp2 = np.array(limit.forward_map(model, k1, k2 + h))
+        dm2 = np.array(limit.forward_map(model, k1, k2 - h))
+        col1 = (dp1 - dm1) / (2.0 * h)
+        col2 = (dp2 - dm2) / (2.0 * h)
+        det = abs(col1[0] * col2[1] - col1[1] * col2[0])
+        fd_worst = max(fd_worst, abs(det - jf) / jf)
+        accepted.append((k1, k2, v1, v2, jf))
+    k1, k2, v1, v2, jf = np.array(accepted, dtype=np.float64).reshape(-1, 5).T
+    _, m, _ = limit._branch_labels(model, k1, k2)
+    plus, minus = limit._jacobian_factors(model, v1, v2)
+    jinv = np.where(m % 2 == 0, plus, minus)
+    br_worst = float(np.max(np.abs(jinv - 1.0 / jf) * jf, initial=0.0))
+    details = {"samples": samples, "excluded": excluded, "h": h}
+    return [
+        verify._report("jacobian_fd", fd_worst, seed, details, tolerances),
+        verify._report("jacobian_branch", br_worst, seed, details, tolerances),
+    ]
 
 
 def scalar_weight_table_sets(model, v1, v2):

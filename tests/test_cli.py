@@ -182,6 +182,22 @@ def test_verify_missing_out_dir_fails_before_running(tmp_path, monkeypatch):
     assert run_cli(["verify", "--only", "support", "--out", str(missing)]) == cli.EXIT_IO
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_verify_negative_seed_fails_before_running(via_config, tmp_path, monkeypatch, capsys):
+    def run_suite(*args, **kwargs):
+        raise AssertionError("the suite ran before the seed was checked")
+
+    monkeypatch.setattr(cli.verify, "run_suite", run_suite)
+    if via_config:
+        cfg = tmp_path / "walk.cfg"
+        cfg.write_text("seed = -1\n")
+        args = ["verify", "--config", str(cfg)]
+    else:
+        args = ["verify", "--seed", "-1"]
+    assert run_cli(args) == cli.EXIT_CONFIG
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_verify_unknown_check():
     assert run_cli(["verify", "--only", "nope"]) == cli.EXIT_CONFIG
 
@@ -236,6 +252,8 @@ def test_chars_nonpositive_grid_is_config_error(grid_n, monkeypatch, capsys):
 def test_chars_bad_xi():
     assert run_cli(["chars", "--steps", "5", "--xi", "1;2"]) == cli.EXIT_CONFIG
     assert run_cli(["chars", "--steps", "5", "--xi", "4,0"]) == cli.EXIT_CONFIG
+    assert run_cli(["chars", "--steps", "5", "--xi", "nan,0"]) == cli.EXIT_CONFIG
+    assert run_cli(["chars", "--steps", "5", "--xi", "0,nan"]) == cli.EXIT_CONFIG
 
 
 def test_byte_stable_outputs(tmp_path):

@@ -104,6 +104,29 @@ def test_jacobian_forward_positive_inside(reference_model):
         assert limit.jacobian_forward(reference_model, k1, k2) >= 0.0
 
 
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_jacobian_forward_array_matches_scalar_calls(coin, request):
+    model = request.getfixturevalue(coin)
+    # enough points that a power ** 2, which differs from x * x in the last bit
+    # for about one scalar in a thousand, would show
+    k1, k2 = np.random.default_rng(31).uniform(-math.pi, math.pi, size=(2, 20, 100))
+    got = limit.jacobian_forward(model, k1, k2)
+    assert got.shape == k1.shape
+    want = [[limit.jacobian_forward(model, a, b) for a, b in zip(r1, r2)]
+            for r1, r2 in zip(k1.tolist(), k2.tolist())]
+    assert np.array_equal(got, np.array(want))
+
+
+def test_jacobian_forward_raises_on_one_band_crossing(degenerate_model):
+    k1 = np.array([0.3, -math.pi / 2, 1.1])  # the middle k is a band crossing
+    k2 = np.array([-0.2, math.pi / 2, 0.4])
+    assert np.all(limit.jacobian_forward(degenerate_model, k1[::2], k2[::2]) > 0.0)
+    with pytest.raises(limit.OutsideSupportError):
+        limit.jacobian_forward(degenerate_model, k1, k2)
+    with pytest.raises(limit.OutsideSupportError):
+        limit.jacobian_forward(degenerate_model, -math.pi / 2, math.pi / 2)
+
+
 def test_degenerate_jacobian_form(degenerate_model):
     for v1, v2 in ((0.2, -0.1), (0.55, 0.3), (0.0, 0.0)):
         expect = 1.0 / ((1.0 - v1 * v1) * (1.0 - v2 * v2))
@@ -327,6 +350,23 @@ def test_integrate_density_matches_per_weight_quadrature(coin, request):
             want.value, want.shell_estimate, want.total)
 
 
+_XI_WEIGHTS = [lambda a, b, xi=xi: np.exp(1j * (xi[0] * a + xi[1] * b))
+               for xi in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-2.5, 0.75))]
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_integrate_density_of_many_weights_matches_one_call_per_weight(coin, request):
+    model = request.getfixturevalue(coin)
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    for weights in ([None], _XI_WEIGHTS[:1], _XI_WEIGHTS, [None, *_XI_WEIGHTS]):
+        got = limit.integrate_density(model, spectrum, weights, n_theta=20, n_rad=16)
+        assert isinstance(got, list) and len(got) == len(weights)
+        for res, weight in zip(got, weights):
+            want = limit.integrate_density(model, spectrum, weight, n_theta=20, n_rad=16)
+            assert (res.value, res.shell_estimate, res.total) == (
+                want.value, want.shell_estimate, want.total)
+
+
 def test_density_swap_plus_reflection_symmetric(reference_model):
     # f(v) + f(-v) is symmetric under swapping the two axes for point starts
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([1.0, 0.0])))
@@ -477,23 +517,6 @@ def test_grover_reference_ellipse():
     inside = limit.reference_ellipse_grover(0.5, np.array([0.3]), np.array([0.0]))
     outside = limit.reference_ellipse_grover(0.5, np.array([0.9]), np.array([-0.9]))
     assert bool(inside[0]) and not bool(outside[0])
-
-
-def test_weight_table_report_keys(reference_model):
-    rep = limit.weight_table_report(reference_model, 0.1, 0.25)
-    assert set(rep) == {"octant", "expected_band1", "expected_band2",
-                        "actual_band1", "actual_band2", "matches"}
-    assert sorted(rep["actual_band1"] + rep["actual_band2"]) != []
-
-
-@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
-def test_weight_table_report_matches_all_slots(coin, request):
-    model = request.getfixturevalue(coin)
-    v1, v2 = _interior_points(model, np.random.default_rng(23), 8)
-    for w1, w2 in list(zip(v1.tolist(), v2.tolist())) + [(0.0, 0.0), (0.1, 0.1), (0.2, 0.0)]:
-        rep = limit.weight_table_report(model, w1, w2)
-        want = scalar_weight_table_sets(model, w1, w2)
-        assert (rep["actual_band1"], rep["actual_band2"]) == (sorted(want[1]), sorted(want[2]))
 
 
 @pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])

@@ -10,6 +10,7 @@ from altwalk import lattice, limit, spectral, verify
 from altwalk.lattice import PositionDistribution
 from altwalk.model import CoinParameters, build_model
 from oracles import (
+    scalar_check_jacobian,
     scalar_check_weight_table,
     scalar_roundtrip_worst,
     serial_run_suite,
@@ -80,6 +81,17 @@ def test_reports_reproducible(reference_model):
     assert [r.to_json() for r in a] == [r.to_json() for r in b]
     c = verify.check_jacobian(reference_model, samples=50, seed=43)
     assert a[0].metric != c[0].metric
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_check_jacobian_matches_scalar_loop(coin, seed, request):
+    # rounds of array draws against one draw, gate and difference at a time
+    model = request.getfixturevalue(coin)
+    got = verify.check_jacobian(model, 150, seed=seed)
+    assert got == scalar_check_jacobian(model, 150, seed=seed)
+    if coin == "reference_model":  # an excluded draw, so a second round runs
+        assert got[0].details["excluded"] > 0
 
 
 def test_tolerance_override(reference_model):
