@@ -27,27 +27,19 @@ from .lattice import (
 )
 from .spectral import (
     DegeneracyError,
-    EigenSystem,
     InitialSpectrum,
-    bloch_matrix,
     eigenvalues,
-    eigensystem,
     group_velocity,
     fourier_initial,
-    spectral_evolve,
     spectral_reconstruct,
     band_weights,
     numeric_char_function,
 )
 from .limit import (
-    Branch,
-    BranchError,
     DensityGrid,
     IntegralResult,
     OutsideSupportError,
     forward_map,
-    inverse_map,
-    classify_branch,
     support_contains,
     support_corners,
     support_boundary,
@@ -80,25 +72,17 @@ __all__ = [
     "position_distribution",
     "moments",
     "DegeneracyError",
-    "EigenSystem",
     "InitialSpectrum",
-    "bloch_matrix",
     "eigenvalues",
-    "eigensystem",
     "group_velocity",
     "fourier_initial",
-    "spectral_evolve",
     "spectral_reconstruct",
     "band_weights",
     "numeric_char_function",
-    "Branch",
-    "BranchError",
     "DensityGrid",
     "IntegralResult",
     "OutsideSupportError",
     "forward_map",
-    "inverse_map",
-    "classify_branch",
     "support_contains",
     "support_corners",
     "support_boundary",

@@ -73,7 +73,8 @@ _KEY_HELP = {
     "psi2_re": "real part of the second spinor component",
     "psi2_im": "imaginary part of the second spinor component",
     "steps": "number of walk steps (simulate, chars)",
-    "grid_n": "points per axis for grids and quadratures",
+    "grid_n": "points per axis of the velocity grid, boundary polyline or quadrature "
+              "(density, support, chars)",
     "seed": "seed for every sampled verification check",
     "out": "output directory (must already exist)",
 }
@@ -384,22 +385,25 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--config", metavar="PATH", help="flat key = value config file")
     for key in _FLOAT_KEYS:
         group.add_argument(f"--{key}", type=float, metavar="X", help=_KEY_HELP[key])
+    group.add_argument("--seed", type=int, metavar="N", help=_KEY_HELP["seed"])
+    group.add_argument("--out", metavar="DIR", help=_KEY_HELP["out"])
+    # verify runs at fixed sizes and refuses these two flags; a config file may hold them
+    sizes = argparse.ArgumentParser(add_help=False)
+    group = sizes.add_argument_group("configuration")  # merges into common's group
     group.add_argument("--steps", type=int, metavar="N", help=_KEY_HELP["steps"])
     group.add_argument("--grid_n", "--grid", dest="grid_n", type=int, metavar="N",
                        help=_KEY_HELP["grid_n"])
-    group.add_argument("--seed", type=int, metavar="N", help=_KEY_HELP["seed"])
-    group.add_argument("--out", metavar="DIR", help=_KEY_HELP["out"])
 
     parser = argparse.ArgumentParser(
         prog="altwalk",
         description="Alternate-coin quantum walk on the plane: exact simulation "
                     "and the long-time velocity density.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common],
+    sub.add_parser("simulate", parents=[common, sizes],
                    help="run the walk and write the position distribution")
-    sub.add_parser("density", parents=[common],
+    sub.add_parser("density", parents=[common, sizes],
                    help="evaluate the limit density on a velocity grid")
-    sub.add_parser("support", parents=[common],
+    sub.add_parser("support", parents=[common, sizes],
                    help="write the support boundary, corners, and derived constants")
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run the cross-validation suite")
@@ -408,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                                + ", ".join(verify.CHECK_NAMES))
     p_verify.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
                           help="override a report tolerance (repeatable)")
-    p_chars = sub.add_parser("chars", parents=[common],
+    p_chars = sub.add_parser("chars", parents=[common, sizes],
                              help="characteristic function three ways per xi")
     p_chars.add_argument("--xi", action="append", metavar="X1,X2",
                          help="evaluation point (repeatable); default four standard points")

@@ -16,11 +16,6 @@ classes ``amps[:, p::2, q::2]`` never mix: ``evolve`` steps each occupied
 class on its own half-resolution grid, in place, and writes the classes back
 into the dense window once at the end.  From one site only one class is ever
 nonzero, and the other three are skipped.
-
-Binary dump layout (little-endian): four int32 window bounds
-(x1_min, x1_max, x2_min, x2_max), then the amplitudes as complex float64
-pairs, row-major over sites (x1 outer, x2 inner) with the two spin components
-adjacent per site.
 """
 
 from __future__ import annotations
@@ -41,8 +36,6 @@ __all__ = [
     "position_distribution",
     "moments",
     "write_distribution_csv",
-    "write_state_binary",
-    "read_state_binary",
 ]
 
 
@@ -245,36 +238,3 @@ def write_distribution_csv(dist: PositionDistribution, path) -> None:
             template = "".join([f"{x1},{dist.x2_min + j},%.17g\n" for j in js.tolist()])
             fh.write(template % tuple(row[js].tolist()))
 
-
-def write_state_binary(state: LatticeState, path) -> None:
-    """Dump a state in the binary layout described in the module docstring."""
-    header = np.array(
-        [state.x1_min, state.x1_max, state.x2_min, state.x2_max], dtype="<i4"
-    )
-    # (n1, n2, 2) C-order puts the two components of a site next to each other
-    body = np.ascontiguousarray(state.amps.transpose(1, 2, 0)).astype("<c16")
-    with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(body.tobytes())
-
-
-def read_state_binary(path, time: int = 0) -> LatticeState:
-    """Inverse of ``write_state_binary``; the time tag is not stored on disk."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16:
-        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the 16-byte header")
-    x1_min, x1_max, x2_min, x2_max = np.frombuffer(raw[:16], dtype="<i4").tolist()
-    if x1_max < x1_min or x2_max < x2_min:
-        raise ValueError(f"{path}: empty window [{x1_min}, {x1_max}] x [{x2_min}, {x2_max}]")
-    n1 = x1_max - x1_min + 1
-    n2 = x2_max - x2_min + 1
-    if len(raw) - 16 != 32 * n1 * n2:
-        raise ValueError(f"{path}: body of {len(raw) - 16} bytes, expected {32 * n1 * n2}")
-    body = np.frombuffer(raw[16:], dtype="<c16").reshape(n1, n2, 2)
-    return LatticeState(
-        amps=np.ascontiguousarray(body.transpose(2, 0, 1)).astype(np.complex128),
-        x1_min=x1_min,
-        x2_min=x2_min,
-        time=time,
-    )

@@ -54,8 +54,6 @@ __all__ = [
     "FORWARD_CONSISTENCY_TOL",
     "DEDUP_K_TOL",
     "OutsideSupportError",
-    "BranchError",
-    "Branch",
     "DensityGrid",
     "IntegralResult",
     "rotated_coords",
@@ -66,8 +64,6 @@ __all__ = [
     "support_boundary",
     "jacobian_inverse",
     "jacobian_forward",
-    "classify_branch",
-    "inverse_map",
     "branch_preimages",
     "density",
     "density_grid",
@@ -117,30 +113,6 @@ _REGION_BOXES = {
 
 class OutsideSupportError(ValueError):
     """Raised when a velocity point is not strictly inside the limit support."""
-
-
-class BranchError(ValueError):
-    """Raised when a branch tuple has no preimage at the requested velocity."""
-
-
-@dataclass(frozen=True)
-class Branch:
-    """Preimage label (n, m, s, p); see the module docstring."""
-
-    n: int
-    m: int
-    s: str
-    p: int
-
-    def __post_init__(self):
-        if self.n not in range(1, 9):
-            raise ValueError(f"n must be in 1..8, got {self.n}")
-        if self.m not in range(1, 5):
-            raise ValueError(f"m must be in 1..4, got {self.m}")
-        if self.s not in ("R", "T"):
-            raise ValueError(f"s must be 'R' or 'T', got {self.s!r}")
-        if self.p not in (1, 2):
-            raise ValueError(f"p must be 1 or 2, got {self.p}")
 
 
 def rotated_coords(v1, v2):
@@ -330,15 +302,6 @@ def _branch_labels(model: Model, k1, k2):
     return n, _sector_of(c1, c2, model.derived.j_plus), np.abs(c2) <= np.abs(c1)
 
 
-def classify_branch(model: Model, k1: float, k2: float) -> Branch:
-    """Branch label of a wavenumber under the forward map, with p = 1.
-
-    Windmill-square and sector ties resolve to the lowest admissible index.
-    """
-    n, m, is_r = _branch_labels(model, k1, k2)
-    return Branch(n=int(n), m=int(m), s="R" if is_r else "T", p=1)
-
-
 # angle reconstruction per windmill square: l_i from arccos values in [0, pi]
 def _angles_for_square(n, arc1, arc2):
     if n == 1:
@@ -431,23 +394,6 @@ def _inverse_labelled(model: Model, v1, v2, n, m, is_r):
                 k1[idx], k2[idx], ok[idx], _ = branch_preimages(
                     model, v1[idx], v2[idx], sq, sec, 1)
     return k1, k2, ok
-
-
-def inverse_map(model: Model, v1: float, v2: float, branch: Branch):
-    """Wavenumber of the preimage labelled by ``branch`` at interior v.
-
-    Raises OutsideSupportError off the open support and BranchError when the
-    branch has no preimage there (wrong u-quadrant, wrong shape for even m,
-    or a failed forward-consistency check).
-    """
-    if support_contains(model, v1, v2) != "inside":
-        raise OutsideSupportError(f"({v1}, {v2}) is not strictly inside the support")
-    band_sign = 1.0 if branch.p == 1 else -1.0
-    k1, k2, ok = _inverse_labelled(model, np.array([band_sign * v1]), np.array([band_sign * v2]),
-                                   branch.n, branch.m, branch.s == "R")
-    if not ok[0]:
-        raise BranchError(f"branch {branch} has no preimage at ({v1}, {v2})")
-    return float(k1[0]), float(k2[0])
 
 
 def _torus_dist(a1, a2, b1, b2):

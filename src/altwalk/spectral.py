@@ -25,18 +25,14 @@ from .lattice import LatticeState
 __all__ = [
     "DEGENERATE_GAP_TOL",
     "DegeneracyError",
-    "EigenSystem",
     "InitialSpectrum",
     "angle_terms",
     "tau_of",
     "bloch_entries",
-    "bloch_matrix",
     "eigenvalues",
-    "eigensystem",
     "group_velocity",
     "band_weights",
     "fourier_initial",
-    "spectral_evolve",
     "spectral_reconstruct",
     "numeric_char_function",
 ]
@@ -46,7 +42,7 @@ DEGENERATE_GAP_TOL = 1e-12
 
 
 class DegeneracyError(ValueError):
-    """Raised when the two bands coincide at the requested wavenumber."""
+    """Raised when the two bands coincide at every wavenumber a quadrature samples."""
 
 
 def angle_terms(model, k1, k2):
@@ -80,11 +76,6 @@ def bloch_entries(model, k1, k2):
     return m11, m12, m21, m22
 
 
-def bloch_matrix(model, k1: float, k2: float) -> np.ndarray:
-    m11, m12, m21, m22 = bloch_entries(model, k1, k2)
-    return np.array([[m11, m12], [m21, m22]], dtype=np.complex128)
-
-
 def _eigenvalues_at(model, tau):
     """Band eigenvalues (lam1, lam2) at the wavenumbers whose trace term is tau."""
     gap = np.sqrt(np.maximum(1.0 - tau * tau, 0.0))
@@ -95,36 +86,6 @@ def _eigenvalues_at(model, tau):
 def eigenvalues(model, k1, k2):
     """Band eigenvalues (lam1, lam2); band 1 takes + i sqrt(1 - tau^2)."""
     return _eigenvalues_at(model, tau_of(model, k1, k2))
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues and orthonormal eigenvectors (columns) of U(k)."""
-
-    values: np.ndarray  # shape (2,)
-    vectors: np.ndarray  # shape (2, 2); vectors[:, p - 1] belongs to band p
-
-
-def eigensystem(model, k1: float, k2: float) -> EigenSystem:
-    """Closed-form spectral decomposition of the 2x2 Bloch matrix.
-
-    Raises DegeneracyError when 1 - tau^2 <= 1e-12, where the bands touch and
-    eigenvectors are not well defined.
-    """
-    tau = float(tau_of(model, k1, k2))
-    if 1.0 - tau * tau <= DEGENERATE_GAP_TOL:
-        raise DegeneracyError(f"bands coincide at k = ({k1}, {k2}): tau = {tau}")
-    m = bloch_matrix(model, k1, k2)
-    lam1, lam2 = eigenvalues(model, k1, k2)
-    vecs = np.empty((2, 2), dtype=np.complex128)
-    for col, lam in enumerate((lam1, lam2)):
-        # (U - lam) v = 0; take the null vector of the better-conditioned row
-        row1 = np.array([m[0, 0] - lam, m[0, 1]])
-        row2 = np.array([m[1, 0], m[1, 1] - lam])
-        row = row1 if np.linalg.norm(row1) >= np.linalg.norm(row2) else row2
-        v = np.array([-row[1], row[0]], dtype=np.complex128)
-        vecs[:, col] = v / np.linalg.norm(v)
-    return EigenSystem(values=np.array([lam1, lam2]), vectors=vecs)
 
 
 def group_velocity(model, p: int, k1, k2):
@@ -192,14 +153,6 @@ def _propagated(model, spectrum: InitialSpectrum, t: int, k1, k2):
     w1 = lam1**t
     w2 = lam2**t
     return w1 * q0 + w2 * (p0 - q0), w1 * q1 + w2 * (p1 - q1)
-
-
-def spectral_evolve(model, spectrum: InitialSpectrum, t: int, k1, k2) -> np.ndarray:
-    """Evolved momentum-space spinor U(k)^t psi_hat_0(k); shape (..., 2)."""
-    if t < 0:
-        raise ValueError(f"step count must be nonnegative, got {t}")
-    out0, out1 = _propagated(model, spectrum, t, k1, k2)
-    return np.stack([out0, out1], axis=-1)
 
 
 def spectral_reconstruct(model, state0: LatticeState, t: int) -> LatticeState:

@@ -7,15 +7,42 @@ the density and walk-site work done on whole arrays before it went in blocks,
 the suite run on one thread, the characteristic function that built its
 wavenumber grid once per xi, the band weights that always computed their own
 tau, and the CSV writers that formatted one cell or site at a time.  The code that replaced them must reproduce them exactly.
+``Branch`` and ``BranchError`` are the scalar label (n, m, s, p) and the refusal
+of the scalar loops; ``limit`` works with label arrays (n, m, is_r) instead.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from altwalk import cli, limit, spectral, verify
 from altwalk.model import wrap_angle
 from altwalk.spectral import angle_terms
+
+
+class BranchError(ValueError):
+    """Raised when a branch tuple has no preimage at the requested velocity."""
+
+
+@dataclass(frozen=True)
+class Branch:
+    """Preimage label (n, m, s, p); see the ``limit`` module docstring."""
+
+    n: int
+    m: int
+    s: str
+    p: int
+
+    def __post_init__(self):
+        if self.n not in range(1, 9):
+            raise ValueError(f"n must be in 1..8, got {self.n}")
+        if self.m not in range(1, 5):
+            raise ValueError(f"m must be in 1..4, got {self.m}")
+        if self.s not in ("R", "T"):
+            raise ValueError(f"s must be 'R' or 'T', got {self.s!r}")
+        if self.p not in (1, 2):
+            raise ValueError(f"p must be 1 or 2, got {self.p}")
 
 
 def scalar_classify_branch(model, k1, k2):
@@ -45,7 +72,7 @@ def scalar_classify_branch(model, k1, k2):
         raise RuntimeError(f"windmill classification failed for l = ({l1}, {l2})")
     m = int(limit._sector_of(c1, c2, model.derived.j_plus))
     s = "R" if abs(c2) <= abs(c1) else "T"
-    return limit.Branch(n=n_found, m=m, s=s, p=1)
+    return Branch(n=n_found, m=m, s=s, p=1)
 
 
 def scalar_inverse_map(model, v1, v2, branch):
@@ -58,12 +85,12 @@ def scalar_inverse_map(model, v1, v2, branch):
     if branch.m % 2 == 0:
         u_shape = "R" if d.a * abs(u2) >= d.b * abs(u1) else "T"
         if branch.s != u_shape:
-            raise limit.BranchError(f"branch {branch} demands the other shape")
+            raise BranchError(f"branch {branch} demands the other shape")
     k1, k2, ok, _ = limit.branch_preimages(
         model, np.array([v1]), np.array([v2]), branch.n, branch.m, branch.p
     )
     if not bool(ok[0]):
-        raise limit.BranchError(f"branch {branch} has no preimage at ({v1}, {v2})")
+        raise BranchError(f"branch {branch} has no preimage at ({v1}, {v2})")
     return float(k1[0]), float(k2[0])
 
 
@@ -81,7 +108,7 @@ def scalar_roundtrip_worst(model, samples, rng):
         try:
             branch = scalar_classify_branch(model, k1, k2)
             r1, r2 = scalar_inverse_map(model, v1, v2, branch)
-        except (limit.BranchError, limit.OutsideSupportError):
+        except (BranchError, limit.OutsideSupportError):
             excluded += 1
             continue
         worst = max(worst, limit._torus_dist(k1, k2, r1, r2))

@@ -198,6 +198,29 @@ def test_verify_negative_seed_fails_before_running(via_config, tmp_path, monkeyp
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--grid_n", "--grid", "--steps"])
+def test_verify_refuses_size_flags(flag, monkeypatch, capsys):
+    # verify runs at fixed sizes; a size flag it would ignore is an error
+    def run_suite(*args, **kwargs):
+        raise AssertionError("the suite ran with a size flag it does not read")
+
+    monkeypatch.setattr(cli.verify, "run_suite", run_suite)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--only", "support", flag, "5"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        run_cli(["verify", "--help"])
+    text = capsys.readouterr().out
+    assert "--grid" not in text and "--steps" not in text
+
+
+def test_verify_accepts_size_keys_in_config(tmp_path):
+    cfg = tmp_path / "walk.cfg"
+    cfg.write_text("steps = 3\ngrid_n = 5\n")
+    assert run_cli(["verify", "--config", str(cfg), "--only", "support"]) == cli.EXIT_OK
+
+
 def test_verify_unknown_check():
     assert run_cli(["verify", "--only", "nope"]) == cli.EXIT_CONFIG
 

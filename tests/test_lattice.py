@@ -142,16 +142,6 @@ def test_distribution_csv_roundtrip(tmp_path, degenerate_model, origin_state):
     assert total == pytest.approx(1.0, abs=1e-14)
 
 
-def test_state_binary_roundtrip(tmp_path, phased_model, origin_state):
-    state = lattice.evolve(phased_model, origin_state, 9)
-    path = tmp_path / "state.bin"
-    lattice.write_state_binary(state, path)
-    back = lattice.read_state_binary(path, time=9)
-    assert back.x1_min == state.x1_min and back.x2_min == state.x2_min
-    assert back.time == 9
-    assert np.array_equal(back.amps, state.amps)
-
-
 STARTS = pytest.mark.parametrize("start", [
     lattice.initial_state_delta(np.array([0.6, 0.8j])),
     # one site in each of the four parity classes of the window
@@ -216,17 +206,6 @@ def test_evolve_matches_dense_reference_property(a1_sq, a2_sq, phases, sites, t)
     got = lattice.evolve(model, start, t)
     assert_same_state(got, dense_evolve(model, start, t))
     assert abs(got.norm_sq() - start.norm_sq()) <= 1e-12
-
-
-def test_read_state_binary_rejects_malformed(tmp_path, phased_model, origin_state):
-    path = tmp_path / "state.bin"
-    lattice.write_state_binary(lattice.evolve(phased_model, origin_state, 3), path)
-    raw = path.read_bytes()
-    for bad in (raw[:10], raw[:-8], raw + b"\0" * 32,
-                np.array([2, 1, 0, 0], dtype="<i4").tobytes() + raw[16:]):
-        path.write_bytes(bad)
-        with pytest.raises(ValueError):
-            lattice.read_state_binary(path)
 
 
 def _assert_distribution_csv_matches_per_site(tmp_path, dist):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from altwalk import lattice, limit, spectral
 from altwalk.model import CoinParameters, build_model
 from oracles import (
+    Branch,
+    BranchError,
     per_weight_integrate_density,
     scalar_classify_branch,
     scalar_inverse_map,
@@ -138,46 +140,51 @@ def test_degenerate_jacobian_form(degenerate_model):
 
 
 def test_classify_branch_example(reference_model):
-    br = limit.classify_branch(reference_model, math.pi / 2, math.pi / 2)
-    assert (br.n, br.m, br.s, br.p) == (1, 1, "R", 1)
+    n, m, is_r = limit._branch_labels(reference_model, math.pi / 2, math.pi / 2)
+    assert (int(n), int(m), bool(is_r)) == (1, 1, True)
 
 
 def test_branch_validation():
+    # the scalar label the oracles compare the label arrays against
     with pytest.raises(ValueError):
-        limit.Branch(0, 1, "R", 1)
+        Branch(0, 1, "R", 1)
     with pytest.raises(ValueError):
-        limit.Branch(1, 5, "R", 1)
+        Branch(1, 5, "R", 1)
     with pytest.raises(ValueError):
-        limit.Branch(1, 1, "X", 1)
+        Branch(1, 1, "X", 1)
     with pytest.raises(ValueError):
-        limit.Branch(1, 1, "R", 3)
+        Branch(1, 1, "R", 3)
 
 
 def test_inverse_map_center(reference_model):
-    k1, k2 = limit.inverse_map(reference_model, 0.0, 0.0, limit.Branch(1, 1, "R", 1))
-    assert k1 == pytest.approx(math.pi / 2, abs=1e-12)
-    assert k2 == pytest.approx(math.pi / 2, abs=1e-12)
+    k1, k2, ok = limit._inverse_labelled(reference_model, np.zeros(1), np.zeros(1), 1, 1, True)
+    assert ok.tolist() == [True]
+    assert k1[0] == pytest.approx(math.pi / 2, abs=1e-12)
+    assert k2[0] == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_inverse_map_outside_raises(reference_model):
+    # the array path refuses the point outside the support; the scalar oracle raises
+    v1, v2 = np.array([0.9]), np.array([0.3])
+    for n in range(1, 9):
+        for m in range(1, 5):
+            assert not limit._inverse_labelled(reference_model, v1, v2, n, m, True)[2][0]
     with pytest.raises(limit.OutsideSupportError):
-        limit.inverse_map(reference_model, 0.9, 0.3, limit.Branch(1, 1, "R", 1))
+        scalar_inverse_map(reference_model, 0.9, 0.3, Branch(1, 1, "R", 1))
 
 
 def test_roundtrip_with_phases(phased_model):
     rng = np.random.default_rng(10)
-    worst = 0.0
-    done = 0
-    while done < 200:
-        k1, k2 = rng.uniform(-math.pi, math.pi, size=2)
-        v1, v2 = (float(x) for x in limit.forward_map(phased_model, k1, k2))
-        if limit.support_contains(phased_model, v1, v2) != "inside":
-            continue
-        br = limit.classify_branch(phased_model, k1, k2)
-        r1, r2 = limit.inverse_map(phased_model, v1, v2, br)
-        worst = max(worst, limit._torus_dist(k1, k2, r1, r2))
-        done += 1
-    assert worst < 1e-9
+    k1, k2 = rng.uniform(-math.pi, math.pi, size=(2, 400))
+    v1, v2 = limit.forward_map(phased_model, k1, k2)
+    inside = np.array([limit.support_contains(phased_model, float(a), float(b)) == "inside"
+                       for a, b in zip(v1, v2)])
+    k1, k2, v1, v2 = k1[inside], k2[inside], v1[inside], v2[inside]
+    assert k1.size >= 200
+    r1, r2, ok = limit._inverse_labelled(phased_model, v1, v2,
+                                         *limit._branch_labels(phased_model, k1, k2))
+    assert ok.all()
+    assert limit._torus_dist(k1, k2, r1, r2).max() < 1e-9
 
 
 def test_sixteen_branches_interior(reference_model):
@@ -241,7 +248,6 @@ def assert_labels_match_scalar_loop(model, k1, k2):
         want = scalar_classify_branch(model, k1[i], k2[i])
         got = (int(n[i]), int(m[i]), "R" if is_r[i] else "T")
         assert got == (want.n, want.m, want.s), (k1[i], k2[i])
-        assert limit.classify_branch(model, k1[i], k2[i]) == want
 
 
 @pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
@@ -260,11 +266,11 @@ def test_branch_labels_match_scalar_loop_property(a1_sq, a2_sq, phases, seed):
     assert_labels_match_scalar_loop(model, k1, k2)
 
 
-def _outcome(fn, *args):
+def _scalar_outcome(model, v1, v2, branch):
     try:
-        return fn(*args)
-    except (limit.BranchError, limit.OutsideSupportError) as exc:
-        return type(exc)
+        return scalar_inverse_map(model, v1, v2, branch)
+    except (BranchError, limit.OutsideSupportError):
+        return None
 
 
 @pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
@@ -272,15 +278,20 @@ def test_inverse_map_matches_scalar_path(coin, request):
     # every branch label in both bands; band 2 is inverted as -v in band 1
     model = request.getfixturevalue(coin)
     v1, v2 = _interior_points(model, np.random.default_rng(22), 6)
-    pts = list(zip(v1.tolist(), v2.tolist())) + [(0.0, 0.0), (0.1, 0.1), (0.95, 0.0)]
-    for w1, w2 in pts:
-        for p in (1, 2):
-            for n in range(1, 9):
-                for m in range(1, 5):
-                    for s in ("R", "T"):
-                        br = limit.Branch(n, m, s, p)
-                        assert (_outcome(limit.inverse_map, model, w1, w2, br)
-                                == _outcome(scalar_inverse_map, model, w1, w2, br)), br
+    v1 = np.concatenate([v1, [0.0, 0.1, 0.95]])
+    v2 = np.concatenate([v2, [0.0, 0.1, 0.0]])
+    for p in (1, 2):
+        sign = 1.0 if p == 1 else -1.0
+        for n in range(1, 9):
+            for m in range(1, 5):
+                for s in ("R", "T"):
+                    br = Branch(n, m, s, p)
+                    k1, k2, ok = limit._inverse_labelled(model, sign * v1, sign * v2,
+                                                         n, m, s == "R")
+                    got = [(float(a), float(b)) if c else None for a, b, c in zip(k1, k2, ok)]
+                    want = [_scalar_outcome(model, w1, w2, br)
+                            for w1, w2 in zip(v1.tolist(), v2.tolist())]
+                    assert got == want, br
 
 
 # --- density ----------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from altwalk import lattice, spectral
+from altwalk import lattice, limit, spectral
 from altwalk.model import CoinParameters, build_model
 from oracles import own_tau_band_weights, per_xi_char_function
 
@@ -12,11 +12,16 @@ def _rand_k(rng, n):
     return rng.uniform(-math.pi, math.pi, size=n), rng.uniform(-math.pi, math.pi, size=n)
 
 
+def _bloch_matrices(model, k1, k2):
+    """U(k) as an array of 2x2 matrices, one per wavenumber."""
+    m11, m12, m21, m22 = spectral.bloch_entries(model, k1, k2)
+    return np.stack([np.stack([m11, m12], -1), np.stack([m21, m22], -1)], -2)
+
+
 def test_bloch_matrix_unitary(phased_model):
     rng = np.random.default_rng(3)
-    for k1, k2 in zip(*_rand_k(rng, 20)):
-        m = spectral.bloch_matrix(phased_model, k1, k2)
-        assert np.allclose(m @ m.conj().T, np.eye(2), atol=1e-13)
+    m = _bloch_matrices(phased_model, *_rand_k(rng, 20))
+    assert np.allclose(m @ m.conj().transpose(0, 2, 1), np.eye(2), atol=1e-13)
 
 
 def test_eigenvalues_unimodular_and_product(phased_model):
@@ -29,20 +34,13 @@ def test_eigenvalues_unimodular_and_product(phased_model):
     assert np.abs(lam1 * lam2 - np.exp(1j * delta)).max() < 1e-12
 
 
-def test_eigensystem_diagonalises(phased_model):
-    rng = np.random.default_rng(5)
-    for k1, k2 in zip(*_rand_k(rng, 10)):
-        sys = spectral.eigensystem(phased_model, k1, k2)
-        m = spectral.bloch_matrix(phased_model, k1, k2)
-        for p in (0, 1):
-            vec = sys.vectors[:, p]
-            assert np.linalg.norm(m @ vec - sys.values[p] * vec) < 1e-12
-
-
 def test_degenerate_point_raises(degenerate_model):
     # tau = +-1 closes the gap at specific wavenumbers of the balanced coin
-    with pytest.raises(spectral.DegeneracyError):
-        spectral.eigensystem(degenerate_model, -math.pi / 2, math.pi / 2)
+    k1, k2 = -math.pi / 2, math.pi / 2
+    tau = float(spectral.tau_of(degenerate_model, k1, k2))
+    assert 1.0 - tau * tau <= spectral.DEGENERATE_GAP_TOL
+    with pytest.raises(limit.OutsideSupportError):
+        limit.jacobian_forward(degenerate_model, k1, k2)
 
 
 def test_group_velocity_matches_fd(reference_model, phased_model):
@@ -123,8 +121,8 @@ def test_spectral_evolve_is_phase_multiplication(reference_model):
     spectrum = spectral.fourier_initial(state)
     k1 = np.array([0.3]); k2 = np.array([-1.1])
     t = 5
-    out = spectral.spectral_evolve(reference_model, spectrum, t, k1, k2)
-    m = spectral.bloch_matrix(reference_model, float(k1[0]), float(k2[0]))
+    out = np.stack(spectral._propagated(reference_model, spectrum, t, k1, k2), axis=-1)
+    m = _bloch_matrices(reference_model, k1, k2)[0]
     expect = np.linalg.matrix_power(m, t) @ spectrum(float(k1[0]), float(k2[0]))
     assert np.allclose(out[0], expect, atol=1e-12)
 
