@@ -159,8 +159,8 @@ def spinor_from(cfg: RunConfig) -> np.ndarray:
 
 
 def _out_dir(cfg: RunConfig) -> Path:
-    if cfg.out is None:
-        raise ConfigError("an output directory is required (--out DIR)")
+    if not cfg.out:  # an empty path would mean the working directory
+        raise ConfigError(f"an output directory is required (--out DIR), got {cfg.out!r}")
     path = Path(cfg.out)
     if not path.is_dir():
         raise OutputError(f"output directory does not exist: {cfg.out}")
@@ -201,10 +201,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _write_boundary_csv(model: Model, path: Path, n: int) -> None:
+def _write_points_csv(path: Path, points) -> None:
+    """Velocity points, one ``v1,v2`` row each."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("v1,v2\n")
-        for v1, v2 in limit.support_boundary(model, n):
+        for v1, v2 in points:
             fh.write(f"{_fmt(v1)},{_fmt(v2)}\n")
 
 
@@ -242,7 +243,7 @@ def cmd_density(cfg: RunConfig) -> int:
     csv_path = out / "density.csv"
     _write_density_csv(csv_path, mid, grid.f, grid.inside)
     boundary_path = out / "boundary.csv"
-    _write_boundary_csv(model, boundary_path, max(cfg.grid_n, 64))
+    _write_points_csv(boundary_path, limit.support_boundary(model, max(cfg.grid_n, 64)))
     print(csv_path)
     print(boundary_path)
     return EXIT_OK
@@ -254,12 +255,9 @@ def cmd_support(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     model = model_from(cfg)
     boundary_path = out / "boundary.csv"
-    _write_boundary_csv(model, boundary_path, cfg.grid_n)
+    _write_points_csv(boundary_path, limit.support_boundary(model, cfg.grid_n))
     corners_path = out / "corners.csv"
-    with open(corners_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("v1,v2\n")
-        for v1, v2 in limit.support_corners(model):
-            fh.write(f"{_fmt(v1)},{_fmt(v2)}\n")
+    _write_points_csv(corners_path, limit.support_corners(model))
     d = model.derived
     constants = {
         "a": d.a, "b": d.b, "delta": d.delta,
@@ -344,8 +342,7 @@ def cmd_chars(cfg: RunConfig, xi_items) -> int:
     out = _out_dir(cfg) if cfg.out is not None else None
     model = model_from(cfg)
     state0 = lattice.initial_state_delta(spinor_from(cfg))
-    rows, mass = verify.char_triples(model, state0, cfg.steps, xi_list,
-                                     grid_n=min(cfg.grid_n, 256))
+    rows, mass = verify.char_triples(model, state0, cfg.steps, xi_list, grid_n=cfg.grid_n)
     header = f"{'xi':>12}  {'empirical':>24}  {'spectral':>24}  {'density':>24}  {'max gap':>10}"
     print(header)
     lines = []

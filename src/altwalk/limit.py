@@ -9,7 +9,9 @@ f(v) is assembled from the preimages of v under the band-1 group-velocity map.
 Preimages are labelled by a branch tuple (n, m, s, p):
 
 * n in 1..8 picks one square of the windmill tiling of the rotated-angle
-  plane (l1, l2); each square maps onto one quadrant of the u-plane.
+  plane (l1, l2); ``_SQUARES[n] = (s1, s2, o1, o2)`` gives its angles
+  l_i = s_i arccos(c_i) + o_i, its closed box from o_i to o_i + s_i pi, and
+  the u-quadrant it maps onto, with signs (-s1, -s2).
 * m in 1..4 picks one sector of the (cos l1, cos l2) square, cut by the two
   lines c2 = j_plus * c1 and c1 = j_plus * c2; odd-m sectors pair with the
   smaller root of 1 - tau^2 (Jacobian label "-"), even-m sectors with the
@@ -32,10 +34,11 @@ by ``verify.check_weight_table``).
 and outside the boundary shell), and runs the four m slots of each (p, n)
 only on those whose band-p rotated coordinates lie in square n's closed
 u-quadrant, the first gate of ``branch_preimages``; for an interior point
-off the rotated axes that is two squares per band.  It weighs each preimage
-with the tau = a cos(l1) - b cos(l2) that the forward-consistency gate has
-computed there, which ``branch_preimages`` returns and ``spectral.band_weights``
-takes in place of recomputing it.
+off the rotated axes that is two squares per band.  One accumulation path
+serves generic and degenerate coins alike.  Each preimage is weighed with
+the tau = a cos(l1) - b cos(l2) that the forward-consistency gate has
+computed there, which ``branch_preimages`` returns and
+``spectral.band_weights`` takes in place of recomputing it.
 """
 
 from __future__ import annotations
@@ -85,29 +88,17 @@ _DENSITY_BLOCK = 1 << 18
 
 _SQRT_HALF = math.sqrt(0.5)
 
-# windmill square n -> expected sign quadrant of u = (sign of u1, sign of u2)
-_REGION_SIGNS = {
-    1: (-1.0, -1.0),
-    2: (1.0, -1.0),
-    3: (1.0, 1.0),
-    4: (-1.0, 1.0),
-    5: (-1.0, -1.0),
-    6: (1.0, -1.0),
-    7: (1.0, 1.0),
-    8: (-1.0, 1.0),
-}
-
-# windmill square n -> closed rectangle [lo1, hi1] x [lo2, hi2] in (l1, l2)
+# windmill square n -> (s1, s2, o1, o2), as the module docstring reads them
 _PI = math.pi
-_REGION_BOXES = {
-    1: (0.0, _PI, 0.0, _PI),
-    2: (-_PI, 0.0, 0.0, _PI),
-    3: (-_PI, 0.0, -_PI, 0.0),
-    4: (0.0, _PI, -_PI, 0.0),
-    5: (-2 * _PI, -_PI, 0.0, _PI),
-    6: (-_PI, 0.0, -2 * _PI, -_PI),
-    7: (_PI, 2 * _PI, -_PI, 0.0),
-    8: (0.0, _PI, _PI, 2 * _PI),
+_SQUARES = {
+    1: (1.0, 1.0, 0.0, 0.0),
+    2: (-1.0, 1.0, 0.0, 0.0),
+    3: (-1.0, -1.0, 0.0, 0.0),
+    4: (1.0, -1.0, 0.0, 0.0),
+    5: (1.0, 1.0, -2 * _PI, 0.0),
+    6: (-1.0, 1.0, 0.0, -2 * _PI),
+    7: (-1.0, -1.0, 2 * _PI, 0.0),
+    8: (1.0, -1.0, 0.0, 2 * _PI),
 }
 
 
@@ -292,7 +283,9 @@ def _branch_labels(model: Model, k1, k2):
     parity = (np.rint((l1 - l1r) / (2 * _PI)) + np.rint((l2 - l2r) / (2 * _PI))) % 2
     n = np.zeros(np.shape(l1), dtype=np.int64)
     for sq in range(8, 0, -1):  # descending, so a tie keeps the lowest square
-        lo1, hi1, lo2, hi2 = _REGION_BOXES[sq]
+        s1, s2, o1, o2 = _SQUARES[sq]
+        lo1, hi1 = sorted((o1, o1 + s1 * _PI))
+        lo2, hi2 = sorted((o2, o2 + s2 * _PI))
         for off1 in (-1, 0, 1):
             for off2 in (-1, 0, 1):
                 cand1 = l1r + 2 * _PI * off1
@@ -302,23 +295,18 @@ def _branch_labels(model: Model, k1, k2):
     return n, _sector_of(c1, c2, model.derived.j_plus), np.abs(c2) <= np.abs(c1)
 
 
-# angle reconstruction per windmill square: l_i from arccos values in [0, pi]
-def _angles_for_square(n, arc1, arc2):
-    if n == 1:
-        return arc1, arc2
-    if n == 2:
-        return -arc1, arc2
-    if n == 3:
-        return -arc1, -arc2
-    if n == 4:
-        return arc1, -arc2
-    if n == 5:
-        return arc1 - 2 * _PI, arc2
-    if n == 6:
-        return -arc1, arc2 - 2 * _PI
-    if n == 7:
-        return 2 * _PI - arc1, -arc2
-    return arc1, 2 * _PI - arc2  # n == 8
+def _in_quadrant(n, u1, u2):
+    """Mask of the rotated coordinates u in square n's closed u-quadrant."""
+    s1, s2, _, _ = _SQUARES[n]
+    return (s1 * u1 <= 0.0) & (s2 * u2 <= 0.0)
+
+
+def _square_angles(n, arc1, arc2):
+    """Rotated angles (l1, l2) of square n from arccos values in [0, pi]."""
+    s1, s2, o1, o2 = _SQUARES[n]  # adding a 0.0 offset would turn -0.0 into +0.0
+    l1 = arc1 if s1 > 0 else -arc1
+    l2 = arc2 if s2 > 0 else -arc2
+    return (l1 + o1 if o1 else l1), (l2 + o2 if o2 else l2)
 
 
 def branch_preimages(model: Model, v1, v2, n: int, m: int, p: int):
@@ -335,8 +323,7 @@ def branch_preimages(model: Model, v1, v2, n: int, m: int, p: int):
     w1 = band_sign * np.asarray(v1, dtype=np.float64)
     w2 = band_sign * np.asarray(v2, dtype=np.float64)
     u1, u2 = rotated_coords(w1, w2)
-    sg1, sg2 = _REGION_SIGNS[n]
-    ok = (sg1 * u1 >= 0.0) & (sg2 * u2 >= 0.0)
+    ok = _in_quadrant(n, u1, u2)
     big_a, big_b, _, _, d_quarter = _terms_from_u(model, u1, u2)
     ok &= d_quarter >= -1e-15
     root = np.sqrt(np.maximum(d_quarter, 0.0))
@@ -360,7 +347,7 @@ def branch_preimages(model: Model, v1, v2, n: int, m: int, p: int):
     pick = np.where(first, 1.0, -1.0)
     c1 = pick * mag1
     c2 = pick * rel * mag2
-    l1, l2 = _angles_for_square(n, np.arccos(c1), np.arccos(c2))
+    l1, l2 = _square_angles(n, np.arccos(c1), np.arccos(c2))
     k1 = wrap_angle(0.5 * (l1 - l2) - d.phi_1)
     k2 = wrap_angle(0.5 * (l1 + l2) - d.phi_2)
     # authoritative gate: the forward map must reproduce the target velocity
@@ -430,7 +417,6 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
     shape = np.broadcast_shapes(v1.shape, v2.shape)
     fv1 = np.broadcast_to(v1, shape).ravel()
     fv2 = np.broadcast_to(v2, shape).ravel()
-    accumulate = _accumulate_degenerate if model.derived.degenerate else _accumulate_generic
     f = np.zeros(fv1.shape)
     inside = np.zeros(fv1.shape, dtype=bool)
     evaluable = np.zeros(fv1.shape, dtype=bool)
@@ -443,7 +429,7 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
         _, _, e_r, e_t, _ = _terms_from_u(model, u1, u2)
         evaluable[block] = inside[block] & (e_r * e_t >= SHELL_FLOOR)
         points = lo + np.nonzero(evaluable[block])[0]
-        f[points], n_plus[points], n_minus[points] = accumulate(
+        f[points], n_plus[points], n_minus[points] = _accumulate(
             model, spectrum, fv1[points], fv2[points]
         )
     return DensityGrid(
@@ -459,16 +445,15 @@ def _preimage_slots(model: Model, v1, v2):
     """Yield (p, n, m, idx, k1, k2, ok, tau) for every (p, n, m) slot in that order.
 
     Slot (p, n, m) runs ``branch_preimages`` only on the points idx whose
-    band-p rotated coordinates pass square n's closed quadrant gate, computed
-    exactly as that routine's first gate, so points on the rotated axes reach
-    both adjacent squares.  A (p, n) pair with no such point is skipped.
+    band-p rotated coordinates pass that routine's first gate, square n's
+    closed u-quadrant, so points on the rotated axes reach both adjacent
+    squares.  A (p, n) pair with no such point is skipped.
     """
     for p in (1, 2):
         band_sign = 1.0 if p == 1 else -1.0
         u1, u2 = rotated_coords(band_sign * v1, band_sign * v2)
         for n in range(1, 9):
-            sg1, sg2 = _REGION_SIGNS[n]
-            idx = np.nonzero((sg1 * u1 >= 0.0) & (sg2 * u2 >= 0.0))[0]
+            idx = np.nonzero(_in_quadrant(n, u1, u2))[0]
             if idx.size == 0:
                 continue
             s1, s2 = v1[idx], v2[idx]
@@ -492,53 +477,33 @@ def _keep_new(idx, k1, k2, kept):
     return new
 
 
-def _add_branches(model, spectrum, p, idx, k1, k2, tau, jinv, f, count):
-    """Add band-p weight times inverse Jacobian of preimages (k1, k2) at points idx;
-    tau is the forward gate's trace term at those preimages."""
-    if idx.size:
-        w1, w2 = band_weights(model, spectrum, k1, k2, tau)
-        f[idx] += (w1 if p == 1 else w2) * jinv[idx]
-        count[idx] += 1
+def _accumulate(model, spectrum, v1, v2):
+    """f and the (plus, minus) branch counts at evaluable points.
 
-
-def _accumulate_generic(model, spectrum, v1, v2):
-    """f and the (plus, minus) branch counts at evaluable points of a generic model."""
-    jinv = _jacobian_factors(model, v1, v2)  # indexed by m % 2: plus, minus
+    A degenerate model has only the plus family.  Preimages closer than
+    DEDUP_K_TOL on the torus count once: for a degenerate model anywhere and
+    across the bands, for a generic model within a band on the rotated axes,
+    where the angles sit on corners shared by adjacent wavenumber squares.
+    """
+    degenerate = model.derived.degenerate
+    jinv = _jacobian_factors(model, v1, v2)  # indexed by family: plus, minus
     f = np.zeros(v1.shape)
     counts = (np.zeros(v1.shape, dtype=np.int64), np.zeros(v1.shape, dtype=np.int64))
-    # On the rotated axes the reconstructed angles sit on shared corners of
-    # adjacent wavenumber squares, so neighbouring region slots can emit the
-    # same preimage; those (measure-zero) points get a per-band k-dedup.
     u1, u2 = rotated_coords(v1, v2)
-    edge = (np.abs(u1) < 1e-7) | (np.abs(u2) < 1e-7)
-    kept = {1: [], 2: []}
+    may_repeat = degenerate | (np.abs(u1) < 1e-7) | (np.abs(u2) < 1e-7)
+    kept = [[]] * 2 if degenerate else [[], []]  # per band; one list shared if degenerate
     for p, _, m, idx, k1, k2, ok, tau in _preimage_slots(model, v1, v2):
-        at = np.nonzero(ok & edge[idx])[0]
+        family = 0 if degenerate else m % 2
+        at = np.nonzero(ok & may_repeat[idx])[0]
         if at.size:
-            ok[at] = _keep_new(idx[at], k1[at], k2[at], kept[p])
-        _add_branches(model, spectrum, p, idx[ok], k1[ok], k2[ok], tau[ok], jinv[m % 2], f,
-                      counts[m % 2])
-        del k1, k2, ok, tau  # freed before the next slot's temporaries, which set the peak
+            ok[at] = _keep_new(idx[at], k1[at], k2[at], kept[p - 1])
+        points = idx[ok]
+        if points.size:
+            f[points] += (band_weights(model, spectrum, k1[ok], k2[ok], tau[ok])[p - 1]
+                          * jinv[family][points])
+            counts[family][points] += 1
+        del k1, k2, ok, tau, points  # freed before the next slot's temporaries, which set the peak
     return f, counts[0], counts[1]
-
-
-def _accumulate_degenerate(model, spectrum, v1, v2):
-    """Degenerate models: single Jacobian, duplicate preimages merged.
-
-    All surviving branches carry the Jacobian 1 / ((1-v1^2)(1-v2^2)) and count
-    as plus; two preimages closer than 1e-7 on the wavenumber torus count
-    once, whichever band they come from.
-    """
-    jinv, _ = _jacobian_factors(model, v1, v2)
-    f = np.zeros(v1.shape)
-    n_plus = np.zeros(v1.shape, dtype=np.int64)
-    kept = []
-    for p, _, _, idx, k1, k2, ok, tau in _preimage_slots(model, v1, v2):
-        at = np.nonzero(ok)[0]
-        ok[at] = _keep_new(idx[at], k1[at], k2[at], kept)
-        _add_branches(model, spectrum, p, idx[ok], k1[ok], k2[ok], tau[ok], jinv, f, n_plus)
-        del k1, k2, ok, tau  # as in _accumulate_generic
-    return f, n_plus, np.zeros_like(n_plus)
 
 
 def density(model: Model, spectrum, v1: float, v2: float) -> float:

@@ -6,7 +6,10 @@ the weight table became array code, the quadrature that evaluated the density on
 the density and walk-site work done on whole arrays before it went in blocks,
 the suite run on one thread, the characteristic function that built its
 wavenumber grid once per xi, the band weights that always computed their own
-tau, and the CSV writers that formatted one cell or site at a time.  The code that replaced them must reproduce them exactly.
+tau, the CSV writers that formatted one cell or site at a time, and the three
+literal encodings of the windmill squares (quadrant signs, closed boxes and
+angle reconstruction) that ``limit._SQUARES`` replaced.  The code that
+replaced them must reproduce them exactly.
 ``Branch`` and ``BranchError`` are the scalar label (n, m, s, p) and the refusal
 of the scalar loops; ``limit`` works with label arrays (n, m, is_r) instead.
 """
@@ -19,6 +22,51 @@ import numpy as np
 from altwalk import cli, limit, spectral, verify
 from altwalk.model import wrap_angle
 from altwalk.spectral import angle_terms
+
+
+# windmill square n -> expected sign quadrant of u = (sign of u1, sign of u2)
+REGION_SIGNS = {
+    1: (-1.0, -1.0),
+    2: (1.0, -1.0),
+    3: (1.0, 1.0),
+    4: (-1.0, 1.0),
+    5: (-1.0, -1.0),
+    6: (1.0, -1.0),
+    7: (1.0, 1.0),
+    8: (-1.0, 1.0),
+}
+
+# windmill square n -> closed rectangle [lo1, hi1] x [lo2, hi2] in (l1, l2)
+_PI = math.pi
+REGION_BOXES = {
+    1: (0.0, _PI, 0.0, _PI),
+    2: (-_PI, 0.0, 0.0, _PI),
+    3: (-_PI, 0.0, -_PI, 0.0),
+    4: (0.0, _PI, -_PI, 0.0),
+    5: (-2 * _PI, -_PI, 0.0, _PI),
+    6: (-_PI, 0.0, -2 * _PI, -_PI),
+    7: (_PI, 2 * _PI, -_PI, 0.0),
+    8: (0.0, _PI, _PI, 2 * _PI),
+}
+
+
+def angles_for_square(n, arc1, arc2):
+    """Rotated angles of windmill square n from arccos values in [0, pi]."""
+    if n == 1:
+        return arc1, arc2
+    if n == 2:
+        return -arc1, arc2
+    if n == 3:
+        return -arc1, -arc2
+    if n == 4:
+        return arc1, -arc2
+    if n == 5:
+        return arc1 - 2 * _PI, arc2
+    if n == 6:
+        return -arc1, arc2 - 2 * _PI
+    if n == 7:
+        return 2 * _PI - arc1, -arc2
+    return arc1, 2 * _PI - arc2  # n == 8
 
 
 class BranchError(ValueError):
@@ -54,7 +102,7 @@ def scalar_classify_branch(model, k1, k2):
     parity = (round((l1 - l1r) / (2 * math.pi)) + round((l2 - l2r) / (2 * math.pi))) % 2
     n_found = None
     for n in range(1, 9):
-        lo1, hi1, lo2, hi2 = limit._REGION_BOXES[n]
+        lo1, hi1, lo2, hi2 = REGION_BOXES[n]
         for off1 in (-1, 0, 1):
             for off2 in (-1, 0, 1):
                 if (off1 + off2) % 2 != parity:

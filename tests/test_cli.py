@@ -44,6 +44,20 @@ def test_simulate_requires_out():
     assert run_cli(["simulate", "--steps", "1"]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_empty_out_is_config_error(via_config, tmp_path, monkeypatch, capsys):
+    # an empty path resolves to the working directory, which is not what was asked
+    monkeypatch.chdir(tmp_path)
+    if via_config:
+        (tmp_path / "walk.cfg").write_text("out =\n")
+        args = ["--config", "walk.cfg"]
+    else:
+        args = ["--out", ""]
+    assert run_cli(["simulate", "--steps", "2", *args]) == cli.EXIT_CONFIG
+    assert "output directory is required" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["walk.cfg"] if via_config else [])
+
+
 def test_density_grid_zero_is_config_error(tmp_path):
     assert run_cli(["density", "--grid_n", "0", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
@@ -251,6 +265,17 @@ def test_chars_small(tmp_path, capsys):
     row = lines[1].split(",")
     assert float(row[2]) == pytest.approx(1.0, abs=1e-9)  # empirical at xi = 0
     assert float(row[8]) < 1e-9  # all three agree exactly at xi = 0
+
+
+def test_chars_uses_grid_n_above_256(tmp_path):
+    assert run_cli(["chars", "--steps", "3", "--grid_n", "300", "--xi", "1,0",
+                    "--out", str(tmp_path)]) == 0
+    row = (tmp_path / "chars.csv").read_text().splitlines()[1].split(",")
+    model = cli.model_from(cli.RunConfig())
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([1.0, 0.0])))
+    want = spectral.numeric_char_function(model, spectrum, (1.0, 0.0), 300)
+    assert complex(float(row[4]), float(row[5])) == want
+    assert spectral.numeric_char_function(model, spectrum, (1.0, 0.0), 256) != want
 
 
 def test_chars_missing_out_dir_fails_before_running(tmp_path, monkeypatch):

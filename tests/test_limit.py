@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from altwalk import lattice, limit, spectral
 from altwalk.model import CoinParameters, build_model
 from oracles import (
+    REGION_BOXES,
+    REGION_SIGNS,
     Branch,
     BranchError,
+    angles_for_square,
     per_weight_integrate_density,
     scalar_classify_branch,
     scalar_inverse_map,
@@ -142,6 +145,26 @@ def test_degenerate_jacobian_form(degenerate_model):
 def test_classify_branch_example(reference_model):
     n, m, is_r = limit._branch_labels(reference_model, math.pi / 2, math.pi / 2)
     assert (int(n), int(m), bool(is_r)) == (1, 1, True)
+
+
+def test_squares_table_matches_the_literal_tables():
+    # each (s1, s2, o1, o2) row against the literal sign, box and angle oracles
+    rng = np.random.default_rng(31)
+    edges = [0.0, math.pi, np.nextafter(0.0, 1.0), np.nextafter(math.pi, 0.0)]
+    arcs = np.concatenate([edges, rng.uniform(0.0, math.pi, 20)])
+    arc1, arc2 = np.repeat(arcs, arcs.size), np.tile(arcs, arcs.size)
+    u = np.array([-0.3, -0.0, 0.0, 0.2])
+    u1, u2 = np.repeat(u, u.size), np.tile(u, u.size)
+    for n in range(1, 9):
+        s1, s2, o1, o2 = limit._SQUARES[n]
+        sg1, sg2 = REGION_SIGNS[n]
+        assert (-s1, -s2) == (sg1, sg2), n
+        box = (*sorted((o1, o1 + s1 * math.pi)), *sorted((o2, o2 + s2 * math.pi)))
+        assert box == REGION_BOXES[n], n
+        assert np.array_equal(limit._in_quadrant(n, u1, u2), (sg1 * u1 >= 0.0) & (sg2 * u2 >= 0.0))
+        for got, want in zip(limit._square_angles(n, arc1, arc2), angles_for_square(n, arc1, arc2)):
+            assert np.array_equal(got, want), n
+            assert np.array_equal(np.signbit(got), np.signbit(want)), n
 
 
 def test_branch_validation():
