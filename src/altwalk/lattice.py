@@ -1,21 +1,26 @@
-"""Exact simulation of the alternate-coin walk on a growing dense window.
+"""Exact simulation of the alternate-coin walk, one parity class at a time.
 
 State layout
 ------------
-A walker state is a dense complex128 array of shape (2, n1, n2): component
-index first, then the two lattice axes.  The window covers the integer
-rectangle [x1_min, x1_min + n1 - 1] x [x2_min, x2_min + n2 - 1].  One time
-step applies coin 1, shift 1, coin 2, shift 2 in that order; each shift grows
-the window by one site on both ends of its axis, so after t steps from a
-single site the window is the closed ball of radius t in each axis and all
-amplitude outside it is exactly zero.
+A walker state covers a window of the integer plane: the rectangle
+[x1_min, x1_min + n1 - 1] x [x2_min, x2_min + n2 - 1], ``shape = (n1, n2)``.
+One time step applies coin 1, shift 1, coin 2, shift 2 in that order; each
+shift grows the window by one site on both ends of its axis, so after t steps
+from a single site the window is the closed ball of radius t in each axis and
+all amplitude outside it is exactly zero.
 
 A shift along axis q moves component 1 to x - e_q and component 2 to x + e_q.
-Every step thus moves each site by +-1 on both axes, so the four parity
-classes ``amps[:, p::2, q::2]`` never mix: ``evolve`` steps each occupied
-class on its own half-resolution grid, in place, and writes the classes back
-into the dense window once at the end.  From one site only one class is ever
-nonzero, and the other three are skipped.
+Every step thus moves each site by +-1 on both axes, so the four parity classes
+of the window, the sites at offsets (p, q) + 2 (i, j) from its origin, never
+mix.  A state stores only its occupied classes: for each, the offsets (p, q)
+and a complex128 array of shape (2, m1, m2), component index first, whose
+``[:, i, j]`` is the spinor at (x1_min + p + 2 i, x2_min + q + 2 j).  A class
+with no nonzero amplitude is not stored, so from one site the state holds one
+class, a quarter of the window.  ``evolve`` steps each class on its own
+half-resolution grid and returns it in the buffer it was stepped in.
+``norm_sq`` and ``position_distribution`` square the classes into a
+zero-filled real window, so their sums run in the dense order and keep every
+bit; ``LatticeState.amps`` builds the dense (2, n1, n2) window on demand.
 """
 
 from __future__ import annotations
@@ -39,31 +44,58 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatticeState:
-    """Spinor field on a finite window of the integer plane."""
+    """Spinor field on a finite window of the integer plane, by parity class."""
 
-    amps: np.ndarray  # complex128, shape (2, n1, n2)
+    classes: tuple  # (p, q, amps) per occupied class; amps complex128, shape (2, m1, m2)
     x1_min: int
     x2_min: int
+    shape: tuple  # (n1, n2): the window's extent
     time: int
+
+    @classmethod
+    def from_amps(cls, amps, x1_min: int, x2_min: int, time: int) -> LatticeState:
+        """State of a dense (2, n1, n2) window; classes without amplitude are dropped."""
+        amps = np.asarray(amps, dtype=np.complex128)
+        classes = tuple(
+            (p, q, amps[:, p::2, q::2].copy())
+            for p in (0, 1)
+            for q in (0, 1)
+            if np.any(amps[:, p::2, q::2])
+        )
+        return cls(classes, x1_min, x2_min, amps.shape[1:], time)
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The dense complex128 window, shape (2, n1, n2), built anew on each read."""
+        out = np.zeros((2, *self.shape), dtype=np.complex128)
+        for p, q, amps in self.classes:
+            out[:, p::2, q::2] = amps
+        return out
 
     @property
     def x1_max(self) -> int:
-        return self.x1_min + self.amps.shape[1] - 1
+        return self.x1_min + self.shape[0] - 1
 
     @property
     def x2_max(self) -> int:
-        return self.x2_min + self.amps.shape[2] - 1
+        return self.x2_min + self.shape[1] - 1
 
     def norm_sq(self) -> float:
-        sq = np.abs(self.amps)
-        return float(np.sum(np.square(sq, out=sq)))
+        sq = np.zeros((2, *self.shape))
+        for p, q, amps in self.classes:
+            a = np.abs(amps)
+            sq[:, p::2, q::2] = np.square(a, out=a)
+        return float(np.sum(sq))
 
     def amplitude(self, x1: int, x2: int) -> np.ndarray:
-        """Spinor at a site; zero outside the stored window."""
-        if self.x1_min <= x1 <= self.x1_max and self.x2_min <= x2 <= self.x2_max:
-            return self.amps[:, x1 - self.x1_min, x2 - self.x2_min].copy()
+        """Spinor at a site; zero outside the stored classes."""
+        i1, i2 = x1 - self.x1_min, x2 - self.x2_min
+        if 0 <= i1 < self.shape[0] and 0 <= i2 < self.shape[1]:
+            for p, q, amps in self.classes:
+                if (p, q) == (i1 % 2, i2 % 2):
+                    return amps[:, i1 // 2, i2 // 2].copy()
         return np.zeros(2, dtype=np.complex128)
 
 
@@ -109,8 +141,7 @@ def initial_state_delta(spinor) -> LatticeState:
         raise ValueError(f"spinor must have shape (2,), got {spinor.shape}")
     if abs(float(np.sum(np.abs(spinor) ** 2)) - 1.0) > 1e-12:
         raise ValueError("initial spinor must have unit norm within 1e-12")
-    amps = spinor.reshape(2, 1, 1).copy()
-    return LatticeState(amps=amps, x1_min=0, x2_min=0, time=0)
+    return LatticeState.from_amps(spinor.reshape(2, 1, 1), 0, 0, 0)
 
 
 def initial_state_from_sites(site_amps: dict) -> LatticeState:
@@ -123,7 +154,7 @@ def initial_state_from_sites(site_amps: dict) -> LatticeState:
     amps = np.zeros((2, max(xs1) - x1_min + 1, max(xs2) - x2_min + 1), dtype=np.complex128)
     for (x1, x2), spinor in site_amps.items():
         amps[:, x1 - x1_min, x2 - x2_min] = np.asarray(spinor, dtype=np.complex128)
-    return LatticeState(amps=amps, x1_min=x1_min, x2_min=x2_min, time=0)
+    return LatticeState.from_amps(amps, x1_min, x2_min, 0)
 
 
 def _coin_shift(c: np.ndarray, src: np.ndarray, dst: np.ndarray, axis: int) -> None:
@@ -153,26 +184,22 @@ def evolve(model, state: LatticeState, t: int) -> LatticeState:
     if t < 0:
         raise ValueError(f"step count must be nonnegative, got {t}")
     c1, c2 = model.coin_matrix(1), model.coin_matrix(2)
-    _, n1, n2 = state.amps.shape
-    out = np.zeros((2, n1 + 2 * t, n2 + 2 * t), dtype=np.complex128)
-    cur = np.empty((2, (n1 + 1) // 2 + t, (n2 + 1) // 2 + t), dtype=np.complex128)
-    for p in (0, 1):
-        for q in (0, 1):
-            cls = state.amps[:, p::2, q::2]
-            if not np.any(cls):
-                continue
-            _, m1, m2 = cls.shape
-            cur[:, :m1, :m2] = cls
-            nxt = np.empty_like(cur)
-            for _ in range(t):
-                _coin_shift(c1, cur[:, :m1, :m2], nxt[:, : m1 + 1, :m2], 1)
-                m1 += 1
-                _coin_shift(c2, nxt[:, :m1, :m2], cur[:, :m1, : m2 + 1], 2)
-                m2 += 1
-            del nxt  # freed before the write fills the pages of ``out``
-            out[:, p::2, q::2] = cur[:, :m1, :m2]
+    n1, n2 = state.shape
+    nxt = np.empty((2, (n1 + 1) // 2 + t, (n2 + 1) // 2 + t), dtype=np.complex128)
+    classes = []
+    for p, q, amps in state.classes:
+        _, m1, m2 = amps.shape
+        cur = np.empty((2, m1 + t, m2 + t), dtype=np.complex128)
+        cur[:, :m1, :m2] = amps
+        for _ in range(t):
+            _coin_shift(c1, cur[:, :m1, :m2], nxt[:, : m1 + 1, :m2], 1)
+            m1 += 1
+            _coin_shift(c2, nxt[:, :m1, :m2], cur[:, :m1, : m2 + 1], 2)
+            m2 += 1
+        classes.append((p, q, cur))
     return LatticeState(
-        amps=out, x1_min=state.x1_min - t, x2_min=state.x2_min - t, time=state.time + t
+        tuple(classes), state.x1_min - t, state.x2_min - t, (n1 + 2 * t, n2 + 2 * t),
+        state.time + t,
     )
 
 
@@ -198,11 +225,12 @@ def step(model, state: LatticeState) -> LatticeState:
 
 
 def position_distribution(state: LatticeState) -> PositionDistribution:
-    # |psi_1|^2 + |psi_2|^2, squared in place: one window-sized temporary besides the result
-    probs = np.abs(state.amps[0])
-    np.square(probs, out=probs)
-    sq = np.abs(state.amps[1])
-    probs += np.square(sq, out=sq)
+    # |psi_1|^2 + |psi_2|^2 per class, squared in place, added into a zero-filled window
+    probs = np.zeros(state.shape)
+    for p, q, amps in state.classes:
+        sq = np.abs(amps)
+        np.square(sq, out=sq)
+        np.add(sq[0], sq[1], out=probs[p::2, q::2])
     return PositionDistribution(
         probs=probs, x1_min=state.x1_min, x2_min=state.x2_min, time=state.time
     )

@@ -128,11 +128,12 @@ class InitialSpectrum:
 
 def fourier_initial(state: LatticeState) -> InitialSpectrum:
     """Spectrum of a lattice state with respect to e^{-i k.x}."""
-    nz = np.nonzero(np.any(state.amps != 0, axis=0))
+    dense = state.amps
+    nz = np.nonzero(np.any(dense != 0, axis=0))
     if nz[0].size == 0:
         raise ValueError("state has no nonzero amplitude")
     sites = np.stack([nz[0] + state.x1_min, nz[1] + state.x2_min], axis=1)
-    amps = state.amps[:, nz[0], nz[1]].T.copy()
+    amps = dense[:, nz[0], nz[1]].T.copy()
     return InitialSpectrum(sites=sites.astype(np.int64), amps=amps)
 
 
@@ -166,8 +167,8 @@ def spectral_reconstruct(model, state0: LatticeState, t: int) -> LatticeState:
     if t < 0:
         raise ValueError(f"step count must be nonnegative, got {t}")
     spectrum = fourier_initial(state0)
-    n1 = state0.amps.shape[1] + 2 * t
-    n2 = state0.amps.shape[2] + 2 * t
+    n1 = state0.shape[0] + 2 * t
+    n2 = state0.shape[1] + 2 * t
     g1 = (2.0 * math.pi / n1) * np.arange(n1)[:, None]
     g2 = (2.0 * math.pi / n2) * np.arange(n2)[None, :]
     out0, out1 = _propagated(model, spectrum, t, g1, g2)
@@ -178,7 +179,7 @@ def spectral_reconstruct(model, state0: LatticeState, t: int) -> LatticeState:
     idx1 = np.mod(np.arange(x1_min, x1_min + n1), n1)
     idx2 = np.mod(np.arange(x2_min, x2_min + n2), n2)
     amps = np.stack([a0[np.ix_(idx1, idx2)], a1[np.ix_(idx1, idx2)]], axis=0)
-    return LatticeState(amps=amps, x1_min=x1_min, x2_min=x2_min, time=t)
+    return LatticeState.from_amps(amps, x1_min, x2_min, t)
 
 
 def band_weights(model, spectrum: InitialSpectrum, k1, k2, tau=None):

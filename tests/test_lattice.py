@@ -1,3 +1,8 @@
+import tempfile
+import tracemalloc
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +11,24 @@ from hypothesis import strategies as st
 from altwalk import lattice
 from altwalk.model import CoinParameters, build_model
 from oracles import per_site_distribution_csv, whole_window_norm_sq, whole_window_probs
+
+
+@dataclass
+class DenseState:
+    """A walker state as the reference stepper holds it: the whole (2, n1, n2) window."""
+
+    amps: np.ndarray
+    x1_min: int
+    x2_min: int
+    time: int
+
+    @property
+    def x1_max(self):
+        return self.x1_min + self.amps.shape[1] - 1
+
+    @property
+    def x2_max(self):
+        return self.x2_min + self.amps.shape[2] - 1
 
 
 def dense_evolve(model, state, t):
@@ -25,14 +48,43 @@ def dense_evolve(model, state, t):
             else:
                 amps = np.zeros((2, n1, n2 + 2), dtype=np.complex128)
                 amps[0, :, :n2], amps[1, :, 2:] = new0, new1
-    return lattice.LatticeState(amps=amps, x1_min=state.x1_min - t,
-                                x2_min=state.x2_min - t, time=state.time + t)
+    return DenseState(amps, state.x1_min - t, state.x2_min - t, state.time + t)
+
+
+def csv_bytes(dist):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "distribution.csv"
+        lattice.write_distribution_csv(dist, path)
+        return path.read_bytes()
 
 
 def assert_same_state(got, want):
+    """A class-backed state against the dense reference, on every reading of a state.
+
+    Amplitudes compare by value: the dense stepper may leave -0.0 where a class
+    that is not stored reads +0.0.  Everything squared compares bit for bit.
+    """
     assert (got.x1_min, got.x1_max, got.x2_min, got.x2_max, got.time) == (
         want.x1_min, want.x1_max, want.x2_min, want.x2_max, want.time)
-    assert np.array_equal(got.amps, want.amps)
+    dense = want.amps
+    assert np.array_equal(got.amps, dense)
+    for x1 in range(got.x1_min - 1, got.x1_max + 2):
+        for x2 in range(got.x2_min - 1, got.x2_max + 2):
+            if want.x1_min <= x1 <= want.x1_max and want.x2_min <= x2 <= want.x2_max:
+                site = dense[:, x1 - want.x1_min, x2 - want.x2_min]
+            else:
+                site = np.zeros(2)
+            assert np.array_equal(got.amplitude(x1, x2), site)
+    assert got.norm_sq() == whole_window_norm_sq(want)
+    dist = lattice.position_distribution(got)
+    want_dist = lattice.PositionDistribution(
+        whole_window_probs(want), want.x1_min, want.x2_min, want.time)
+    assert np.array_equal(dist.probs.view(np.int64), want_dist.probs.view(np.int64))
+    assert csv_bytes(dist) == csv_bytes(want_dist)
+    if got.time > 0:
+        mom, want_mom = lattice.moments(dist), lattice.moments(want_dist)
+        assert np.array_equal(mom.mean.view(np.int64), want_mom.mean.view(np.int64))
+        assert np.array_equal(mom.second.view(np.int64), want_mom.second.view(np.int64))
 
 
 @pytest.fixture
@@ -95,13 +147,17 @@ def test_window_growth(reference_model, origin_state):
 
 
 def test_multi_site_initial_state():
+    # (1, 1) holds the only site of its parity class, with a zero spinor
     state = lattice.initial_state_from_sites({
         (0, 0): (0.6, 0.0),
         (2, -1): (0.0, 0.8),
+        (1, 1): (0.0, 0.0),
     })
+    assert (state.x1_min, state.x1_max, state.x2_min, state.x2_max) == (0, 2, -1, 1)
     assert state.norm_sq() == pytest.approx(1.0, abs=1e-14)
     assert state.amplitude(2, -1)[1] == pytest.approx(0.8)
     assert state.amplitude(1, 0)[0] == 0.0
+    assert not np.any(state.amplitude(1, 1))
 
 
 def test_moments_single_step(degenerate_model, origin_state):
@@ -144,6 +200,18 @@ def test_distribution_csv_roundtrip(tmp_path, degenerate_model, origin_state):
 
 STARTS = pytest.mark.parametrize("start", [
     lattice.initial_state_delta(np.array([0.6, 0.8j])),
+    # two sites of one parity class and one of another
+    lattice.initial_state_from_sites({
+        (0, 0): (0.3, 0.2j),
+        (2, -2): (0.4j, -0.3),
+        (1, 0): (0.1 - 0.4j, 0.5),
+    }),
+    # three of the four parity classes of the window
+    lattice.initial_state_from_sites({
+        (0, 0): (0.3, 0.2j),
+        (1, 0): (0.1 - 0.4j, 0.5),
+        (0, 3): (0.4j, -0.3),
+    }),
     # one site in each of the four parity classes of the window
     lattice.initial_state_from_sites({
         (0, 0): (0.3, 0.2j),
@@ -151,7 +219,14 @@ STARTS = pytest.mark.parametrize("start", [
         (0, 3): (0.4j, -0.3),
         (3, 1): (0.2, 0.55 + 0.1j),
     }),
-], ids=["delta", "four_classes"])
+    # the parity class of (1, 0) and (-1, 2) holds only zero spinors
+    lattice.initial_state_from_sites({
+        (0, 0): (0.6, 0.0),
+        (1, 0): (0.0, 0.0),
+        (2, 1): (0.0, -0.8j),
+        (-1, 2): (0.0, 0.0),
+    }),
+], ids=["delta", "two_classes", "three_classes", "four_classes", "zero_classes"])
 
 
 @pytest.mark.parametrize("t", [0, 1, 2, 7, 40])
@@ -193,7 +268,7 @@ def test_trajectory_rejects_negative_time(reference_model, origin_state):
 unit = st.floats(0.01, 0.99)
 phase = st.floats(-np.pi, np.pi)
 amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False)
-spinor = st.tuples(amp, amp)
+spinor = st.one_of(st.just((0j, 0j)), st.tuples(amp, amp))
 site = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 
 
@@ -201,11 +276,32 @@ site = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 @given(unit, unit, st.lists(phase, min_size=6, max_size=6),
        st.dictionaries(site, spinor, min_size=1, max_size=6), st.integers(0, 12))
 def test_evolve_matches_dense_reference_property(a1_sq, a2_sq, phases, sites, t):
+    # zero to four occupied parity classes, zero spinors and t = 0 included
     model = build_model(CoinParameters.from_squared_moduli(a1_sq, a2_sq, *phases))
     start = lattice.initial_state_from_sites(sites)
+    assert_same_state(start, DenseState(start.amps, start.x1_min, start.x2_min, 0))
     got = lattice.evolve(model, start, t)
     assert_same_state(got, dense_evolve(model, start, t))
     assert abs(got.norm_sq() - start.norm_sq()) <= 1e-12
+    times = [t // 2, t]
+    for u, snap in zip(times, lattice.trajectory(model, start, times)):
+        assert_same_state(snap, dense_evolve(model, start, u))
+
+
+def test_evolve_never_builds_the_dense_window(reference_model):
+    # from one site only one parity class of the (2, 401, 401) complex window is
+    # ever occupied; stepping it and squaring it stays well below the window's size
+    t = 200
+    dense_bytes = 2 * (2 * t + 1) ** 2 * np.dtype(np.complex128).itemsize
+    start = lattice.initial_state_delta(np.array([0.6, 0.8j]))
+    tracemalloc.start()
+    try:
+        dist = lattice.position_distribution(lattice.evolve(reference_model, start, t))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.probs.shape == (2 * t + 1, 2 * t + 1)
+    assert peak < 0.75 * dense_bytes
 
 
 def _assert_distribution_csv_matches_per_site(tmp_path, dist):
