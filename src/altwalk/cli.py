@@ -1,8 +1,10 @@
 """Command-line front end: simulate | density | support | verify | chars.
 
-Configuration is a flat ``key = value`` text file; every key has a CLI flag
-of the same name which takes precedence.  Exit codes: 0 success, 1 a
-verification check failed, 2 bad configuration, 3 I/O failure.
+Configuration is one table, the fields of ``RunConfig``: each key's default,
+help text and the subcommands that read it.  A flat ``key = value`` file may
+set any key; a subcommand takes a flag for each key it reads, which overrides
+the file, and refuses the others.  Exit codes: 0 success, 1 a verification
+check failed, 2 bad configuration, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,51 +35,49 @@ class OutputError(Exception):
     pass
 
 
+_EVERY = ("simulate", "density", "support", "verify", "chars")
+_WALKS = ("simulate", "density", "verify", "chars")  # the subcommands that read the spinor
+
+
+def _key(default, text: str, commands=_EVERY, aliases=()):
+    """A configuration key: its default, its help text and the subcommands taking its flag."""
+    return field(default=default,
+                 metadata={"help": text, "commands": commands, "aliases": aliases})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a subcommand needs, resolved from defaults, file, and flags."""
+    """Everything a subcommand needs, resolved from defaults, file, and flags.
 
-    a1_sq: float = 0.9
-    a2_sq: float = 0.1
-    alpha1: float = 0.0
-    alpha2: float = 0.0
-    beta1: float = 0.0
-    beta2: float = 0.0
-    delta1: float = 0.0
-    delta2: float = 0.0
-    psi1_re: float = 1.0
-    psi1_im: float = 0.0
-    psi2_re: float = 0.0
-    psi2_im: float = 0.0
-    steps: int = 100
-    grid_n: int = 200
-    seed: int = 0
-    out: str | None = None
+    A key's type is its default's type; ``out`` is a path string.
+    """
+
+    a1_sq: float = _key(0.9, "squared modulus of the first coin's upper-left entry, in (0, 1)")
+    a2_sq: float = _key(0.1, "squared modulus of the second coin's upper-left entry, in (0, 1)")
+    alpha1: float = _key(0.0, "phase of the first coin's diagonal entry (radians)")
+    alpha2: float = _key(0.0, "phase of the second coin's diagonal entry (radians)")
+    beta1: float = _key(0.0, "phase of the first coin's off-diagonal entry (radians)")
+    beta2: float = _key(0.0, "phase of the second coin's off-diagonal entry (radians)")
+    delta1: float = _key(0.0, "global phase of the first coin (radians)")
+    delta2: float = _key(0.0, "global phase of the second coin (radians)")
+    psi1_re: float = _key(1.0, "real part of the first spinor component at the origin", _WALKS)
+    psi1_im: float = _key(0.0, "imaginary part of the first spinor component", _WALKS)
+    psi2_re: float = _key(0.0, "real part of the second spinor component", _WALKS)
+    psi2_im: float = _key(0.0, "imaginary part of the second spinor component", _WALKS)
+    steps: int = _key(100, "number of walk steps", ("simulate", "chars"))
+    grid_n: int = _key(200, "points per axis of the velocity grid (density), boundary "
+                            "polyline (support) or quadrature (chars)",
+                       ("density", "support", "chars"), aliases=("--grid",))
+    seed: int = _key(0, "seed for every sampled verification check", ("verify",))
+    out: str | None = _key(None, "output directory (must already exist)")
 
 
-_FLOAT_KEYS = ("a1_sq", "a2_sq", "alpha1", "alpha2", "beta1", "beta2",
-               "delta1", "delta2", "psi1_re", "psi1_im", "psi2_re", "psi2_im")
-_INT_KEYS = ("steps", "grid_n", "seed")
+# the flag's metavar and the config-file error phrase of each key type
+_KINDS = {float: ("X", "a number"), int: ("N", "an integer"), str: ("DIR", None)}
 
-_KEY_HELP = {
-    "a1_sq": "squared modulus of the first coin's upper-left entry, in (0, 1)",
-    "a2_sq": "squared modulus of the second coin's upper-left entry, in (0, 1)",
-    "alpha1": "phase of the first coin's diagonal entry (radians)",
-    "alpha2": "phase of the second coin's diagonal entry (radians)",
-    "beta1": "phase of the first coin's off-diagonal entry (radians)",
-    "beta2": "phase of the second coin's off-diagonal entry (radians)",
-    "delta1": "global phase of the first coin (radians)",
-    "delta2": "global phase of the second coin (radians)",
-    "psi1_re": "real part of the first spinor component at the origin",
-    "psi1_im": "imaginary part of the first spinor component",
-    "psi2_re": "real part of the second spinor component",
-    "psi2_im": "imaginary part of the second spinor component",
-    "steps": "number of walk steps (simulate, chars)",
-    "grid_n": "points per axis of the velocity grid, boundary polyline or quadrature "
-              "(density, support, chars)",
-    "seed": "seed for every sampled verification check",
-    "out": "output directory (must already exist)",
-}
+
+def _kind(key) -> type:
+    return str if key.default is None else type(key.default)
 
 
 def _fmt(x: float) -> str:
@@ -86,10 +86,11 @@ def _fmt(x: float) -> str:
 
 def parse_config_file(path: str) -> dict:
     """Read a flat key = value file; '#' starts a comment."""
-    values: dict[str, str] = {}
+    keys = {key.name: key for key in fields(RunConfig)}
+    values: dict[str, object] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -104,20 +105,13 @@ def parse_config_file(path: str) -> dict:
             key, value = parts
         key = key.strip()
         value = value.strip()
-        if key in _FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: {key} needs a number, got {value!r}")
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: {key} needs an integer, got {value!r}")
-        elif key == "out":
-            values[key] = value
-        else:
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        kind = _kind(keys[key])
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: {key} needs {_KINDS[kind][1]}, got {value!r}")
     return values
 
 
@@ -171,7 +165,19 @@ def _out_dir(cfg: RunConfig) -> Path:
 # subcommands
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def _write_csv(path: Path, header: str, rows) -> None:
+    """A header line, then one line of comma-joined ``_fmt`` values per row."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="ascii")
+
+
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.steps < 0:
         raise ConfigError(f"steps must be nonnegative, got {cfg.steps}")
     out = _out_dir(cfg)
@@ -194,19 +200,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         summary["mean_velocity"] = None
         summary["second_moments"] = None
     json_path = out / "moments.json"
-    json_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n",
-                         encoding="ascii")
+    _write_json(json_path, summary)
     print(csv_path)
     print(json_path)
     return EXIT_OK
-
-
-def _write_points_csv(path: Path, points) -> None:
-    """Velocity points, one ``v1,v2`` row each."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("v1,v2\n")
-        for v1, v2 in points:
-            fh.write(f"{_fmt(v1)},{_fmt(v2)}\n")
 
 
 def _write_density_csv(path: Path, mid, f, inside) -> None:
@@ -231,7 +228,7 @@ def _write_density_csv(path: Path, mid, f, inside) -> None:
             fh.write((label + label.join(tails)) % tuple(f_row[js].tolist()))
 
 
-def cmd_density(cfg: RunConfig) -> int:
+def cmd_density(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.grid_n < 1:
         raise ConfigError(f"grid_n must be positive, got {cfg.grid_n}")
     out = _out_dir(cfg)
@@ -243,21 +240,21 @@ def cmd_density(cfg: RunConfig) -> int:
     csv_path = out / "density.csv"
     _write_density_csv(csv_path, mid, grid.f, grid.inside)
     boundary_path = out / "boundary.csv"
-    _write_points_csv(boundary_path, limit.support_boundary(model, max(cfg.grid_n, 64)))
+    _write_csv(boundary_path, "v1,v2", limit.support_boundary(model, max(cfg.grid_n, 64)))
     print(csv_path)
     print(boundary_path)
     return EXIT_OK
 
 
-def cmd_support(cfg: RunConfig) -> int:
+def cmd_support(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.grid_n < 3:
         raise ConfigError(f"grid_n must be at least 3 for a polyline, got {cfg.grid_n}")
     out = _out_dir(cfg)
     model = model_from(cfg)
     boundary_path = out / "boundary.csv"
-    _write_points_csv(boundary_path, limit.support_boundary(model, cfg.grid_n))
+    _write_csv(boundary_path, "v1,v2", limit.support_boundary(model, cfg.grid_n))
     corners_path = out / "corners.csv"
-    _write_points_csv(corners_path, limit.support_corners(model))
+    _write_csv(corners_path, "v1,v2", limit.support_corners(model))
     d = model.derived
     constants = {
         "a": d.a, "b": d.b, "delta": d.delta,
@@ -268,8 +265,7 @@ def cmd_support(cfg: RunConfig) -> int:
         "degenerate": d.degenerate,
     }
     json_path = out / "constants.json"
-    json_path.write_text(json.dumps(constants, sort_keys=True, indent=2) + "\n",
-                         encoding="ascii")
+    _write_json(json_path, constants)
     print(boundary_path)
     print(corners_path)
     print(json_path)
@@ -292,15 +288,15 @@ def _parse_tolerances(pairs) -> dict:
     return tols
 
 
-def cmd_verify(cfg: RunConfig, only, tolerance_pairs) -> int:
+def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     model = model_from(cfg)
-    tols = _parse_tolerances(tolerance_pairs)
+    tols = _parse_tolerances(args.tolerance)
     out = _out_dir(cfg) if cfg.out is not None else None
     try:
         reports = verify.run_suite(model, spinor_from(cfg), seed=cfg.seed,
-                                   only=only or None, tolerances=tols or None)
+                                   only=args.only or None, tolerances=tols or None)
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from exc
     print(verify.summary_table(reports))
@@ -330,41 +326,33 @@ def _parse_xi(items) -> list[tuple[float, float]]:
     return out
 
 
-def cmd_chars(cfg: RunConfig, xi_items) -> int:
+def cmd_chars(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.steps < 1:
         raise ConfigError(f"steps must be at least 1, got {cfg.steps}")
     if cfg.grid_n < 1:
         raise ConfigError(f"grid_n must be positive, got {cfg.grid_n}")
-    xi_list = _parse_xi(xi_items)
+    xi_list = _parse_xi(args.xi)
     for xi in xi_list:
         if not all(abs(x) <= 3.0 for x in xi):  # also rejects nan
             raise ConfigError(f"|xi| <= 3 per component, got {xi}")
     out = _out_dir(cfg) if cfg.out is not None else None
     model = model_from(cfg)
     state0 = lattice.initial_state_delta(spinor_from(cfg))
-    rows, mass = verify.char_triples(model, state0, cfg.steps, xi_list, grid_n=cfg.grid_n)
+    triples, mass = verify.char_triples(model, state0, cfg.steps, xi_list, grid_n=cfg.grid_n)
     header = f"{'xi':>12}  {'empirical':>24}  {'spectral':>24}  {'density':>24}  {'max gap':>10}"
     print(header)
-    lines = []
-    for (xi, emp, spe, den) in rows:
+    rows = []
+    for (xi, emp, spe, den) in triples:
         gap = max(abs(emp - spe), abs(emp - den), abs(spe - den))
         label = f"({xi[0]:g},{xi[1]:g})"
         print(f"{label:>12}  {emp.real:+.5f}{emp.imag:+.5f}j       "
               f"{spe.real:+.5f}{spe.imag:+.5f}j       "
               f"{den.real:+.5f}{den.imag:+.5f}j       {gap:10.3e}")
-        lines.append((xi, emp, spe, den, gap))
+        rows.append((*xi, emp.real, emp.imag, spe.real, spe.imag, den.real, den.imag, gap))
     if out is not None:
         path = out / "chars.csv"
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("xi1,xi2,empirical_re,empirical_im,spectral_re,spectral_im,"
-                     "density_re,density_im,max_gap\n")
-            for (xi, emp, spe, den, gap) in lines:
-                fh.write(",".join([
-                    _fmt(xi[0]), _fmt(xi[1]),
-                    _fmt(emp.real), _fmt(emp.imag),
-                    _fmt(spe.real), _fmt(spe.imag),
-                    _fmt(den.real), _fmt(den.imag),
-                    _fmt(gap)]) + "\n")
+        _write_csv(path, "xi1,xi2,empirical_re,empirical_im,spectral_re,spectral_im,"
+                         "density_re,density_im,max_gap", rows)
         print(path)
     return EXIT_OK
 
@@ -373,72 +361,54 @@ def cmd_chars(cfg: RunConfig, xi_items) -> int:
 # argument parsing
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    group = common.add_argument_group(
-        "configuration",
-        "every option below is also a valid key in the --config file; "
-        "flags override file values")
-    group.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    for key in _FLOAT_KEYS:
-        group.add_argument(f"--{key}", type=float, metavar="X", help=_KEY_HELP[key])
-    group.add_argument("--seed", type=int, metavar="N", help=_KEY_HELP["seed"])
-    group.add_argument("--out", metavar="DIR", help=_KEY_HELP["out"])
-    # verify runs at fixed sizes and refuses these two flags; a config file may hold them
-    sizes = argparse.ArgumentParser(add_help=False)
-    group = sizes.add_argument_group("configuration")  # merges into common's group
-    group.add_argument("--steps", type=int, metavar="N", help=_KEY_HELP["steps"])
-    group.add_argument("--grid_n", "--grid", dest="grid_n", type=int, metavar="N",
-                       help=_KEY_HELP["grid_n"])
+_COMMANDS = {
+    "simulate": (cmd_simulate, "run the walk and write the position distribution"),
+    "density": (cmd_density, "evaluate the limit density on a velocity grid"),
+    "support": (cmd_support, "write the support boundary, corners, and derived constants"),
+    "verify": (cmd_verify, "run the cross-validation suite"),
+    "chars": (cmd_chars, "characteristic function three ways per xi"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="altwalk",
         description="Alternate-coin quantum walk on the plane: exact simulation "
                     "and the long-time velocity density.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common, sizes],
-                   help="run the walk and write the position distribution")
-    sub.add_parser("density", parents=[common, sizes],
-                   help="evaluate the limit density on a velocity grid")
-    sub.add_parser("support", parents=[common, sizes],
-                   help="write the support boundary, corners, and derived constants")
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run the cross-validation suite")
-    p_verify.add_argument("--only", action="append", metavar="CHECK",
-                          help="restrict to one check (repeatable); one of: "
-                               + ", ".join(verify.CHECK_NAMES))
-    p_verify.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
-                          help="override a report tolerance (repeatable)")
-    p_chars = sub.add_parser("chars", parents=[common, sizes],
-                             help="characteristic function three ways per xi")
-    p_chars.add_argument("--xi", action="append", metavar="X1,X2",
-                         help="evaluation point (repeatable); default four standard points")
+    commands = {}
+    for name, (run, text) in _COMMANDS.items():
+        commands[name] = sub.add_parser(name, help=text)
+        commands[name].set_defaults(run=run)
+        group = commands[name].add_argument_group(
+            "configuration",
+            "every option below is also a valid key in the --config file; "
+            "flags override file values")
+        group.add_argument("--config", metavar="PATH", help="flat key = value config file")
+        for key in fields(RunConfig):
+            if name in key.metadata["commands"]:
+                kind = _kind(key)
+                group.add_argument(f"--{key.name}", *key.metadata["aliases"], dest=key.name,
+                                   type=kind, metavar=_KINDS[kind][0], help=key.metadata["help"])
+    commands["verify"].add_argument("--only", action="append", metavar="CHECK",
+                                    help="restrict to one check (repeatable); one of: "
+                                         + ", ".join(verify.CHECK_NAMES))
+    commands["verify"].add_argument("--tolerance", action="append", metavar="NAME=VALUE",
+                                    help="override a report tolerance (repeatable)")
+    commands["chars"].add_argument("--xi", action="append", metavar="X1,X2",
+                                   help="evaluation point (repeatable); "
+                                        "default four standard points")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "density":
-            return cmd_density(cfg)
-        if args.command == "support":
-            return cmd_support(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.only, args.tolerance)
-        if args.command == "chars":
-            return cmd_chars(cfg, args.xi)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(resolve_config(args), args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (OutputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

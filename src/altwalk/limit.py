@@ -163,8 +163,7 @@ def support_corners(model: Model) -> np.ndarray:
     u1sq = (s - q) / det
     u2sq = (p - r) / det
     u1c, u2c = math.sqrt(u1sq), math.sqrt(u2sq)
-    corners_u = [(u1c, u2c), (-u1c, u2c), (-u1c, -u2c), (u1c, -u2c)]
-    return np.array([[_SQRT_HALF * (a + b), _SQRT_HALF * (a - b)] for a, b in corners_u])
+    return np.stack(rotated_coords([u1c, -u1c, -u1c, u1c], [u2c, u2c, -u2c, -u2c]), axis=1)
 
 
 def support_radius(model: Model, theta):
@@ -185,9 +184,7 @@ def support_boundary(model: Model, n: int = 512) -> np.ndarray:
         raise ValueError(f"polyline needs at least 3 points, got {n}")
     theta = 2.0 * math.pi * np.arange(n) / n
     rad = support_radius(model, theta)
-    u1 = rad * np.cos(theta)
-    u2 = rad * np.sin(theta)
-    return np.stack([_SQRT_HALF * (u1 + u2), _SQRT_HALF * (u1 - u2)], axis=1)
+    return np.stack(rotated_coords(rad * np.cos(theta), rad * np.sin(theta)), axis=1)
 
 
 def _terms_from_u(model: Model, u1, u2):
@@ -572,16 +569,10 @@ def integrate_density(model: Model, spectrum, weight=None, n_theta: int = 64,
         w_nodes = w_mid[:, None] + w_half[:, None] * rx[None, :]
         w_weight = w_half[:, None] * rw[None, :]
         rho = rho_b[:, None] - w_nodes**2
-        u1 = rho * np.cos(theta)[:, None]
-        u2 = rho * np.sin(theta)[:, None]
-        p1 = _SQRT_HALF * (u1 + u2)
-        p2 = _SQRT_HALF * (u1 - u2)
+        p1, p2 = rotated_coords(rho * np.cos(theta)[:, None], rho * np.sin(theta)[:, None])
         # boundary asymptotics f ~ c / sqrt(rho_b - rho) give the shell mass
         eps = np.minimum(_QUADRATURE_SHELL, rho_b)
-        e1 = (rho_b - eps) * np.cos(theta)
-        e2 = (rho_b - eps) * np.sin(theta)
-        q1 = _SQRT_HALF * (e1 + e2)
-        q2 = _SQRT_HALF * (e1 - e2)
+        q1, q2 = rotated_coords((rho_b - eps) * np.cos(theta), (rho_b - eps) * np.sin(theta))
         f = density_grid(model, spectrum, p1, p2).f
         shell_f = density_grid(model, spectrum, q1, q2).f
         for i, wt in enumerate(weights):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,42 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert run_cli(["simulate", "--config", str(cfg), "--steps", "0",
                     "--out", str(out2)]) == 0
     assert (out2 / "distribution.csv").read_text().splitlines()[1:] == ["0,0,1"]
+
+
+@pytest.mark.parametrize("text, command, parsed, error", [
+    ("steps 3\n", "simulate", {"steps": 3}, None),
+    ("# a comment\n\nsteps = 3  # trailing\n\n", "simulate", {"steps": 3}, None),
+    ("justakey\n", "simulate", None, "expected 'key = value'"),
+    ("steps = 1.5\n", "simulate", None, "needs an integer"),
+    ("a1_sq = x\n", "simulate", None, "needs a number"),
+    (None, "simulate", None, "cannot read config file"),
+    # a file may set keys the subcommand does not read
+    ("seed = 3\n", "simulate", {"seed": 3}, None),
+    ("psi1_re = 2\n", "support", {"psi1_re": 2.0}, None),
+], ids=["whitespace", "comments", "no-value", "float-steps", "word-a1_sq", "missing-file",
+        "simulate-seed", "support-psi"])
+def test_config_file_forms(text, command, parsed, error, tmp_path, capsys):
+    cfg = tmp_path / "walk.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    code = run_cli([command, "--config", str(cfg), "--out", str(out)])
+    if error is None:
+        assert code == cli.EXIT_OK
+        assert cli.parse_config_file(str(cfg)) == parsed
+    else:
+        assert code == cli.EXIT_CONFIG
+        assert error in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+def test_undecodable_config_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"steps = 1\n\xff\n")
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "cannot read config file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
 
 def test_unknown_config_key(tmp_path):
@@ -212,23 +249,6 @@ def test_verify_negative_seed_fails_before_running(via_config, tmp_path, monkeyp
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--grid_n", "--grid", "--steps"])
-def test_verify_refuses_size_flags(flag, monkeypatch, capsys):
-    # verify runs at fixed sizes; a size flag it would ignore is an error
-    def run_suite(*args, **kwargs):
-        raise AssertionError("the suite ran with a size flag it does not read")
-
-    monkeypatch.setattr(cli.verify, "run_suite", run_suite)
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["verify", "--only", "support", flag, "5"])
-    assert exc.value.code == cli.EXIT_CONFIG
-    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
-    with pytest.raises(SystemExit):
-        run_cli(["verify", "--help"])
-    text = capsys.readouterr().out
-    assert "--grid" not in text and "--steps" not in text
-
-
 def test_verify_accepts_size_keys_in_config(tmp_path):
     cfg = tmp_path / "walk.cfg"
     cfg.write_text("steps = 3\ngrid_n = 5\n")
@@ -317,13 +337,49 @@ def test_byte_stable_outputs(tmp_path):
     assert (out1 / "moments.json").read_bytes() == (out2 / "moments.json").read_bytes()
 
 
-def test_help_documents_every_key(capsys):
+COIN_FLAGS = {"--a1_sq", "--a2_sq", "--alpha1", "--alpha2", "--beta1", "--beta2",
+              "--delta1", "--delta2"}
+SPINOR_FLAGS = {"--psi1_re", "--psi1_im", "--psi2_re", "--psi2_im"}
+COMMAND_FLAGS = {
+    "simulate": {"--help", "--config", *COIN_FLAGS, *SPINOR_FLAGS, "--steps", "--out"},
+    "density": {"--help", "--config", *COIN_FLAGS, *SPINOR_FLAGS, "--grid_n", "--grid", "--out"},
+    "support": {"--help", "--config", *COIN_FLAGS, "--grid_n", "--grid", "--out"},
+    "verify": {"--help", "--config", *COIN_FLAGS, *SPINOR_FLAGS, "--seed", "--out",
+               "--only", "--tolerance"},
+    "chars": {"--help", "--config", *COIN_FLAGS, *SPINOR_FLAGS, "--steps", "--grid_n", "--grid",
+              "--out", "--xi"},
+}
+# the flags of keys a subcommand does not read; a config file may still set the keys
+REFUSED_FLAGS = [
+    ("simulate", "--seed"), ("simulate", "--grid_n"), ("simulate", "--grid"),
+    ("density", "--seed"), ("density", "--steps"),
+    ("support", "--seed"), ("support", "--steps"), ("support", "--psi1_re"),
+    ("support", "--psi1_im"), ("support", "--psi2_re"), ("support", "--psi2_im"),
+    ("verify", "--steps"), ("verify", "--grid_n"), ("verify", "--grid"),
+    ("chars", "--seed"),
+]
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_help_lists_exactly_the_flags_read(command, capsys):
     with pytest.raises(SystemExit) as exc:
-        run_cli(["simulate", "--help"])
+        run_cli([command, "--help"])
     assert exc.value.code == 0
-    text = capsys.readouterr().out
-    for key in list(cli._FLOAT_KEYS) + list(cli._INT_KEYS) + ["out", "config"]:
-        assert f"--{key}" in text
+    assert set(re.findall(r"--\w+", capsys.readouterr().out)) == COMMAND_FLAGS[command]
+
+
+@pytest.mark.parametrize("command, flag", REFUSED_FLAGS,
+                         ids=[command + flag for command, flag in REFUSED_FLAGS])
+def test_refuses_flags_it_does_not_read(command, flag, tmp_path, monkeypatch, capsys):
+    def resolve_config(args):
+        raise AssertionError(f"{command} ran with a flag it does not read")
+
+    monkeypatch.setattr(cli, "resolve_config", resolve_config)
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, flag, "5", "--out", str(tmp_path)])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_grid_alias(tmp_path):
