@@ -19,7 +19,6 @@ from .lattice import (
     Moments,
     initial_state_delta,
     initial_state_from_sites,
-    step,
     evolve,
     trajectory,
     position_distribution,
@@ -39,7 +38,6 @@ from .limit import (
     DensityGrid,
     IntegralResult,
     OutsideSupportError,
-    forward_map,
     support_contains,
     support_corners,
     support_boundary,
@@ -66,7 +64,6 @@ __all__ = [
     "Moments",
     "initial_state_delta",
     "initial_state_from_sites",
-    "step",
     "evolve",
     "trajectory",
     "position_distribution",
@@ -82,7 +79,6 @@ __all__ = [
     "DensityGrid",
     "IntegralResult",
     "OutsideSupportError",
-    "forward_map",
     "support_contains",
     "support_corners",
     "support_boundary",

@@ -4,7 +4,8 @@ Configuration is one table, the fields of ``RunConfig``: each key's default,
 help text and the subcommands that read it.  A flat ``key = value`` file may
 set any key; a subcommand takes a flag for each key it reads, which overrides
 the file, and refuses the others.  Exit codes: 0 success, 1 a verification
-check failed, 2 bad configuration, 3 I/O failure.
+check failed, 2 bad configuration or a size that cannot be allocated, 3 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -255,17 +256,8 @@ def cmd_support(cfg: RunConfig, args: argparse.Namespace) -> int:
     _write_csv(boundary_path, "v1,v2", limit.support_boundary(model, cfg.grid_n))
     corners_path = out / "corners.csv"
     _write_csv(corners_path, "v1,v2", limit.support_corners(model))
-    d = model.derived
-    constants = {
-        "a": d.a, "b": d.b, "delta": d.delta,
-        "D_J": d.D_J, "j_plus": d.j_plus, "j_minus": d.j_minus,
-        "axis_R1": d.axis_R1, "axis_R2": d.axis_R2,
-        "axis_T1": d.axis_T1, "axis_T2": d.axis_T2,
-        "phi_1": d.phi_1, "phi_2": d.phi_2,
-        "degenerate": d.degenerate,
-    }
     json_path = out / "constants.json"
-    _write_json(json_path, constants)
+    _write_json(json_path, asdict(model.derived))
     print(boundary_path)
     print(corners_path)
     print(json_path)
@@ -379,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = {}
     for name, (run, text) in _COMMANDS.items():
         commands[name] = sub.add_parser(name, help=text)
-        commands[name].set_defaults(run=run)
+        commands[name].set_defaults(run=run, parser=commands[name])
         group = commands[name].add_argument_group(
             "configuration",
             "every option below is also a valid key in the --config file; "
@@ -402,10 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # reported by the subcommand's parser, so its usage line is the one shown
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.run(resolve_config(args), args)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OutputError, OSError) as exc:

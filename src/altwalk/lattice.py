@@ -35,7 +35,6 @@ __all__ = [
     "Moments",
     "initial_state_delta",
     "initial_state_from_sites",
-    "step",
     "evolve",
     "trajectory",
     "position_distribution",
@@ -217,11 +216,6 @@ def trajectory(model, state0: LatticeState, times):
             state = evolve(model, state, t - prev)
             prev = t
         yield state
-
-
-def step(model, state: LatticeState) -> LatticeState:
-    """One full time step: coin 1, shift 1, coin 2, shift 2."""
-    return evolve(model, state, 1)
 
 
 def position_distribution(state: LatticeState) -> PositionDistribution:

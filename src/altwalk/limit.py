@@ -38,7 +38,7 @@ off the rotated axes that is two squares per band.  One accumulation path
 serves generic and degenerate coins alike.  Each preimage is weighed with
 the tau = a cos(l1) - b cos(l2) that the forward-consistency gate has
 computed there, which ``branch_preimages`` returns and
-``spectral.band_weights`` takes in place of recomputing it.
+``spectral.band_weights`` takes.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Model, wrap_angle
-from .spectral import DEGENERATE_GAP_TOL, angle_terms, band_weights, group_velocity
+from .spectral import DEGENERATE_GAP_TOL, angle_terms, band1_velocity, band_weights
 
 __all__ = [
     "SUPPORT_BOUNDARY_TOL",
@@ -60,7 +60,6 @@ __all__ = [
     "DensityGrid",
     "IntegralResult",
     "rotated_coords",
-    "forward_map",
     "support_contains",
     "support_corners",
     "support_radius",
@@ -113,11 +112,6 @@ def rotated_coords(v1, v2):
     return _SQRT_HALF * (v1 + v2), _SQRT_HALF * (v1 - v2)
 
 
-def forward_map(model: Model, k1, k2):
-    """Band-1 group velocity; the map whose preimages build the density."""
-    return group_velocity(model, 1, k1, k2)
-
-
 def _ellipse_forms(model: Model, u1, u2):
     """Quadratic forms of the two support ellipses in the rotated frame."""
     d = model.derived
@@ -144,9 +138,9 @@ def support_contains(model: Model, v1: float, v2: float, tol: float = SUPPORT_BO
     return "outside"
 
 
-def _inside_mask(model: Model, u1, u2, tol: float = SUPPORT_BOUNDARY_TOL):
+def _inside_mask(model: Model, u1, u2):
     q_r, q_t = _ellipse_forms(model, u1, u2)
-    return (q_r < 1.0 - tol) & (q_t < 1.0 - tol)
+    return (q_r < 1.0 - SUPPORT_BOUNDARY_TOL) & (q_t < 1.0 - SUPPORT_BOUNDARY_TOL)
 
 
 def support_corners(model: Model) -> np.ndarray:
@@ -311,8 +305,8 @@ def branch_preimages(model: Model, v1, v2, n: int, m: int, p: int):
 
     Returns (k1, k2, ok, tau): wavenumbers in [-pi, pi)^2, a boolean mask of
     the points where this slot produces a preimage whose forward velocity
-    reproduces the target within 1e-9, and ``tau_of`` at (k1, k2) as the
-    forward gate computed it.  Entries with ok == False hold junk.
+    reproduces the target within 1e-9, and tau at (k1, k2) as the forward
+    gate computed it.  Entries with ok == False hold junk.
     """
     d = model.derived
     a, b = d.a, d.b
@@ -349,9 +343,8 @@ def branch_preimages(model: Model, v1, v2, n: int, m: int, p: int):
     k2 = wrap_angle(0.5 * (l1 + l2) - d.phi_2)
     # authoritative gate: the forward map must reproduce the target velocity
     _, _, _, s1f, _, s2f, tauf = angle_terms(model, k1, k2)
-    gap_f = np.sqrt(np.maximum(1.0 - tauf * tauf, DEGENERATE_GAP_TOL))
-    f1 = -(a * s1f + b * s2f) / gap_f
-    f2 = -(a * s1f - b * s2f) / gap_f
+    f1, f2 = band1_velocity(model, s1f, s2f,
+                            np.sqrt(np.maximum(1.0 - tauf * tauf, DEGENERATE_GAP_TOL)))
     ok &= (np.abs(f1 - w1) <= FORWARD_CONSISTENCY_TOL) & (
         np.abs(f2 - w2) <= FORWARD_CONSISTENCY_TOL
     )

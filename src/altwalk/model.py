@@ -134,7 +134,6 @@ class DerivedConstants:
     b: float
     delta: float
     D_J: float
-    sqrt_D_J: float
     j_plus: float
     j_minus: float
     axis_R1: float
@@ -169,7 +168,6 @@ def derive_constants(params: CoinParameters) -> DerivedConstants:
         b=b,
         delta=params.delta2 + params.delta1,
         D_J=d_j,
-        sqrt_D_J=sqrt_d_j,
         j_plus=j_plus,
         j_minus=j_minus,
         axis_R1=1.0 + a * a - b * b + sqrt_d_j,

@@ -27,9 +27,9 @@ __all__ = [
     "DegeneracyError",
     "InitialSpectrum",
     "angle_terms",
-    "tau_of",
     "bloch_entries",
     "eigenvalues",
+    "band1_velocity",
     "group_velocity",
     "band_weights",
     "fourier_initial",
@@ -56,11 +56,6 @@ def angle_terms(model, k1, k2):
     return l1, l2, c1, s1, c2, s2, tau
 
 
-def tau_of(model, k1, k2):
-    """Half the rescaled trace of the one-step unitary at wavenumber k."""
-    return angle_terms(model, k1, k2)[6]
-
-
 def bloch_entries(model, k1, k2):
     """Entries (m11, m12, m21, m22) of U(k), broadcast over wavenumber arrays."""
     a1, b1, a2, b2 = model.a1, model.b1, model.a2, model.b2
@@ -85,20 +80,25 @@ def _eigenvalues_at(model, tau):
 
 def eigenvalues(model, k1, k2):
     """Band eigenvalues (lam1, lam2); band 1 takes + i sqrt(1 - tau^2)."""
-    return _eigenvalues_at(model, tau_of(model, k1, k2))
+    return _eigenvalues_at(model, angle_terms(model, k1, k2)[6])
+
+
+def band1_velocity(model, s1, s2, gap):
+    """Band-1 group velocity from sin(l1), sin(l2) and the gap sqrt(1 - tau^2).
+
+    The callers differ only where the bands touch, in the gap they pass there.
+    """
+    d = model.derived
+    return -(d.a * s1 + d.b * s2) / gap, -(d.a * s1 - d.b * s2) / gap
 
 
 def group_velocity(model, p: int, k1, k2):
     """Band-p group velocity (v1, v2); band 2 is the negative of band 1."""
     if p not in (1, 2):
         raise ValueError(f"band index must be 1 or 2, got {p}")
-    d = model.derived
     _, _, _, s1, _, s2, tau = angle_terms(model, k1, k2)
-    gap = np.sqrt(np.maximum(1.0 - tau * tau, 0.0))
-    sign = 1.0 if p == 1 else -1.0
-    v1 = -sign * (d.a * s1 + d.b * s2) / gap
-    v2 = -sign * (d.a * s1 - d.b * s2) / gap
-    return v1, v2
+    v1, v2 = band1_velocity(model, s1, s2, np.sqrt(np.maximum(1.0 - tau * tau, 0.0)))
+    return (v1, v2) if p == 1 else (-v1, -v2)
 
 
 @dataclass(frozen=True)
@@ -182,17 +182,15 @@ def spectral_reconstruct(model, state0: LatticeState, t: int) -> LatticeState:
     return LatticeState.from_amps(amps, x1_min, x2_min, t)
 
 
-def band_weights(model, spectrum: InitialSpectrum, k1, k2, tau=None):
+def band_weights(model, spectrum: InitialSpectrum, k1, k2, tau):
     """Spectral weights P_p(k) = |<psi_hat_0(k)|band p>|^2 for p = 1, 2.
 
     Computed through the spectral projector (U - lam_2)/(lam_1 - lam_2), which
     avoids picking eigenvector phases.  P_1 + P_2 = |psi_hat_0(k)|^2.  tau is
-    the trace term ``tau_of(model, k1, k2)``, computed here when not given; the
-    limit density passes the tau its forward-consistency gate has already
-    computed at each preimage.
+    the trace term ``angle_terms(model, k1, k2)[6]``, which every caller has
+    already computed: the quadrature on its grid, the limit density in the
+    forward-consistency gate at each preimage.
     """
-    if tau is None:
-        tau = tau_of(model, k1, k2)
     psi = spectrum(k1, k2)
     p0, p1 = psi[..., 0], psi[..., 1]
     m11, m12, m21, m22 = bloch_entries(model, k1, k2)
@@ -214,34 +212,30 @@ def numeric_char_function(
     have no defined group velocity and are skipped; the average runs over the
     remaining points and the skipped count is available via ``with_info``.
 
-    xi is one pair (xi1, xi2), giving one complex value, or a sequence of
-    pairs, giving a list with one value per pair.  The grid, its group
-    velocities and its band weights do not depend on xi and are built once.
+    xi is a sequence of pairs (xi1, xi2), giving a list with one complex value
+    per pair.  The grid, its group velocities and its band weights do not
+    depend on xi and are built once.
     """
     if grid_n < 1:
         raise ValueError(f"grid size must be positive, got {grid_n}")
     xis = np.asarray(xi, dtype=np.float64)
-    if xis.ndim not in (1, 2) or xis.shape[-1] != 2:
-        raise ValueError(f"xi must be a pair or a sequence of pairs, got shape {xis.shape}")
+    if xis.ndim != 2 or xis.shape[1] != 2:
+        raise ValueError(f"xi must be a sequence of pairs, got shape {xis.shape}")
     g1 = -math.pi + (2.0 * math.pi / grid_n) * np.arange(grid_n)[:, None]
     g2 = -math.pi + (2.0 * math.pi / grid_n) * np.arange(grid_n)[None, :]
-    d = model.derived
     _, _, _, s1, _, s2, tau = angle_terms(model, g1, g2)
     gap_sq = 1.0 - tau * tau
     ok = gap_sq > DEGENERATE_GAP_TOL
     n_ok = int(np.count_nonzero(ok))
     if n_ok == 0:
         raise DegeneracyError("all grid points are spectrally degenerate")
-    gap = np.sqrt(np.where(ok, gap_sq, 1.0))
-    v1 = -(d.a * s1 + d.b * s2) / gap
-    v2 = -(d.a * s1 - d.b * s2) / gap
+    v1, v2 = band1_velocity(model, s1, s2, np.sqrt(np.where(ok, gap_sq, 1.0)))
     w1, w2 = band_weights(model, spectrum, g1, g2, tau)
     values = []
-    for xi1, xi2 in xis.reshape(-1, 2).tolist():
+    for xi1, xi2 in xis.tolist():
         phase = xi1 * v1 + xi2 * v2
         vals = np.exp(1j * phase) * w1 + np.exp(-1j * phase) * w2
         values.append(complex(np.sum(np.where(ok, vals, 0.0)) / n_ok))
-    value = values[0] if xis.ndim == 1 else values
     if with_info:
-        return value, grid_n * grid_n - n_ok
-    return value
+        return values, grid_n * grid_n - n_ok
+    return values

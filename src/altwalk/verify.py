@@ -163,7 +163,7 @@ def _roundtrip_worst(model: Model, samples: int, rng) -> tuple[float, int]:
     while done < samples:
         remaining = samples - done
         k1, k2 = rng.uniform(-math.pi, math.pi, size=(remaining, 2)).T
-        v1, v2 = limit.forward_map(model, k1, k2)
+        v1, v2 = spectral.group_velocity(model, 1, k1, k2)
         r1, r2, ok = limit._inverse_labelled(model, v1, v2, *limit._branch_labels(model, k1, k2))
         found = int(np.count_nonzero(ok))
         worst = max(worst, float(limit._torus_dist(k1[ok], k2[ok], r1[ok], r2[ok]).max(initial=0.0)))
@@ -208,7 +208,7 @@ def check_jacobian(model: Model, samples: int = 1000, *, seed: int = 0,
     while done < samples:
         remaining = samples - done
         k1, k2 = rng.uniform(-math.pi, math.pi, size=(remaining, 2)).T
-        v1, v2 = limit.forward_map(model, k1, k2)
+        v1, v2 = spectral.group_velocity(model, 1, k1, k2)
         at = np.nonzero(limit._inside_mask(model, *limit.rotated_coords(v1, v2)))[0]
         jf = limit.jacobian_forward(model, k1[at], k2[at])
         at, jf = at[jf > 1e-4], jf[jf > 1e-4]
@@ -216,10 +216,10 @@ def check_jacobian(model: Model, samples: int = 1000, *, seed: int = 0,
         excluded += remaining - at.size
         done += at.size
     k1, k2, v1, v2, jf = (np.concatenate(col) for col in zip(*kept))
-    dp1 = limit.forward_map(model, k1 + h, k2)
-    dm1 = limit.forward_map(model, k1 - h, k2)
-    dp2 = limit.forward_map(model, k1, k2 + h)
-    dm2 = limit.forward_map(model, k1, k2 - h)
+    dp1 = spectral.group_velocity(model, 1, k1 + h, k2)
+    dm1 = spectral.group_velocity(model, 1, k1 - h, k2)
+    dp2 = spectral.group_velocity(model, 1, k1, k2 + h)
+    dm2 = spectral.group_velocity(model, 1, k1, k2 - h)
     col1 = [(p - m) / (2.0 * h) for p, m in zip(dp1, dm1)]
     col2 = [(p - m) / (2.0 * h) for p, m in zip(dp2, dm2)]
     det = np.abs(col1[0] * col2[1] - col1[1] * col2[0])
@@ -243,7 +243,7 @@ def check_support(model: Model, grid_n: int = 512, *, seed: int = 0,
     g = -math.pi + 2.0 * math.pi * np.arange(grid_n) / grid_n
     k1, k2 = np.meshgrid(g, g, indexing="ij")
     with np.errstate(divide="ignore", invalid="ignore"):
-        v1, v2 = limit.forward_map(model, k1, k2)
+        v1, v2 = spectral.group_velocity(model, 1, k1, k2)
         u1, u2 = limit.rotated_coords(v1, v2)
     d = model.derived
     q_r, q_t = limit._ellipse_forms(model, u1, u2)

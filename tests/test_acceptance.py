@@ -135,7 +135,7 @@ def test_criterion_08_branch_count(reference_model):
     found = 0
     while found < 1000:
         k1, k2 = rng.uniform(-math.pi, math.pi, size=2)
-        w1, w2 = (float(x) for x in limit.forward_map(reference_model, k1, k2))
+        w1, w2 = (float(x) for x in spectral.group_velocity(reference_model, 1, k1, k2))
         if limit.support_contains(reference_model, w1, w2) != "inside":
             continue
         v1[found] = w1

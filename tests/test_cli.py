@@ -45,6 +45,14 @@ def test_simulate_requires_out():
     assert run_cli(["simulate", "--steps", "1"]) == cli.EXIT_CONFIG
 
 
+def test_unallocatable_size_is_config_error(tmp_path, capsys):
+    # the walk's first buffer would take 284 PiB; numpy refuses it without touching memory
+    assert run_cli(["simulate", "--steps", "100000000", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("via_config", [False, True])
 def test_empty_out_is_config_error(via_config, tmp_path, monkeypatch, capsys):
     # an empty path resolves to the working directory, which is not what was asked
@@ -204,6 +212,8 @@ def test_bins_key_removed(tmp_path):
 def test_support_outputs(tmp_path):
     assert run_cli(["support", "--grid_n", "64", "--out", str(tmp_path)]) == 0
     constants = json.loads((tmp_path / "constants.json").read_text())
+    assert sorted(constants) == ["D_J", "a", "axis_R1", "axis_R2", "axis_T1", "axis_T2", "b",
+                                 "degenerate", "delta", "j_minus", "j_plus", "phi_1", "phi_2"]
     assert constants["D_J"] == pytest.approx(0.64, abs=1e-12)
     corners = (tmp_path / "corners.csv").read_text().splitlines()
     assert len(corners) == 5  # header + four corner points
@@ -293,9 +303,9 @@ def test_chars_uses_grid_n_above_256(tmp_path):
     row = (tmp_path / "chars.csv").read_text().splitlines()[1].split(",")
     model = cli.model_from(cli.RunConfig())
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([1.0, 0.0])))
-    want = spectral.numeric_char_function(model, spectrum, (1.0, 0.0), 300)
+    [want] = spectral.numeric_char_function(model, spectrum, [(1.0, 0.0)], 300)
     assert complex(float(row[4]), float(row[5])) == want
-    assert spectral.numeric_char_function(model, spectrum, (1.0, 0.0), 256) != want
+    assert spectral.numeric_char_function(model, spectrum, [(1.0, 0.0)], 256) != [want]
 
 
 def test_chars_missing_out_dir_fails_before_running(tmp_path, monkeypatch):
@@ -378,7 +388,9 @@ def test_refuses_flags_it_does_not_read(command, flag, tmp_path, monkeypatch, ca
     with pytest.raises(SystemExit) as exc:
         run_cli([command, flag, "5", "--out", str(tmp_path)])
     assert exc.value.code == cli.EXIT_CONFIG
-    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: altwalk {command}")
+    assert f"altwalk {command}: error: unrecognized arguments: {flag} 5" in err
     assert list(tmp_path.iterdir()) == []
 
 

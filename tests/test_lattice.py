@@ -118,7 +118,7 @@ def test_single_step_hand_computed(phased_model):
         (1, -1): [c2[0, 1] * u[1], 0],
         (1, 1): [0, c2[1, 1] * u[1]],
     }
-    state = lattice.step(phased_model, lattice.initial_state_delta(psi))
+    state = lattice.evolve(phased_model, lattice.initial_state_delta(psi), 1)
     assert (state.x1_min, state.x1_max, state.x2_min, state.x2_max, state.time) == (-1, 1, -1, 1, 1)
     for x1 in range(state.x1_min, state.x1_max + 1):
         for x2 in range(state.x2_min, state.x2_max + 1):

@@ -32,7 +32,7 @@ def _interior_points(model, rng, count):
     out1, out2 = [], []
     while len(out1) < count:
         k1, k2 = rng.uniform(-math.pi, math.pi, size=2)
-        v1, v2 = (float(x) for x in limit.forward_map(model, k1, k2))
+        v1, v2 = (float(x) for x in spectral.group_velocity(model, 1, k1, k2))
         if limit.support_contains(model, v1, v2) == "inside":
             out1.append(v1)
             out2.append(v2)
@@ -43,7 +43,7 @@ def _interior_points(model, rng, count):
 
 
 def test_forward_map_center(reference_model):
-    v1, v2 = limit.forward_map(reference_model, math.pi / 2, math.pi / 2)
+    v1, v2 = spectral.group_velocity(reference_model, 1, math.pi / 2, math.pi / 2)
     assert v1 == pytest.approx(0.0, abs=1e-15)
     assert v2 == pytest.approx(0.0, abs=1e-15)
 
@@ -199,7 +199,7 @@ def test_inverse_map_outside_raises(reference_model):
 def test_roundtrip_with_phases(phased_model):
     rng = np.random.default_rng(10)
     k1, k2 = rng.uniform(-math.pi, math.pi, size=(2, 400))
-    v1, v2 = limit.forward_map(phased_model, k1, k2)
+    v1, v2 = spectral.group_velocity(phased_model, 1, k1, k2)
     inside = np.array([limit.support_contains(phased_model, float(a), float(b)) == "inside"
                        for a, b in zip(v1, v2)])
     k1, k2, v1, v2 = k1[inside], k2[inside], v1[inside], v2[inside]
@@ -237,7 +237,7 @@ def test_forward_consistency_of_preimages(reference_model):
                 k1, k2, ok, _ = limit.branch_preimages(reference_model, v1, v2, n, m, p)
                 if not ok.any():
                     continue
-                w1, w2 = limit.forward_map(reference_model, k1[ok], k2[ok])
+                w1, w2 = spectral.group_velocity(reference_model, 1, k1[ok], k2[ok])
                 assert np.abs(w1 - sign * v1[ok]).max() < 1e-9
                 assert np.abs(w2 - sign * v2[ok]).max() < 1e-9
 
@@ -462,7 +462,8 @@ def full_density_grid(model, spectrum, v1, v2):
                     ok &= ~(pok & (limit._torus_dist(k1, k2, pk1, pk2) < limit.DEDUP_K_TOL))
                 kept.append((k1, k2, ok & dedup))
                 idx = np.nonzero(ok)[0]
-                w1, w2 = spectral.band_weights(model, spectrum, k1[idx], k2[idx])
+                w1, w2 = spectral.band_weights(model, spectrum, k1[idx], k2[idx],
+                                              spectral.angle_terms(model, k1[idx], k2[idx])[6])
                 f[idx] += (w1 if p == 1 else w2) * jinv[m % 2][idx]
                 counts[0 if degenerate else m % 2][idx] += 1
     return f, inside, evaluable, counts[0], counts[1]
@@ -479,7 +480,7 @@ def test_gate_tau_is_tau_at_the_preimages(coin, request):
         for n in range(1, 9):
             for m in range(1, 5):
                 k1, k2, ok, tau = limit.branch_preimages(model, v1, v2, n, m, p)
-                assert np.array_equal(tau, spectral.tau_of(model, k1, k2))
+                assert np.array_equal(tau, spectral.angle_terms(model, k1, k2)[6])
                 found += int(ok.sum())
     assert found > 0
 

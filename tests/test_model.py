@@ -89,7 +89,6 @@ def test_degenerate_flag(degenerate_model):
     d = degenerate_model.derived
     assert d.degenerate
     assert d.D_J == 0.0
-    assert d.sqrt_D_J == 0.0
     assert d.j_plus == -1.0 and d.j_minus == -1.0
     assert d.a + d.b == pytest.approx(1.0, abs=1e-15)
 

@@ -8,11 +8,11 @@ PUBLIC = [
     "CoinParameters", "DerivedConstants", "Model", "ParameterDomainError", "build_model",
     "derive_constants",
     "LatticeState", "PositionDistribution", "Moments", "initial_state_delta",
-    "initial_state_from_sites", "step", "evolve", "trajectory", "position_distribution",
+    "initial_state_from_sites", "evolve", "trajectory", "position_distribution",
     "moments",
     "DegeneracyError", "InitialSpectrum", "eigenvalues", "group_velocity", "fourier_initial",
     "spectral_reconstruct", "band_weights", "numeric_char_function",
-    "DensityGrid", "IntegralResult", "OutsideSupportError", "forward_map", "support_contains",
+    "DensityGrid", "IntegralResult", "OutsideSupportError", "support_contains",
     "support_corners", "support_boundary", "jacobian_forward", "jacobian_inverse", "density",
     "density_grid", "integrate_density", "reference_ellipse_grover",
     "ComparisonReport", "run_suite", "__version__",
@@ -20,7 +20,7 @@ PUBLIC = [
 
 DELETED = ["Branch", "BranchError", "classify_branch", "inverse_map", "EigenSystem",
            "eigensystem", "bloch_matrix", "spectral_evolve", "write_state_binary",
-           "read_state_binary"]
+           "read_state_binary", "forward_map", "step", "tau_of"]
 
 
 def test_public_names():
