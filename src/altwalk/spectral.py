@@ -171,14 +171,10 @@ def spectral_reconstruct(model, state0: LatticeState, t: int) -> LatticeState:
     n2 = state0.shape[1] + 2 * t
     g1 = (2.0 * math.pi / n1) * np.arange(n1)[:, None]
     g2 = (2.0 * math.pi / n2) * np.arange(n2)[None, :]
-    out0, out1 = _propagated(model, spectrum, t, g1, g2)
-    a0 = np.fft.ifft2(out0)
-    a1 = np.fft.ifft2(out1)
+    amps = np.fft.ifft2(_propagated(model, spectrum, t, g1, g2))
     x1_min = state0.x1_min - t
     x2_min = state0.x2_min - t
-    idx1 = np.mod(np.arange(x1_min, x1_min + n1), n1)
-    idx2 = np.mod(np.arange(x2_min, x2_min + n2), n2)
-    amps = np.stack([a0[np.ix_(idx1, idx2)], a1[np.ix_(idx1, idx2)]], axis=0)
+    amps = np.roll(amps, (-x1_min, -x2_min), axis=(1, 2))
     return LatticeState.from_amps(amps, x1_min, x2_min, t)
 
 

@@ -1,10 +1,9 @@
 """Cross-validation harness tying the lattice, spectral, and limit layers together.
 
 Every check compares two independently computed quantities and reports the
-measured error against a fixed tolerance.  Checks that bound several distinct
-quantities emit one report per bound so that ``passed == (metric <= tolerance)``
-holds for each record.  All sampling is seeded; identical seeds reproduce
-reports byte-for-byte.
+measured error against its default tolerance, one report per bound; a report's
+``passed`` is ``metric <= tolerance``, and ``run_suite`` applies the tolerance
+overrides.  All sampling is seeded; identical seeds reproduce reports byte-for-byte.
 
 One table, ``_CHECKS``, lists the checks in suite order.  For each it holds the
 report names with their default tolerances and how to build the check for a
@@ -52,7 +51,7 @@ _CHECKS = {
     "support": _Check(
         {"support_containment": 1e-12, "support_tightness": 1e-3,
          "support_ellipse_membership": 0.0},  # the last for degenerate coins only
-        lambda m, s0: _AfterWalk(check_support, m, 512)),
+        lambda m, s0: _Direct(check_support, m, 512)),
     "char_function": _Check(
         {"char_triangle": 5e-2, "char_quadratures": 1e-2},
         lambda m, s0: _CharFunction(
@@ -65,8 +64,9 @@ _CHECKS = {
         lambda m, s0: _Direct(check_weight_table, m, 200)),
 }
 
-# check name -> report names it can emit
+# check name -> report names it can emit; report name -> default tolerance
 CHECK_NAMES = {name: tuple(check.tolerances) for name, check in _CHECKS.items()}
+_TOLERANCES = {rep: tol for check in _CHECKS.values() for rep, tol in check.tolerances.items()}
 
 # sites or density cells per block of the per-point work on a walk's position
 # distribution and on the analytic bins; the walk-free side's share of the
@@ -81,9 +81,12 @@ class ComparisonReport:
     name: str
     metric: float
     tolerance: float
-    passed: bool
     seed: int | None = None
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.metric <= self.tolerance
 
     def to_json(self) -> str:
         obj = {
@@ -92,33 +95,21 @@ class ComparisonReport:
             "tolerance": float(self.tolerance),
             "passed": bool(self.passed),
             "seed": self.seed,
-            "details": _jsonable(self.details),
+            "details": self.details,
         }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.complexfloating, complex)):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    return value
+def _json_default(value):
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _report(name, metric, seed, details, tolerances=None) -> ComparisonReport:
-    tol = next(c.tolerances[name] for c in _CHECKS.values() if name in c.tolerances)
-    if tolerances and name in tolerances:
-        tol = float(tolerances[name])
-    metric = float(metric)
-    return ComparisonReport(name, metric, tol, metric <= tol, seed, dict(details))
+def _report(name, metric, seed, details) -> ComparisonReport:
+    return ComparisonReport(name, float(metric), _TOLERANCES[name], seed, dict(details))
 
 
 def _default_state(spinor=None) -> lattice.LatticeState:
@@ -132,7 +123,7 @@ def _default_state(spinor=None) -> lattice.LatticeState:
 
 
 def check_lattice_vs_spectral(model: Model, state0=None, t: int = 20, *,
-                              seed: int = 0, tolerances=None) -> list[ComparisonReport]:
+                              seed: int = 0) -> list[ComparisonReport]:
     """Direct evolution against the inverse-Fourier reconstruction."""
     if t > 64:
         raise ValueError(f"grid cost bounds t <= 64, got {t}")
@@ -142,7 +133,7 @@ def check_lattice_vs_spectral(model: Model, state0=None, t: int = 20, *,
     recon = spectral.spectral_reconstruct(model, state0, t)
     # both windows are the start window grown by t on every side
     metric = float(np.abs(direct.amps - recon.amps).max())
-    return [_report("lattice_vs_spectral", metric, seed, {"t": t}, tolerances)]
+    return [_report("lattice_vs_spectral", metric, seed, {"t": t})]
 
 
 def _phased_sibling(model: Model) -> Model:
@@ -172,8 +163,8 @@ def _roundtrip_worst(model: Model, samples: int, rng) -> tuple[float, int]:
     return worst, excluded
 
 
-def check_roundtrip(model: Model, samples: int = 10_000, *, seed: int = 0,
-                    tolerances=None) -> list[ComparisonReport]:
+def check_roundtrip(model: Model, samples: int = 10_000, *,
+                    seed: int = 0) -> list[ComparisonReport]:
     """k -> v -> branch -> k angular round trip on random interior wavenumbers.
 
     When the supplied model has no coin phases, a fixed phased sibling is run
@@ -189,11 +180,11 @@ def check_roundtrip(model: Model, samples: int = 10_000, *, seed: int = 0,
         details["phased_error"] = worst_p
         details["phased_excluded"] = excl_p
         worst = max(worst, worst_p)
-    return [_report("roundtrip", worst, seed, details, tolerances)]
+    return [_report("roundtrip", worst, seed, details)]
 
 
-def check_jacobian(model: Model, samples: int = 1000, *, seed: int = 0,
-                   tolerances=None) -> list[ComparisonReport]:
+def check_jacobian(model: Model, samples: int = 1000, *,
+                   seed: int = 0) -> list[ComparisonReport]:
     """Forward Jacobian against finite differences and the branch-matched inverse.
 
     Points with |J| <= 1e-4 sit near the fold curves where the derivative
@@ -230,13 +221,12 @@ def check_jacobian(model: Model, samples: int = 1000, *, seed: int = 0,
     br_worst = float(np.max(np.abs(jinv - 1.0 / jf) * jf, initial=0.0))
     details = {"samples": samples, "excluded": excluded, "h": h}
     return [
-        _report("jacobian_fd", fd_worst, seed, details, tolerances),
-        _report("jacobian_branch", br_worst, seed, details, tolerances),
+        _report("jacobian_fd", fd_worst, seed, details),
+        _report("jacobian_branch", br_worst, seed, details),
     ]
 
 
-def check_support(model: Model, grid_n: int = 512, *, seed: int = 0,
-                  tolerances=None) -> list[ComparisonReport]:
+def check_support(model: Model, grid_n: int = 512, *, seed: int = 0) -> list[ComparisonReport]:
     """Forward image containment in the two-ellipse region, plus tightness."""
     if grid_n < 128:
         raise ValueError(f"need grid_n >= 128, got {grid_n}")
@@ -255,8 +245,8 @@ def check_support(model: Model, grid_n: int = 512, *, seed: int = 0,
     details = {"grid_n": grid_n, "min_E_R": min_er, "min_E_T": min_et,
                "singular_points": int((~finite).sum())}
     reports = [
-        _report("support_containment", violation, seed, details, tolerances),
-        _report("support_tightness", max(min_er, min_et), seed, details, tolerances),
+        _report("support_containment", violation, seed, details),
+        _report("support_tightness", max(min_er, min_et), seed, details),
     ]
     if d.degenerate:
         vv = -1.0 + (2.0 * np.arange(200) + 1.0) / 200.0
@@ -266,7 +256,7 @@ def check_support(model: Model, grid_n: int = 512, *, seed: int = 0,
         mism = int(np.count_nonzero(inside != member))
         reports.append(_report(
             "support_ellipse_membership", mism / inside.size, seed,
-            {"grid_n": 200, "mismatches": mism}, tolerances))
+            {"grid_n": 200, "mismatches": mism}))
     return reports
 
 
@@ -389,8 +379,8 @@ def _escape_mass(model: Model, dist: lattice.PositionDistribution, t: int) -> fl
     return float(np.concatenate(escaped).sum())
 
 
-def check_weight_table(model: Model, samples: int = 200, *, seed: int = 0,
-                       tolerances=None) -> list[ComparisonReport]:
+def check_weight_table(model: Model, samples: int = 200, *,
+                       seed: int = 0) -> list[ComparisonReport]:
     """Soft cross-check of the published band/region case tables.
 
     The enumeration rule is authoritative; table disagreement is recorded,
@@ -407,7 +397,7 @@ def check_weight_table(model: Model, samples: int = 200, *, seed: int = 0,
     v2 = (u1 - u2) / math.sqrt(2.0)
     mismatches = int(np.count_nonzero(~limit._table_matches(model, v1, v2)))
     return [_report("weight_table", mismatches / samples, seed,
-                    {"samples": samples, "mismatches": mismatches}, tolerances)]
+                    {"samples": samples, "mismatches": mismatches})]
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +408,8 @@ def check_weight_table(model: Model, samples: int = 200, *, seed: int = 0,
 # ``observe(t, state)`` keeps what it needs of the state t steps after the
 # start.  ``_observe_walk`` feeds every runner from one trajectory, so the
 # suite evolves the walk once and keeps no snapshot beyond the current state.
-# ``prepare(seed, tolerances)`` does the check's work that reads no walk, and
-# ``reports(seed, tolerances)`` builds its reports once both are done.
+# ``prepare(seed)`` does the check's work that reads no walk, and
+# ``reports(seed)`` builds its reports once both are done.
 # ``run_suite`` observes the walk on a second thread while the caller's thread
 # prepares every runner; the two write disjoint attributes of a runner.
 
@@ -438,32 +428,21 @@ class _Runner:
 
     times = ()
 
-    def prepare(self, seed, tolerances):
+    def prepare(self, seed):
         pass
 
 
 class _Direct(_Runner):
-    """A check that reads no walk: one call of its ``check_*`` function, made
-    beside the walk."""
+    """A check that reads no walk: one call of its ``check_*`` function, beside the walk."""
 
     def __init__(self, check, *args):
         self.check, self.args = check, args
 
-    def prepare(self, seed, tolerances):
-        self.done = self.check(*self.args, seed=seed, tolerances=tolerances)
+    def prepare(self, seed):
+        self.done = self.check(*self.args, seed=seed)
 
-    def reports(self, seed, tolerances):
+    def reports(self, seed):
         return self.done
-
-
-class _AfterWalk(_Direct):
-    """A ``_Direct`` check called after the walk, whose peak memory it would add to."""
-
-    def prepare(self, seed, tolerances):
-        pass
-
-    def reports(self, seed, tolerances):
-        return self.check(*self.args, seed=seed, tolerances=tolerances)
 
 
 class _Unitarity(_Runner):
@@ -475,9 +454,9 @@ class _Unitarity(_Runner):
     def observe(self, t, state):
         self.norm_sq = state.norm_sq()
 
-    def reports(self, seed, tolerances):
+    def reports(self, seed):
         return [_report("unitarity", abs(self.norm_sq - 1.0), seed,
-                        {"t": self.times[0], "norm_sq": self.norm_sq}, tolerances)]
+                        {"t": self.times[0], "norm_sq": self.norm_sq})]
 
 
 class _CharFunction(_Runner):
@@ -493,10 +472,10 @@ class _CharFunction(_Runner):
     def observe(self, t, state):
         self.emps = _empirical_chars(lattice.position_distribution(state), t, self.xi_list)
 
-    def prepare(self, seed, tolerances):
+    def prepare(self, seed):
         self.rows, self.mass = _char_rows(self.model, self.state0, self.xi_list)
 
-    def reports(self, seed, tolerances):
+    def reports(self, seed):
         t = self.times[0]
         tri = 0.0
         quad_gap = 0.0
@@ -509,8 +488,8 @@ class _CharFunction(_Runner):
                 "empirical": emp, "spectral": spe, "density": den}
         details = {"t": t, "density_mass": self.mass, "values": per_xi}
         return [
-            _report("char_triangle", tri, seed, details, tolerances),
-            _report("char_quadratures", quad_gap, seed, details, tolerances),
+            _report("char_triangle", tri, seed, details),
+            _report("char_quadratures", quad_gap, seed, details),
         ]
 
 
@@ -532,21 +511,21 @@ class _WeakLimit(_Runner):
         if t == self.times[-1]:
             self.escape = _escape_mass(self.model, dist, t)
 
-    def prepare(self, seed, tolerances):
+    def prepare(self, seed):
         spectrum = spectral.fourier_initial(self.state0)
         self.analytic, self.info = _analytic_bin_masses(
             self.model, spectrum, self.bins, self.refine)
 
-    def reports(self, seed, tolerances):
+    def reports(self, seed):
         seq = [float(np.abs(self.emp[t] - self.analytic).sum()) for t in self.times]
         trend = max(l2 - l1 for l1, l2 in zip(seq[:-1], seq[1:])) if len(seq) > 1 else 0.0
         details = {"times": list(self.times), "bins": self.bins,
                    "l1": {str(t): l1 for t, l1 in zip(self.times, seq)}, **self.info}
         return [
-            _report("weak_limit", seq[-1], seed, details, tolerances),
-            _report("weak_limit_trend", trend, seed, details, tolerances),
+            _report("weak_limit", seq[-1], seed, details),
+            _report("weak_limit_trend", trend, seed, details),
             _report("weak_limit_escape", self.escape, seed,
-                    {"t": self.times[-1], "margin": 0.05}, tolerances),
+                    {"t": self.times[-1], "margin": 0.05}),
         ]
 
 
@@ -556,7 +535,7 @@ def run_suite(model: Model, spinor=None, *, seed: int = 0, only=None,
 
     only: iterable of check names (keys of CHECK_NAMES) restricting the run to
     those checks, in the order each name first appears.
-    tolerances: mapping report-name -> overriding tolerance.
+    tolerances: mapping report-name -> tolerance that replaces the report's default.
     The walk is evolved once, to the times the selected checks read, on a
     second thread while this one does the checks' work that reads no walk; an
     exception on either thread is raised here once the walk thread has ended.
@@ -565,10 +544,10 @@ def run_suite(model: Model, spinor=None, *, seed: int = 0, only=None,
     for name in names:
         if name not in CHECK_NAMES:
             raise KeyError(f"unknown check {name!r}; valid: {sorted(CHECK_NAMES)}")
-    valid = {rep for reps in CHECK_NAMES.values() for rep in reps}
-    for key in tolerances or ():
-        if key not in valid:
-            raise KeyError(f"unknown report {key!r}; valid: {sorted(valid)}")
+    tolerances = tolerances or {}
+    for key in tolerances:
+        if key not in _TOLERANCES:
+            raise KeyError(f"unknown report {key!r}; valid: {sorted(_TOLERANCES)}")
     state0 = _default_state(spinor)
     runners = [_CHECKS[name].build(model, state0) for name in names]
     walk_error = []
@@ -583,12 +562,15 @@ def run_suite(model: Model, spinor=None, *, seed: int = 0, only=None,
     walker.start()
     try:
         for runner in runners:
-            runner.prepare(seed, tolerances)
+            runner.prepare(seed)
     finally:
         walker.join()
     if walk_error:
         raise walk_error[0]
-    return [rep for runner in runners for rep in runner.reports(seed, tolerances)]
+    reports = [rep for runner in runners for rep in runner.reports(seed)]
+    for rep in reports:
+        rep.tolerance = float(tolerances.get(rep.name, rep.tolerance))
+    return reports
 
 
 def summary_table(reports: list[ComparisonReport]) -> str:

@@ -164,7 +164,7 @@ def scalar_roundtrip_worst(model, samples, rng):
     return worst, excluded
 
 
-def scalar_check_jacobian(model, samples=1000, *, seed=0, tolerances=None):
+def scalar_check_jacobian(model, samples=1000, *, seed=0):
     """``verify.check_jacobian`` drawing, gating and differencing one sample at a time."""
     rng = np.random.default_rng(seed)
     h = 1e-5
@@ -197,8 +197,8 @@ def scalar_check_jacobian(model, samples=1000, *, seed=0, tolerances=None):
     br_worst = float(np.max(np.abs(jinv - 1.0 / jf) * jf, initial=0.0))
     details = {"samples": samples, "excluded": excluded, "h": h}
     return [
-        verify._report("jacobian_fd", fd_worst, seed, details, tolerances),
-        verify._report("jacobian_branch", br_worst, seed, details, tolerances),
+        verify._report("jacobian_fd", fd_worst, seed, details),
+        verify._report("jacobian_branch", br_worst, seed, details),
     ]
 
 
@@ -233,7 +233,7 @@ def scalar_table_matches(model, v1, v2):
     return actual[1] == expected[0] and actual[2] == expected[1]
 
 
-def scalar_check_weight_table(model, samples=200, *, seed=0, tolerances=None):
+def scalar_check_weight_table(model, samples=200, *, seed=0):
     """``verify.check_weight_table`` drawing and testing one sample at a time."""
     rng = np.random.default_rng(seed)
     mismatches = 0
@@ -248,7 +248,7 @@ def scalar_check_weight_table(model, samples=200, *, seed=0, tolerances=None):
         if not scalar_table_matches(model, v1, v2):
             mismatches += 1
     return [verify._report("weight_table", mismatches / samples, seed,
-                           {"samples": samples, "mismatches": mismatches}, tolerances)]
+                           {"samples": samples, "mismatches": mismatches})]
 
 
 def whole_grid_analytic_bin_masses(model, spectrum, bins, refine):
@@ -305,15 +305,19 @@ def whole_window_probs(state):
 
 
 def serial_run_suite(model, spinor=None, *, seed=0, only=None, tolerances=None):
-    """``verify.run_suite`` on one thread: the walk first, then each check in order."""
+    """``verify.run_suite`` on one thread: the walk first, then each check in order,
+    then the tolerance overrides."""
     names = list(verify.CHECK_NAMES if only is None else dict.fromkeys(only))
     state0 = verify._default_state(spinor)
     runners = [verify._CHECKS[name].build(model, state0) for name in names]
     verify._observe_walk(model, state0, runners)
     reports = []
     for runner in runners:
-        runner.prepare(seed, tolerances)
-        reports += runner.reports(seed, tolerances)
+        runner.prepare(seed)
+        reports += runner.reports(seed)
+    for rep in reports:
+        if rep.name in (tolerances or {}):
+            rep.tolerance = float(tolerances[rep.name])
     return reports
 
 

@@ -22,12 +22,12 @@ from oracles import (
 DELTA = lattice.initial_state_delta(np.array([1.0, 0.0]))
 
 
-def _read_walk(model, state0, runners, seed=0, tolerances=None):
+def _read_walk(model, state0, runners, seed=0):
     """Feed the walk runners from one trajectory, prepare each, return their reports in order."""
     verify._observe_walk(model, state0, runners)
     for runner in runners:
-        runner.prepare(seed, tolerances)
-    return [rep for runner in runners for rep in runner.reports(seed, tolerances)]
+        runner.prepare(seed)
+    return [rep for runner in runners for rep in runner.reports(seed)]
 
 
 @pytest.fixture
@@ -58,7 +58,7 @@ def small_suite(monkeypatch, small_walk_checks):
     small = {
         "roundtrip": lambda m, s0: verify._Direct(verify.check_roundtrip, m, 500),
         "jacobian": lambda m, s0: verify._Direct(verify.check_jacobian, m, 100),
-        "support": lambda m, s0: verify._AfterWalk(verify.check_support, m, 128),
+        "support": lambda m, s0: verify._Direct(verify.check_support, m, 128),
         "weight_table": lambda m, s0: verify._Direct(verify.check_weight_table, m, 20),
     }
     for name, build in small.items():
@@ -94,11 +94,43 @@ def test_check_jacobian_matches_scalar_loop(coin, seed, request):
         assert got[0].details["excluded"] > 0
 
 
-def test_tolerance_override(reference_model):
-    rep = _read_walk(reference_model, DELTA, [verify._Unitarity(5)],
-                     tolerances={"unitarity": 0.0})[0]
+def test_tolerance_override(reference_model, small_walk_checks):
+    rep = verify.run_suite(reference_model, only=["unitarity"],
+                           tolerances={"unitarity": 0.0})[0]
     assert rep.tolerance == 0.0
     assert not rep.passed
+
+
+def test_passed_follows_tolerance():
+    rep = verify._report("unitarity", 1e-12, 0, {})
+    assert rep.tolerance == 1e-10 and rep.passed
+    rep.tolerance = 1e-13
+    assert not rep.passed
+    assert json.loads(rep.to_json())["passed"] is False
+
+
+def test_run_suite_override_touches_only_its_report(reference_model, small_walk_checks):
+    only = ["support", "unitarity"]
+    plain = verify.run_suite(reference_model, only=only)
+    tight = verify.run_suite(reference_model, only=only,
+                             tolerances={"support_containment": 0.0})
+    assert [r.name for r in tight] == ["support_containment", "support_tightness", "unitarity"]
+    want = [json.loads(r.to_json()) for r in plain]
+    assert want[0]["passed"] and not tight[0].passed
+    want[0].update(tolerance=0.0, passed=False)
+    assert [json.loads(r.to_json()) for r in tight] == want
+    assert [r.to_json() for r in tight[1:]] == [r.to_json() for r in plain[1:]]
+
+
+def test_report_json_types():
+    details = {"count": np.int64(3), "x": np.float64(0.25), "z": complex(1.0, -2.0),
+               "arr": np.array([1.5, -2.0]), "pair": (1, 2.5),
+               "nested": {"k": np.complex128(0.5j), "ok": True}}
+    rep = verify._report("unitarity", 0.5, 7, details)
+    assert rep.to_json() == (
+        '{"details":{"arr":[1.5,-2.0],"count":3,"nested":{"k":[0.0,0.5],"ok":true},'
+        '"pair":[1,2.5],"x":0.25,"z":[1.0,-2.0]},"metric":0.5,"name":"unitarity",'
+        '"passed":false,"seed":7,"tolerance":1e-10}')
 
 
 def test_unitarity_single_step(reference_model):
