@@ -330,12 +330,10 @@ def cmd_chars(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(cfg) if cfg.out is not None else None
     model = model_from(cfg)
     state0 = lattice.initial_state_delta(spinor_from(cfg))
-    triples, mass = verify.char_triples(model, state0, cfg.steps, xi_list, grid_n=cfg.grid_n)
-    header = f"{'xi':>12}  {'empirical':>24}  {'spectral':>24}  {'density':>24}  {'max gap':>10}"
-    print(header)
+    chars, _ = verify.char_triples(model, state0, cfg.steps, xi_list, grid_n=cfg.grid_n)
+    print(f"{'xi':>12}  {'empirical':>24}  {'spectral':>24}  {'density':>24}  {'max gap':>10}")
     rows = []
-    for (xi, emp, spe, den) in triples:
-        gap = max(abs(emp - spe), abs(emp - den), abs(spe - den))
+    for xi, emp, spe, den, gap in chars:
         label = f"({xi[0]:g},{xi[1]:g})"
         print(f"{label:>12}  {emp.real:+.5f}{emp.imag:+.5f}j       "
               f"{spe.real:+.5f}{spe.imag:+.5f}j       "

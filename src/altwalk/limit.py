@@ -410,13 +410,14 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
     f = np.zeros(fv1.shape)
     inside = np.zeros(fv1.shape, dtype=bool)
     evaluable = np.zeros(fv1.shape, dtype=bool)
-    n_plus = np.zeros(fv1.shape, dtype=np.int64)
-    n_minus = np.zeros(fv1.shape, dtype=np.int64)
+    n_plus = np.zeros(fv1.shape, dtype=np.int8)  # a count is at most the 64 (p, n, m) slots
+    n_minus = np.zeros(fv1.shape, dtype=np.int8)
     for lo in range(0, fv1.size, _DENSITY_BLOCK):
         block = slice(lo, lo + _DENSITY_BLOCK)
         u1, u2 = rotated_coords(fv1[block], fv2[block])
         inside[block] = _inside_mask(model, u1, u2)
-        _, _, e_r, e_t, _ = _terms_from_u(model, u1, u2)
+        with np.errstate(invalid="ignore"):  # an infinite v is outside, not an error
+            _, _, e_r, e_t, _ = _terms_from_u(model, u1, u2)
         evaluable[block] = inside[block] & (e_r * e_t >= SHELL_FLOOR)
         points = lo + np.nonzero(evaluable[block])[0]
         f[points], n_plus[points], n_minus[points] = _accumulate(
@@ -478,7 +479,7 @@ def _accumulate(model, spectrum, v1, v2):
     degenerate = model.derived.degenerate
     jinv = _jacobian_factors(model, v1, v2)  # indexed by family: plus, minus
     f = np.zeros(v1.shape)
-    counts = (np.zeros(v1.shape, dtype=np.int64), np.zeros(v1.shape, dtype=np.int64))
+    counts = (np.zeros(v1.shape, dtype=np.int8), np.zeros(v1.shape, dtype=np.int8))
     u1, u2 = rotated_coords(v1, v2)
     may_repeat = degenerate | (np.abs(u1) < 1e-7) | (np.abs(u2) < 1e-7)
     kept = [[]] * 2 if degenerate else [[], []]  # per band; one list shared if degenerate
@@ -503,13 +504,12 @@ def density(model: Model, spectrum, v1: float, v2: float) -> float:
     strictly inside the support, or within the boundary shell
     E_R * E_T < 1e-14, are refused.
     """
-    if support_contains(model, v1, v2) != "inside":
-        raise OutsideSupportError(f"({v1}, {v2}) is not strictly inside the support")
     grid = density_grid(model, spectrum, np.array([v1]), np.array([v2]))
-    if not bool(grid.evaluable[0]):
-        raise OutsideSupportError(
-            f"({v1}, {v2}) falls in the boundary shell where the Jacobian diverges"
-        )
+    if not grid.inside[0]:
+        raise OutsideSupportError(f"({v1}, {v2}) is not strictly inside the support")
+    if not grid.evaluable[0]:
+        raise OutsideSupportError(f"({v1}, {v2}) falls in the boundary shell "
+                                  "where the Jacobian diverges")
     return float(grid.f[0])
 
 

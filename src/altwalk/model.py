@@ -45,6 +45,15 @@ def wrap_angle(x):
     return x - _TWO_PI * np.floor((x + math.pi) / _TWO_PI)
 
 
+def _modulus(name: str, value) -> float:
+    """A modulus or squared modulus as a float; refused unless real and strictly in (0, 1)."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ParameterDomainError(f"{name} must be a finite real, got {value!r}")
+    if not 0.0 < value < 1.0:
+        raise ParameterDomainError(f"{name} must lie strictly inside (0, 1), got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class CoinParameters:
     """Moduli and phases of the two coins; angles are stored reduced to [-pi, pi)."""
@@ -60,20 +69,12 @@ class CoinParameters:
 
     def __post_init__(self):
         for name in ("modulus_a1", "modulus_a2"):
-            m = getattr(self, name)
-            if not (isinstance(m, numbers.Real) and math.isfinite(m)):
-                raise ParameterDomainError(f"{name} must be a finite real, got {m!r}")
-            if not 0.0 < m < 1.0:
-                raise ParameterDomainError(
-                    f"{name} must lie strictly inside (0, 1), got {m}"
-                )
+            object.__setattr__(self, name, _modulus(name, getattr(self, name)))
         for name in ("alpha1", "beta1", "delta1", "alpha2", "beta2", "delta2"):
             v = getattr(self, name)
             if not (isinstance(v, numbers.Real) and math.isfinite(v)):
                 raise ParameterDomainError(f"{name} must be a finite real, got {v!r}")
             object.__setattr__(self, name, float(wrap_angle(float(v))))
-        object.__setattr__(self, "modulus_a1", float(self.modulus_a1))
-        object.__setattr__(self, "modulus_a2", float(self.modulus_a2))
 
     @property
     def modulus_b1(self) -> float:
@@ -96,19 +97,12 @@ class CoinParameters:
         delta2: float = 0.0,
     ) -> "CoinParameters":
         """Build parameters from the squared moduli |a_q|^2 used in config files."""
-        for name, v in (("a1_sq", a1_sq), ("a2_sq", a2_sq)):
-            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
-                raise ParameterDomainError(f"{name} must be a finite real, got {v!r}")
-            if not 0.0 < v < 1.0:
-                raise ParameterDomainError(
-                    f"{name} must lie strictly inside (0, 1), got {v}"
-                )
         return cls(
-            modulus_a1=math.sqrt(a1_sq),
+            modulus_a1=math.sqrt(_modulus("a1_sq", a1_sq)),
             alpha1=alpha1,
             beta1=beta1,
             delta1=delta1,
-            modulus_a2=math.sqrt(a2_sq),
+            modulus_a2=math.sqrt(_modulus("a2_sq", a2_sq)),
             alpha2=alpha2,
             beta2=beta2,
             delta2=delta2,

@@ -148,9 +148,11 @@ def _propagated(model, spectrum: InitialSpectrum, t: int, k1, k2):
     mp0 = m11 * p0 + m12 * p1
     mp1 = m21 * p0 + m22 * p1
     gap = lam1 - lam2
-    # spectral projector applied to psi; bands touching => gap ~ 0 handled by caller
-    q0 = (mp0 - lam2 * p0) / gap
-    q1 = (mp1 - lam2 * p1) / gap
+    # band-1 projector applied to psi; where the bands cross, U(k) = lam I, so
+    # the term is 0 and psi advances by lam^t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q0 = np.where(gap == 0, 0.0, (mp0 - lam2 * p0) / gap)
+        q1 = np.where(gap == 0, 0.0, (mp1 - lam2 * p1) / gap)
     w1 = lam1**t
     w2 = lam2**t
     return w1 * q0 + w2 * (p0 - q0), w1 * q1 + w2 * (p1 - q1)

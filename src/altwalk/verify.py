@@ -12,7 +12,8 @@ tolerance defaults all read it, and ``run_suite`` runs any subset of it through
 one path: the checks that read the walk share one trajectory, the others call
 their public ``check_*`` function.  The walk runs on a second thread beside the
 work that reads no walk; the reports are the same, byte for byte, as when the
-two run one after the other.
+two run one after the other.  ``altwalk chars`` runs the ``char_function``
+check's reader alone, through ``char_triples``.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ _CHECKS = {
         lambda m, s0: _Direct(check_support, m, 512)),
     "char_function": _Check(
         {"char_triangle": 5e-2, "char_quadratures": 1e-2},
-        lambda m, s0: _CharFunction(
-            m, s0, 300, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))),
+        lambda m, s0: _CharFunction(m, s0, 300, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))),
     "weak_limit": _Check(
         {"weak_limit": 0.1, "weak_limit_trend": 0.0, "weak_limit_escape": 0.02},
         lambda m, s0: _WeakLimit(m, s0, (100, 300, 500), 50, 16)),
@@ -136,31 +136,37 @@ def check_lattice_vs_spectral(model: Model, state0=None, t: int = 20, *,
     return [_report("lattice_vs_spectral", metric, seed, {"t": t})]
 
 
-def _phased_sibling(model: Model) -> Model:
-    p = model.params
-    return build_model(CoinParameters(
-        modulus_a1=p.modulus_a1, alpha1=0.3, beta1=-0.4, delta1=0.7,
-        modulus_a2=p.modulus_a2, alpha2=-0.2, beta2=0.5, delta2=-0.1))
+def _draw(model: Model, samples: int, rng, accept):
+    """(k1, k2, v1, v2, value) of ``samples`` uniform wavenumbers that pass
+    ``accept``, and the count of draws excluded.
 
-
-def _roundtrip_worst(model: Model, samples: int, rng) -> tuple[float, int]:
-    """Worst round-trip error over ``samples`` successes, and the draws excluded.
-
-    Each round draws as many pairs as successes are missing, so the stream
-    stops at the last success, as it would drawing one pair at a time."""
-    worst = 0.0
+    ``accept(k1, k2, v1, v2)`` gets a round's draws with their band-1 group
+    velocities and returns the ones it accepts, as a mask or indices, and one
+    value for each.  Each round draws as many pairs as are missing, so the
+    stream stops at the last acceptance, as it would drawing one pair at a time.
+    """
+    kept = [(np.empty(0),) * 5]
     excluded = 0
     done = 0
     while done < samples:
         remaining = samples - done
         k1, k2 = rng.uniform(-math.pi, math.pi, size=(remaining, 2)).T
         v1, v2 = spectral.group_velocity(model, 1, k1, k2)
+        at, value = accept(k1, k2, v1, v2)
+        kept.append((k1[at], k2[at], v1[at], v2[at], value))
+        excluded += remaining - value.size
+        done += value.size
+    return [np.concatenate(col) for col in zip(*kept)], excluded
+
+
+def _roundtrip_worst(model: Model, samples: int, rng) -> tuple[float, int]:
+    """Worst round-trip error over ``samples`` successes, and the draws excluded."""
+    def accept(k1, k2, v1, v2):
         r1, r2, ok = limit._inverse_labelled(model, v1, v2, *limit._branch_labels(model, k1, k2))
-        found = int(np.count_nonzero(ok))
-        worst = max(worst, float(limit._torus_dist(k1[ok], k2[ok], r1[ok], r2[ok]).max(initial=0.0)))
-        excluded += remaining - found
-        done += found
-    return worst, excluded
+        return ok, limit._torus_dist(k1[ok], k2[ok], r1[ok], r2[ok])
+
+    (*_, errors), excluded = _draw(model, samples, rng, accept)
+    return float(errors.max(initial=0.0)), excluded
 
 
 def check_roundtrip(model: Model, samples: int = 10_000, *,
@@ -175,7 +181,9 @@ def check_roundtrip(model: Model, samples: int = 10_000, *,
     details = {"samples": samples, "excluded": excluded, "base_error": worst}
     p = model.params
     if (p.alpha1, p.beta1, p.delta1, p.alpha2, p.beta2, p.delta2) == (0.0,) * 6:
-        phased = _phased_sibling(model)
+        phased = build_model(CoinParameters(
+            modulus_a1=p.modulus_a1, alpha1=0.3, beta1=-0.4, delta1=0.7,
+            modulus_a2=p.modulus_a2, alpha2=-0.2, beta2=0.5, delta2=-0.1))
         worst_p, excl_p = _roundtrip_worst(phased, samples, rng)
         details["phased_error"] = worst_p
         details["phased_excluded"] = excl_p
@@ -189,24 +197,15 @@ def check_jacobian(model: Model, samples: int = 1000, *,
 
     Points with |J| <= 1e-4 sit near the fold curves where the derivative
     degenerates; they are excluded and counted, as are points off the open
-    support.  The draws go in rounds as in ``_roundtrip_worst``.
+    support.
     """
-    rng = np.random.default_rng(seed)
-    h = 1e-5
-    excluded = 0
-    kept = [(np.empty(0),) * 5]  # (k1, k2, v1, v2, |J|) of each round's accepted draws
-    done = 0
-    while done < samples:
-        remaining = samples - done
-        k1, k2 = rng.uniform(-math.pi, math.pi, size=(remaining, 2)).T
-        v1, v2 = spectral.group_velocity(model, 1, k1, k2)
+    def accept(k1, k2, v1, v2):
         at = np.nonzero(limit._inside_mask(model, *limit.rotated_coords(v1, v2)))[0]
         jf = limit.jacobian_forward(model, k1[at], k2[at])
-        at, jf = at[jf > 1e-4], jf[jf > 1e-4]
-        kept.append((k1[at], k2[at], v1[at], v2[at], jf))
-        excluded += remaining - at.size
-        done += at.size
-    k1, k2, v1, v2, jf = (np.concatenate(col) for col in zip(*kept))
+        return at[jf > 1e-4], jf[jf > 1e-4]
+
+    h = 1e-5
+    (k1, k2, v1, v2, jf), excluded = _draw(model, samples, np.random.default_rng(seed), accept)
     dp1 = spectral.group_velocity(model, 1, k1 + h, k2)
     dm1 = spectral.group_velocity(model, 1, k1 - h, k2)
     dp2 = spectral.group_velocity(model, 1, k1, k2 + h)
@@ -260,50 +259,13 @@ def check_support(model: Model, grid_n: int = 512, *, seed: int = 0) -> list[Com
     return reports
 
 
-def char_triples(model: Model, state0, t: int, xi_list, *, grid_n: int = 256,
-                 quad: tuple[int, int] = (96, 96)):
-    """(empirical, spectral, density) characteristic-function values per xi.
-
-    Empirical: sum over the time-t position distribution of p(x) e^{i xi.x/t}.
-    Spectral: wavenumber-space quadrature, no time dependence.
-    Density: velocity-space quadrature of f, normalised by its own mass so the
-    shared discretisation factor cancels (and xi = 0 gives exactly 1).
-    """
-    dist = lattice.position_distribution(lattice.evolve(model, state0, t))
-    emps = _empirical_chars(dist, t, xi_list)
-    rows, mass = _char_rows(model, state0, xi_list, grid_n, quad)
-    return [(xi, emp, spe, den) for (xi, spe, den), emp in zip(rows, emps)], mass
-
-
-def _empirical_chars(dist: lattice.PositionDistribution, t: int, xi_list) -> list[complex]:
-    """sum_x p(x) e^{i xi.x/t} over the time-t position distribution, per xi."""
-    x1 = (dist.x1_min + np.arange(dist.probs.shape[0])) / t
-    x2 = (dist.x2_min + np.arange(dist.probs.shape[1])) / t
-    emps = []
-    for xi in xi_list:
-        xi1, xi2 = float(xi[0]), float(xi[1])
-        phase = np.exp(1j * (xi1 * x1[:, None] + xi2 * x2[None, :]))
-        emps.append(complex(np.sum(dist.probs * phase)))
-    return emps
-
-
-def _char_rows(model: Model, state0, xi_list, grid_n: int = 256,
-               quad: tuple[int, int] = (96, 96)):
-    """(xi, spectral, density) per xi and the density mass: ``char_triples``
-    without the walk.
-
-    One ``integrate_density`` call gives the mass and every xi's density value
-    from one evaluation of f on the quadrature nodes, and the spectral side's
-    wavenumber grid is built once.
-    """
-    spectrum = spectral.fourier_initial(state0)
-    xis = [(float(xi[0]), float(xi[1])) for xi in xi_list]
-    weights = [lambda a, b, xi=xi: np.exp(1j * (xi[0] * a + xi[1] * b)) for xi in xis]
-    mass, *weighted = limit.integrate_density(model, spectrum, [None, *weights], *quad)
-    spes = spectral.numeric_char_function(model, spectrum, xi_list, grid_n)
-    rows = [(xi, spe, complex(1.0) if xi == (0.0, 0.0) else complex(res.total / mass.total))
-            for xi, spe, res in zip(xis, spes, weighted)]
-    return rows, float(mass.total)
+def char_triples(model: Model, state0, t: int, xi_list, **sizes):
+    """(xi, empirical, spectral, density, largest gap) per xi, and the density
+    mass, from the ``char_function`` reader; ``sizes`` may set its grid_n and quad."""
+    reader = _CharFunction(model, state0, t, xi_list, **sizes)
+    _observe_walk(model, state0, [reader])
+    reader.prepare(None)
+    return reader.rows(), reader.mass
 
 
 def _analytic_bin_masses(model: Model, spectrum, bins: int, refine: int) -> tuple[np.ndarray, dict]:
@@ -460,33 +422,52 @@ class _Unitarity(_Runner):
 
 
 class _CharFunction(_Runner):
-    """Characteristic function of X_t/t three ways: lattice, wavenumber, density.
+    """Characteristic function of X_t/t three ways, per xi.
 
-    The lattice values are taken after t steps; the spectral and density values
-    read no walk and are formed by ``prepare``."""
+    Empirical: sum_x p(x) e^{i xi.x/t} over the walk after t steps.  Spectral:
+    quadrature on a grid_n x grid_n wavenumber grid.  Density: quadrature of f
+    on quad = (n_theta, n_rad) polar nodes, over its own mass so the shared
+    discretisation factor cancels (and xi = 0 gives exactly 1).  ``prepare``
+    forms the last two, reading no walk, from one evaluation of f and one grid.
+    """
 
-    def __init__(self, model: Model, state0, t: int, xi_list):
-        self.model, self.state0, self.xi_list = model, state0, xi_list
+    def __init__(self, model: Model, state0, t: int, xi_list, grid_n: int = 256,
+                 quad: tuple[int, int] = (96, 96)):
+        self.model, self.state0, self.grid_n, self.quad = model, state0, grid_n, quad
+        self.xis = [(float(xi[0]), float(xi[1])) for xi in xi_list]
         self.times = (t,)
 
     def observe(self, t, state):
-        self.emps = _empirical_chars(lattice.position_distribution(state), t, self.xi_list)
+        dist = lattice.position_distribution(state)
+        x1 = (dist.x1_min + np.arange(dist.probs.shape[0]))[:, None] / t
+        x2 = (dist.x2_min + np.arange(dist.probs.shape[1]))[None, :] / t
+        self.emps = []
+        for xi1, xi2 in self.xis:
+            phase = np.exp(1j * (xi1 * x1 + xi2 * x2))
+            self.emps.append(complex(np.sum(dist.probs * phase)))
 
     def prepare(self, seed):
-        self.rows, self.mass = _char_rows(self.model, self.state0, self.xi_list)
+        spectrum = spectral.fourier_initial(self.state0)
+        weights = [lambda a, b, xi=xi: np.exp(1j * (xi[0] * a + xi[1] * b)) for xi in self.xis]
+        mass, *weighted = limit.integrate_density(self.model, spectrum, [None, *weights],
+                                                  *self.quad)
+        self.spes = spectral.numeric_char_function(self.model, spectrum, self.xis, self.grid_n)
+        self.dens = [complex(1.0) if xi == (0.0, 0.0) else complex(res.total / mass.total)
+                     for xi, res in zip(self.xis, weighted)]
+        self.mass = float(mass.total)
+
+    def rows(self):
+        """(xi, empirical, spectral, density, largest gap of the three) per xi."""
+        return [(xi, emp, spe, den, max(abs(emp - spe), abs(emp - den), abs(spe - den)))
+                for xi, emp, spe, den in zip(self.xis, self.emps, self.spes, self.dens)]
 
     def reports(self, seed):
-        t = self.times[0]
-        tri = 0.0
-        quad_gap = 0.0
-        per_xi = {}
-        for (xi, spe, den), emp in zip(self.rows, self.emps):
-            gaps = (abs(emp - spe), abs(emp - den), abs(spe - den))
-            tri = max(tri, *gaps)
-            quad_gap = max(quad_gap, abs(spe - den))
-            per_xi[f"{xi[0]:g},{xi[1]:g}"] = {
-                "empirical": emp, "spectral": spe, "density": den}
-        details = {"t": t, "density_mass": self.mass, "values": per_xi}
+        rows = self.rows()
+        per_xi = {f"{xi[0]:g},{xi[1]:g}": {"empirical": emp, "spectral": spe, "density": den}
+                  for xi, emp, spe, den, _ in rows}
+        tri = max([0.0] + [gap for *_, gap in rows])
+        quad_gap = max([0.0] + [abs(spe - den) for _, _, spe, den, _ in rows])
+        details = {"t": self.times[0], "density_mass": self.mass, "values": per_xi}
         return [
             _report("char_triangle", tri, seed, details),
             _report("char_quadratures", quad_gap, seed, details),

@@ -294,6 +294,18 @@ def whole_window_escape_mass(model, dist, t):
     return float(dist.probs[idx1, idx2][rho > limit.support_radius(model, theta) + 0.05].sum())
 
 
+def whole_window_chars(dist, t, xi_list):
+    """The empirical values of ``verify._CharFunction``, one xi at a time:
+    sum_x p(x) e^{i xi.x/t} over the time-t position distribution."""
+    x1 = (dist.x1_min + np.arange(dist.probs.shape[0])) / t
+    x2 = (dist.x2_min + np.arange(dist.probs.shape[1])) / t
+    emps = []
+    for xi1, xi2 in xi_list:
+        phase = np.exp(1j * (xi1 * x1[:, None] + xi2 * x2[None, :]))
+        emps.append(complex(np.sum(dist.probs * phase)))
+    return emps
+
+
 def whole_window_norm_sq(state):
     """``LatticeState.norm_sq`` squaring into a second array."""
     return float(np.sum(np.abs(state.amps) ** 2))

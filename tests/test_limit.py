@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,26 @@ def test_inverse_map_matches_scalar_path(coin, request):
 def test_density_refusals(reference_model, reference_spectrum):
     with pytest.raises(limit.OutsideSupportError):
         limit.density(reference_model, reference_spectrum, 0.9, 0.0)
+
+
+@pytest.mark.parametrize("v", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.1)])
+def test_density_refuses_nonfinite_points_quietly(reference_model, reference_spectrum, v):
+    # read off the density grid's inside mask, with no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(limit.OutsideSupportError, match="not strictly inside"):
+            limit.density(reference_model, reference_spectrum, *v)
+        grid = limit.density_grid(reference_model, reference_spectrum, np.array(v[:1]),
+                                  np.array(v[1:]))
+    assert not grid.inside.any() and not grid.f.any()
+
+
+def test_density_refuses_the_boundary_shell(reference_model, reference_spectrum):
+    # just inside a corner of the support, where E_R * E_T is below the shell floor
+    v1, v2 = (1.0 - 1e-8) * limit.support_corners(reference_model)[0]
+    assert limit.support_contains(reference_model, v1, v2) == "inside"
+    with pytest.raises(limit.OutsideSupportError, match="boundary shell"):
+        limit.density(reference_model, reference_spectrum, v1, v2)
 
 
 def test_density_positive_inside(reference_model, reference_spectrum):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from altwalk import lattice, limit, spectral
 from altwalk.model import CoinParameters, build_model
@@ -115,6 +117,44 @@ def test_spectral_reconstruct_matches_evolution(phased_model):
         for x2 in range(direct.x2_min - 1, direct.x2_max + 2):
             assert np.allclose(
                 direct.amplitude(x1, x2), recon.amplitude(x1, x2), atol=1e-12)
+
+
+CROSSING_START = {(0, 0): (0.6, 0.0), (1, 1): (0.0, 0.8)}
+
+
+@pytest.mark.parametrize("t", [1, 3, 5])
+def test_spectral_reconstruct_through_band_crossing(degenerate_model, t):
+    # the 4 x 4, 8 x 8 and 12 x 12 wavenumber grids hold k = (pi/2, pi/2), where
+    # the bands of the (0.5, 0.5) coin cross and U(k) is a multiple of the identity
+    assert abs(spectral.angle_terms(degenerate_model, math.pi / 2, math.pi / 2)[6]) >= 1.0
+    start = lattice.initial_state_from_sites(CROSSING_START)
+    want = lattice.evolve(degenerate_model, start, t)
+    got = spectral.spectral_reconstruct(degenerate_model, start, t)
+    assert np.abs(got.amps - want.amps).max() <= 1e-12
+
+
+unit = st.floats(0.01, 0.99)
+moduli = st.one_of(unit.map(lambda x: (x, x)), st.tuples(unit, unit))  # equal: a + b = 1
+phase = st.floats(-math.pi, math.pi)
+amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False)
+site = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(moduli, st.lists(phase, min_size=6, max_size=6),
+       st.dictionaries(site, st.tuples(amp, amp), min_size=1, max_size=3), st.integers(0, 8))
+@example((0.5, 0.5), [0.0] * 6, CROSSING_START, 3)
+def test_spectral_reconstruct_matches_evolve_property(moduli, phases, sites, t):
+    # lattice = spectral over the whole window, degenerate coins and crossings included
+    norm = math.sqrt(sum(abs(a) ** 2 + abs(b) ** 2 for a, b in sites.values()))
+    assume(norm > 1e-3)
+    start = lattice.initial_state_from_sites(
+        {x: (a / norm, b / norm) for x, (a, b) in sites.items()})
+    model = build_model(CoinParameters.from_squared_moduli(*moduli, *phases))
+    want = lattice.evolve(model, start, t)
+    got = spectral.spectral_reconstruct(model, start, t)
+    assert (got.x1_min, got.x2_min, got.shape) == (want.x1_min, want.x2_min, want.shape)
+    assert np.abs(got.amps - want.amps).max() <= 1e-12
 
 
 def test_spectral_evolve_is_phase_multiplication(reference_model):

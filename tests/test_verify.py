@@ -1,4 +1,3 @@
-import functools
 import json
 import threading
 import time
@@ -15,6 +14,7 @@ from oracles import (
     scalar_roundtrip_worst,
     serial_run_suite,
     whole_grid_analytic_bin_masses,
+    whole_window_chars,
     whole_window_bin_masses,
     whole_window_escape_mass,
 )
@@ -30,22 +30,21 @@ def _read_walk(model, state0, runners, seed=0):
     return [rep for runner in runners for rep in runner.reports(seed)]
 
 
-@pytest.fixture
-def small_char_rows(monkeypatch):
-    """The char_function runner's spectral grid and quadrature at reduced sizes."""
-    monkeypatch.setattr(verify, "_char_rows",
-                        functools.partial(verify._char_rows, grid_n=32, quad=(20, 16)))
-
-
 SMALL_XI = ((0.0, 0.0), (1.0, -1.0))
 
 
+def small_char(model, state0):
+    """The char_function reader at t = 60 on SMALL_XI, its wavenumber grid and
+    density quadrature at reduced sizes."""
+    return verify._CharFunction(model, state0, 60, SMALL_XI, grid_n=32, quad=(20, 16))
+
+
 @pytest.fixture
-def small_walk_checks(monkeypatch, small_char_rows):
+def small_walk_checks(monkeypatch):
     """The table's walk checks at reduced sizes: walk times 60 and 80, 10 x 10 bins."""
     small = {
         "unitarity": lambda m, s0: verify._Unitarity(80),
-        "char_function": lambda m, s0: verify._CharFunction(m, s0, 60, SMALL_XI),
+        "char_function": small_char,
         "weak_limit": lambda m, s0: verify._WeakLimit(m, s0, (80, 50, 60), 10, 4),
     }
     for name, build in small.items():
@@ -162,6 +161,16 @@ def test_roundtrip_adds_phased_sibling(reference_model):
     assert rep.details["phased_error"] <= rep.tolerance
 
 
+def test_sampled_checks_take_zero_samples(reference_model):
+    # no draw at all: metric 0 and nothing excluded, on the phased sibling too
+    reports = (verify.check_roundtrip(reference_model, samples=0, seed=1)
+               + verify.check_jacobian(reference_model, samples=0, seed=1))
+    assert [r.name for r in reports] == ["roundtrip", "jacobian_fd", "jacobian_branch"]
+    for rep in reports:
+        assert rep.metric == 0.0 and rep.details["excluded"] == 0
+    assert reports[0].details["phased_excluded"] == 0
+
+
 @pytest.mark.parametrize("seed", [4, 5])
 @pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
 def test_roundtrip_matches_scalar_loop(coin, seed, request, monkeypatch):
@@ -221,7 +230,9 @@ def test_char_triples_density_matches_integrate_density(coin, request):
     want_mass = limit.integrate_density(model, spectrum, n_theta=20, n_rad=16).total
     assert mass == float(want_mass)
     assert rows[0][3] == 1.0
-    for (xi1, xi2), _, _, den in rows[1:]:
+    for _, emp, spe, den, gap in rows:
+        assert gap == max(abs(emp - spe), abs(emp - den), abs(spe - den))
+    for (xi1, xi2), _, _, den, _ in rows[1:]:
         weight = lambda a, b: np.exp(1j * (xi1 * a + xi2 * b))
         total = limit.integrate_density(model, spectrum, weight, n_theta=20, n_rad=16).total
         assert den == complex(total / want_mass)
@@ -324,7 +335,7 @@ def test_run_suite_matches_standalone_checks_small(coin, request, small_walk_che
     want = (_read_walk(model, DELTA, [verify._WeakLimit(model, DELTA, (50, 60, 80), 10, 4)], 2)
             + verify.check_support(model, 512, seed=2)
             + _read_walk(model, DELTA, [verify._Unitarity(80)], 2)
-            + _read_walk(model, DELTA, [verify._CharFunction(model, DELTA, 60, SMALL_XI)], 2))
+            + _read_walk(model, DELTA, [small_char(model, DELTA)], 2))
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
 
 
@@ -397,7 +408,7 @@ def test_run_suite_raises_check_error_after_join(reference_model, monkeypatch, s
     assert threading.active_count() == before
 
 
-def test_walk_checks_read_their_snapshots(phased_model, small_char_rows):
+def test_walk_checks_read_their_snapshots(phased_model):
     # each walk runner against its quantity from a one-shot evolve per time
     s0 = lattice.initial_state_delta(np.array([0.6, 0.8j]))
     states = {t: lattice.evolve(phased_model, s0, t) for t in (50, 60, 80)}
@@ -406,14 +417,14 @@ def test_walk_checks_read_their_snapshots(phased_model, small_char_rows):
     unit, *weak, char, _ = _read_walk(phased_model, s0, [
         verify._Unitarity(80),
         verify._WeakLimit(phased_model, s0, (80, 50, 60), 10, 4),
-        verify._CharFunction(phased_model, s0, 60, xi_list)])
+        small_char(phased_model, s0)])
     assert unit.details["norm_sq"] == states[80].norm_sq()
     analytic, _ = verify._analytic_bin_masses(phased_model, spectral.fourier_initial(s0), 10, 4)
     assert weak[0].details["l1"] == {
         str(t): float(np.abs(verify._empirical_bin_masses(d, 10) - analytic).sum())
         for t, d in dists.items()}
     assert weak[2].metric == verify._escape_mass(phased_model, dists[80], 80)
-    emps = verify._empirical_chars(dists[60], 60, xi_list)
+    emps = whole_window_chars(dists[60], 60, xi_list)
     assert [v["empirical"] for v in char.details["values"].values()] == emps
 
 
