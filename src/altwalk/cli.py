@@ -4,8 +4,8 @@ Configuration is one table, the fields of ``RunConfig``: each key's default,
 help text and the subcommands that read it.  A flat ``key = value`` file may
 set any key; a subcommand takes a flag for each key it reads, which overrides
 the file, and refuses the others.  Exit codes: 0 success, 1 a verification
-check failed, 2 bad configuration or a size that cannot be allocated, 3 I/O
-failure.
+check failed, 2 bad configuration (a coin outside its domain included) or a
+size that cannot be allocated, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ EXIT_IO = 3
 
 
 class ConfigError(Exception):
-    pass
-
-
-class OutputError(Exception):
     pass
 
 
@@ -130,13 +126,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def model_from(cfg: RunConfig) -> Model:
-    try:
-        params = CoinParameters.from_squared_moduli(
-            cfg.a1_sq, cfg.a2_sq, alpha1=cfg.alpha1, alpha2=cfg.alpha2,
-            beta1=cfg.beta1, beta2=cfg.beta2, delta1=cfg.delta1, delta2=cfg.delta2)
-        return build_model(params)
-    except ParameterDomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    return build_model(CoinParameters.from_squared_moduli(
+        cfg.a1_sq, cfg.a2_sq, alpha1=cfg.alpha1, alpha2=cfg.alpha2,
+        beta1=cfg.beta1, beta2=cfg.beta2, delta1=cfg.delta1, delta2=cfg.delta2))
 
 
 def spinor_from(cfg: RunConfig) -> np.ndarray:
@@ -158,7 +150,7 @@ def _out_dir(cfg: RunConfig) -> Path:
         raise ConfigError(f"an output directory is required (--out DIR), got {cfg.out!r}")
     path = Path(cfg.out)
     if not path.is_dir():
-        raise OutputError(f"output directory does not exist: {cfg.out}")
+        raise OSError(f"output directory does not exist: {cfg.out}")
     return path
 
 
@@ -397,10 +389,10 @@ def main(argv=None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.run(resolve_config(args), args)
-    except (ConfigError, MemoryError) as exc:
+    except (ConfigError, ParameterDomainError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OutputError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

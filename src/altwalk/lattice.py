@@ -107,14 +107,6 @@ class PositionDistribution:
     x2_min: int
     time: int
 
-    @property
-    def x1_max(self) -> int:
-        return self.x1_min + self.probs.shape[0] - 1
-
-    @property
-    def x2_max(self) -> int:
-        return self.x2_min + self.probs.shape[1] - 1
-
     def items(self):
         """Yield ((x1, x2), probability) for every site with nonzero weight."""
         idx1, idx2 = np.nonzero(self.probs)
@@ -140,7 +132,7 @@ def initial_state_delta(spinor) -> LatticeState:
         raise ValueError(f"spinor must have shape (2,), got {spinor.shape}")
     if abs(float(np.sum(np.abs(spinor) ** 2)) - 1.0) > 1e-12:
         raise ValueError("initial spinor must have unit norm within 1e-12")
-    return LatticeState.from_amps(spinor.reshape(2, 1, 1), 0, 0, 0)
+    return initial_state_from_sites({(0, 0): spinor})
 
 
 def initial_state_from_sites(site_amps: dict) -> LatticeState:

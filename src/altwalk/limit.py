@@ -598,10 +598,7 @@ def reference_ellipse_grover(a_param: float, v1, v2):
     v1 = np.asarray(v1, dtype=np.float64)
     v2 = np.asarray(v2, dtype=np.float64)
     form = (v1 + v2) ** 2 / (4.0 * a_param) + (v1 - v2) ** 2 / (4.0 * (1.0 - a_param))
-    out = form < 1.0
-    if out.ndim == 0:
-        return bool(out)
-    return out
+    return form < 1.0
 
 
 # published octant bookkeeping, kept as a soft diagnostic only

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeState
+from .model import ParameterDomainError
 
 __all__ = [
     "DEGENERATE_GAP_TOL",
@@ -41,7 +42,7 @@ __all__ = [
 DEGENERATE_GAP_TOL = 1e-12
 
 
-class DegeneracyError(ValueError):
+class DegeneracyError(ParameterDomainError):
     """Raised when the two bands coincide at every wavenumber a quadrature samples."""
 
 
@@ -184,9 +185,10 @@ def band_weights(model, spectrum: InitialSpectrum, k1, k2, tau):
     """Spectral weights P_p(k) = |<psi_hat_0(k)|band p>|^2 for p = 1, 2.
 
     Computed through the spectral projector (U - lam_2)/(lam_1 - lam_2), which
-    avoids picking eigenvector phases.  P_1 + P_2 = |psi_hat_0(k)|^2.  tau is
-    the trace term ``angle_terms(model, k1, k2)[6]``, which every caller has
-    already computed: the quadrature on its grid, the limit density in the
+    avoids picking eigenvector phases.  P_1 + P_2 = |psi_hat_0(k)|^2; where the
+    bands cross, U(k) = lam I and, as in ``_propagated``, P_1 = 0.  tau is the
+    trace term ``angle_terms(model, k1, k2)[6]``, an array, which every caller
+    has already computed: the quadrature on its grid, the limit density in the
     forward-consistency gate at each preimage.
     """
     psi = spectrum(k1, k2)
@@ -197,22 +199,21 @@ def band_weights(model, spectrum: InitialSpectrum, k1, k2, tau):
     nrm = np.abs(p0) ** 2 + np.abs(p1) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         w1 = np.real((ip - lam2 * nrm) / (lam1 - lam2))
+    w1[lam1 == lam2] = 0.0
     return w1, nrm - w1
 
 
-def numeric_char_function(
-    model, spectrum: InitialSpectrum, xi, grid_n: int, with_info: bool = False
-):
+def numeric_char_function(model, spectrum: InitialSpectrum, xi, grid_n: int):
     """Limit characteristic function E[e^{i xi . V}] by uniform grid quadrature.
 
     Averages sum_p e^{i xi . v_p(k)} P_p(k) over an (grid_n x grid_n) uniform
     wavenumber grid.  Grid points where the bands touch (1 - tau^2 <= 1e-12)
     have no defined group velocity and are skipped; the average runs over the
-    remaining points and the skipped count is available via ``with_info``.
+    remaining points, and ``DegeneracyError`` is raised if none remains.
 
-    xi is a sequence of pairs (xi1, xi2), giving a list with one complex value
-    per pair.  The grid, its group velocities and its band weights do not
-    depend on xi and are built once.
+    xi is a sequence of pairs (xi1, xi2).  Returns a list with one complex
+    value per pair and the count of skipped points.  The grid, its group
+    velocities and its band weights do not depend on xi and are built once.
     """
     if grid_n < 1:
         raise ValueError(f"grid size must be positive, got {grid_n}")
@@ -234,6 +235,4 @@ def numeric_char_function(
         phase = xi1 * v1 + xi2 * v2
         vals = np.exp(1j * phase) * w1 + np.exp(-1j * phase) * w2
         values.append(complex(np.sum(np.where(ok, vals, 0.0)) / n_ok))
-    if with_info:
-        return values, grid_n * grid_n - n_ok
-    return values
+    return values, grid_n * grid_n - n_ok

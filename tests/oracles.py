@@ -420,8 +420,9 @@ def own_tau_band_weights(model, spectrum, k1, k2):
     m11, m12, m21, m22 = spectral.bloch_entries(model, k1, k2)
     ip = np.conj(p0) * (m11 * p0 + m12 * p1) + np.conj(p1) * (m21 * p0 + m22 * p1)
     nrm = np.abs(p0) ** 2 + np.abs(p1) ** 2
+    # a band crossing puts all the weight in band 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        w1 = np.real((ip - lam2 * nrm) / (lam1 - lam2))
+        w1 = np.where(lam1 == lam2, 0.0, np.real((ip - lam2 * nrm) / (lam1 - lam2)))
     return w1, nrm - w1
 
 

@@ -303,9 +303,10 @@ def test_chars_uses_grid_n_above_256(tmp_path):
     row = (tmp_path / "chars.csv").read_text().splitlines()[1].split(",")
     model = cli.model_from(cli.RunConfig())
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([1.0, 0.0])))
-    [want] = spectral.numeric_char_function(model, spectrum, [(1.0, 0.0)], 300)
+    [want], _ = spectral.numeric_char_function(model, spectrum, [(1.0, 0.0)], 300)
     assert complex(float(row[4]), float(row[5])) == want
-    assert spectral.numeric_char_function(model, spectrum, [(1.0, 0.0)], 256) != [want]
+    [coarse], _ = spectral.numeric_char_function(model, spectrum, [(1.0, 0.0)], 256)
+    assert coarse != want
 
 
 def test_chars_missing_out_dir_fails_before_running(tmp_path, monkeypatch):
@@ -332,6 +333,23 @@ def test_chars_bad_xi():
     assert run_cli(["chars", "--steps", "5", "--xi", "4,0"]) == cli.EXIT_CONFIG
     assert run_cli(["chars", "--steps", "5", "--xi", "nan,0"]) == cli.EXIT_CONFIG
     assert run_cli(["chars", "--steps", "5", "--xi", "0,nan"]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--steps", "-1"], "steps must be nonnegative, got -1"),
+    (["support", "--grid_n", "2"], "grid_n must be at least 3 for a polyline, got 2"),
+    (["verify", "--tolerance", "unitarity=abc"], "--tolerance unitarity: not a number: 'abc'"),
+    (["chars", "--xi", "a,b"], "--xi components must be numbers: 'a,b'"),
+    (["chars", "--steps", "0"], "steps must be at least 1, got 0"),
+    # the one point of a 1 x 1 grid is a band crossing of this degenerate coin
+    (["chars", "--a1_sq", "0.5", "--a2_sq", "0.5", "--beta2", "3.141592653589793",
+      "--grid_n", "1"], "all grid points are spectrally degenerate"),
+], ids=["negative-steps", "short-polyline", "tolerance-text", "xi-text", "zero-steps",
+        "all-crossing-grid"])
+def test_refusals_exit_2_and_write_nothing(args, message, tmp_path, capsys):
+    assert run_cli([*args, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_byte_stable_outputs(tmp_path):

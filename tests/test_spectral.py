@@ -171,7 +171,7 @@ def test_spectral_evolve_is_phase_multiplication(reference_model):
 def test_char_function_at_zero(reference_model):
     state = lattice.initial_state_delta(np.array([1.0, 0.0]))
     spectrum = spectral.fourier_initial(state)
-    [val] = spectral.numeric_char_function(reference_model, spectrum, [(0.0, 0.0)], 64)
+    [val], _ = spectral.numeric_char_function(reference_model, spectrum, [(0.0, 0.0)], 64)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -179,8 +179,7 @@ def test_char_function_skips_crossings(degenerate_model):
     state = lattice.initial_state_delta(np.array([1.0, 0.0]))
     spectrum = spectral.fourier_initial(state)
     # the 64-point centred grid contains the gap-closing wavenumbers
-    [val], skipped = spectral.numeric_char_function(
-        degenerate_model, spectrum, [(0.0, 0.0)], 64, with_info=True)
+    [val], skipped = spectral.numeric_char_function(degenerate_model, spectrum, [(0.0, 0.0)], 64)
     assert skipped > 0
     assert val == pytest.approx(1.0, abs=1e-12)
 
@@ -200,9 +199,46 @@ def test_band_weights_from_known_tau(coin, request):
     want = own_tau_band_weights(model, spectrum, k1, k2)
     got = spectral.band_weights(model, spectrum, k1, k2, spectral.angle_terms(model, k1, k2)[6])
     for w, g in zip(want, got):
-        assert np.array_equal(w, g, equal_nan=True)
-    if model.derived.degenerate:
-        assert np.isnan(want[0][-4:]).all()  # the crossings are really hit
+        assert np.array_equal(w, g)
+    if model.derived.degenerate:  # the crossings are really hit: all weight in band 2
+        nrm = np.sum(np.abs(spectrum(k1[-4:], k2[-4:])) ** 2, axis=-1)
+        assert np.array_equal(got[0][-4:], np.zeros(4)) and np.array_equal(got[1][-4:], nrm)
+
+
+def _crossing_wavenumbers(params):
+    """The four k where l1 and l2 are multiples of pi of opposite parity, so that
+    tau = +-(a + b): band crossings of a degenerate coin."""
+    a_sum, b_diff = params.alpha2 + params.alpha1, params.beta2 - params.beta1
+    l1 = np.array([0.0, 0.0, math.pi, -math.pi])
+    l2 = np.array([math.pi, -math.pi, 0.0, 0.0])
+    return 0.5 * (l1 - l2 - a_sum + b_diff), 0.5 * (l1 + l2 - a_sum - b_diff)
+
+
+wavenumber = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(moduli, st.lists(phase, min_size=6, max_size=6),
+       st.dictionaries(site, st.tuples(amp, amp), min_size=1, max_size=3),
+       st.lists(st.tuples(wavenumber, wavenumber), min_size=1, max_size=32))
+@example((0.5, 0.5), [0.0] * 6, CROSSING_START, [(0.3, -1.1)])
+def test_band_weights_property(moduli, phases, sites, ks):
+    # finite, summing to |psi_hat|^2 and inside [0, |psi_hat|^2], band crossings included
+    norm = math.sqrt(sum(abs(a) ** 2 + abs(b) ** 2 for a, b in sites.values()))
+    assume(norm > 1e-3)
+    spectrum = spectral.fourier_initial(lattice.initial_state_from_sites(
+        {x: (a / norm, b / norm) for x, (a, b) in sites.items()}))
+    model = build_model(CoinParameters.from_squared_moduli(*moduli, *phases))
+    c1, c2 = _crossing_wavenumbers(model.params)
+    k1 = np.concatenate([[k for k, _ in ks], c1])
+    k2 = np.concatenate([[k for _, k in ks], c2])
+    w1, w2 = spectral.band_weights(model, spectrum, k1, k2, spectral.angle_terms(model, k1, k2)[6])
+    nrm = np.sum(np.abs(spectrum(k1, k2)) ** 2, axis=-1)
+    slack = 1e-12 * nrm
+    assert np.isfinite(w1).all() and np.isfinite(w2).all()
+    assert (np.abs(w1 + w2 - nrm) <= slack).all()
+    for w in (w1, w2):
+        assert (w >= -slack).all() and (w <= nrm + slack).all()
 
 
 _XIS = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-2.5, 0.75)]
@@ -213,13 +249,12 @@ def test_char_function_of_many_xi_matches_one_call_per_xi(coin, request):
     model = request.getfixturevalue(coin)
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
     for xis in (_XIS, np.array(_XIS), _XIS[:1]):
-        values, skipped = spectral.numeric_char_function(model, spectrum, xis, 64, with_info=True)
+        values, skipped = spectral.numeric_char_function(model, spectrum, xis, 64)
         assert isinstance(values, list) and len(values) == len(xis)
         for xi, value in zip(_XIS, values):
-            one = spectral.numeric_char_function(model, spectrum, [xi], 64, with_info=True)
+            one = spectral.numeric_char_function(model, spectrum, [xi], 64)
             assert ([value], skipped) == one
             assert (value, skipped) == per_xi_char_function(model, spectrum, xi, 64)
-        assert values == spectral.numeric_char_function(model, spectrum, xis, 64)
     assert (skipped > 0) == model.derived.degenerate
 
 

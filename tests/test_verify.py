@@ -219,6 +219,20 @@ def test_char_function_small(reference_model):
     assert by_name["char_quadratures"].metric <= 1e-2
 
 
+def test_char_function_nan_value_fails_its_reports(reference_model):
+    # a NaN reader value is a NaN gap and a NaN metric, never a passing 0.0
+    reader = small_char(reference_model, DELTA)
+    verify._observe_walk(reference_model, DELTA, [reader])
+    reader.prepare(0)
+    reader.spes[1] = complex(np.nan, 0.0)
+    gaps = [gap for *_, gap in reader.rows()]
+    assert not np.isnan(gaps[0]) and np.isnan(gaps[1])
+    reports = reader.reports(0)
+    assert [r.name for r in reports] == ["char_triangle", "char_quadratures"]
+    for r in reports:
+        assert np.isnan(r.metric) and not r.passed
+
+
 @pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
 def test_char_triples_density_matches_integrate_density(coin, request):
     # one density evaluation shared by the mass and every xi, bit for bit
