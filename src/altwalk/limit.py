@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Model, wrap_angle
+from .model import Model, ParameterDomainError, wrap_angle
 from .spectral import DEGENERATE_GAP_TOL, angle_terms, band1_velocity, band_weights
 
 __all__ = [
@@ -112,14 +112,23 @@ def rotated_coords(v1, v2):
     return _SQRT_HALF * (v1 + v2), _SQRT_HALF * (v1 - v2)
 
 
+def _axes(model: Model):
+    """(axis_R1, axis_R2, axis_T1, axis_T2), refused unless each is > 0: a valid
+    coin with a squared modulus below about 1e-16 can round one to 0."""
+    d = model.derived
+    axes = d.axis_R1, d.axis_R2, d.axis_T1, d.axis_T2
+    if not all(axis > 0.0 for axis in axes):
+        raise ParameterDomainError(
+            f"a coin modulus this small rounds a support axis to 0: (R1, R2, T1, T2) = {axes}")
+    return axes
+
+
 def _ellipse_forms(model: Model, u1, u2):
     """Quadratic forms of the two support ellipses in the rotated frame."""
-    d = model.derived
+    r1, r2, t1, t2 = _axes(model)
     u1sq = np.asarray(u1) ** 2
     u2sq = np.asarray(u2) ** 2
-    q_r = u1sq / d.axis_R1 + u2sq / d.axis_R2
-    q_t = u1sq / d.axis_T1 + u2sq / d.axis_T2
-    return q_r, q_t
+    return u1sq / r1 + u2sq / r2, u1sq / t1 + u2sq / t2
 
 
 def support_contains(model: Model, v1: float, v2: float, tol: float = SUPPORT_BOUNDARY_TOL) -> str:
@@ -148,11 +157,10 @@ def support_corners(model: Model) -> np.ndarray:
 
     Degenerate models (a + b = 1) have coinciding ellipses and no corners.
     """
-    d = model.derived
-    if d.degenerate:
+    r1, r2, t1, t2 = _axes(model)
+    if model.derived.degenerate:
         return np.empty((0, 2))
-    p, q = 1.0 / d.axis_R1, 1.0 / d.axis_R2
-    r, s = 1.0 / d.axis_T1, 1.0 / d.axis_T2
+    p, q, r, s = 1.0 / r1, 1.0 / r2, 1.0 / t1, 1.0 / t2
     det = p * s - q * r
     u1sq = (s - q) / det
     u2sq = (p - r) / det
@@ -162,14 +170,9 @@ def support_corners(model: Model) -> np.ndarray:
 
 def support_radius(model: Model, theta):
     """Boundary radius of the support along direction theta in the u-plane."""
-    d = model.derived
     c = np.cos(theta)
     s = np.sin(theta)
-    form = np.maximum(
-        c * c / d.axis_R1 + s * s / d.axis_R2,
-        c * c / d.axis_T1 + s * s / d.axis_T2,
-    )
-    return 1.0 / np.sqrt(form)
+    return 1.0 / np.sqrt(np.maximum(*_ellipse_forms(model, c, s)))
 
 
 def support_boundary(model: Model, n: int = 512) -> np.ndarray:
@@ -190,6 +193,7 @@ def _terms_from_u(model: Model, u1, u2):
     """
     d = model.derived
     a, b = d.a, d.b
+    r1, r2, t1, t2 = _axes(model)
     u1sq = np.asarray(u1) ** 2
     u2sq = np.asarray(u2) ** 2
     # (1 - v1^2)(1 - v2^2) and the mixed term, rewritten in the rotated frame
@@ -200,8 +204,8 @@ def _terms_from_u(model: Model, u1, u2):
         - 0.5 * (u1sq + u2sq)
         + 0.5 * (a * a - b * b) * (u1sq - u2sq)
     )
-    e_r = 1.0 - u1sq / d.axis_R1 - u2sq / d.axis_R2
-    e_t = 1.0 - u1sq / d.axis_T1 - u2sq / d.axis_T2
+    e_r = 1.0 - u1sq / r1 - u2sq / r2
+    e_t = 1.0 - u1sq / t1 - u2sq / t2
     d_quarter = 4.0 * a * a * b * b * e_r * e_t
     return big_a, big_b, e_r, e_t, d_quarter
 

@@ -263,8 +263,8 @@ def char_triples(model: Model, state0, t: int, xi_list, **sizes):
     """(xi, empirical, spectral, density, largest gap) per xi, and the density
     mass, from the ``char_function`` reader; ``sizes`` may set its grid_n and quad."""
     reader = _CharFunction(model, state0, t, xi_list, **sizes)
+    reader.prepare(None)  # first: it refuses a grid of band crossings without the walk
     _observe_walk(model, state0, [reader])
-    reader.prepare(None)
     return reader.rows(), reader.mass
 
 

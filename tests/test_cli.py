@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +351,42 @@ def test_refusals_exit_2_and_write_nothing(args, message, tmp_path, capsys):
     assert run_cli([*args, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_all_crossing_chars_grid_refused_before_the_walk(evolve_steps, capsys):
+    # the refusal depends only on the coin and grid_n, so no step is evolved first
+    assert run_cli(["chars", "--a1_sq", "0.5", "--a2_sq", "0.5", "--beta2", "3.141592653589793",
+                    "--grid_n", "1", "--steps", "600"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: all grid points are spectrally degenerate\n"
+    assert sum(evolve_steps) == 0
+
+
+# a valid coin whose squared modulus rounds the support axis axis_T1 to 0
+TINY_MODULI = ["1e-300", "5e-324"]
+
+
+@pytest.mark.parametrize("a1_sq", TINY_MODULI)
+@pytest.mark.parametrize("args", [
+    ["support"], ["density"], ["chars", "--steps", "3"], ["verify", "--only", "support"],
+], ids=["support", "density", "chars", "verify"])
+def test_tiny_modulus_refused_by_the_limit_layer(args, a1_sq, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli([*args, "--a1_sq", a1_sq, "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: a coin modulus this small") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("a1_sq", TINY_MODULI)
+def test_tiny_modulus_walk_still_runs(a1_sq, tmp_path):
+    # the walk reads no support axis
+    assert run_cli(["simulate", "--a1_sq", a1_sq, "--steps", "3", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["distribution.csv", "moments.json"]
+    summary = json.loads((tmp_path / "moments.json").read_text())
+    assert summary["total_probability"] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_byte_stable_outputs(tmp_path):
