@@ -4,7 +4,7 @@ Exact unitary evolution (lattice and Fourier pictures), the long-time
 velocity density on its two-ellipse support, and a verification harness
 that cross-checks the two against each other.  Each public object is
 imported from the module that defines it (``from altwalk.model import
-build_model``).
+Model``).
 """
 
 from . import model, lattice, spectral, limit, verify

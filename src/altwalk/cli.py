@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lattice, limit, spectral, verify
-from .model import CoinParameters, Model, ParameterDomainError, build_model
+from .model import Model, ParameterDomainError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -126,9 +126,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def model_from(cfg: RunConfig) -> Model:
-    return build_model(CoinParameters.from_squared_moduli(
-        cfg.a1_sq, cfg.a2_sq, alpha1=cfg.alpha1, alpha2=cfg.alpha2,
-        beta1=cfg.beta1, beta2=cfg.beta2, delta1=cfg.delta1, delta2=cfg.delta2))
+    return Model(cfg.a1_sq, cfg.a2_sq, alpha1=cfg.alpha1, alpha2=cfg.alpha2,
+                 beta1=cfg.beta1, beta2=cfg.beta2, delta1=cfg.delta1, delta2=cfg.delta2)
 
 
 def spinor_from(cfg: RunConfig) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""Coin parameters and derived constants of the two-dimensional alternate-coin walk.
+"""The coin pair of the two-dimensional alternate-coin walk and its derived constants.
 
 The walk applies, per time step, a 2x2 coin and a spin-dependent shift along
 axis 1, then a second coin and shift along axis 2.  Each coin is determined by
-a modulus |a_q| in (0, 1) and three phases (alpha_q, beta_q, delta_q); the
-off-diagonal modulus is |b_q| = sqrt(1 - |a_q|^2), so the coin is unitary with
-determinant e^{i delta_q}.
+a squared modulus |a_q|^2 in (0, 1) and three phases (alpha_q, beta_q,
+delta_q); the off-diagonal modulus is |b_q| = sqrt(1 - |a_q|^2), so the coin is
+unitary with determinant e^{i delta_q}.  ``Model(a1_sq, a2_sq, alpha1=...)``
+is the one object that holds them, under the names of the configuration keys.
 
 Everything downstream (spectral formulas, limit support, Jacobians) depends on
 the parameters only through the products a = |a_1||a_2| and b = |b_1||b_2| and
@@ -15,19 +16,16 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "DEGENERACY_TOL",
     "ParameterDomainError",
-    "CoinParameters",
     "DerivedConstants",
     "Model",
     "wrap_angle",
-    "derive_constants",
-    "build_model",
 ]
 
 # a + b = 1 within this tolerance switches the degenerate (single-ellipse) path
@@ -43,70 +41,6 @@ class ParameterDomainError(ValueError):
 def wrap_angle(x):
     """Reduce an angle (or array of angles) to the half-open interval [-pi, pi)."""
     return x - _TWO_PI * np.floor((x + math.pi) / _TWO_PI)
-
-
-def _modulus(name: str, value) -> float:
-    """A modulus or squared modulus as a float; refused unless real and strictly in (0, 1)."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-        raise ParameterDomainError(f"{name} must be a finite real, got {value!r}")
-    if not 0.0 < value < 1.0:
-        raise ParameterDomainError(f"{name} must lie strictly inside (0, 1), got {value}")
-    return float(value)
-
-
-@dataclass(frozen=True)
-class CoinParameters:
-    """Moduli and phases of the two coins; angles are stored reduced to [-pi, pi)."""
-
-    modulus_a1: float
-    alpha1: float
-    beta1: float
-    delta1: float
-    modulus_a2: float
-    alpha2: float
-    beta2: float
-    delta2: float
-
-    def __post_init__(self):
-        for name in ("modulus_a1", "modulus_a2"):
-            object.__setattr__(self, name, _modulus(name, getattr(self, name)))
-        for name in ("alpha1", "beta1", "delta1", "alpha2", "beta2", "delta2"):
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
-                raise ParameterDomainError(f"{name} must be a finite real, got {v!r}")
-            object.__setattr__(self, name, float(wrap_angle(float(v))))
-
-    @property
-    def modulus_b1(self) -> float:
-        return math.sqrt(1.0 - self.modulus_a1**2)
-
-    @property
-    def modulus_b2(self) -> float:
-        return math.sqrt(1.0 - self.modulus_a2**2)
-
-    @classmethod
-    def from_squared_moduli(
-        cls,
-        a1_sq: float,
-        a2_sq: float,
-        alpha1: float = 0.0,
-        alpha2: float = 0.0,
-        beta1: float = 0.0,
-        beta2: float = 0.0,
-        delta1: float = 0.0,
-        delta2: float = 0.0,
-    ) -> "CoinParameters":
-        """Build parameters from the squared moduli |a_q|^2 used in config files."""
-        return cls(
-            modulus_a1=math.sqrt(_modulus("a1_sq", a1_sq)),
-            alpha1=alpha1,
-            beta1=beta1,
-            delta1=delta1,
-            modulus_a2=math.sqrt(_modulus("a2_sq", a2_sq)),
-            alpha2=alpha2,
-            beta2=beta2,
-            delta2=delta2,
-        )
 
 
 @dataclass(frozen=True)
@@ -139,9 +73,9 @@ class DerivedConstants:
     degenerate: bool
 
 
-def derive_constants(params: CoinParameters) -> DerivedConstants:
-    a = params.modulus_a1 * params.modulus_a2
-    b = params.modulus_b1 * params.modulus_b2
+def _derive_constants(model: Model) -> DerivedConstants:
+    a = model.modulus_a1 * model.modulus_a2
+    b = model.modulus_b1 * model.modulus_b2
     degenerate = abs(a + b - 1.0) <= DEGENERACY_TOL
 
     lin = 1.0 - (a * a + b * b)  # linear coefficient of the root polynomial
@@ -160,7 +94,7 @@ def derive_constants(params: CoinParameters) -> DerivedConstants:
     return DerivedConstants(
         a=a,
         b=b,
-        delta=params.delta2 + params.delta1,
+        delta=model.delta2 + model.delta1,
         D_J=d_j,
         j_plus=j_plus,
         j_minus=j_minus,
@@ -168,48 +102,86 @@ def derive_constants(params: CoinParameters) -> DerivedConstants:
         axis_R2=1.0 - a * a + b * b - sqrt_d_j,
         axis_T1=1.0 + a * a - b * b - sqrt_d_j,
         axis_T2=1.0 - a * a + b * b + sqrt_d_j,
-        phi_1=0.5 * (params.alpha2 + params.alpha1 - params.beta2 + params.beta1),
-        phi_2=0.5 * (params.alpha2 + params.alpha1 + params.beta2 - params.beta1),
+        phi_1=0.5 * (model.alpha2 + model.alpha1 - model.beta2 + model.beta1),
+        phi_2=0.5 * (model.alpha2 + model.alpha1 + model.beta2 - model.beta1),
         degenerate=degenerate,
     )
 
 
 @dataclass(frozen=True)
 class Model:
-    """A parameter set together with its derived constants and coin matrices."""
+    """A coin pair: the squared moduli |a_q|^2 and the phases of the two coins.
 
-    params: CoinParameters
-    derived: DerivedConstants
+    The fields are the configuration keys of the same names; angles are stored
+    reduced to [-pi, pi).  ``derived`` holds the constants the downstream
+    formulas read, recomputed by every constructor call, ``dataclasses.replace``
+    included.
+    """
+
+    a1_sq: float
+    a2_sq: float
+    alpha1: float = 0.0
+    alpha2: float = 0.0
+    beta1: float = 0.0
+    beta2: float = 0.0
+    delta1: float = 0.0
+    delta2: float = 0.0
+    derived: DerivedConstants = field(init=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("a1_sq", "a2_sq", "alpha1", "beta1", "delta1", "alpha2", "beta2", "delta2"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                raise ParameterDomainError(f"{name} must be a finite real, got {v!r}")
+            if name in ("a1_sq", "a2_sq"):
+                if not 0.0 < v < 1.0:
+                    raise ParameterDomainError(f"{name} must lie strictly inside (0, 1), got {v}")
+                object.__setattr__(self, name, float(v))
+            else:
+                object.__setattr__(self, name, float(wrap_angle(float(v))))
+        object.__setattr__(self, "derived", _derive_constants(self))
+
+    @property
+    def modulus_a1(self) -> float:
+        return math.sqrt(self.a1_sq)
+
+    @property
+    def modulus_a2(self) -> float:
+        return math.sqrt(self.a2_sq)
+
+    @property
+    def modulus_b1(self) -> float:
+        return math.sqrt(1.0 - self.modulus_a1**2)
+
+    @property
+    def modulus_b2(self) -> float:
+        return math.sqrt(1.0 - self.modulus_a2**2)
 
     @property
     def a1(self) -> complex:
-        return self.params.modulus_a1 * np.exp(1j * self.params.alpha1)
+        return self.modulus_a1 * np.exp(1j * self.alpha1)
 
     @property
     def b1(self) -> complex:
-        return self.params.modulus_b1 * np.exp(1j * self.params.beta1)
+        return self.modulus_b1 * np.exp(1j * self.beta1)
 
     @property
     def a2(self) -> complex:
-        return self.params.modulus_a2 * np.exp(1j * self.params.alpha2)
+        return self.modulus_a2 * np.exp(1j * self.alpha2)
 
     @property
     def b2(self) -> complex:
-        return self.params.modulus_b2 * np.exp(1j * self.params.beta2)
+        return self.modulus_b2 * np.exp(1j * self.beta2)
 
     def coin_matrix(self, q: int) -> np.ndarray:
         """2x2 unitary coin for axis q in {1, 2}, determinant e^{i delta_q}."""
         if q == 1:
-            aq, bq, dq = self.a1, self.b1, self.params.delta1
+            aq, bq, dq = self.a1, self.b1, self.delta1
         elif q == 2:
-            aq, bq, dq = self.a2, self.b2, self.params.delta2
+            aq, bq, dq = self.a2, self.b2, self.delta2
         else:
             raise ValueError(f"axis index must be 1 or 2, got {q}")
         phase = np.exp(0.5j * dq)
         return phase * np.array(
             [[aq, bq], [-np.conj(bq), np.conj(aq)]], dtype=np.complex128
         )
-
-
-def build_model(params: CoinParameters) -> Model:
-    return Model(params=params, derived=derive_constants(params))

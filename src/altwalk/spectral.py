@@ -48,9 +48,8 @@ class DegeneracyError(ParameterDomainError):
 
 def angle_terms(model, k1, k2):
     """Rotated angles (l1, l2) and their cos/sin plus tau, broadcast over k."""
-    p = model.params
-    l1 = np.asarray(k2) + np.asarray(k1) + (p.alpha2 + p.alpha1)
-    l2 = np.asarray(k2) - np.asarray(k1) + (p.beta2 - p.beta1)
+    l1 = np.asarray(k2) + np.asarray(k1) + (model.alpha2 + model.alpha1)
+    l2 = np.asarray(k2) - np.asarray(k1) + (model.beta2 - model.beta1)
     c1, s1 = np.cos(l1), np.sin(l1)
     c2, s2 = np.cos(l2), np.sin(l2)
     tau = model.derived.a * c1 - model.derived.b * c2

@@ -21,13 +21,13 @@ from __future__ import annotations
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import lattice, limit, spectral
-from .model import CoinParameters, Model, build_model
+from .model import Model
 
 
 class _Check(NamedTuple):
@@ -179,11 +179,10 @@ def check_roundtrip(model: Model, samples: int = 10_000, *,
     rng = np.random.default_rng(seed)
     worst, excluded = _roundtrip_worst(model, samples, rng)
     details = {"samples": samples, "excluded": excluded, "base_error": worst}
-    p = model.params
-    if (p.alpha1, p.beta1, p.delta1, p.alpha2, p.beta2, p.delta2) == (0.0,) * 6:
-        phased = build_model(CoinParameters(
-            modulus_a1=p.modulus_a1, alpha1=0.3, beta1=-0.4, delta1=0.7,
-            modulus_a2=p.modulus_a2, alpha2=-0.2, beta2=0.5, delta2=-0.1))
+    if not any((model.alpha1, model.beta1, model.delta1,
+                model.alpha2, model.beta2, model.delta2)):
+        phased = replace(model, alpha1=0.3, beta1=-0.4, delta1=0.7,
+                         alpha2=-0.2, beta2=0.5, delta2=-0.1)
         worst_p, excl_p = _roundtrip_worst(phased, samples, rng)
         details["phased_error"] = worst_p
         details["phased_excluded"] = excl_p
@@ -376,13 +375,16 @@ def check_weight_table(model: Model, samples: int = 200, *,
 # prepares every runner; the two write disjoint attributes of a runner.
 
 
-def _observe_walk(model: Model, state0, runners) -> None:
-    """Evolve once to every time the ``runners`` read and hand each its snapshots."""
+def _observe_walk(model: Model, state0, runners, stop=None) -> None:
+    """Evolve once to every time the ``runners`` read and hand each its snapshots;
+    return after a snapshot once the ``threading.Event`` ``stop`` is set."""
     times = sorted({t for runner in runners for t in runner.times})
     for t, state in zip(times, lattice.trajectory(model, state0, times)):
         for runner in runners:
             if t in runner.times:
                 runner.observe(t, state)
+        if stop is not None and stop.is_set():
+            return
 
 
 class _Runner:
@@ -519,7 +521,8 @@ def run_suite(model: Model, spinor=None, *, seed: int = 0, only=None,
     tolerances: mapping report-name -> tolerance that replaces the report's default.
     The walk is evolved once, to the times the selected checks read, on a
     second thread while this one does the checks' work that reads no walk; an
-    exception on either thread is raised here once the walk thread has ended.
+    exception on either thread is raised here once the walk thread has ended,
+    and one on this thread stops the walk at its next snapshot.
     """
     names = list(CHECK_NAMES if only is None else dict.fromkeys(only))
     for name in names:
@@ -532,10 +535,11 @@ def run_suite(model: Model, spinor=None, *, seed: int = 0, only=None,
     state0 = _default_state(spinor)
     runners = [_CHECKS[name].build(model, state0) for name in names]
     walk_error = []
+    stop = threading.Event()
 
     def walk():
         try:
-            _observe_walk(model, state0, runners)
+            _observe_walk(model, state0, runners, stop)
         except BaseException as exc:  # raised again in the caller
             walk_error.append(exc)
 
@@ -544,6 +548,9 @@ def run_suite(model: Model, spinor=None, *, seed: int = 0, only=None,
     try:
         for runner in runners:
             runner.prepare(seed)
+    except BaseException:
+        stop.set()  # no report will read the rest of the walk
+        raise
     finally:
         walker.join()
     if walk_error:

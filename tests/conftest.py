@@ -1,25 +1,24 @@
 import pytest
 
 from altwalk import lattice, verify
-from altwalk.model import CoinParameters, build_model
+from altwalk.model import Model
 
 
 @pytest.fixture(scope="session")
 def reference_model():
     # a = b = 0.3 via |a1|^2 = 0.9, |a2|^2 = 0.1; all phases zero
-    return build_model(CoinParameters.from_squared_moduli(0.9, 0.1))
+    return Model(0.9, 0.1)
 
 
 @pytest.fixture(scope="session")
 def phased_model():
-    return build_model(CoinParameters.from_squared_moduli(
-        0.7, 0.33, 0.3, -1.1, 0.5, 2.0, -0.7, 1.3))
+    return Model(0.7, 0.33, 0.3, -1.1, 0.5, 2.0, -0.7, 1.3)
 
 
 @pytest.fixture(scope="session")
 def degenerate_model():
     # |a1| = |a2| reaches a + b = 1: two-ellipse support collapses to one
-    return build_model(CoinParameters.from_squared_moduli(0.5, 0.5))
+    return Model(0.5, 0.5)
 
 
 def _count_evolve_steps(mp):

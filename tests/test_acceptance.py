@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from altwalk import lattice, limit, spectral, verify
-from altwalk.model import CoinParameters, build_model
+from altwalk.model import Model
 
 
 def _criterion(num, description, failures):

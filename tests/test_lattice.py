@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altwalk import lattice
-from altwalk.model import CoinParameters, build_model
+from altwalk.model import Model
 from oracles import per_site_distribution_csv, whole_window_norm_sq, whole_window_probs
 
 
@@ -277,7 +277,7 @@ site = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
        st.dictionaries(site, spinor, min_size=1, max_size=6), st.integers(0, 12))
 def test_evolve_matches_dense_reference_property(a1_sq, a2_sq, phases, sites, t):
     # zero to four occupied parity classes, zero spinors and t = 0 included
-    model = build_model(CoinParameters.from_squared_moduli(a1_sq, a2_sq, *phases))
+    model = Model(a1_sq, a2_sq, *phases)
     start = lattice.initial_state_from_sites(sites)
     assert_same_state(start, DenseState(start.amps, start.x1_min, start.x2_min, 0))
     got = lattice.evolve(model, start, t)

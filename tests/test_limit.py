@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altwalk import lattice, limit, spectral
-from altwalk.model import CoinParameters, build_model
+from altwalk.model import Model
 from oracles import (
     REGION_BOXES,
     REGION_SIGNS,
@@ -285,7 +285,7 @@ def test_branch_labels_match_scalar_loop(coin, request):
 @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99),
        st.lists(st.floats(-math.pi, math.pi), min_size=6, max_size=6), st.integers(0, 2**32 - 1))
 def test_branch_labels_match_scalar_loop_property(a1_sq, a2_sq, phases, seed):
-    model = build_model(CoinParameters.from_squared_moduli(a1_sq, a2_sq, *phases))
+    model = Model(a1_sq, a2_sq, *phases)
     k1, k2 = _label_probe_wavenumbers(model, np.random.default_rng(seed), 20)
     assert_labels_match_scalar_loop(model, k1, k2)
 
@@ -559,7 +559,7 @@ def test_density_grid_matches_full_enumeration_property(a1_sq, a2_sq, degenerate
                                                         theta, psi_phase):
     if degenerate:  # equal moduli give a + b = 1
         a2_sq = a1_sq
-    model = build_model(CoinParameters.from_squared_moduli(a1_sq, a2_sq, *phases))
+    model = Model(a1_sq, a2_sq, *phases)
     spinor = np.array([math.cos(theta), np.exp(1j * psi_phase) * math.sin(theta)])
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(spinor))
     mid = -1.0 + (2.0 * np.arange(15) + 1.0) / 15

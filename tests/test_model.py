@@ -1,15 +1,13 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from altwalk.model import (
-    CoinParameters,
-    ParameterDomainError,
-    build_model,
-    derive_constants,
-    wrap_angle,
-)
+from altwalk.cli import RunConfig
+from altwalk.model import DEGENERACY_TOL, Model, ParameterDomainError, wrap_angle
 
 
 def test_wrap_angle_range():
@@ -23,26 +21,24 @@ def test_wrap_angle_range():
 
 def test_modulus_out_of_range_rejected():
     with pytest.raises(ParameterDomainError):
-        CoinParameters.from_squared_moduli(1.2, 0.5)
+        Model(1.2, 0.5)
     with pytest.raises(ParameterDomainError):
-        CoinParameters.from_squared_moduli(0.5, -0.1)
+        Model(0.5, -0.1)
 
 
 def test_numpy_real_scalars_accepted():
-    p = CoinParameters.from_squared_moduli(np.float32(0.9), np.float64(0.1),
-                                           alpha1=np.int64(1), beta2=np.float32(-0.5))
-    assert p == CoinParameters.from_squared_moduli(float(np.float32(0.9)), 0.1,
-                                                   alpha1=1.0, beta2=float(np.float32(-0.5)))
+    p = Model(np.float32(0.9), np.float64(0.1), alpha1=np.int64(1), beta2=np.float32(-0.5))
+    assert p == Model(float(np.float32(0.9)), 0.1, alpha1=1.0, beta2=float(np.float32(-0.5)))
     assert type(p.modulus_a1) is float and type(p.alpha1) is float
     for bad in (np.float32("nan"), np.float64("inf"), np.float32(1.5), np.int64(1)):
         with pytest.raises(ParameterDomainError):
-            CoinParameters.from_squared_moduli(bad, 0.5)
+            Model(bad, 0.5)
     with pytest.raises(ParameterDomainError):
-        CoinParameters.from_squared_moduli(0.5, 0.5, alpha1=np.float64("nan"))
+        Model(0.5, 0.5, alpha1=np.float64("nan"))
 
 
 def test_moduli_complementary():
-    p = CoinParameters.from_squared_moduli(0.7, 0.2)
+    p = Model(0.7, 0.2)
     assert p.modulus_a1**2 + p.modulus_b1**2 == pytest.approx(1.0, abs=1e-14)
     assert p.modulus_a2**2 + p.modulus_b2**2 == pytest.approx(1.0, abs=1e-14)
 
@@ -54,13 +50,12 @@ def test_coin_matrices_unitary(phased_model):
 
 
 def test_coin_determinant_is_global_phase():
-    p = CoinParameters.from_squared_moduli(0.6, 0.8, 0.2, -0.4, 1.0, 0.5, 0.3, -1.2)
-    m = build_model(p)
+    m = Model(0.6, 0.8, 0.2, -0.4, 1.0, 0.5, 0.3, -1.2)
     # det C0q = e^{i delta_q} for the phase convention used here
     assert np.linalg.det(m.coin_matrix(1)) == pytest.approx(
-        np.exp(1j * p.delta1), abs=1e-14)
+        np.exp(1j * m.delta1), abs=1e-14)
     assert np.linalg.det(m.coin_matrix(2)) == pytest.approx(
-        np.exp(1j * p.delta2), abs=1e-14)
+        np.exp(1j * m.delta2), abs=1e-14)
 
 
 def test_reference_derived_constants(reference_model):
@@ -95,17 +90,61 @@ def test_degenerate_flag(degenerate_model):
 
 def test_degeneracy_is_equal_moduli():
     # a + b = 1 exactly when |a1| = |a2|
-    assert build_model(CoinParameters.from_squared_moduli(0.37, 0.37)).derived.degenerate
-    assert not build_model(CoinParameters.from_squared_moduli(0.37, 0.38)).derived.degenerate
+    assert Model(0.37, 0.37).derived.degenerate
+    assert not Model(0.37, 0.38).derived.degenerate
 
 
 def test_phi_shift_values():
-    p = CoinParameters.from_squared_moduli(0.5, 0.5, 0.4, 0.6, -0.2, 0.8)
-    d = derive_constants(p)
+    p = Model(0.5, 0.5, 0.4, 0.6, -0.2, 0.8)
+    d = p.derived
     assert d.phi_1 == pytest.approx((0.6 + 0.4 - 0.8 + (-0.2)) / 2, abs=1e-14)
     assert d.phi_2 == pytest.approx((0.6 + 0.4 + 0.8 - (-0.2)) / 2, abs=1e-14)
 
 
 def test_angles_are_wrapped():
-    p = CoinParameters.from_squared_moduli(0.5, 0.5, alpha1=7.0)
+    p = Model(0.5, 0.5, alpha1=7.0)
     assert -math.pi <= p.alpha1 < math.pi
+
+
+def test_fields_are_the_config_coin_keys():
+    # one spelling of a coin pair: the CLI's coin keys, in their order
+    assert [f.name for f in fields(Model) if f.init] == [f.name for f in fields(RunConfig)][:8]
+
+
+def test_replace_rederives_constants(phased_model):
+    m = replace(phased_model, alpha1=1.0)
+    assert m.alpha1 == 1.0
+    assert m.derived.phi_1 == 0.5 * (m.alpha2 + 1.0 - m.beta2 + m.beta1)
+    assert m.derived.phi_1 != phased_model.derived.phi_1
+    for name in ("a1_sq", "a2_sq", "modulus_a1", "modulus_a2", "modulus_b1", "modulus_b2"):
+        assert getattr(m, name).hex() == getattr(phased_model, name).hex()
+    for name in ("a", "b", "D_J", "j_plus", "j_minus", "axis_R1", "axis_R2", "axis_T1", "axis_T2"):
+        assert getattr(m.derived, name).hex() == getattr(phased_model.derived, name).hex()
+
+
+# squared moduli in [1e-6, 1 - 1e-6], log-uniform toward both ends
+_toward_zero = st.floats(-6.0, 0.0).map(lambda e: 10.0**e)
+squared_modulus = st.one_of(_toward_zero, _toward_zero.map(lambda x: 1.0 - x)).map(
+    lambda x: min(max(x, 1e-6), 1.0 - 1e-6))
+moduli = st.one_of(squared_modulus.map(lambda x: (x, x)), st.tuples(squared_modulus, squared_modulus))
+
+
+@settings(max_examples=500, deadline=None)
+@given(moduli, st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6))
+@example((1e-6, 1.0028094515949814e-06), [0.0] * 6)  # degenerate within DEGENERACY_TOL only
+def test_model_invariants_over_the_domain(moduli, phases):
+    m = Model(*moduli, *phases)
+    for name in ("alpha1", "alpha2", "beta1", "beta2", "delta1", "delta2"):
+        assert -math.pi <= getattr(m, name) < math.pi
+    for q, delta in ((1, m.delta1), (2, m.delta2)):
+        c = m.coin_matrix(q)
+        assert np.max(np.abs(c @ c.conj().T - np.eye(2))) <= 1e-14
+        assert abs(np.linalg.det(c) - np.exp(1j * delta)) <= 1e-14
+    d = m.derived
+    # a coin within DEGENERACY_TOL of a + b = 1 takes the limits of a + b = 1 (D_J = 0),
+    # which moves each product by up to about 2 DEGENERACY_TOL / min(a, b) relative
+    rel = 1e-9 + (4 * DEGENERACY_TOL / min(d.a, d.b) if d.degenerate else 0.0)
+    assert d.axis_R1 * d.axis_T1 == pytest.approx(4 * d.a**2, rel=rel, abs=0.0)
+    assert d.axis_R2 * d.axis_T2 == pytest.approx(4 * d.b**2, rel=rel, abs=0.0)
+    if moduli[0] == moduli[1]:
+        assert d.degenerate

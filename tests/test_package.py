@@ -3,7 +3,7 @@ import inspect
 import pytest
 
 import altwalk
-from altwalk import lattice, limit, spectral
+from altwalk import lattice, limit, model, spectral, verify
 
 # the package binds its five modules and its version; every other public name
 # lives in the module that defines it
@@ -11,7 +11,11 @@ PUBLIC = ["lattice", "limit", "model", "spectral", "verify", "__version__"]
 
 DELETED = ["Branch", "BranchError", "classify_branch", "inverse_map", "EigenSystem",
            "eigensystem", "bloch_matrix", "spectral_evolve", "write_state_binary",
-           "read_state_binary", "forward_map", "step", "tau_of"]
+           "read_state_binary", "forward_map", "step", "tau_of", "CoinParameters",
+           "from_squared_moduli", "build_model", "derive_constants"]
+
+# the public names of each module, 46 in all
+ALL_SIZES = {"model": 5, "lattice": 10, "spectral": 12, "limit": 19}
 
 
 def test_public_names():
@@ -25,9 +29,14 @@ def test_package_binds_only_modules():
             if not name.startswith("_") and not inspect.ismodule(obj)] == []
 
 
-@pytest.mark.parametrize("module", [altwalk, lattice, limit, spectral],
+@pytest.mark.parametrize("module", [altwalk, model, lattice, limit, spectral, verify],
                          ids=lambda m: m.__name__)
 def test_deleted_names_stay_deleted(module):
     assert [name for name in DELETED if hasattr(module, name)] == []
-    for name in module.__all__:
+    assert [name for name in DELETED if hasattr(getattr(module, "Model", None), name)] == []
+    for name in getattr(module, "__all__", ()):
         getattr(module, name)
+
+
+def test_module_public_name_counts():
+    assert {name: len(getattr(altwalk, name).__all__) for name in ALL_SIZES} == ALL_SIZES

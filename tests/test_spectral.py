@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from altwalk import lattice, limit, spectral
-from altwalk.model import CoinParameters, build_model
+from altwalk.model import Model
 from oracles import own_tau_band_weights, per_xi_char_function
 
 
@@ -150,7 +150,7 @@ def test_spectral_reconstruct_matches_evolve_property(moduli, phases, sites, t):
     assume(norm > 1e-3)
     start = lattice.initial_state_from_sites(
         {x: (a / norm, b / norm) for x, (a, b) in sites.items()})
-    model = build_model(CoinParameters.from_squared_moduli(*moduli, *phases))
+    model = Model(*moduli, *phases)
     want = lattice.evolve(model, start, t)
     got = spectral.spectral_reconstruct(model, start, t)
     assert (got.x1_min, got.x2_min, got.shape) == (want.x1_min, want.x2_min, want.shape)
@@ -205,10 +205,10 @@ def test_band_weights_from_known_tau(coin, request):
         assert np.array_equal(got[0][-4:], np.zeros(4)) and np.array_equal(got[1][-4:], nrm)
 
 
-def _crossing_wavenumbers(params):
+def _crossing_wavenumbers(model):
     """The four k where l1 and l2 are multiples of pi of opposite parity, so that
     tau = +-(a + b): band crossings of a degenerate coin."""
-    a_sum, b_diff = params.alpha2 + params.alpha1, params.beta2 - params.beta1
+    a_sum, b_diff = model.alpha2 + model.alpha1, model.beta2 - model.beta1
     l1 = np.array([0.0, 0.0, math.pi, -math.pi])
     l2 = np.array([math.pi, -math.pi, 0.0, 0.0])
     return 0.5 * (l1 - l2 - a_sum + b_diff), 0.5 * (l1 + l2 - a_sum - b_diff)
@@ -228,8 +228,8 @@ def test_band_weights_property(moduli, phases, sites, ks):
     assume(norm > 1e-3)
     spectrum = spectral.fourier_initial(lattice.initial_state_from_sites(
         {x: (a / norm, b / norm) for x, (a, b) in sites.items()}))
-    model = build_model(CoinParameters.from_squared_moduli(*moduli, *phases))
-    c1, c2 = _crossing_wavenumbers(model.params)
+    model = Model(*moduli, *phases)
+    c1, c2 = _crossing_wavenumbers(model)
     k1 = np.concatenate([[k for k, _ in ks], c1])
     k2 = np.concatenate([[k for _, k in ks], c2])
     w1, w2 = spectral.band_weights(model, spectrum, k1, k2, spectral.angle_terms(model, k1, k2)[6])
@@ -267,7 +267,7 @@ def test_char_function_rejects_bad_xi_shapes(reference_model):
 
 def test_char_function_rejects_all_degenerate_grid():
     # the one point of a 1 x 1 grid is a band crossing of this degenerate coin
-    model = build_model(CoinParameters.from_squared_moduli(0.5, 0.5, beta2=math.pi))
+    model = Model(0.5, 0.5, beta2=math.pi)
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([1.0, 0.0])))
     for xi in ([(0.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)]):
         with pytest.raises(spectral.DegeneracyError):

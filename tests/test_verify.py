@@ -7,7 +7,7 @@ import pytest
 
 from altwalk import lattice, limit, spectral, verify
 from altwalk.lattice import PositionDistribution
-from altwalk.model import CoinParameters, build_model
+from altwalk.model import Model, ParameterDomainError
 from oracles import (
     scalar_check_jacobian,
     scalar_check_weight_table,
@@ -198,7 +198,7 @@ def test_support_check_degenerate_membership(degenerate_model):
 
 @pytest.mark.parametrize("a_sq", [0.5, 0.3])
 def test_support_membership_matches_scalar_loop(a_sq):
-    model = build_model(CoinParameters.from_squared_moduli(a_sq, a_sq))
+    model = Model(a_sq, a_sq)
     rep = verify.check_support(model, 128)[-1]
     vv = -1.0 + (2.0 * np.arange(200) + 1.0) / 200.0
     member = limit.reference_ellipse_grover(model.derived.a, vv[:, None], vv[None, :])
@@ -420,6 +420,25 @@ def test_run_suite_raises_check_error_after_join(reference_model, monkeypatch, s
         verify.run_suite(reference_model, only=["unitarity", "roundtrip"])
     assert info.value is boom
     assert threading.active_count() == before
+
+
+def test_run_suite_check_error_stops_the_walk(reference_model, evolve_steps, monkeypatch):
+    # a refusal on the calling thread ends the full-size walk (times 100, 300, 500)
+    # at its next snapshot instead of at its last time
+    boom = ParameterDomainError("refused")
+    release = _hold_walk(monkeypatch)
+
+    def check(*args, **kwargs):
+        release.set()
+        raise boom
+
+    monkeypatch.setattr(verify, "check_roundtrip", check)
+    before = threading.active_count()
+    with pytest.raises(ParameterDomainError) as info:
+        verify.run_suite(reference_model, only=["roundtrip", "weak_limit"])
+    assert info.value is boom
+    assert threading.active_count() == before
+    assert evolve_steps == [100]
 
 
 def test_walk_checks_read_their_snapshots(phased_model):
