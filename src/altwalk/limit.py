@@ -53,9 +53,6 @@ from .spectral import DEGENERATE_GAP_TOL, angle_terms, band1_velocity, band_weig
 
 __all__ = [
     "SUPPORT_BOUNDARY_TOL",
-    "SHELL_FLOOR",
-    "FORWARD_CONSISTENCY_TOL",
-    "DEDUP_K_TOL",
     "OutsideSupportError",
     "DensityGrid",
     "IntegralResult",
@@ -64,7 +61,6 @@ __all__ = [
     "support_corners",
     "support_radius",
     "support_boundary",
-    "jacobian_inverse",
     "jacobian_forward",
     "branch_preimages",
     "density",
@@ -74,9 +70,9 @@ __all__ = [
 ]
 
 SUPPORT_BOUNDARY_TOL = 1e-9  # half-width of the support boundary band
-SHELL_FLOOR = 1e-14  # density refuses points with E_R * E_T below this
-FORWARD_CONSISTENCY_TOL = 1e-9  # forward-map residual accepted for a preimage
-DEDUP_K_TOL = 1e-7  # torus distance below which two preimages count once
+_SHELL_FLOOR = 1e-14  # density refuses points with E_R * E_T below this
+_FORWARD_CONSISTENCY_TOL = 1e-9  # forward-map residual accepted for a preimage
+_DEDUP_K_TOL = 1e-7  # torus distance below which two preimages count once
 _QUADRATURE_SHELL = 1e-4  # width of the boundary shell integrate_density excises
 # density_grid points per block.  A block's temporaries take about 200 bytes a
 # point (50 MB).  Blocks of 2^16 points were 5-9% slower on an 800^2 grid on a
@@ -222,26 +218,6 @@ def _jacobian_factors(model: Model, v1, v2):
     return (big_b + root) / (2.0 * big_a * root), (big_b - root) / (2.0 * big_a * root)
 
 
-def jacobian_inverse(model: Model, v1: float, v2: float, sign: int) -> float:
-    """|J|^-1 for the + (sign=+1, even m) or - (sign=-1, odd m) branch family.
-
-    For degenerate models the minus family carries no weight and the plus
-    family reduces to 1 / ((1 - v1^2)(1 - v2^2)).
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if support_contains(model, v1, v2) != "inside":
-        raise OutsideSupportError(f"({v1}, {v2}) is not strictly inside the support")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plus, minus = _jacobian_factors(model, np.float64(v1), np.float64(v2))
-    value = float(plus if sign == 1 else minus)
-    if not math.isfinite(value):
-        raise OutsideSupportError(
-            f"({v1}, {v2}) lies on an ellipse boundary where the Jacobian diverges"
-        )
-    return value
-
-
 def jacobian_forward(model: Model, k1, k2):
     """|J|(k): absolute Jacobian determinant of the band-1 velocity map, broadcast
     over k; raises OutsideSupportError if any k is spectrally degenerate."""
@@ -349,8 +325,8 @@ def branch_preimages(model: Model, v1, v2, n: int, m: int, p: int):
     _, _, _, s1f, _, s2f, tauf = angle_terms(model, k1, k2)
     f1, f2 = band1_velocity(model, s1f, s2f,
                             np.sqrt(np.maximum(1.0 - tauf * tauf, DEGENERATE_GAP_TOL)))
-    ok &= (np.abs(f1 - w1) <= FORWARD_CONSISTENCY_TOL) & (
-        np.abs(f2 - w2) <= FORWARD_CONSISTENCY_TOL
+    ok &= (np.abs(f1 - w1) <= _FORWARD_CONSISTENCY_TOL) & (
+        np.abs(f2 - w2) <= _FORWARD_CONSISTENCY_TOL
     )
     return k1, k2, ok, tauf
 
@@ -422,7 +398,7 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
         inside[block] = _inside_mask(model, u1, u2)
         with np.errstate(invalid="ignore"):  # an infinite v is outside, not an error
             _, _, e_r, e_t, _ = _terms_from_u(model, u1, u2)
-        evaluable[block] = inside[block] & (e_r * e_t >= SHELL_FLOOR)
+        evaluable[block] = inside[block] & (e_r * e_t >= _SHELL_FLOOR)
         points = lo + np.nonzero(evaluable[block])[0]
         f[points], n_plus[points], n_minus[points] = _accumulate(
             model, spectrum, fv1[points], fv2[points]
@@ -460,13 +436,13 @@ def _keep_new(idx, k1, k2, kept):
     """Mask of the preimages (k1, k2) at points idx that repeat none in ``kept``.
 
     ``kept`` holds (idx, k1, k2) triples with sorted idx; two preimages at the
-    same point repeat when closer than DEDUP_K_TOL on the torus.  The new
+    same point repeat when closer than _DEDUP_K_TOL on the torus.  The new
     preimages are appended to ``kept``.
     """
     new = np.ones(idx.shape, dtype=bool)
     for kidx, kk1, kk2 in kept:
         at = np.minimum(np.searchsorted(kidx, idx), kidx.size - 1)
-        new &= ~((kidx[at] == idx) & (_torus_dist(k1, k2, kk1[at], kk2[at]) < DEDUP_K_TOL))
+        new &= ~((kidx[at] == idx) & (_torus_dist(k1, k2, kk1[at], kk2[at]) < _DEDUP_K_TOL))
     if new.any():
         kept.append((idx[new], k1[new], k2[new]))
     return new
@@ -476,7 +452,7 @@ def _accumulate(model, spectrum, v1, v2):
     """f and the (plus, minus) branch counts at evaluable points.
 
     A degenerate model has only the plus family.  Preimages closer than
-    DEDUP_K_TOL on the torus count once: for a degenerate model anywhere and
+    _DEDUP_K_TOL on the torus count once: for a degenerate model anywhere and
     across the bands, for a generic model within a band on the rotated axes,
     where the angles sit on corners shared by adjacent wavenumber squares.
     """

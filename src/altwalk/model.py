@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "DEGENERACY_TOL",
     "ParameterDomainError",
     "DerivedConstants",
     "Model",
@@ -29,7 +28,7 @@ __all__ = [
 ]
 
 # a + b = 1 within this tolerance switches the degenerate (single-ellipse) path
-DEGENERACY_TOL = 1e-12
+_DEGENERACY_TOL = 1e-12
 
 _TWO_PI = 2.0 * math.pi
 
@@ -40,7 +39,12 @@ class ParameterDomainError(ValueError):
 
 def wrap_angle(x):
     """Reduce an angle (or array of angles) to the half-open interval [-pi, pi)."""
-    return x - _TWO_PI * np.floor((x + math.pi) / _TWO_PI)
+    r = x - _TWO_PI * np.floor((x + math.pi) / _TWO_PI)
+    # just below an odd multiple of pi, (x + pi) / 2pi rounds up and r lands below -pi
+    if isinstance(r, np.ndarray):
+        np.add(r, _TWO_PI, out=r, where=r < -math.pi)
+        return r
+    return r + _TWO_PI if r < -math.pi else r
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ class DerivedConstants:
 def _derive_constants(model: Model) -> DerivedConstants:
     a = model.modulus_a1 * model.modulus_a2
     b = model.modulus_b1 * model.modulus_b2
-    degenerate = abs(a + b - 1.0) <= DEGENERACY_TOL
+    degenerate = abs(a + b - 1.0) <= _DEGENERACY_TOL
 
     lin = 1.0 - (a * a + b * b)  # linear coefficient of the root polynomial
     if degenerate:

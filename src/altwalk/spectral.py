@@ -28,7 +28,6 @@ __all__ = [
     "DegeneracyError",
     "InitialSpectrum",
     "angle_terms",
-    "bloch_entries",
     "eigenvalues",
     "band1_velocity",
     "group_velocity",
@@ -56,7 +55,7 @@ def angle_terms(model, k1, k2):
     return l1, l2, c1, s1, c2, s2, tau
 
 
-def bloch_entries(model, k1, k2):
+def _bloch_entries(model, k1, k2):
     """Entries (m11, m12, m21, m22) of U(k), broadcast over wavenumber arrays."""
     a1, b1, a2, b2 = model.a1, model.b1, model.a2, model.b2
     e1p = np.exp(1j * np.asarray(k1))
@@ -143,7 +142,7 @@ def _propagated(model, spectrum: InitialSpectrum, t: int, k1, k2):
     p0, p1 = psi[..., 0], psi[..., 1]
     if t == 0:
         return p0, p1
-    m11, m12, m21, m22 = bloch_entries(model, k1, k2)
+    m11, m12, m21, m22 = _bloch_entries(model, k1, k2)
     lam1, lam2 = eigenvalues(model, k1, k2)
     mp0 = m11 * p0 + m12 * p1
     mp1 = m21 * p0 + m22 * p1
@@ -192,7 +191,7 @@ def band_weights(model, spectrum: InitialSpectrum, k1, k2, tau):
     """
     psi = spectrum(k1, k2)
     p0, p1 = psi[..., 0], psi[..., 1]
-    m11, m12, m21, m22 = bloch_entries(model, k1, k2)
+    m11, m12, m21, m22 = _bloch_entries(model, k1, k2)
     lam1, lam2 = _eigenvalues_at(model, tau)
     ip = np.conj(p0) * (m11 * p0 + m12 * p1) + np.conj(p1) * (m21 * p0 + m22 * p1)
     nrm = np.abs(p0) ** 2 + np.abs(p1) ** 2

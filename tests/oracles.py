@@ -6,10 +6,12 @@ the weight table became array code, the quadrature that evaluated the density on
 the density and walk-site work done on whole arrays before it went in blocks,
 the suite run on one thread, the characteristic function that built its
 wavenumber grid once per xi, the band weights that always computed their own
-tau, the CSV writers that formatted one cell or site at a time, and the three
-literal encodings of the windmill squares (quadrant signs, closed boxes and
-angle reconstruction) that ``limit._SQUARES`` replaced.  The code that
-replaced them must reproduce them exactly.
+tau, the CSV writers that formatted one cell or site at a time, the scalar
+inverse Jacobian over ``limit._jacobian_factors``, and the three literal
+encodings of the windmill squares (quadrant signs, closed boxes and angle
+reconstruction) that ``limit._SQUARES`` replaced.  The code that replaced them
+must reproduce them exactly.  ``konno_cos`` is a closed form from the
+literature that shares no code with the package.
 ``Branch`` and ``BranchError`` are the scalar label (n, m, s, p) and the refusal
 of the scalar loops; ``limit`` works with label arrays (n, m, is_r) instead.
 """
@@ -140,6 +142,26 @@ def scalar_inverse_map(model, v1, v2, branch):
     if not bool(ok[0]):
         raise BranchError(f"branch {branch} has no preimage at ({v1}, {v2})")
     return float(k1[0]), float(k2[0])
+
+
+def scalar_jacobian_inverse(model, v1, v2, sign):
+    """|J|^-1 at one velocity for the + (sign=+1, even m) or - (sign=-1, odd m) family.
+
+    For degenerate models the minus family carries no weight and the plus
+    family reduces to 1 / ((1 - v1^2)(1 - v2^2)).
+    """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if limit.support_contains(model, v1, v2) != "inside":
+        raise limit.OutsideSupportError(f"({v1}, {v2}) is not strictly inside the support")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plus, minus = limit._jacobian_factors(model, np.float64(v1), np.float64(v2))
+    value = float(plus if sign == 1 else minus)
+    if not math.isfinite(value):
+        raise limit.OutsideSupportError(
+            f"({v1}, {v2}) lies on an ellipse boundary where the Jacobian diverges"
+        )
+    return value
 
 
 def scalar_roundtrip_worst(model, samples, rng):
@@ -417,7 +439,7 @@ def own_tau_band_weights(model, spectrum, k1, k2):
     lam1, lam2 = (tau + 1j * gap) * phase, (tau - 1j * gap) * phase
     psi = spectrum(k1, k2)
     p0, p1 = psi[..., 0], psi[..., 1]
-    m11, m12, m21, m22 = spectral.bloch_entries(model, k1, k2)
+    m11, m12, m21, m22 = spectral._bloch_entries(model, k1, k2)
     ip = np.conj(p0) * (m11 * p0 + m12 * p1) + np.conj(p1) * (m21 * p0 + m22 * p1)
     nrm = np.abs(p0) ** 2 + np.abs(p1) ** 2
     # a band crossing puts all the weight in band 2
@@ -447,3 +469,18 @@ def per_site_distribution_csv(dist, path):
             fh.write(
                 f"{dist.x1_min + i},{dist.x2_min + j},{dist.probs[i, j]:.17g}\n"
             )
+
+
+def konno_cos(q, w, n=20_000):
+    """E cos(w X) under Konno's limit density of the one-dimensional walk.
+
+    f_K(x) = sqrt(1 - q) / (pi (1 - x^2) sqrt(q - x^2)) on |x| < sqrt(q), for a
+    coin with |a|^2 = q (Konno, Quantum Inf. Process. 1, 345 (2002)).  The
+    substitution x = sqrt(q) sin(theta) removes the edge singularity, leaving
+    sqrt(1 - q) / (pi (1 - q sin^2 theta)) on (-pi/2, pi/2), summed by an
+    n-point midpoint rule.
+    """
+    theta = -0.5 * math.pi + math.pi * (np.arange(n) + 0.5) / n
+    sin = np.sin(theta)
+    f = math.sqrt(1.0 - q) / (math.pi * (1.0 - q * sin * sin))
+    return float(np.sum(np.cos(w * math.sqrt(q) * sin) * f) * (math.pi / n))

@@ -17,6 +17,7 @@ from oracles import (
     per_weight_integrate_density,
     scalar_classify_branch,
     scalar_inverse_map,
+    scalar_jacobian_inverse,
     scalar_octant,
     scalar_table_matches,
     scalar_weight_table_sets,
@@ -91,16 +92,30 @@ def test_degenerate_boundary_is_circle(degenerate_model):
 # --- Jacobians --------------------------------------------------------------
 
 
-def test_jacobian_inverse_center_values(reference_model):
-    assert limit.jacobian_inverse(reference_model, 0.0, 0.0, +1) == pytest.approx(
-        25.0 / 9.0, abs=1e-12)
-    assert limit.jacobian_inverse(reference_model, 0.0, 0.0, -1) == pytest.approx(
-        16.0 / 9.0, abs=1e-12)
+def test_jacobian_factors_center_values(reference_model):
+    plus, minus = limit._jacobian_factors(reference_model, 0.0, 0.0)
+    assert plus == pytest.approx(25.0 / 9.0, abs=1e-12)
+    assert minus == pytest.approx(16.0 / 9.0, abs=1e-12)
 
 
-def test_jacobian_inverse_outside_raises(reference_model):
+def test_scalar_jacobian_inverse_refusals(reference_model):
     with pytest.raises(limit.OutsideSupportError):
-        limit.jacobian_inverse(reference_model, 0.95, 0.0, +1)
+        scalar_jacobian_inverse(reference_model, 0.95, 0.0, +1)
+    with pytest.raises(ValueError, match="sign"):
+        scalar_jacobian_inverse(reference_model, 0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_scalar_jacobian_inverse_matches_array_factors(coin, request):
+    model = request.getfixturevalue(coin)
+    vv = np.linspace(-0.95, 0.95, 39)
+    points = [(a, b) for a in vv.tolist() for b in vv.tolist()
+              if limit.support_contains(model, a, b) == "inside"]
+    assert len(points) > 100
+    plus, minus = limit._jacobian_factors(model, *np.array(points).T)
+    for sign, want in ((+1, plus), (-1, minus)):
+        got = [scalar_jacobian_inverse(model, a, b, sign) for a, b in points]
+        assert np.array_equal(np.array(got), want)
 
 
 def test_jacobian_forward_positive_inside(reference_model):
@@ -136,8 +151,9 @@ def test_jacobian_forward_raises_on_one_band_crossing(degenerate_model):
 def test_degenerate_jacobian_form(degenerate_model):
     for v1, v2 in ((0.2, -0.1), (0.55, 0.3), (0.0, 0.0)):
         expect = 1.0 / ((1.0 - v1 * v1) * (1.0 - v2 * v2))
-        assert limit.jacobian_inverse(degenerate_model, v1, v2, +1) == expect
-        assert limit.jacobian_inverse(degenerate_model, v1, v2, -1) == 0.0
+        plus, minus = limit._jacobian_factors(degenerate_model, v1, v2)
+        assert plus == expect
+        assert minus == 0.0
 
 
 # --- branch structure -------------------------------------------------------
@@ -459,7 +475,7 @@ def full_density_grid(model, spectrum, v1, v2):
     u1, u2 = limit.rotated_coords(v1, v2)
     inside = limit._inside_mask(model, u1, u2)
     big_a, big_b, e_r, e_t, d_quarter = limit._terms_from_u(model, u1, u2)
-    evaluable = inside & (e_r * e_t >= limit.SHELL_FLOOR)
+    evaluable = inside & (e_r * e_t >= limit._SHELL_FLOOR)
     degenerate = model.derived.degenerate
     if degenerate:
         jinv = (1.0 / np.where(evaluable, (1.0 - v1 * v1) * (1.0 - v2 * v2), 1.0),) * 2
@@ -480,7 +496,7 @@ def full_density_grid(model, spectrum, v1, v2):
                 k1, k2, ok, _ = limit.branch_preimages(model, v1, v2, n, m, p)
                 ok &= evaluable
                 for pk1, pk2, pok in kept:
-                    ok &= ~(pok & (limit._torus_dist(k1, k2, pk1, pk2) < limit.DEDUP_K_TOL))
+                    ok &= ~(pok & (limit._torus_dist(k1, k2, pk1, pk2) < limit._DEDUP_K_TOL))
                 kept.append((k1, k2, ok & dedup))
                 idx = np.nonzero(ok)[0]
                 w1, w2 = spectral.band_weights(model, spectrum, k1[idx], k2[idx],

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from altwalk.cli import RunConfig
-from altwalk.model import DEGENERACY_TOL, Model, ParameterDomainError, wrap_angle
+from altwalk.model import _DEGENERACY_TOL, Model, ParameterDomainError, wrap_angle
 
 
 def test_wrap_angle_range():
@@ -17,6 +17,17 @@ def test_wrap_angle_range():
     assert np.allclose(np.cos(w), np.cos(xs), atol=1e-12)
     assert np.allclose(np.sin(w), np.sin(xs), atol=1e-12)
     assert wrap_angle(math.pi) == -math.pi
+
+
+def test_wrap_angle_stays_in_range_below_odd_multiples_of_pi():
+    # just below pi and 5 pi, (x + pi) / 2pi rounds up to an integer, and the
+    # plain floor formula returned a value below -pi
+    xs = np.array([3.1415926535897927, 15.707963267948964, -3.1415926535897936])
+    w = wrap_angle(xs)
+    assert np.all(w >= -math.pi) and np.all(w < math.pi)
+    assert w[0] == xs[0]
+    assert np.array_equal(wrap_angle(w), w)
+    assert [wrap_angle(float(x)) for x in xs] == w.tolist()
 
 
 def test_modulus_out_of_range_rejected():
@@ -131,7 +142,8 @@ moduli = st.one_of(squared_modulus.map(lambda x: (x, x)), st.tuples(squared_modu
 
 @settings(max_examples=500, deadline=None)
 @given(moduli, st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6))
-@example((1e-6, 1.0028094515949814e-06), [0.0] * 6)  # degenerate within DEGENERACY_TOL only
+@example((1e-6, 1.0028094515949814e-06), [0.0] * 6)  # degenerate within _DEGENERACY_TOL only
+@example((0.5, 0.5), [3.1415926535897927] + [0.0] * 5)  # the largest double below pi
 def test_model_invariants_over_the_domain(moduli, phases):
     m = Model(*moduli, *phases)
     for name in ("alpha1", "alpha2", "beta1", "beta2", "delta1", "delta2"):
@@ -141,9 +153,9 @@ def test_model_invariants_over_the_domain(moduli, phases):
         assert np.max(np.abs(c @ c.conj().T - np.eye(2))) <= 1e-14
         assert abs(np.linalg.det(c) - np.exp(1j * delta)) <= 1e-14
     d = m.derived
-    # a coin within DEGENERACY_TOL of a + b = 1 takes the limits of a + b = 1 (D_J = 0),
-    # which moves each product by up to about 2 DEGENERACY_TOL / min(a, b) relative
-    rel = 1e-9 + (4 * DEGENERACY_TOL / min(d.a, d.b) if d.degenerate else 0.0)
+    # a coin within _DEGENERACY_TOL of a + b = 1 takes the limits of a + b = 1 (D_J = 0),
+    # which moves each product by up to about 2 _DEGENERACY_TOL / min(a, b) relative
+    rel = 1e-9 + (4 * _DEGENERACY_TOL / min(d.a, d.b) if d.degenerate else 0.0)
     assert d.axis_R1 * d.axis_T1 == pytest.approx(4 * d.a**2, rel=rel, abs=0.0)
     assert d.axis_R2 * d.axis_T2 == pytest.approx(4 * d.b**2, rel=rel, abs=0.0)
     if moduli[0] == moduli[1]:
