@@ -1,7 +1,5 @@
 """Exact simulation of the alternate-coin walk, one parity class at a time.
 
-State layout
-------------
 A walker state covers a window of the integer plane: the rectangle
 [x1_min, x1_min + n1 - 1] x [x2_min, x2_min + n2 - 1], ``shape = (n1, n2)``.
 One time step applies coin 1, shift 1, coin 2, shift 2 in that order; each
@@ -16,11 +14,19 @@ mix.  A state stores only its occupied classes: for each, the offsets (p, q)
 and a complex128 array of shape (2, m1, m2), component index first, whose
 ``[:, i, j]`` is the spinor at (x1_min + p + 2 i, x2_min + q + 2 j).  A class
 with no nonzero amplitude is not stored, so from one site the state holds one
-class, a quarter of the window.  ``evolve`` steps each class on its own
-half-resolution grid and returns it in the buffer it was stepped in.
+class, a quarter of the window.
 ``norm_sq`` and ``position_distribution`` square the classes into a
 zero-filled real window, so their sums run in the dense order and keep every
 bit; ``LatticeState.amps`` builds the dense (2, n1, n2) window on demand.
+
+``evolve`` steps each class in place in one flat (2, size) buffer at a row stride
+w > m2, and returns it as a (2, m1, m2) view: cell (i, j) is flat cell i w + j, and
+cells j >= m2 are a gap of zeros.  A half step is six ufuncs per ``_CHUNK`` contiguous
+cells, last chunk first; the axis-1 shift moves component 2 up w cells, the axis-2
+shift one, so a row's last gap cell feeds column 0 of the next row.  The coin signs
+the gap's zeros, so each axis-2 half step zeroes its two new edge columns.  Before each
+block of ``_BLOCK_STEPS`` steps (the first takes the rest of t) the class is re-laid,
+last rows first, at stride m2 + the block's steps + 1.
 """
 
 from __future__ import annotations
@@ -41,6 +47,11 @@ __all__ = [
     "moments",
     "write_distribution_csv",
 ]
+
+# steps between two re-lays of a class at a tighter row stride
+_BLOCK_STEPS = 16
+# cells per ufunc call of a half step: the chunk's six operands stay in a 2 MB L2 cache
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -73,29 +84,12 @@ class LatticeState:
             out[:, p::2, q::2] = amps
         return out
 
-    @property
-    def x1_max(self) -> int:
-        return self.x1_min + self.shape[0] - 1
-
-    @property
-    def x2_max(self) -> int:
-        return self.x2_min + self.shape[1] - 1
-
     def norm_sq(self) -> float:
         sq = np.zeros((2, *self.shape))
         for p, q, amps in self.classes:
-            a = np.abs(amps)
-            sq[:, p::2, q::2] = np.square(a, out=a)
+            a = sq[:, p::2, q::2]  # squared where it lands: no class-sized temporary
+            np.square(np.abs(amps, out=a), out=a)
         return float(np.sum(sq))
-
-    def amplitude(self, x1: int, x2: int) -> np.ndarray:
-        """Spinor at a site; zero outside the stored classes."""
-        i1, i2 = x1 - self.x1_min, x2 - self.x2_min
-        if 0 <= i1 < self.shape[0] and 0 <= i2 < self.shape[1]:
-            for p, q, amps in self.classes:
-                if (p, q) == (i1 % 2, i2 % 2):
-                    return amps[:, i1 // 2, i2 // 2].copy()
-        return np.zeros(2, dtype=np.complex128)
 
 
 @dataclass
@@ -106,12 +100,6 @@ class PositionDistribution:
     x1_min: int
     x2_min: int
     time: int
-
-    def items(self):
-        """Yield ((x1, x2), probability) for every site with nonzero weight."""
-        idx1, idx2 = np.nonzero(self.probs)
-        for i, j in zip(idx1.tolist(), idx2.tolist()):
-            yield (self.x1_min + i, self.x2_min + j), float(self.probs[i, j])
 
     def total(self) -> float:
         return float(self.probs.sum())
@@ -148,26 +136,32 @@ def initial_state_from_sites(site_amps: dict) -> LatticeState:
     return LatticeState.from_amps(amps, x1_min, x2_min, 0)
 
 
-def _coin_shift(c: np.ndarray, src: np.ndarray, dst: np.ndarray, axis: int) -> None:
-    """Coin ``c`` on one class, then its axis shift into ``dst`` (``src`` is scratch).
+def _relay(buf: np.ndarray, live: np.ndarray, w: int) -> None:
+    """Lay the (2, m1, m2) class ``live`` into ``buf`` at row stride ``w``, zero gap after;
+    ``live`` may be ``buf``'s own class at a narrower stride, so the last rows go first."""
+    _, m1, m2 = live.shape
+    step = max(1, _CHUNK // w)
+    for r0 in range((m1 - 1) // step * step, -1, -step):
+        rows = buf[:, r0 * w : min(r0 + step, m1) * w].reshape(2, -1, w)
+        rows[:, :, :m2] = live[:, r0 : r0 + step]
+        rows[:, :, m2:] = 0
 
-    Component 1 keeps its class index (x - 1) and component 2 moves up one (x + 1).
-    """
-    a0, a1 = src[0], src[1]
-    if axis == 1:
-        lo, hi = dst[0, :-1], dst[1, 1:]
-        dst[0, -1] = dst[1, 0] = 0
-    else:
-        lo, hi = dst[0, :, :-1], dst[1, :, 1:]
-        dst[0, :, -1] = dst[1, :, 0] = 0
-    # c[r, 0] * a0 + c[r, 1] * a1 as a dense step computes it.  No product is taken in
-    # place: numpy may then use its scalar loop, which rounds unlike its vector loop.
-    np.multiply(c[0, 0], a0, out=lo)
-    np.multiply(c[1, 0], a0, out=hi)
-    np.multiply(c[0, 1], a1, out=a0)
-    np.add(lo, a0, out=lo)
-    np.multiply(c[1, 1], a1, out=a0)
-    np.add(hi, a0, out=hi)
+
+def _coin_shift(c: np.ndarray, buf: np.ndarray, n: int, shift: int, tmp: np.ndarray) -> None:
+    """Coin ``c`` on the first ``n`` cells of ``buf``, in place, last chunk first; then
+    component 1 keeps its flat index and component 2 moves up ``shift`` cells."""
+    for lo in range((n - 1) // _CHUNK * _CHUNK, -1, -_CHUNK):
+        hi = min(lo + _CHUNK, n)
+        a0, a1 = buf[0, lo:hi], buf[1, lo:hi]
+        x, y, z = tmp[:, : hi - lo]
+        # c[r, 0] * a0 + c[r, 1] * a1 as a dense step computes it.  No product is taken in
+        # place: numpy may then use its scalar loop, which rounds unlike its vector loop.
+        np.multiply(c[0, 0], a0, out=x)
+        np.multiply(c[1, 0], a0, out=y)
+        np.multiply(c[0, 1], a1, out=z)
+        np.add(x, z, out=a0)
+        np.multiply(c[1, 1], a1, out=z)
+        np.add(y, z, out=buf[1, lo + shift : hi + shift])
 
 
 def evolve(model, state: LatticeState, t: int) -> LatticeState:
@@ -176,22 +170,28 @@ def evolve(model, state: LatticeState, t: int) -> LatticeState:
         raise ValueError(f"step count must be nonnegative, got {t}")
     c1, c2 = model.coin_matrix(1), model.coin_matrix(2)
     n1, n2 = state.shape
-    nxt = np.empty((2, (n1 + 1) // 2 + t, (n2 + 1) // 2 + t), dtype=np.complex128)
+    # no block ends with more rows or a wider stride; the axis-2 shift writes one cell past
+    size = ((n1 + 1) // 2 + t) * ((n2 + 1) // 2 + t + 1) + 1
+    tmp = np.empty((3, _CHUNK), dtype=np.complex128)
     classes = []
-    for p, q, amps in state.classes:
-        _, m1, m2 = amps.shape
-        cur = np.empty((2, m1 + t, m2 + t), dtype=np.complex128)
-        cur[:, :m1, :m2] = amps
-        for _ in range(t):
-            _coin_shift(c1, cur[:, :m1, :m2], nxt[:, : m1 + 1, :m2], 1)
-            m1 += 1
-            _coin_shift(c2, nxt[:, :m1, :m2], cur[:, :m1, : m2 + 1], 2)
-            m2 += 1
-        classes.append((p, q, cur))
-    return LatticeState(
-        tuple(classes), state.x1_min - t, state.x2_min - t, (n1 + 2 * t, n2 + 2 * t),
-        state.time + t,
-    )
+    for p, q, live in state.classes:
+        _, m1, m2 = live.shape
+        buf = np.empty((2, size), dtype=np.complex128)
+        for k in [t % _BLOCK_STEPS] + [_BLOCK_STEPS] * (t // _BLOCK_STEPS):
+            w = m2 + k + 1
+            _relay(buf, live, w)
+            for _ in range(k):
+                _coin_shift(c1, buf, m1 * w, w, tmp)
+                buf[0, m1 * w : (m1 + 1) * w] = buf[1, :w] = 0
+                m1 += 1
+                _coin_shift(c2, buf, m1 * w, 1, tmp)
+                # the new edge columns, which the gap fills with zeros of either sign
+                buf[0, m2 : m1 * w : w] = buf[1, : m1 * w : w] = 0
+                m2 += 1
+            live = buf[:, : m1 * w].reshape(2, m1, w)[:, :, :m2]
+        classes.append((p, q, live))
+    window = (n1 + 2 * t, n2 + 2 * t)
+    return LatticeState(tuple(classes), state.x1_min - t, state.x2_min - t, window, state.time + t)
 
 
 def trajectory(model, state0: LatticeState, times):
@@ -241,14 +241,14 @@ def moments(dist: PositionDistribution) -> Moments:
 def write_distribution_csv(dist: PositionDistribution, path) -> None:
     """CSV rows x1,x2,probability for nonzero sites, in row-major site order.
 
-    Each row is written at once: one template holding the x1 and x2 labels of
-    its nonzero sites, filled with their probabilities by ``%``.
+    Each row is its x1 label joined with the x2 labels of its nonzero sites (built
+    once per file, each with a ``%.17g`` slot), filled with their probabilities by ``%``.
     """
+    labels = [f",{dist.x2_min + j},%.17g\n" for j in range(dist.probs.shape[1])]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("x1,x2,probability\n")
         for i, row in enumerate(dist.probs):
-            js = np.flatnonzero(row)
-            x1 = dist.x1_min + i
-            template = "".join([f"{x1},{dist.x2_min + j},%.17g\n" for j in js.tolist()])
-            fh.write(template % tuple(row[js].tolist()))
-
+            js = np.flatnonzero(row).tolist()
+            if js:
+                x1 = str(dist.x1_min + i)
+                fh.write((x1 + x1.join([labels[j] for j in js])) % tuple(row[js].tolist()))

@@ -7,10 +7,13 @@ the density and walk-site work done on whole arrays before it went in blocks,
 the suite run on one thread, the characteristic function that built its
 wavenumber grid once per xi, the band weights that always computed their own
 tau, the CSV writers that formatted one cell or site at a time, the scalar
-inverse Jacobian over ``limit._jacobian_factors``, and the three literal
+inverse Jacobian over ``limit._jacobian_factors``, the three literal
 encodings of the windmill squares (quadrant signs, closed boxes and angle
-reconstruction) that ``limit._SQUARES`` replaced.  The code that replaced them
-must reproduce them exactly.  ``konno_cos`` is a closed form from the
+reconstruction) that ``limit._SQUARES`` replaced, and the class stepper that
+stepped each parity class as a strided view of a wider buffer.  The code that
+replaced them must reproduce them exactly.  The readers of single sites and
+window edges (``amplitude``, ``x1_max``, ``x2_max``, ``nonzero_sites``) serve
+only the tests.  ``konno_cos`` is a closed form from the
 literature that shares no code with the package.
 ``Branch`` and ``BranchError`` are the scalar label (n, m, s, p) and the refusal
 of the scalar loops; ``limit`` works with label arrays (n, m, is_r) instead.
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from altwalk import cli, limit, spectral, verify
+from altwalk import cli, lattice, limit, spectral, verify
 from altwalk.model import wrap_angle
 from altwalk.spectral import angle_terms
 
@@ -484,3 +487,72 @@ def konno_cos(q, w, n=20_000):
     sin = np.sin(theta)
     f = math.sqrt(1.0 - q) / (math.pi * (1.0 - q * sin * sin))
     return float(np.sum(np.cos(w * math.sqrt(q) * sin) * f) * (math.pi / n))
+
+
+def _strided_coin_shift(c, src, dst, axis):
+    """Coin ``c`` on one class, then its axis shift into ``dst`` (``src`` is scratch).
+
+    Component 1 keeps its class index (x - 1) and component 2 moves up one (x + 1).
+    """
+    a0, a1 = src[0], src[1]
+    if axis == 1:
+        lo, hi = dst[0, :-1], dst[1, 1:]
+        dst[0, -1] = dst[1, 0] = 0
+    else:
+        lo, hi = dst[0, :, :-1], dst[1, :, 1:]
+        dst[0, :, -1] = dst[1, :, 0] = 0
+    np.multiply(c[0, 0], a0, out=lo)
+    np.multiply(c[1, 0], a0, out=hi)
+    np.multiply(c[0, 1], a1, out=a0)
+    np.add(lo, a0, out=lo)
+    np.multiply(c[1, 1], a1, out=a0)
+    np.add(hi, a0, out=hi)
+
+
+def strided_class_evolve(model, state, t):
+    """``lattice.evolve`` on 2-D class views inside buffers of the final class size."""
+    c1, c2 = model.coin_matrix(1), model.coin_matrix(2)
+    n1, n2 = state.shape
+    nxt = np.empty((2, (n1 + 1) // 2 + t, (n2 + 1) // 2 + t), dtype=np.complex128)
+    classes = []
+    for p, q, amps in state.classes:
+        _, m1, m2 = amps.shape
+        cur = np.empty((2, m1 + t, m2 + t), dtype=np.complex128)
+        cur[:, :m1, :m2] = amps
+        for _ in range(t):
+            _strided_coin_shift(c1, cur[:, :m1, :m2], nxt[:, : m1 + 1, :m2], 1)
+            m1 += 1
+            _strided_coin_shift(c2, nxt[:, :m1, :m2], cur[:, :m1, : m2 + 1], 2)
+            m2 += 1
+        classes.append((p, q, cur))
+    return lattice.LatticeState(
+        tuple(classes), state.x1_min - t, state.x2_min - t, (n1 + 2 * t, n2 + 2 * t),
+        state.time + t,
+    )
+
+
+def x1_max(state):
+    """Last x1 of a state's window."""
+    return state.x1_min + state.shape[0] - 1
+
+
+def x2_max(state):
+    """Last x2 of a state's window."""
+    return state.x2_min + state.shape[1] - 1
+
+
+def amplitude(state, x1, x2):
+    """Spinor of a class-backed state at a site; zero outside the stored classes."""
+    i1, i2 = x1 - state.x1_min, x2 - state.x2_min
+    if 0 <= i1 < state.shape[0] and 0 <= i2 < state.shape[1]:
+        for p, q, amps in state.classes:
+            if (p, q) == (i1 % 2, i2 % 2):
+                return amps[:, i1 // 2, i2 // 2].copy()
+    return np.zeros(2, dtype=np.complex128)
+
+
+def nonzero_sites(dist):
+    """Yield ((x1, x2), probability) for every site of a distribution with nonzero weight."""
+    idx1, idx2 = np.nonzero(dist.probs)
+    for i, j in zip(idx1.tolist(), idx2.tolist()):
+        yield (dist.x1_min + i, dist.x2_min + j), float(dist.probs[i, j])

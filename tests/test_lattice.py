@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 
 from altwalk import lattice
 from altwalk.model import Model
-from oracles import per_site_distribution_csv, whole_window_norm_sq, whole_window_probs
+from oracles import (
+    amplitude,
+    nonzero_sites,
+    per_site_distribution_csv,
+    strided_class_evolve,
+    whole_window_norm_sq,
+    whole_window_probs,
+    x1_max,
+    x2_max,
+)
 
 
 @dataclass
@@ -23,12 +32,8 @@ class DenseState:
     time: int
 
     @property
-    def x1_max(self):
-        return self.x1_min + self.amps.shape[1] - 1
-
-    @property
-    def x2_max(self):
-        return self.x2_min + self.amps.shape[2] - 1
+    def shape(self):
+        return self.amps.shape[1:]
 
 
 def dense_evolve(model, state, t):
@@ -64,17 +69,17 @@ def assert_same_state(got, want):
     Amplitudes compare by value: the dense stepper may leave -0.0 where a class
     that is not stored reads +0.0.  Everything squared compares bit for bit.
     """
-    assert (got.x1_min, got.x1_max, got.x2_min, got.x2_max, got.time) == (
-        want.x1_min, want.x1_max, want.x2_min, want.x2_max, want.time)
+    assert (got.x1_min, got.x2_min, got.shape, got.time) == (
+        want.x1_min, want.x2_min, want.shape, want.time)
     dense = want.amps
     assert np.array_equal(got.amps, dense)
-    for x1 in range(got.x1_min - 1, got.x1_max + 2):
-        for x2 in range(got.x2_min - 1, got.x2_max + 2):
-            if want.x1_min <= x1 <= want.x1_max and want.x2_min <= x2 <= want.x2_max:
+    for x1 in range(got.x1_min - 1, x1_max(got) + 2):
+        for x2 in range(got.x2_min - 1, x2_max(got) + 2):
+            if want.x1_min <= x1 <= x1_max(want) and want.x2_min <= x2 <= x2_max(want):
                 site = dense[:, x1 - want.x1_min, x2 - want.x2_min]
             else:
                 site = np.zeros(2)
-            assert np.array_equal(got.amplitude(x1, x2), site)
+            assert np.array_equal(amplitude(got, x1, x2), site)
     assert got.norm_sq() == whole_window_norm_sq(want)
     dist = lattice.position_distribution(got)
     want_dist = lattice.PositionDistribution(
@@ -102,7 +107,7 @@ def test_delta_state_requires_unit_norm():
 def test_single_step_hadamard_corners(degenerate_model, origin_state):
     dist = lattice.position_distribution(
         lattice.evolve(degenerate_model, origin_state, 1))
-    got = dict(dist.items())
+    got = dict(nonzero_sites(dist))
     assert set(got) == {(-1, -1), (-1, 1), (1, -1), (1, 1)}
     for p in got.values():
         assert p == pytest.approx(0.25, abs=1e-14)
@@ -119,10 +124,11 @@ def test_single_step_hand_computed(phased_model):
         (1, 1): [0, c2[1, 1] * u[1]],
     }
     state = lattice.evolve(phased_model, lattice.initial_state_delta(psi), 1)
-    assert (state.x1_min, state.x1_max, state.x2_min, state.x2_max, state.time) == (-1, 1, -1, 1, 1)
-    for x1 in range(state.x1_min, state.x1_max + 1):
-        for x2 in range(state.x2_min, state.x2_max + 1):
-            got = state.amplitude(x1, x2)
+    assert (state.x1_min, x1_max(state), state.x2_min, x2_max(state), state.time) == (
+        -1, 1, -1, 1, 1)
+    for x1 in range(state.x1_min, x1_max(state) + 1):
+        for x2 in range(state.x2_min, x2_max(state) + 1):
+            got = amplitude(state, x1, x2)
             if (x1, x2) in expected:
                 np.testing.assert_allclose(got, expected[x1, x2], rtol=0, atol=1e-15)
             else:
@@ -142,8 +148,8 @@ def test_evolve_rejects_negative(reference_model, origin_state):
 
 def test_window_growth(reference_model, origin_state):
     final = lattice.evolve(reference_model, origin_state, 7)
-    assert (final.x1_min, final.x1_max) == (-7, 7)
-    assert (final.x2_min, final.x2_max) == (-7, 7)
+    assert (final.x1_min, x1_max(final)) == (-7, 7)
+    assert (final.x2_min, x2_max(final)) == (-7, 7)
 
 
 def test_multi_site_initial_state():
@@ -153,11 +159,11 @@ def test_multi_site_initial_state():
         (2, -1): (0.0, 0.8),
         (1, 1): (0.0, 0.0),
     })
-    assert (state.x1_min, state.x1_max, state.x2_min, state.x2_max) == (0, 2, -1, 1)
+    assert (state.x1_min, x1_max(state), state.x2_min, x2_max(state)) == (0, 2, -1, 1)
     assert state.norm_sq() == pytest.approx(1.0, abs=1e-14)
-    assert state.amplitude(2, -1)[1] == pytest.approx(0.8)
-    assert state.amplitude(1, 0)[0] == 0.0
-    assert not np.any(state.amplitude(1, 1))
+    assert amplitude(state, 2, -1)[1] == pytest.approx(0.8)
+    assert amplitude(state, 1, 0)[0] == 0.0
+    assert not np.any(amplitude(state, 1, 1))
 
 
 def test_moments_single_step(degenerate_model, origin_state):
@@ -229,11 +235,57 @@ STARTS = pytest.mark.parametrize("start", [
 ], ids=["delta", "two_classes", "three_classes", "four_classes", "zero_classes"])
 
 
-@pytest.mark.parametrize("t", [0, 1, 2, 7, 40])
+@pytest.mark.parametrize("t", [0, 1, 2, 7, 15, 16, 17, 33, 40])
 @STARTS
 def test_evolve_matches_dense_reference(phased_model, start, t):
     assert_same_state(lattice.evolve(phased_model, start, t),
                       dense_evolve(phased_model, start, t))
+
+
+def assert_same_classes(got, want):
+    """Every stored class of two states bit for bit, signed zeros included."""
+    assert (got.x1_min, got.x2_min, got.shape, got.time) == (
+        want.x1_min, want.x2_min, want.shape, want.time)
+    assert [(p, q) for p, q, _ in got.classes] == [(p, q) for p, q, _ in want.classes]
+    for (_, _, amps), (_, _, want_amps) in zip(got.classes, want.classes):
+        assert amps.shape == want_amps.shape
+        assert np.array_equal(amps.view(np.int64), want_amps.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def gap_signing_model():
+    return Model(0.7, 0.33, alpha2=-3.0, beta2=-3.0)
+
+
+@pytest.mark.parametrize("coin, row", [("phased_model", 1), ("gap_signing_model", 0)])
+def test_coin_2_signs_the_gap_zeros(coin, row, request):
+    # row ``row`` of coin 2 turns the gap's zeros into -0.0, which the axis-2 shift
+    # carries into the new edge column of component row + 1 unless evolve zeroes it
+    c2, zero = request.getfixturevalue(coin).coin_matrix(2), np.zeros(1, dtype=np.complex128)
+    assert np.signbit((c2[row, 0] * zero + c2[row, 1] * zero).view(np.float64)).any()
+
+
+@pytest.mark.parametrize("t", [0, 1, 15, 16, 17, 33, 64, 100])
+@STARTS
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "gap_signing_model"])
+def test_evolve_matches_strided_class_stepper(coin, start, t, request):
+    # t = 15, 16 and 17 end one step before, at and after a re-lay, and 33 and 64 cross
+    # several; from t = 100 a half step covers more than one chunk of cells
+    model = request.getfixturevalue(coin)
+    assert_same_classes(lattice.evolve(model, start, t), strided_class_evolve(model, start, t))
+
+
+@STARTS
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model"])
+def test_trajectory_restarts_from_class_views(coin, start, request):
+    # 21 lies inside the second block of a one-shot 40-step evolve; each snapshot is
+    # fed back into evolve as the strided view of a wider buffer that evolve returned
+    model = request.getfixturevalue(coin)
+    times = [5, 21, 40]
+    for t, snap in zip(times, lattice.trajectory(model, start, times)):
+        assert all(not amps.flags.c_contiguous for _, _, amps in snap.classes)
+        assert_same_classes(snap, strided_class_evolve(model, start, t))
+        assert_same_classes(snap, lattice.evolve(model, start, t))
 
 
 @STARTS
@@ -274,7 +326,7 @@ site = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 
 @settings(max_examples=100, deadline=None)
 @given(unit, unit, st.lists(phase, min_size=6, max_size=6),
-       st.dictionaries(site, spinor, min_size=1, max_size=6), st.integers(0, 12))
+       st.dictionaries(site, spinor, min_size=1, max_size=6), st.integers(0, 40))
 def test_evolve_matches_dense_reference_property(a1_sq, a2_sq, phases, sites, t):
     # zero to four occupied parity classes, zero spinors and t = 0 included
     model = Model(a1_sq, a2_sq, *phases)
@@ -302,6 +354,26 @@ def test_evolve_never_builds_the_dense_window(reference_model):
         tracemalloc.stop()
     assert dist.probs.shape == (2 * t + 1, 2 * t + 1)
     assert peak < 0.75 * dense_bytes
+
+
+def test_evolve_steps_each_class_in_place(reference_model):
+    # one buffer for the class and the chunk scratch: a second class-sized array (a
+    # scratch buffer to shift into, or a re-lay through a copy) would add 1.3 MB at t = 200
+    t = 200
+    start = lattice.initial_state_delta(np.array([0.6, 0.8j]))
+    tracemalloc.start()
+    try:
+        state = lattice.evolve(reference_model, start, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (_, _, amps), = state.classes
+    assert amps.shape == (2, t + 1, t + 1)
+    # t + 1 rows at a stride of t + 2, plus the cell the axis-2 shift reaches past them
+    assert amps.base.shape == (2, (t + 1) * (t + 2) + 1)
+    # three chunks of products, and one re-lay chunk of both components copied aside
+    scratch = 5 * lattice._CHUNK * np.dtype(np.complex128).itemsize
+    assert peak <= amps.base.nbytes + scratch + 64 * 1024
 
 
 def _assert_distribution_csv_matches_per_site(tmp_path, dist):
