@@ -21,12 +21,13 @@ bit; ``LatticeState.amps`` builds the dense (2, n1, n2) window on demand.
 
 ``evolve`` steps each class in place in one flat (2, size) buffer at a row stride
 w > m2, and returns it as a (2, m1, m2) view: cell (i, j) is flat cell i w + j, and
-cells j >= m2 are a gap of zeros.  A half step is six ufuncs per ``_CHUNK`` contiguous
-cells, last chunk first; the axis-1 shift moves component 2 up w cells, the axis-2
-shift one, so a row's last gap cell feeds column 0 of the next row.  The coin signs
-the gap's zeros, so each axis-2 half step zeroes its two new edge columns.  Before each
-block of ``_BLOCK_STEPS`` steps (the first takes the rest of t) the class is re-laid,
-last rows first, at stride m2 + the block's steps + 1.
+cells j >= m2 are a gap of zeros.  A half step is two ufunc calls per ``_CHUNK`` cells,
+last chunk first: the coin's four products, then their pairwise sums into component 1
+in place and component 2 moved up, w cells on axis 1 and one on axis 2, so a row's last
+gap cell feeds column 0 of the next row.  The coin signs the gap's zeros, so each axis-2
+half step zeroes its two new edge columns.  Before each block of ``_BLOCK_STEPS`` steps
+(the first takes the rest of t) the class is re-laid, last rows first, at stride m2 +
+the block's steps + 1.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ __all__ = [
 
 # steps between two re-lays of a class at a tighter row stride
 _BLOCK_STEPS = 16
-# cells per ufunc call of a half step: the chunk's six operands stay in a 2 MB L2 cache
-_CHUNK = 8192
+# cells per ufunc call of a half step: two class rows and four product rows (1.2 MB) stay
+# in a 2 MB L2 cache, and the calls are few, for each may hand the lock to another thread
+_CHUNK = 12288
 
 
 @dataclass(frozen=True)
@@ -147,21 +149,19 @@ def _relay(buf: np.ndarray, live: np.ndarray, w: int) -> None:
         rows[:, :, m2:] = 0
 
 
-def _coin_shift(c: np.ndarray, buf: np.ndarray, n: int, shift: int, tmp: np.ndarray) -> None:
+def _coin_shift(c: np.ndarray, buf: np.ndarray, n: int, shift: int, prod: np.ndarray) -> None:
     """Coin ``c`` on the first ``n`` cells of ``buf``, in place, last chunk first; then
     component 1 keeps its flat index and component 2 moves up ``shift`` cells."""
+    # row 0 is component 1 where it is, row 1 is component 2 ``shift`` cells up
+    out = np.lib.stride_tricks.as_strided(
+        buf, (2, n), (buf.strides[0] + shift * buf.itemsize, buf.itemsize))
     for lo in range((n - 1) // _CHUNK * _CHUNK, -1, -_CHUNK):
         hi = min(lo + _CHUNK, n)
-        a0, a1 = buf[0, lo:hi], buf[1, lo:hi]
-        x, y, z = tmp[:, : hi - lo]
-        # c[r, 0] * a0 + c[r, 1] * a1 as a dense step computes it.  No product is taken in
-        # place: numpy may then use its scalar loop, which rounds unlike its vector loop.
-        np.multiply(c[0, 0], a0, out=x)
-        np.multiply(c[1, 0], a0, out=y)
-        np.multiply(c[0, 1], a1, out=z)
-        np.add(x, z, out=a0)
-        np.multiply(c[1, 1], a1, out=z)
-        np.add(y, z, out=buf[1, lo + shift : hi + shift])
+        p = prod[:, :, : hi - lo]
+        # p[r, k] = c[r, k] a_k, a_r = p[r, 0] + p[r, 1] as a dense step has them; no product
+        # in place, where numpy may use its scalar loop, which rounds unlike its vector loop
+        np.multiply(c[:, :, None], buf[:, lo:hi], out=p)
+        np.add(p[:, 0], p[:, 1], out=out[:, lo:hi])
 
 
 def evolve(model, state: LatticeState, t: int) -> LatticeState:
@@ -172,7 +172,7 @@ def evolve(model, state: LatticeState, t: int) -> LatticeState:
     n1, n2 = state.shape
     # no block ends with more rows or a wider stride; the axis-2 shift writes one cell past
     size = ((n1 + 1) // 2 + t) * ((n2 + 1) // 2 + t + 1) + 1
-    tmp = np.empty((3, _CHUNK), dtype=np.complex128)
+    prod = np.empty((2, 2, _CHUNK), dtype=np.complex128)
     classes = []
     for p, q, live in state.classes:
         _, m1, m2 = live.shape
@@ -181,10 +181,10 @@ def evolve(model, state: LatticeState, t: int) -> LatticeState:
             w = m2 + k + 1
             _relay(buf, live, w)
             for _ in range(k):
-                _coin_shift(c1, buf, m1 * w, w, tmp)
+                _coin_shift(c1, buf, m1 * w, w, prod)
                 buf[0, m1 * w : (m1 + 1) * w] = buf[1, :w] = 0
                 m1 += 1
-                _coin_shift(c2, buf, m1 * w, 1, tmp)
+                _coin_shift(c2, buf, m1 * w, 1, prod)
                 # the new edge columns, which the gap fills with zeros of either sign
                 buf[0, m2 : m1 * w : w] = buf[1, : m1 * w : w] = 0
                 m2 += 1

@@ -371,8 +371,10 @@ def test_evolve_steps_each_class_in_place(reference_model):
     assert amps.shape == (2, t + 1, t + 1)
     # t + 1 rows at a stride of t + 2, plus the cell the axis-2 shift reaches past them
     assert amps.base.shape == (2, (t + 1) * (t + 2) + 1)
-    # three chunks of products, and one re-lay chunk of both components copied aside
-    scratch = 5 * lattice._CHUNK * np.dtype(np.complex128).itemsize
+    # four chunks of coin products, then one re-lay chunk of both components copied aside
+    # or numpy's buffers for a call short enough to fit them: three operands of bufsize cells
+    chunks = 4 * lattice._CHUNK + max(2 * lattice._CHUNK, 3 * np.getbufsize())
+    scratch = chunks * np.dtype(np.complex128).itemsize
     assert peak <= amps.base.nbytes + scratch + 64 * 1024
 
 
