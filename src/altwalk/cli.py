@@ -296,7 +296,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _parse_xi(items) -> list[tuple[float, float]]:
     if not items:
-        return [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        return list(verify.STANDARD_XI)
     out = []
     for item in items:
         parts = item.split(",")

@@ -9,11 +9,11 @@ One table, ``_CHECKS``, lists the checks in suite order.  For each it holds the
 report names with their default tolerances and how to build the check for a
 model and start state.  ``CHECK_NAMES``, the tolerance-name validation and the
 tolerance defaults all read it, and ``run_suite`` runs any subset of it through
-one path: the checks that read the walk share one trajectory, the others call
-their public ``check_*`` function.  The walk runs on a second thread beside the
-work that reads no walk; the reports are the same, byte for byte, as when the
-two run one after the other.  ``altwalk chars`` runs the ``char_function``
-check's reader alone, through ``char_triples``.
+one path: the checks that read the walk share one trajectory, which one task
+evolves on a second thread beside the work that reads no walk; the others call
+their public ``check_*`` function.  The reports are the same, byte for byte, as
+when the two run one after the other.  ``altwalk chars`` runs the
+``char_function`` check's reader alone, through ``char_triples``.
 """
 
 from __future__ import annotations
@@ -38,12 +38,13 @@ class _Check(NamedTuple):
     build: Callable
 
 
+STANDARD_XI = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))  # also `chars` without --xi
+
 # Every check, in suite order; the runners are under "check runners" below.
 _CHECKS = {
     "unitarity": _Check({"unitarity": 1e-10}, lambda m, s0: _Unitarity(500)),
     "lattice_vs_spectral": _Check(
-        {"lattice_vs_spectral": 1e-8},
-        lambda m, s0: _Direct(check_lattice_vs_spectral, m, s0)),
+        {"lattice_vs_spectral": 1e-8}, lambda m, s0: _LatticeVsSpectral(m, s0, 20)),
     "roundtrip": _Check(
         {"roundtrip": 1e-9}, lambda m, s0: _Direct(check_roundtrip, m)),
     "jacobian": _Check(
@@ -55,12 +56,12 @@ _CHECKS = {
         lambda m, s0: _Direct(check_support, m)),
     "char_function": _Check(
         {"char_triangle": 5e-2, "char_quadratures": 1e-2},
-        lambda m, s0: _CharFunction(m, s0, 300, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))),
+        lambda m, s0: _CharFunction(m, s0, 300, STANDARD_XI)),
     "weak_limit": _Check(
         {"weak_limit": 0.1, "weak_limit_trend": 0.0, "weak_limit_escape": 0.02},
         lambda m, s0: _WeakLimit(m, s0, (100, 300, 500), 50, 16)),
     "weight_table": _Check(
-        {"weight_table": 1.0},  # informational; mismatches logged, never fatal
+        {"weight_table": 1.0},  # informational: the mismatch count goes in details
         lambda m, s0: _Direct(check_weight_table, m)),
 }
 
@@ -112,28 +113,8 @@ def _report(name, metric, seed, details) -> ComparisonReport:
     return ComparisonReport(name, float(metric), _TOLERANCES[name], seed, dict(details))
 
 
-def _default_state(spinor=None) -> lattice.LatticeState:
-    if spinor is None:
-        spinor = np.array([1.0, 0.0], dtype=complex)
-    return lattice.initial_state_delta(np.asarray(spinor, dtype=complex))
-
-
 # ---------------------------------------------------------------------------
 # individual checks
-
-
-def check_lattice_vs_spectral(model: Model, state0=None, t: int = 20, *,
-                              seed: int = 0) -> list[ComparisonReport]:
-    """Direct evolution against the inverse-Fourier reconstruction."""
-    if t > 64:
-        raise ValueError(f"grid cost bounds t <= 64, got {t}")
-    if state0 is None:
-        state0 = _default_state()
-    direct = lattice.evolve(model, state0, t)
-    recon = spectral.spectral_reconstruct(model, state0, t)
-    # both windows are the start window grown by t on every side
-    metric = float(np.abs(direct.amps - recon.amps).max())
-    return [_report("lattice_vs_spectral", metric, seed, {"t": t})]
 
 
 def _draw(model: Model, samples: int, rng, accept):
@@ -345,7 +326,11 @@ def check_weight_table(model: Model, samples: int = 200, *,
     """Soft cross-check of the published band/region case tables.
 
     The enumeration rule is authoritative; table disagreement is recorded,
-    never fatal, so the tolerance is 1 (any mismatch fraction passes).
+    never fatal, so the tolerance is 1 (any mismatch fraction passes).  It
+    reads 1.0: a band's preimages lie in the two squares of its u-quadrant,
+    but octants 1 and 3 list {3,7} and {1,5}, and their points reach only the
+    quadrants of squares 2 and 4; octants 2 and 4 list {4,8} and {2,6}, and
+    theirs reach only those of 1 and 3.
     """
     rng = np.random.default_rng(seed)
     # per sample one theta draw, then one frac draw, as a loop over samples draws them;
@@ -368,11 +353,11 @@ def check_weight_table(model: Model, samples: int = 200, *,
 # the step counts it reads off the walk, empty for a check that reads none;
 # ``observe(t, state)`` keeps what it needs of the state t steps after the
 # start.  ``_observe_walk`` feeds every runner from one trajectory, so the
-# suite evolves the walk once and keeps no snapshot beyond the current state.
+# suite evolves the walk once; only lattice_vs_spectral keeps a whole state (t=20).
 # ``prepare(seed)`` does the check's work that reads no walk, and
 # ``reports(seed)`` builds its reports once both are done.
-# ``run_suite`` observes the walk on a second thread while the caller's thread
-# prepares every runner; the two write disjoint attributes of a runner.
+# ``run_suite`` observes the walk as one task on a second thread while the caller's
+# thread prepares every runner; the two write disjoint attributes of a runner.
 
 
 def _observe_walk(model: Model, state0, runners, stop=None) -> None:
@@ -399,11 +384,11 @@ class _Runner:
 class _Direct(_Runner):
     """A check that reads no walk: one call of its ``check_*`` function, beside the walk."""
 
-    def __init__(self, check, *args):
-        self.check, self.args = check, args
+    def __init__(self, check, model: Model):
+        self.check, self.model = check, model
 
     def prepare(self, seed):
-        self.done = self.check(*self.args, seed=seed)
+        self.done = self.check(self.model, seed=seed)
 
     def reports(self, seed):
         return self.done
@@ -421,6 +406,25 @@ class _Unitarity(_Runner):
     def reports(self, seed):
         return [_report("unitarity", abs(self.norm_sq - 1.0), seed,
                         {"t": self.times[0], "norm_sq": self.norm_sq})]
+
+
+class _LatticeVsSpectral(_Runner):
+    """Direct evolution against the inverse-Fourier reconstruction after t steps,
+    which ``prepare`` forms beside the walk."""
+
+    def __init__(self, model: Model, state0, t: int):
+        self.model, self.state0, self.times = model, state0, (t,)
+
+    def observe(self, t, state):
+        self.direct = state
+
+    def prepare(self, seed):
+        self.recon = spectral.spectral_reconstruct(self.model, self.state0, self.times[0])
+
+    def reports(self, seed):
+        # both windows are the start window grown by t on every side
+        metric = float(np.abs(self.direct.amps - self.recon.amps).max())
+        return [_report("lattice_vs_spectral", metric, seed, {"t": self.times[0]})]
 
 
 class _CharFunction(_Runner):
@@ -516,13 +520,14 @@ def run_suite(model: Model, spinor=None, *, seed: int = 0, only=None,
               tolerances=None) -> list[ComparisonReport]:
     """Run the verification checks and return their reports in a fixed order.
 
+    spinor: the walk's start at the origin, (1, 0) when None.
     only: iterable of check names (keys of CHECK_NAMES) restricting the run to
     those checks, in the order each name first appears.
     tolerances: mapping report-name -> tolerance that replaces the report's default.
-    The walk is evolved once, to the times the selected checks read, on a
-    second thread while this one does the checks' work that reads no walk; an
-    exception on either thread is raised here once the walk thread has ended,
-    and one on this thread stops the walk at its next snapshot.
+    The walk is evolved once, to the times the selected checks read, as one
+    task on a second thread while this one does the checks' work that reads no
+    walk; an exception on either thread is raised here once the walk task has
+    ended, and one on this thread stops the walk at its next snapshot.
     """
     names = list(CHECK_NAMES if only is None else dict.fromkeys(only))
     for name in names:
@@ -532,29 +537,21 @@ def run_suite(model: Model, spinor=None, *, seed: int = 0, only=None,
     for key in tolerances:
         if key not in _TOLERANCES:
             raise KeyError(f"unknown report {key!r}; valid: {sorted(_TOLERANCES)}")
-    state0 = _default_state(spinor)
+    # imported here: concurrent.futures loads logging, which no other command needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    state0 = lattice.initial_state_delta((1.0, 0.0) if spinor is None else spinor)
     runners = [_CHECKS[name].build(model, state0) for name in names]
-    walk_error = []
     stop = threading.Event()
-
-    def walk():
+    with ThreadPoolExecutor(1) as pool:
+        walk = pool.submit(_observe_walk, model, state0, runners, stop)
         try:
-            _observe_walk(model, state0, runners, stop)
-        except BaseException as exc:  # raised again in the caller
-            walk_error.append(exc)
-
-    walker = threading.Thread(target=walk, name="altwalk-walk")
-    walker.start()
-    try:
-        for runner in runners:
-            runner.prepare(seed)
-    except BaseException:
-        stop.set()  # no report will read the rest of the walk
-        raise
-    finally:
-        walker.join()
-    if walk_error:
-        raise walk_error[0]
+            for runner in runners:
+                runner.prepare(seed)
+        except BaseException:
+            stop.set()  # no report will read the rest of the walk
+            raise
+        walk.result()  # raises the walk's exception, if any
     reports = [rep for runner in runners for rep in runner.reports(seed)]
     for rep in reports:
         rep.tolerance = float(tolerances.get(rep.name, rep.tolerance))

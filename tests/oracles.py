@@ -345,7 +345,7 @@ def serial_run_suite(model, spinor=None, *, seed=0, only=None, tolerances=None):
     """``verify.run_suite`` on one thread: the walk first, then each check in order,
     then the tolerance overrides."""
     names = list(verify.CHECK_NAMES if only is None else dict.fromkeys(only))
-    state0 = verify._default_state(spinor)
+    state0 = lattice.initial_state_delta((1.0, 0.0) if spinor is None else spinor)
     runners = [verify._CHECKS[name].build(model, state0) for name in names]
     verify._observe_walk(model, state0, runners)
     reports = []

@@ -47,9 +47,10 @@ def test_criterion_02_norm_conservation(reference_suite):
     _criterion(2, f"norm drift after 500 steps = {drift:.3e} (tol 1e-10)", failures)
 
 
-def test_criterion_03_lattice_vs_spectral(reference_model):
+def test_criterion_03_lattice_vs_spectral(reference_suite):
     """Direct evolution equals the 41^2-mode Fourier reconstruction at t = 20."""
-    rep = verify.check_lattice_vs_spectral(reference_model, None, 20)[0]
+    rep = reference_suite["reports"]["lattice_vs_spectral"]
+    assert rep.details["t"] == 20
     failures = [] if rep.metric <= 1e-8 else [f"max amplitude gap = {rep.metric:.3e}"]
     _criterion(3, f"lattice vs spectral max gap at t=20 = {rep.metric:.3e} (tol 1e-8)",
                failures)

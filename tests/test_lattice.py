@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from altwalk import lattice
@@ -338,6 +338,30 @@ def test_evolve_matches_dense_reference_property(a1_sq, a2_sq, phases, sites, t)
     times = [t // 2, t]
     for u, snap in zip(times, lattice.trajectory(model, start, times)):
         assert_same_state(snap, dense_evolve(model, start, u))
+
+
+@settings(max_examples=50, deadline=None)
+@given(unit, unit, st.lists(phase, min_size=6, max_size=6),
+       st.lists(st.tuples(site, spinor), min_size=2, max_size=4,
+                unique_by=lambda s: (s[0][0] % 2, s[0][1] % 2)),
+       st.integers(0, 40))
+@example(0.7, 0.33, [0.0, 0.0, 0.0, 0.0, -3.0, -3.0],
+         [((0, 0), (0.6, 0j)), ((3, 1), (0j, 0.8j)), ((1, 0), (0.5, 0.5j)), ((2, -3), (-0.3, 0.1))],
+         17)
+def test_parity_classes_never_interfere(a1_sq, a2_sq, phases, sites, t):
+    # sites in distinct parity classes evolve on disjoint sublattices: the distribution
+    # of the whole start is the sum of its one-site parts, bit for bit
+    model = Model(a1_sq, a2_sq, *phases)
+    whole = lattice.position_distribution(
+        lattice.evolve(model, lattice.initial_state_from_sites(dict(sites)), t))
+    parts = np.zeros_like(whole.probs)
+    for x, amps in sites:
+        part = lattice.position_distribution(
+            lattice.evolve(model, lattice.initial_state_from_sites({x: amps}), t))
+        i, j = part.x1_min - whole.x1_min, part.x2_min - whole.x2_min
+        n1, n2 = part.probs.shape
+        parts[i:i + n1, j:j + n2] += part.probs
+    assert np.array_equal(whole.probs.view(np.int64), parts.view(np.int64))
 
 
 def test_evolve_never_builds_the_dense_window(reference_model):

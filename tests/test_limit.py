@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from altwalk import lattice, limit, spectral
@@ -609,6 +609,34 @@ def test_table_matches_per_point(coin, request, monkeypatch):
     want = [scalar_table_matches(model, a, b) for a, b in points]
     assert want[0] and not all(want)
     assert limit._table_matches(model, v1, v2).tolist() == want
+
+
+def _quadrant_squares(u1, u2):
+    """Mask (points, square n - 1) of the squares whose closed u-quadrant holds u."""
+    return np.stack([limit._in_quadrant(n, u1, u2) for n in range(1, 9)], axis=-1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(unit, unit, st.lists(phase, min_size=6, max_size=6), st.integers(0, 2**32 - 1))
+@example(0.5, 0.5, [0.0] * 6, 0)
+@example(0.5, 0.5, [0.3, -0.4, 0.7, -0.2, 0.5, -0.1], 1)
+@example(0.3, 1 - 1e-6, [0.0] * 6, 2)
+@example(1e-6, 0.3, [0.0] * 6, 3)
+@example(0.99, 0.02, [0.0] * 6, 4)
+@example(0.2, 0.8, [0.0] * 6, 5)
+def test_preimage_squares_are_the_u_quadrants(a1_sq, a2_sq, phases, seed):
+    # what check_weight_table measures: the preimage squares of each band are the two
+    # of its u-quadrant, never the octant table's two, so every sample mismatches
+    model = Model(a1_sq, a2_sq, *phases)
+    rng = np.random.default_rng(seed)
+    theta, frac = rng.uniform((0.0, 0.05), (2.0 * math.pi, 0.95), size=(100, 2)).T
+    rho = frac * limit.support_radius(model, theta)
+    v1, v2 = limit.rotated_coords(rho * np.cos(theta), rho * np.sin(theta))
+    has = limit._preimage_squares(model, v1, v2)
+    assert np.array_equal(has[:, 0], _quadrant_squares(*limit.rotated_coords(v1, v2)))
+    assert np.array_equal(has[:, 1], _quadrant_squares(*limit.rotated_coords(-v1, -v2)))
+    assert (has.sum(axis=2) == 2).all()
+    assert not limit._table_matches(model, v1, v2).any()
 
 
 @pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])

@@ -1,6 +1,7 @@
 import json
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -55,10 +56,11 @@ def small_walk_checks(monkeypatch):
 def small_suite(monkeypatch, small_walk_checks):
     """Every check of the table at reduced size."""
     small = {
-        "roundtrip": lambda m, s0: verify._Direct(verify.check_roundtrip, m, 500),
-        "jacobian": lambda m, s0: verify._Direct(verify.check_jacobian, m, 100),
-        "support": lambda m, s0: verify._Direct(verify.check_support, m, 128),
-        "weight_table": lambda m, s0: verify._Direct(verify.check_weight_table, m, 20),
+        "roundtrip": lambda m, s0: verify._Direct(partial(verify.check_roundtrip, samples=500), m),
+        "jacobian": lambda m, s0: verify._Direct(partial(verify.check_jacobian, samples=100), m),
+        "support": lambda m, s0: verify._Direct(partial(verify.check_support, grid_n=128), m),
+        "weight_table": lambda m, s0: verify._Direct(
+            partial(verify.check_weight_table, samples=20), m),
     }
     for name, build in small.items():
         monkeypatch.setitem(verify._CHECKS, name, verify._CHECKS[name]._replace(build=build))
@@ -138,15 +140,10 @@ def test_unitarity_single_step(reference_model):
 
 
 def test_lattice_vs_spectral_short(phased_model):
-    rep = verify.check_lattice_vs_spectral(phased_model, None, 1)[0]
+    rep = _read_walk(phased_model, DELTA, [verify._LatticeVsSpectral(phased_model, DELTA, 1)])[0]
     assert rep.metric <= 1e-12
-    rep0 = verify.check_lattice_vs_spectral(phased_model, None, 0)[0]
+    rep0 = _read_walk(phased_model, DELTA, [verify._LatticeVsSpectral(phased_model, DELTA, 0)])[0]
     assert rep0.metric <= 1e-14
-
-
-def test_lattice_vs_spectral_rejects_large_t(reference_model):
-    with pytest.raises(ValueError):
-        verify.check_lattice_vs_spectral(reference_model, None, 65)
 
 
 def test_roundtrip_small(phased_model):
@@ -319,17 +316,20 @@ def test_run_suite_drops_repeated_names(reference_model):
 
 
 def test_run_suite_shares_one_walk(reference_model, reference_suite):
-    # one trajectory to T=500 plus the 20 steps of lattice_vs_spectral
-    assert reference_suite["evolve_steps"] == 520
+    # one trajectory to T=500; lattice_vs_spectral reads it at t = 20
+    assert reference_suite["evolve_steps"] == 500
     # each check that reads no walk equals its public function with the suite's arguments
-    direct = (verify.check_lattice_vs_spectral(reference_model, None, 20, seed=3)
-              + verify.check_roundtrip(reference_model, 10_000, seed=3)
+    direct = (verify.check_roundtrip(reference_model, 10_000, seed=3)
               + verify.check_jacobian(reference_model, 1000, seed=3)
               + verify.check_support(reference_model, 512, seed=3)
               + verify.check_weight_table(reference_model, 200, seed=3))
     assert [r.name for r in direct] == [
-        "lattice_vs_spectral", "roundtrip", "jacobian_fd", "jacobian_branch",
+        "roundtrip", "jacobian_fd", "jacobian_branch",
         "support_containment", "support_tightness", "weight_table"]
+    # lattice_vs_spectral as a walk of its own to t = 20 measures it
+    gap = np.abs(lattice.evolve(reference_model, DELTA, 20).amps
+                 - spectral.spectral_reconstruct(reference_model, DELTA, 20).amps).max()
+    direct.append(verify._report("lattice_vs_spectral", gap, 3, {"t": 20}))
     for r in direct:
         assert reference_suite["reports"][r.name].to_json() == r.to_json()
 
