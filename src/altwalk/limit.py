@@ -74,12 +74,12 @@ _SHELL_FLOOR = 1e-14  # density refuses points with E_R * E_T below this
 _FORWARD_CONSISTENCY_TOL = 1e-9  # forward-map residual accepted for a preimage
 _DEDUP_K_TOL = 1e-7  # torus distance below which two preimages count once
 _QUADRATURE_SHELL = 1e-4  # width of the boundary shell integrate_density excises
-# density_grid points per block.  A block's temporaries take about 200 bytes a
-# point (50 MB).  Blocks of 2^16 points were 5-9% slower on an 800^2 grid on a
-# 2-vCPU Xeon VM: their temporaries are unmapped and faulted in again block
-# after block, three times the page faults of one pass.  Much smaller blocks
-# also pay per-slot overhead.
-_DENSITY_BLOCK = 1 << 18
+# density_grid's mask pass runs in blocks of this many points, whose temporaries (57
+# bytes a point) stay in cache: 28-32 ms on 800^2 on a 2-vCPU Xeon VM, 51-57 ms at 2^18.
+_DENSITY_BLOCK = 1 << 16
+# evaluable points per _accumulate call; 2^16 handed the interpreter lock over less
+# often and ran faster, but its temporaries peaked 8 MB higher (ROADMAP)
+_DENSITY_CHUNK = 1 << 15
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -180,16 +180,21 @@ def support_boundary(model: Model, n: int = 512) -> np.ndarray:
     return np.stack(rotated_coords(rad * np.cos(theta), rad * np.sin(theta)), axis=1)
 
 
+def _slacks(model: Model, u1, u2):
+    """Slacks E_R and E_T, 1 - u1^2/axis_1 - u2^2/axis_2, of the two ellipses."""
+    r1, r2, t1, t2 = _axes(model)
+    u1sq, u2sq = np.asarray(u1) ** 2, np.asarray(u2) ** 2
+    return 1.0 - u1sq / r1 - u2sq / r2, 1.0 - u1sq / t1 - u2sq / t2
+
+
 def _terms_from_u(model: Model, u1, u2):
     """A, B, E_R, E_T and D_quarter at rotated coordinates u.
 
     g = 1 - tau^2 solves A g^2 - 2 B g + D_J = 0, with quarter discriminant
-    D_quarter = B^2 - A D_J = 4 a^2 b^2 E_R E_T; E_R and E_T are the slacks
-    1 - u1^2/axis_R1 - u2^2/axis_R2 of the two ellipses.
+    D_quarter = B^2 - A D_J = 4 a^2 b^2 E_R E_T, with the slacks of ``_slacks``.
     """
     d = model.derived
     a, b = d.a, d.b
-    r1, r2, t1, t2 = _axes(model)
     u1sq = np.asarray(u1) ** 2
     u2sq = np.asarray(u2) ** 2
     # (1 - v1^2)(1 - v2^2) and the mixed term, rewritten in the rotated frame
@@ -200,8 +205,7 @@ def _terms_from_u(model: Model, u1, u2):
         - 0.5 * (u1sq + u2sq)
         + 0.5 * (a * a - b * b) * (u1sq - u2sq)
     )
-    e_r = 1.0 - u1sq / r1 - u2sq / r2
-    e_t = 1.0 - u1sq / t1 - u2sq / t2
+    e_r, e_t = _slacks(model, u1, u2)
     d_quarter = 4.0 * a * a * b * b * e_r * e_t
     return big_a, big_b, e_r, e_t, d_quarter
 
@@ -379,8 +383,9 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
     flagged through the masks.  Only the remaining (evaluable) points are
     enumerated, and each (p, n) slot only on those of them whose band-p
     rotated coordinates lie in square n's closed u-quadrant.  Every step is
-    per point, so the flattened points are evaluated in blocks of
-    ``_DENSITY_BLOCK``, which bounds the temporaries without changing a value.
+    per point, so no value depends on the mask pass's blocks of ``_DENSITY_BLOCK``
+    points or on the chunks of ``_DENSITY_CHUNK`` evaluable points that the
+    calling thread and, past one chunk, a helper thread draw in turn.
     """
     v1 = np.asarray(v1, dtype=np.float64)
     v2 = np.asarray(v2, dtype=np.float64)
@@ -397,12 +402,29 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
         u1, u2 = rotated_coords(fv1[block], fv2[block])
         inside[block] = _inside_mask(model, u1, u2)
         with np.errstate(invalid="ignore"):  # an infinite v is outside, not an error
-            _, _, e_r, e_t, _ = _terms_from_u(model, u1, u2)
+            e_r, e_t = _slacks(model, u1, u2)
         evaluable[block] = inside[block] & (e_r * e_t >= _SHELL_FLOOR)
-        points = lo + np.nonzero(evaluable[block])[0]
-        f[points], n_plus[points], n_minus[points] = _accumulate(
-            model, spectrum, fv1[points], fv2[points]
-        )
+        del u1, u2, e_r, e_t  # freed before the chunks' temporaries
+    points = np.flatnonzero(evaluable)
+    chunks = iter(range(0, points.size, _DENSITY_CHUNK))  # one next() is one atomic C call
+
+    def run_chunks():
+        try:
+            for lo in chunks:
+                at = points[lo:lo + _DENSITY_CHUNK]
+                f[at], n_plus[at], n_minus[at] = _accumulate(model, spectrum, fv1[at], fv2[at])
+        finally:
+            for _ in chunks:  # after a failure, neither thread starts another chunk
+                pass
+
+    if points.size <= _DENSITY_CHUNK:
+        run_chunks()
+    else:  # imported here: concurrent.futures loads logging, which no other command needs
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(1) as pool:
+            helper = pool.submit(run_chunks)
+            run_chunks()
+            helper.result()  # raises the helper's exception, if any
     return DensityGrid(
         f=f.reshape(shape),
         inside=inside.reshape(shape),

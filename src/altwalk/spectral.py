@@ -55,12 +55,21 @@ def angle_terms(model, k1, k2):
     return l1, l2, c1, s1, c2, s2, tau
 
 
+def _expi(k):
+    """e^{ik} with the bits of np.exp(1j * k): glibc's cexp(+-0, y) is (cos y, sin y)."""
+    k = 0.0 + np.asarray(k)  # the imaginary part of 1j * k, where -0.0 is +0.0
+    out = np.empty(np.shape(k), dtype=np.complex128)
+    np.cos(k, out=out.real)
+    np.sin(k, out=out.imag)
+    return out
+
+
 def _bloch_entries(model, k1, k2):
     """Entries (m11, m12, m21, m22) of U(k), broadcast over wavenumber arrays."""
     a1, b1, a2, b2 = model.a1, model.b1, model.a2, model.b2
-    e1p = np.exp(1j * np.asarray(k1))
+    e1p = _expi(k1)
     e1m = np.conj(e1p)
-    e2p = np.exp(1j * np.asarray(k2))
+    e2p = _expi(k2)
     e2m = np.conj(e2p)
     phase = np.exp(0.5j * model.derived.delta)
     m11 = phase * e2p * (a2 * a1 * e1p - b2 * np.conj(b1) * e1m)
@@ -105,7 +114,8 @@ class InitialSpectrum:
     """Fourier transform of a finitely supported initial state.
 
     Calling the object with wavenumber arrays returns psi_hat(k) with shape
-    broadcast(k1, k2).shape + (2,).
+    broadcast(k1, k2).shape + (2,), a read-only view of the spinor for one site
+    at the origin: e^{-ik.0} = 1 +- 0i only flips the sign of a zero part.
     """
 
     sites: np.ndarray  # int, shape (N, 2)
@@ -115,13 +125,10 @@ class InitialSpectrum:
         k1 = np.asarray(k1, dtype=np.float64)
         k2 = np.asarray(k2, dtype=np.float64)
         shape = np.broadcast_shapes(k1.shape, k2.shape)
-        phase = np.exp(
-            -1j
-            * (
-                np.broadcast_to(k1, shape)[..., None] * self.sites[:, 0]
-                + np.broadcast_to(k2, shape)[..., None] * self.sites[:, 1]
-            )
-        )
+        if self.sites.shape[0] == 1 and not self.sites.any():
+            return np.broadcast_to(self.amps[0], shape + (2,))
+        k1, k2 = (np.broadcast_to(k, shape)[..., None] for k in (k1, k2))
+        phase = np.exp(-1j * (k1 * self.sites[:, 0] + k2 * self.sites[:, 1]))
         return phase @ self.amps
 
 

@@ -6,8 +6,10 @@ the weight table became array code, the quadrature that evaluated the density on
 the density and walk-site work done on whole arrays before it went in blocks,
 the suite run on one thread, the characteristic function that built its
 wavenumber grid once per xi, the band weights that always computed their own
-tau, the CSV writers that formatted one cell or site at a time, the scalar
-inverse Jacobian over ``limit._jacobian_factors``, the three literal
+tau, the Bloch entries built from the complex exp, the initial spectrum that
+multiplied e^{-ik.x} into the amplitudes for a start at the origin too, the
+CSV writers that formatted one cell or site at a time, the scalar inverse
+Jacobian over ``limit._jacobian_factors``, the three literal
 encodings of the windmill squares (quadrant signs, closed boxes and angle
 reconstruction) that ``limit._SQUARES`` replaced, and the class stepper that
 stepped each parity class as a strided view of a wider buffer.  The code that
@@ -449,6 +451,39 @@ def own_tau_band_weights(model, spectrum, k1, k2):
     with np.errstate(divide="ignore", invalid="ignore"):
         w1 = np.where(lam1 == lam2, 0.0, np.real((ip - lam2 * nrm) / (lam1 - lam2)))
     return w1, nrm - w1
+
+
+def complex_exp_bloch_entries(model, k1, k2):
+    """``spectral._bloch_entries`` building e^{+-ik} with np.exp(1j * k)."""
+    a1, b1, a2, b2 = model.a1, model.b1, model.a2, model.b2
+    e1p = np.exp(1j * np.asarray(k1))
+    e1m = np.conj(e1p)
+    e2p = np.exp(1j * np.asarray(k2))
+    e2m = np.conj(e2p)
+    phase = np.exp(0.5j * model.derived.delta)
+    m11 = phase * e2p * (a2 * a1 * e1p - b2 * np.conj(b1) * e1m)
+    m12 = phase * e2p * (a2 * b1 * e1p + b2 * np.conj(a1) * e1m)
+    m21 = phase * e2m * (-np.conj(b2) * a1 * e1p - np.conj(a2) * np.conj(b1) * e1m)
+    m22 = phase * e2m * (-np.conj(b2) * b1 * e1p + np.conj(a2) * np.conj(a1) * e1m)
+    return m11, m12, m21, m22
+
+
+class PhaseProductSpectrum(spectral.InitialSpectrum):
+    """``spectral.InitialSpectrum`` that multiplies e^{-ik.x} into the amplitudes
+    for every start, a single site at the origin included."""
+
+    def __call__(self, k1, k2):
+        k1 = np.asarray(k1, dtype=np.float64)
+        k2 = np.asarray(k2, dtype=np.float64)
+        shape = np.broadcast_shapes(k1.shape, k2.shape)
+        phase = np.exp(
+            -1j
+            * (
+                np.broadcast_to(k1, shape)[..., None] * self.sites[:, 0]
+                + np.broadcast_to(k2, shape)[..., None] * self.sites[:, 1]
+            )
+        )
+        return phase @ self.amps
 
 
 def per_cell_density_csv(path, mid, f, inside):

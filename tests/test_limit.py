@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -641,11 +643,54 @@ def test_preimage_squares_are_the_u_quadrants(a1_sq, a2_sq, phases, seed):
 
 @pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
 def test_density_grid_blocks_are_exact(coin, request, monkeypatch):
-    # odd blocks that cross rows of a 2-d grid, against the full enumeration
+    # odd blocks that cross rows of a 2-d grid, and odd chunks that the calling
+    # and the helper thread draw in turn, against the full enumeration
     model = request.getfixturevalue(coin)
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
     vv = np.linspace(-0.95, 0.95, 25)  # the diagonals lie on the rotated axes
     monkeypatch.setattr(limit, "_DENSITY_BLOCK", 37)
-    grid = assert_matches_full_enumeration(model, spectrum, vv[:, None], vv[None, :])
+    monkeypatch.setattr(limit, "_DENSITY_CHUNK", 37)
+    calls = []
+    accumulate = limit._accumulate
+    monkeypatch.setattr(limit, "_accumulate", lambda *args: calls.append(1) or accumulate(*args))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads trade the interpreter lock as often as they can
+    try:
+        grid = assert_matches_full_enumeration(model, spectrum, vv[:, None], vv[None, :])
+    finally:
+        sys.setswitchinterval(interval)
     assert grid.f.shape == (25, 25)
     assert grid.evaluable.any() and not grid.inside.all()
+    assert len(calls) == -(-np.count_nonzero(grid.evaluable) // 37) > 2  # each chunk once
+
+
+@pytest.mark.parametrize("failing", ["calling", "helper"])
+def test_density_grid_reraises_a_failed_chunk(failing, reference_model, monkeypatch):
+    # one thread's chunk raises while the other thread holds a chunk: the error
+    # reaches the caller, no chunk of the ten left starts, and the helper has ended
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    vv = np.linspace(-0.95, 0.95, 25)
+    monkeypatch.setattr(limit, "_DENSITY_CHUNK", 10)  # 113 evaluable points: 12 chunks
+    accumulate = limit._accumulate
+    held, failed = threading.Event(), threading.Event()
+    calls = []  # the thread of each chunk, in the order the chunks start
+
+    def chunk(*args):
+        thread = "calling" if threading.current_thread() is threading.main_thread() else "helper"
+        calls.append(thread)
+        if thread == failing:
+            assert held.wait(10)
+            failed.set()
+            raise RuntimeError(f"chunk failed on the {thread} thread")
+        held.set()
+        assert failed.wait(10)
+        return accumulate(*args)
+
+    monkeypatch.setattr(limit, "_accumulate", chunk)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"on the {failing} thread"):
+        limit.density_grid(reference_model, spectrum, vv[:, None], vv[None, :])
+    assert threading.active_count() == threads
+    # the failed chunk, the held one, and at most one drawn before the other
+    # thread emptied the iterator
+    assert sorted(set(calls)) == ["calling", "helper"] and len(calls) <= 3

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from altwalk import lattice, limit, spectral
 from altwalk.model import Model
 from oracles import (
+    PhaseProductSpectrum,
     amplitude,
+    complex_exp_bloch_entries,
     konno_cos,
     own_tau_band_weights,
     per_xi_char_function,
@@ -31,6 +33,32 @@ def test_bloch_matrix_unitary(phased_model):
     rng = np.random.default_rng(3)
     m = _bloch_matrices(phased_model, *_rand_k(rng, 20))
     assert np.allclose(m @ m.conj().transpose(0, 2, 1), np.eye(2), atol=1e-13)
+
+
+# signed zeros, odd multiples of pi and subnormals next to the random wavenumbers
+_EDGE_K = np.array([0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi,
+                    1e-300, -1e-300, 5e-324, -5e-324])
+
+
+def _same_bits(got, want):
+    if np.shape(got) != np.shape(want):
+        return False
+    got, want = np.atleast_1d(got), np.atleast_1d(want)  # a 0-d array has no int64 view
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_bloch_entries_have_the_bits_of_the_complex_exp(coin, request):
+    model = request.getfixturevalue(coin)
+    k1, k2 = _rand_k(np.random.default_rng(21), 4000)
+    k1 = np.concatenate([k1, np.repeat(_EDGE_K, _EDGE_K.size)])  # every pair of edge values
+    k2 = np.concatenate([k2, np.tile(_EDGE_K, _EDGE_K.size)])
+    assert _same_bits(spectral._expi(k1), np.exp(1j * k1))  # -0.0 included
+    # flat arrays, a quadrature-style broadcast grid and scalars
+    for args in ((k1, k2), (k1[:64, None], k2[None, -64:]), (float(k1[0]), -0.0)):
+        for got, want in zip(spectral._bloch_entries(model, *args),
+                             complex_exp_bloch_entries(model, *args)):
+            assert _same_bits(got, want)
 
 
 def test_eigenvalues_unimodular_and_product(phased_model):
@@ -246,6 +274,40 @@ def test_band_weights_property(moduli, phases, sites, ks):
     assert (np.abs(w1 + w2 - nrm) <= slack).all()
     for w in (w1, w2):
         assert (w >= -slack).all() and (w <= nrm + slack).all()
+
+
+# spinor parts with signed zeros, which the product e^{-ik.0} psi may flip
+spinor_part = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(moduli, st.lists(phase, min_size=6, max_size=6), st.tuples(*[spinor_part] * 4),
+       st.lists(st.tuples(wavenumber, wavenumber), min_size=1, max_size=32))
+@example((0.9, 0.1), [0.0] * 6, (1.0, 0.0, -0.0, -0.0), [(0.3, -1.1)])
+@example((0.7, 0.33), [0.3, -1.1, 0.5, 2.0, -0.7, 1.3], (-0.0, 1.0, 0.0, 0.0), [(-0.0, 0.0)])
+@example((0.5, 0.5), [0.0] * 6, (0.6, 0.0, -0.0, -0.8), [(math.pi, -0.0)])
+def test_origin_spectrum_keeps_the_bits(moduli, phases, parts, ks):
+    # the spinor of a start at the origin, against e^{-ik.0} times it: the band
+    # weights keep every bit
+    norm = math.sqrt(sum(x * x for x in parts))
+    assume(norm > 1e-3)
+    spinor = np.array([complex(parts[0], parts[1]), complex(parts[2], parts[3])]) / norm
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(spinor))
+    general = PhaseProductSpectrum(spectrum.sites, spectrum.amps)
+    model = Model(*moduli, *phases)
+    c1, c2 = _crossing_wavenumbers(model)
+    k1 = np.concatenate([[k for k, _ in ks], c1, _EDGE_K])
+    k2 = np.concatenate([[k for _, k in ks], c2, _EDGE_K[::-1]])
+    tau = spectral.angle_terms(model, k1, k2)[6]
+    for got, want in zip(spectral.band_weights(model, spectrum, k1, k2, tau),
+                         spectral.band_weights(model, general, k1, k2, tau)):
+        assert _same_bits(got, want)
+    # U^t psi can hold an exactly zero part, as where the bands of a degenerate
+    # coin cross, and the two paths may differ in its sign: + 0.0 clears that
+    for t in (0, 1, 2, 7):
+        for got, want in zip(spectral._propagated(model, spectrum, t, k1, k2),
+                             spectral._propagated(model, general, t, k1, k2)):
+            assert _same_bits(got + 0.0, want + 0.0)
 
 
 _XIS = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-2.5, 0.75)]
