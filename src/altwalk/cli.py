@@ -181,7 +181,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     lattice.write_distribution_csv(dist, csv_path)
     summary = {
         "time": cfg.steps,
-        "total_probability": dist.total(),
+        "total_probability": float(dist.probs.sum()),
         "sites": int(np.count_nonzero(dist.probs)),
     }
     if cfg.steps >= 1:

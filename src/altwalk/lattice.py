@@ -103,9 +103,6 @@ class PositionDistribution:
     x2_min: int
     time: int
 
-    def total(self) -> float:
-        return float(self.probs.sum())
-
 
 @dataclass
 class Moments:

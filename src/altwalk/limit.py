@@ -284,8 +284,9 @@ def _square_angles(n, arc1, arc2):
     return (l1 + o1 if o1 else l1), (l2 + o2 if o2 else l2)
 
 
-def branch_preimages(model: Model, v1, v2, n: int, m: int, p: int):
-    """Vectorized preimage construction for one (n, m, p) slot.
+def branch_preimages(model: Model, w1, w2, n: int, m: int):
+    """Vectorized band-1 preimage construction of w for one (n, m) slot; band 2's
+    preimages of v are band 1's of w = -v.
 
     Returns (k1, k2, ok, tau): wavenumbers in [-pi, pi)^2, a boolean mask of
     the points where this slot produces a preimage whose forward velocity
@@ -294,9 +295,8 @@ def branch_preimages(model: Model, v1, v2, n: int, m: int, p: int):
     """
     d = model.derived
     a, b = d.a, d.b
-    band_sign = 1.0 if p == 1 else -1.0
-    w1 = band_sign * np.asarray(v1, dtype=np.float64)
-    w2 = band_sign * np.asarray(v2, dtype=np.float64)
+    w1 = np.asarray(w1, dtype=np.float64)
+    w2 = np.asarray(w2, dtype=np.float64)
     u1, u2 = rotated_coords(w1, w2)
     ok = _in_quadrant(n, u1, u2)
     big_a, big_b, _, _, d_quarter = _terms_from_u(model, u1, u2)
@@ -352,8 +352,7 @@ def _inverse_labelled(model: Model, v1, v2, n, m, is_r):
         for sec in range(1, 5):
             idx = np.nonzero(gate & (n == sq) & (m == sec))[0]
             if idx.size:
-                k1[idx], k2[idx], ok[idx], _ = branch_preimages(
-                    model, v1[idx], v2[idx], sq, sec, 1)
+                k1[idx], k2[idx], ok[idx], _ = branch_preimages(model, v1[idx], v2[idx], sq, sec)
     return k1, k2, ok
 
 
@@ -437,21 +436,20 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
 def _preimage_slots(model: Model, v1, v2):
     """Yield (p, n, m, idx, k1, k2, ok, tau) for every (p, n, m) slot in that order.
 
-    Slot (p, n, m) runs ``branch_preimages`` only on the points idx whose
-    band-p rotated coordinates pass that routine's first gate, square n's
-    closed u-quadrant, so points on the rotated axes reach both adjacent
-    squares.  A (p, n) pair with no such point is skipped.
+    Slot (p, n, m) runs ``branch_preimages`` on w = v for band 1 and w = -v for
+    band 2, only at the points idx whose rotated w passes that routine's first
+    gate, square n's closed u-quadrant, so points on the rotated axes reach both
+    adjacent squares.  A (p, n) pair with no such point is skipped.
     """
-    for p in (1, 2):
-        band_sign = 1.0 if p == 1 else -1.0
-        u1, u2 = rotated_coords(band_sign * v1, band_sign * v2)
+    for p, (w1, w2) in ((1, (v1, v2)), (2, (-v1, -v2))):
+        u1, u2 = rotated_coords(w1, w2)
         for n in range(1, 9):
             idx = np.nonzero(_in_quadrant(n, u1, u2))[0]
             if idx.size == 0:
                 continue
-            s1, s2 = v1[idx], v2[idx]
+            s1, s2 = w1[idx], w2[idx]
             for m in range(1, 5):
-                yield (p, n, m, idx, *branch_preimages(model, s1, s2, n, m, p))
+                yield (p, n, m, idx, *branch_preimages(model, s1, s2, n, m))
 
 
 def _keep_new(idx, k1, k2, kept):
@@ -524,8 +522,8 @@ class IntegralResult:
     total: complex  # value + shell_estimate
 
 
-def integrate_density(model: Model, spectrum, weight=None, n_theta: int = 64,
-                      n_rad: int = 64) -> IntegralResult | list[IntegralResult]:
+def integrate_density(model: Model, spectrum, weights=(None,), n_theta: int = 64,
+                      n_rad: int = 64) -> list[IntegralResult]:
     """Integrate f(v) weight(v) dv / (2 pi)^2 over the support.
 
     Polar quadrature in the rotated frame: Gauss-Legendre in angle on each
@@ -535,11 +533,10 @@ def integrate_density(model: Model, spectrum, weight=None, n_theta: int = 64,
     excised and its mass estimated from the boundary asymptotics; the
     estimate is reported and included in ``total``.
 
-    ``weight`` is None, one callable of (v1, v2) arrays, or a list of those.
-    A list returns one ``IntegralResult`` per entry: f is evaluated once per
-    arc and every weight summed on it, with the same bits as one call each.
+    ``weights`` holds callables of (v1, v2) arrays, None meaning weight 1.
+    Returns one ``IntegralResult`` per entry: f is evaluated once per arc and
+    every weight summed on it, with the same bits as one call each.
     """
-    weights = weight if isinstance(weight, list) else [weight]
     corners = support_corners(model)
     if corners.shape[0]:
         cu1, cu2 = rotated_coords(corners[:, 0], corners[:, 1])
@@ -587,7 +584,7 @@ def integrate_density(model: Model, spectrum, weight=None, n_theta: int = 64,
             shell_est = shell_est.real
         results.append(IntegralResult(value=value, shell_estimate=shell_est,
                                       total=value + shell_est))
-    return results if isinstance(weight, list) else results[0]
+    return results
 
 
 def reference_ellipse_grover(a_param: float, v1, v2):

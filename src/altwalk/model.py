@@ -40,11 +40,18 @@ class ParameterDomainError(ValueError):
 def wrap_angle(x):
     """Reduce an angle (or array of angles) to the half-open interval [-pi, pi)."""
     r = x - _TWO_PI * np.floor((x + math.pi) / _TWO_PI)
-    # just below an odd multiple of pi, (x + pi) / 2pi rounds up and r lands below -pi
+    # just below an odd multiple of pi, (x + pi) / 2pi rounds up and r lands below -pi;
+    # past about 1e16 the product misses x by ulps of x, so what is still out of range
+    # takes the exact fmod, to below 2pi in magnitude, where the formula holds
     if isinstance(r, np.ndarray):
-        np.add(r, _TWO_PI, out=r, where=r < -math.pi)
+        if r.size and not np.abs(r).max() < math.pi:  # some r is out of range, -pi or NaN
+            np.add(r, _TWO_PI, out=r, where=r < -math.pi)
+            out = (r < -math.pi) | (r >= math.pi)
+            if out.any():
+                r[out] = wrap_angle(np.fmod(x[out], _TWO_PI))
         return r
-    return r + _TWO_PI if r < -math.pi else r
+    r = r + _TWO_PI if r < -math.pi else r
+    return r if -math.pi <= r < math.pi else wrap_angle(math.fmod(x, _TWO_PI))
 
 
 @dataclass(frozen=True)

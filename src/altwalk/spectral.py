@@ -28,7 +28,6 @@ __all__ = [
     "DegeneracyError",
     "InitialSpectrum",
     "angle_terms",
-    "eigenvalues",
     "band1_velocity",
     "group_velocity",
     "band_weights",
@@ -86,11 +85,6 @@ def _eigenvalues_at(model, tau):
     return (tau + 1j * gap) * phase, (tau - 1j * gap) * phase
 
 
-def eigenvalues(model, k1, k2):
-    """Band eigenvalues (lam1, lam2); band 1 takes + i sqrt(1 - tau^2)."""
-    return _eigenvalues_at(model, angle_terms(model, k1, k2)[6])
-
-
 def band1_velocity(model, s1, s2, gap):
     """Band-1 group velocity from sin(l1), sin(l2) and the gap sqrt(1 - tau^2).
 
@@ -100,13 +94,10 @@ def band1_velocity(model, s1, s2, gap):
     return -(d.a * s1 + d.b * s2) / gap, -(d.a * s1 - d.b * s2) / gap
 
 
-def group_velocity(model, p: int, k1, k2):
-    """Band-p group velocity (v1, v2); band 2 is the negative of band 1."""
-    if p not in (1, 2):
-        raise ValueError(f"band index must be 1 or 2, got {p}")
+def group_velocity(model, k1, k2):
+    """Band-1 group velocity (v1, v2); band 2's is its negative."""
     _, _, _, s1, _, s2, tau = angle_terms(model, k1, k2)
-    v1, v2 = band1_velocity(model, s1, s2, np.sqrt(np.maximum(1.0 - tau * tau, 0.0)))
-    return (v1, v2) if p == 1 else (-v1, -v2)
+    return band1_velocity(model, s1, s2, np.sqrt(np.maximum(1.0 - tau * tau, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -150,7 +141,7 @@ def _propagated(model, spectrum: InitialSpectrum, t: int, k1, k2):
     if t == 0:
         return p0, p1
     m11, m12, m21, m22 = _bloch_entries(model, k1, k2)
-    lam1, lam2 = eigenvalues(model, k1, k2)
+    lam1, lam2 = _eigenvalues_at(model, angle_terms(model, k1, k2)[6])
     mp0 = m11 * p0 + m12 * p1
     mp1 = m21 * p0 + m22 * p1
     gap = lam1 - lam2

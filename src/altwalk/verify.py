@@ -132,7 +132,7 @@ def _draw(model: Model, samples: int, rng, accept):
     while done < samples:
         remaining = samples - done
         k1, k2 = rng.uniform(-math.pi, math.pi, size=(remaining, 2)).T
-        v1, v2 = spectral.group_velocity(model, 1, k1, k2)
+        v1, v2 = spectral.group_velocity(model, k1, k2)
         at, value = accept(k1, k2, v1, v2)
         kept.append((k1[at], k2[at], v1[at], v2[at], value))
         excluded += remaining - value.size
@@ -186,10 +186,10 @@ def check_jacobian(model: Model, samples: int = 1000, *,
 
     h = 1e-5
     (k1, k2, v1, v2, jf), excluded = _draw(model, samples, np.random.default_rng(seed), accept)
-    dp1 = spectral.group_velocity(model, 1, k1 + h, k2)
-    dm1 = spectral.group_velocity(model, 1, k1 - h, k2)
-    dp2 = spectral.group_velocity(model, 1, k1, k2 + h)
-    dm2 = spectral.group_velocity(model, 1, k1, k2 - h)
+    dp1 = spectral.group_velocity(model, k1 + h, k2)
+    dm1 = spectral.group_velocity(model, k1 - h, k2)
+    dp2 = spectral.group_velocity(model, k1, k2 + h)
+    dm2 = spectral.group_velocity(model, k1, k2 - h)
     col1 = [(p - m) / (2.0 * h) for p, m in zip(dp1, dm1)]
     col2 = [(p - m) / (2.0 * h) for p, m in zip(dp2, dm2)]
     det = np.abs(col1[0] * col2[1] - col1[1] * col2[0])
@@ -212,7 +212,7 @@ def check_support(model: Model, grid_n: int = 512, *, seed: int = 0) -> list[Com
     g = -math.pi + 2.0 * math.pi * np.arange(grid_n) / grid_n
     k1, k2 = np.meshgrid(g, g, indexing="ij")
     with np.errstate(divide="ignore", invalid="ignore"):
-        v1, v2 = spectral.group_velocity(model, 1, k1, k2)
+        v1, v2 = spectral.group_velocity(model, k1, k2)
         u1, u2 = limit.rotated_coords(v1, v2)
     d = model.derived
     q_r, q_t = limit._ellipse_forms(model, u1, u2)

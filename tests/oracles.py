@@ -13,10 +13,13 @@ Jacobian over ``limit._jacobian_factors``, the three literal
 encodings of the windmill squares (quadrant signs, closed boxes and angle
 reconstruction) that ``limit._SQUARES`` replaced, and the class stepper that
 stepped each parity class as a strided view of a wider buffer.  The code that
-replaced them must reproduce them exactly.  The readers of single sites and
-window edges (``amplitude``, ``x1_max``, ``x2_max``, ``nonzero_sites``) serve
-only the tests.  ``konno_cos`` is a closed form from the
-literature that shares no code with the package.
+replaced them must reproduce them exactly; ``floor_wrap_angle``, the angle
+reduction before the exact fmod took over what it left out of range, must be
+reproduced wherever its result is in range.  The readers of single sites and
+window edges (``amplitude``, ``x1_max``, ``x2_max``, ``nonzero_sites``) and the
+band eigenvalues at k (``eigenvalues``) serve only the tests.  ``konno_cos`` is
+a closed form from the literature that shares no code with the package, and
+``kgrid_moments`` the moments of the limit law as smooth k-space integrals.
 ``Branch`` and ``BranchError`` are the scalar label (n, m, s, p) and the refusal
 of the scalar loops; ``limit`` works with label arrays (n, m, is_r) instead.
 """
@@ -142,7 +145,7 @@ def scalar_inverse_map(model, v1, v2, branch):
         if branch.s != u_shape:
             raise BranchError(f"branch {branch} demands the other shape")
     k1, k2, ok, _ = limit.branch_preimages(
-        model, np.array([v1]), np.array([v2]), branch.n, branch.m, branch.p
+        model, np.array([band_sign * v1]), np.array([band_sign * v2]), branch.n, branch.m
     )
     if not bool(ok[0]):
         raise BranchError(f"branch {branch} has no preimage at ({v1}, {v2})")
@@ -176,7 +179,7 @@ def scalar_roundtrip_worst(model, samples, rng):
     done = 0
     while done < samples:
         k1, k2 = rng.uniform(-math.pi, math.pi, size=2)
-        v1, v2 = (float(x) for x in spectral.group_velocity(model, 1, k1, k2))
+        v1, v2 = (float(x) for x in spectral.group_velocity(model, k1, k2))
         if limit.support_contains(model, v1, v2) != "inside":
             excluded += 1
             continue
@@ -200,7 +203,7 @@ def scalar_check_jacobian(model, samples=1000, *, seed=0):
     accepted = []
     while len(accepted) < samples:
         k1, k2 = rng.uniform(-math.pi, math.pi, size=2)
-        v1, v2 = (float(x) for x in spectral.group_velocity(model, 1, k1, k2))
+        v1, v2 = (float(x) for x in spectral.group_velocity(model, k1, k2))
         if limit.support_contains(model, v1, v2) != "inside":
             excluded += 1
             continue
@@ -208,10 +211,10 @@ def scalar_check_jacobian(model, samples=1000, *, seed=0):
         if jf <= 1e-4:
             excluded += 1
             continue
-        dp1 = np.array(spectral.group_velocity(model, 1, k1 + h, k2))
-        dm1 = np.array(spectral.group_velocity(model, 1, k1 - h, k2))
-        dp2 = np.array(spectral.group_velocity(model, 1, k1, k2 + h))
-        dm2 = np.array(spectral.group_velocity(model, 1, k1, k2 - h))
+        dp1 = np.array(spectral.group_velocity(model, k1 + h, k2))
+        dm1 = np.array(spectral.group_velocity(model, k1 - h, k2))
+        dp2 = np.array(spectral.group_velocity(model, k1, k2 + h))
+        dm2 = np.array(spectral.group_velocity(model, k1, k2 - h))
         col1 = (dp1 - dm1) / (2.0 * h)
         col2 = (dp2 - dm2) / (2.0 * h)
         det = abs(col1[0] * col2[1] - col1[1] * col2[0])
@@ -232,11 +235,11 @@ def scalar_check_jacobian(model, samples=1000, *, seed=0):
 def scalar_weight_table_sets(model, v1, v2):
     """Windmill squares with a preimage per band, from all 64 slots ungated."""
     actual = {1: set(), 2: set()}
-    for p in (1, 2):
+    for p, sign in ((1, 1.0), (2, -1.0)):
         for n in range(1, 9):
             for m in range(1, 5):
                 _, _, ok, _ = limit.branch_preimages(
-                    model, np.array([v1]), np.array([v2]), n, m, p)
+                    model, np.array([sign * v1]), np.array([sign * v2]), n, m)
                 if bool(ok[0]):
                     actual[p].add(n)
     return actual
@@ -524,6 +527,28 @@ def konno_cos(q, w, n=20_000):
     return float(np.sum(np.cos(w * math.sqrt(q) * sin) * f) * (math.pi / n))
 
 
+def kgrid_moments(model, spectrum, n):
+    """E[V] and E[V V^T] of the limit law by the midpoint rule on an n x n k-grid.
+
+    The limit law is the pushforward of the band weights P_p(k) through the
+    velocities +-v_1(k) (Grimmett, Janson and Scudo, PRE 69, 026119, 2004), so
+    E[V] = mean of (P_1 - P_2) v_1 and E[V V^T] = mean of |psi_hat_0|^2 v_1 v_1^T,
+    smooth periodic integrands on which the rule converges geometrically.  Band
+    crossings, where v_1 is undefined, add nothing; the mean runs over all n^2 points.
+    """
+    g = -math.pi + (2.0 * math.pi / n) * (np.arange(n) + 0.5)
+    k1, k2 = g[:, None], g[None, :]
+    _, _, _, s1, _, s2, tau = angle_terms(model, k1, k2)
+    gap_sq = 1.0 - tau * tau
+    ok = gap_sq > spectral.DEGENERATE_GAP_TOL
+    v = spectral.band1_velocity(model, s1, s2, np.sqrt(np.where(ok, gap_sq, 1.0)))
+    w1, w2 = spectral.band_weights(model, spectrum, k1, k2, tau)
+    mean = np.array([np.sum(np.where(ok, (w1 - w2) * vi, 0.0)) for vi in v]) / (n * n)
+    second = np.array([[np.sum(np.where(ok, (w1 + w2) * vi * vj, 0.0)) for vj in v]
+                       for vi in v]) / (n * n)
+    return mean, second
+
+
 def _strided_coin_shift(c, src, dst, axis):
     """Coin ``c`` on one class, then its axis shift into ``dst`` (``src`` is scratch).
 
@@ -564,6 +589,20 @@ def strided_class_evolve(model, state, t):
         tuple(classes), state.x1_min - t, state.x2_min - t, (n1 + 2 * t, n2 + 2 * t),
         state.time + t,
     )
+
+
+def floor_wrap_angle(x):
+    """The floor formula of ``model.wrap_angle``, with its one fix below odd multiples of pi."""
+    r = x - 2.0 * math.pi * np.floor((x + math.pi) / (2.0 * math.pi))
+    if isinstance(r, np.ndarray):
+        np.add(r, 2.0 * math.pi, out=r, where=r < -math.pi)
+        return r
+    return r + 2.0 * math.pi if r < -math.pi else r
+
+
+def eigenvalues(model, k1, k2):
+    """Band eigenvalues (lam1, lam2) at wavenumbers k; band 1 takes + i sqrt(1 - tau^2)."""
+    return spectral._eigenvalues_at(model, angle_terms(model, k1, k2)[6])
 
 
 def x1_max(state):

@@ -220,6 +220,13 @@ def test_support_outputs(tmp_path):
     assert len(corners) == 5  # header + four corner points
 
 
+def test_support_reduces_a_huge_phase_into_range(tmp_path):
+    # the floor formula alone wrapped 1.7e308 to -2e292, and phi_1 followed it
+    assert run_cli(["support", "--alpha1", "1.7e308", "--out", str(tmp_path)]) == 0
+    constants = json.loads((tmp_path / "constants.json").read_text())
+    assert abs(constants["phi_1"]) <= math.pi and abs(constants["phi_2"]) <= math.pi
+
+
 def test_verify_subset_and_reports(tmp_path):
     assert run_cli(["verify", "--only", "support", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "reports.jsonl").read_text().splitlines()

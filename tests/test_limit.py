@@ -36,7 +36,7 @@ def _interior_points(model, rng, count):
     out1, out2 = [], []
     while len(out1) < count:
         k1, k2 = rng.uniform(-math.pi, math.pi, size=2)
-        v1, v2 = (float(x) for x in spectral.group_velocity(model, 1, k1, k2))
+        v1, v2 = (float(x) for x in spectral.group_velocity(model, k1, k2))
         if limit.support_contains(model, v1, v2) == "inside":
             out1.append(v1)
             out2.append(v2)
@@ -47,7 +47,7 @@ def _interior_points(model, rng, count):
 
 
 def test_forward_map_center(reference_model):
-    v1, v2 = spectral.group_velocity(reference_model, 1, math.pi / 2, math.pi / 2)
+    v1, v2 = spectral.group_velocity(reference_model, math.pi / 2, math.pi / 2)
     assert v1 == pytest.approx(0.0, abs=1e-15)
     assert v2 == pytest.approx(0.0, abs=1e-15)
 
@@ -218,7 +218,7 @@ def test_inverse_map_outside_raises(reference_model):
 def test_roundtrip_with_phases(phased_model):
     rng = np.random.default_rng(10)
     k1, k2 = rng.uniform(-math.pi, math.pi, size=(2, 400))
-    v1, v2 = spectral.group_velocity(phased_model, 1, k1, k2)
+    v1, v2 = spectral.group_velocity(phased_model, k1, k2)
     inside = np.array([limit.support_contains(phased_model, float(a), float(b)) == "inside"
                        for a, b in zip(v1, v2)])
     k1, k2, v1, v2 = k1[inside], k2[inside], v1[inside], v2[inside]
@@ -234,10 +234,10 @@ def test_sixteen_branches_interior(reference_model):
     v1, v2 = _interior_points(reference_model, rng, 40)
     count_plus = np.zeros(v1.shape, dtype=int)
     count_minus = np.zeros(v1.shape, dtype=int)
-    for p in (1, 2):
+    for sign in (1.0, -1.0):
         for n in range(1, 9):
             for m in range(1, 5):
-                _, _, ok, _ = limit.branch_preimages(reference_model, v1, v2, n, m, p)
+                _, _, ok, _ = limit.branch_preimages(reference_model, sign * v1, sign * v2, n, m)
                 if m % 2 == 0:
                     count_plus += ok
                 else:
@@ -253,10 +253,11 @@ def test_forward_consistency_of_preimages(reference_model):
         sign = 1.0 if p == 1 else -1.0
         for n in range(1, 9):
             for m in range(1, 5):
-                k1, k2, ok, _ = limit.branch_preimages(reference_model, v1, v2, n, m, p)
+                k1, k2, ok, _ = limit.branch_preimages(reference_model, sign * v1, sign * v2,
+                                                       n, m)
                 if not ok.any():
                     continue
-                w1, w2 = spectral.group_velocity(reference_model, 1, k1[ok], k2[ok])
+                w1, w2 = spectral.group_velocity(reference_model, k1[ok], k2[ok])
                 assert np.abs(w1 - sign * v1[ok]).max() < 1e-9
                 assert np.abs(w2 - sign * v2[ok]).max() < 1e-9
 
@@ -405,7 +406,7 @@ def test_degenerate_branches_deduplicated(degenerate_model):
 
 
 def test_density_mass_near_one(reference_model, reference_spectrum):
-    result = limit.integrate_density(reference_model, reference_spectrum)
+    [result] = limit.integrate_density(reference_model, reference_spectrum)
     assert result.total == pytest.approx(1.0, abs=1e-2)
     assert result.shell_estimate >= 0.0
 
@@ -417,7 +418,7 @@ def test_integrate_density_matches_per_weight_quadrature(coin, request):
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
     weights = (None, lambda a, b: np.exp(1j * (1.0 * a - 0.5 * b)))
     for weight in weights:
-        got = limit.integrate_density(model, spectrum, weight, n_theta=20, n_rad=16)
+        [got] = limit.integrate_density(model, spectrum, [weight], n_theta=20, n_rad=16)
         want = per_weight_integrate_density(model, spectrum, weight, n_theta=20, n_rad=16)
         assert (got.value, got.shell_estimate, got.total) == (
             want.value, want.shell_estimate, want.total)
@@ -435,7 +436,7 @@ def test_integrate_density_of_many_weights_matches_one_call_per_weight(coin, req
         got = limit.integrate_density(model, spectrum, weights, n_theta=20, n_rad=16)
         assert isinstance(got, list) and len(got) == len(weights)
         for res, weight in zip(got, weights):
-            want = limit.integrate_density(model, spectrum, weight, n_theta=20, n_rad=16)
+            [want] = limit.integrate_density(model, spectrum, [weight], n_theta=20, n_rad=16)
             assert (res.value, res.shell_estimate, res.total) == (
                 want.value, want.shell_estimate, want.total)
 
@@ -490,12 +491,12 @@ def full_density_grid(model, spectrum, v1, v2):
     f = np.zeros(v1.shape)
     counts = (np.zeros(v1.shape, dtype=np.int64), np.zeros(v1.shape, dtype=np.int64))
     kept = []
-    for p in (1, 2):
+    for p, sign in ((1, 1.0), (2, -1.0)):
         if not degenerate:
             kept = []
         for n in range(1, 9):
             for m in range(1, 5):
-                k1, k2, ok, _ = limit.branch_preimages(model, v1, v2, n, m, p)
+                k1, k2, ok, _ = limit.branch_preimages(model, sign * v1, sign * v2, n, m)
                 ok &= evaluable
                 for pk1, pk2, pok in kept:
                     ok &= ~(pok & (limit._torus_dist(k1, k2, pk1, pk2) < limit._DEDUP_K_TOL))
@@ -515,10 +516,10 @@ def test_gate_tau_is_tau_at_the_preimages(coin, request):
     mid = -1.0 + (2.0 * np.arange(41) + 1.0) / 41
     v1, v2 = np.repeat(mid, 41), np.tile(mid, 41)
     found = 0
-    for p in (1, 2):
+    for sign in (1.0, -1.0):
         for n in range(1, 9):
             for m in range(1, 5):
-                k1, k2, ok, tau = limit.branch_preimages(model, v1, v2, n, m, p)
+                k1, k2, ok, tau = limit.branch_preimages(model, sign * v1, sign * v2, n, m)
                 assert np.array_equal(tau, spectral.angle_terms(model, k1, k2)[6])
                 found += int(ok.sum())
     assert found > 0

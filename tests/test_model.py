@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from altwalk.cli import RunConfig
 from altwalk.model import _DEGENERACY_TOL, Model, ParameterDomainError, wrap_angle
+from oracles import floor_wrap_angle
 
 
 def test_wrap_angle_range():
@@ -28,6 +29,43 @@ def test_wrap_angle_stays_in_range_below_odd_multiples_of_pi():
     assert w[0] == xs[0]
     assert np.array_equal(wrap_angle(w), w)
     assert [wrap_angle(float(x)) for x in xs] == w.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(1.7e308)
+@example(-1.7976931348623157e308)
+@example(3.1415926535897927)
+@example(5e-324)
+def test_wrap_angle_in_range_for_every_finite_float(x):
+    scalar, array = wrap_angle(x), wrap_angle(np.array([x]))
+    assert -math.pi <= scalar < math.pi
+    assert array.tolist() == [scalar]
+    # the floor formula's result stands wherever it is in range
+    floor = floor_wrap_angle(x)
+    if -math.pi <= floor < math.pi:
+        assert scalar == floor
+
+
+def test_wrap_angle_reduces_what_the_floor_formula_leaves_out_of_range():
+    # log-uniform magnitudes up to the largest double: past about 1e16 the floor
+    # formula misses x by ulps of x, on about one draw in eight from 1e17 up
+    rng = np.random.default_rng(41)
+    xs = rng.choice([-1.0, 1.0], 40_000) * np.exp(rng.uniform(math.log(1e-3), math.log(1e308),
+                                                               40_000))
+    floor = floor_wrap_angle(xs.copy())
+    kept = (floor >= -math.pi) & (floor < math.pi)
+    assert (~kept).sum() > 1000
+    w = wrap_angle(xs.copy())
+    assert np.all((w >= -math.pi) & (w < math.pi))
+    assert np.array_equal(w[kept], floor[kept])
+    assert [wrap_angle(float(x)) for x in xs[::40]] == w[::40].tolist()
+    # out of range, the result is the exact remainder of x by the double 2 pi, shifted
+    # by at most one period
+    rem = np.fmod(xs[~kept], 2.0 * math.pi)
+    shift = w[~kept] - rem
+    assert np.all(np.isin(shift, [-2.0 * math.pi, 0.0, 2.0 * math.pi]))
+    assert Model(0.9, 0.1, alpha1=1.7e308).alpha1 == -1.0128362867734282
 
 
 def test_modulus_out_of_range_rejected():

@@ -11,6 +11,8 @@ from oracles import (
     PhaseProductSpectrum,
     amplitude,
     complex_exp_bloch_entries,
+    eigenvalues,
+    kgrid_moments,
     konno_cos,
     own_tau_band_weights,
     per_xi_char_function,
@@ -64,7 +66,7 @@ def test_bloch_entries_have_the_bits_of_the_complex_exp(coin, request):
 def test_eigenvalues_unimodular_and_product(phased_model):
     rng = np.random.default_rng(4)
     k1, k2 = _rand_k(rng, 500)
-    lam1, lam2 = spectral.eigenvalues(phased_model, k1, k2)
+    lam1, lam2 = eigenvalues(phased_model, k1, k2)
     assert np.abs(np.abs(lam1) - 1.0).max() < 1e-13
     assert np.abs(np.abs(lam2) - 1.0).max() < 1e-13
     delta = phased_model.derived.delta
@@ -86,9 +88,9 @@ def test_group_velocity_matches_fd(reference_model, phased_model):
     for model in (reference_model, phased_model):
         k1, k2 = _rand_k(rng, 200)
         for p in (1, 2):
-            v1 = spectral.group_velocity(model, p, k1, k2)[0]
-            lam_p = spectral.eigenvalues(model, k1 + h, k2)[p - 1]
-            lam_m = spectral.eigenvalues(model, k1 - h, k2)[p - 1]
+            v1 = (1.0, -1.0)[p - 1] * spectral.group_velocity(model, k1, k2)[0]
+            lam_p = eigenvalues(model, k1 + h, k2)[p - 1]
+            lam_m = eigenvalues(model, k1 - h, k2)[p - 1]
             fd = -np.angle(lam_p * np.conj(lam_m)) / (2 * h)
             assert np.abs(v1 - fd).max() < 1e-6 * max(1.0, np.abs(fd).max())
 
@@ -96,8 +98,8 @@ def test_group_velocity_matches_fd(reference_model, phased_model):
 def test_band_velocities_opposite_without_phases(reference_model):
     rng = np.random.default_rng(7)
     k1, k2 = _rand_k(rng, 100)
-    v1a, v2a = spectral.group_velocity(reference_model, 1, k1, k2)
-    v1b, v2b = spectral.group_velocity(reference_model, 2, k1, k2)
+    v1a, v2a = spectral.group_velocity(reference_model, k1, k2)
+    v1b, v2b = (-v for v in spectral.group_velocity(reference_model, k1, k2))
     assert np.abs(v1a + v1b).max() < 1e-12
     assert np.abs(v2a + v2b).max() < 1e-12
 
@@ -345,6 +347,10 @@ def test_char_function_rejects_all_degenerate_grid():
         spectral.numeric_char_function(model, spectrum, [(0.0, 0.0)], 0)
 
 
+_KONNO_PHASES = [{}, dict(alpha1=0.7, beta1=-1.3, delta1=0.4, alpha2=-0.9, beta2=2.1, delta2=-0.6),
+                 dict(alpha1=2.5, beta1=0.3, delta1=-2.9, alpha2=1.1, beta2=-0.4, delta2=3.0)]
+
+
 @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
 def test_char_function_at_the_coin_domain_edges_is_konnos(eps):
     """Each edge of the coin domain is Konno's one-dimensional walk.
@@ -354,13 +360,63 @@ def test_char_function_at_the_coin_domain_edges_is_konnos(eps):
     near off-diagonal (|a_q|^2 -> 0) puts it on the anti-diagonal with the other
     coin's |b|^2 = q.  So Re phi(s, +-s) tends to E cos(2 s X) under Konno's law;
     the real part does not depend on the start.  The gap was measured linear in
-    eps, at most 0.44 eps, the same at 256^2, 512^2 and 1024^2.
+    eps, at most 0.44 eps, the same at 256^2, 512^2 and 1024^2, and the same to
+    four digits for every phase set and both starts here.
     """
-    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([1.0, 0.0])))
     s_values = (0.5, 1.0, 2.0)
-    for model, sign, q in ((Model(0.3, 1.0 - eps), 1.0, 0.3), (Model(1.0 - eps, 0.3), 1.0, 0.3),
-                           (Model(eps, 0.3), -1.0, 0.7), (Model(0.3, eps), -1.0, 0.7)):
-        values, _ = spectral.numeric_char_function(
-            model, spectrum, [(s, sign * s) for s in s_values], 256)
-        gaps = [abs(val.real - konno_cos(q, 2.0 * s)) for s, val in zip(s_values, values)]
-        assert max(gaps) <= eps, (model, gaps)
+    for spinor in ([1.0, 0.0], [0.6, 0.8j]):
+        spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array(spinor)))
+        for phases in _KONNO_PHASES:
+            for (a1_sq, a2_sq), sign, q in (((0.3, 1.0 - eps), 1.0, 0.3),
+                                            ((1.0 - eps, 0.3), 1.0, 0.3),
+                                            ((eps, 0.3), -1.0, 0.7), ((0.3, eps), -1.0, 0.7)):
+                model = Model(a1_sq, a2_sq, **phases)
+                values, _ = spectral.numeric_char_function(
+                    model, spectrum, [(s, sign * s) for s in s_values], 256)
+                gaps = [abs(val.real - konno_cos(q, 2.0 * s)) for s, val in zip(s_values, values)]
+                assert max(gaps) <= eps, (model, spinor, gaps)
+
+
+def _start_moments(model, spinor):
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array(spinor)))
+    return kgrid_moments(model, spectrum, 256)
+
+
+@pytest.mark.parametrize("model", [Model(0.9, 0.1), Model(0.3, 0.8, 0.3, -1.1, 0.5, 2.0, -0.7, 1.3)],
+                         ids=["reference", "phased"])
+def test_limit_moments_identities(model):
+    """Three identities of the limit law's moments on the k-grid.
+
+    E[V V^T] does not depend on a one-site start, since P_1 + P_2 = |psi_hat_0|^2
+    = 1; E[V1^2] = E[V2^2]; and for the start (1, 0), E[V1^2] = -E[V2] and
+    E[V1 V2] = -E[V1].  They held to 2.8e-17 at 256^2 and 512^2.
+    """
+    mean, second = _start_moments(model, [1.0, 0.0])
+    _, second_b = _start_moments(model, [0.6, 0.8j])
+    assert np.abs(second_b - second).max() <= 1e-15
+    for m in (second, second_b):
+        assert abs(m[0, 0] - m[1, 1]) <= 1e-15
+    assert abs(second[0, 0] + mean[1]) <= 1e-15
+    assert abs(second[0, 1] + mean[0]) <= 1e-15
+
+
+def test_balanced_coin_second_moment_is_one_minus_two_over_pi():
+    # the band crossings of (0.5, 0.5) slow the rule: 2.1e-9 off at 256^2, 1.3e-10 at 512^2
+    _, second = _start_moments(Model(0.5, 0.5), [1.0, 0.0])
+    assert abs(second[0, 0] - (1.0 - 2.0 / math.pi)) <= 5e-9
+    assert abs(second[1, 1] - (1.0 - 2.0 / math.pi)) <= 5e-9
+
+
+def test_walk_moments_tend_to_the_kgrid_moments(reference_model):
+    """The walk's moments at T = 250 and 500, read off one trajectory.
+
+    T (E[X/T] - E[V]) is steady near (-0.445, 0.45), so the Richardson mean
+    2 E[X/500] - E[X/250] met the k-grid to 6.3e-6; the second moment converges
+    as 1/T^2 (T^2 times its gap is 0.503) and met it to 2.0e-6 at T = 500.
+    """
+    mean, second = _start_moments(reference_model, [1.0, 0.0])
+    state = lattice.evolve(reference_model, lattice.initial_state_delta(np.array([1.0, 0.0])), 250)
+    early = lattice.moments(lattice.position_distribution(state))
+    late = lattice.moments(lattice.position_distribution(lattice.evolve(reference_model, state, 250)))
+    assert np.abs(2.0 * late.mean - early.mean - mean).max() <= 2e-5
+    assert np.abs(late.second - second).max() <= 5e-6

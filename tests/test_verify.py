@@ -238,14 +238,14 @@ def test_char_triples_density_matches_integrate_density(coin, request):
     xi_list = ((0.0, 0.0), (1.0, 0.0), (0.5, -2.0))
     rows, mass = verify.char_triples(model, state0, 12, xi_list, grid_n=32, quad=(20, 16))
     spectrum = spectral.fourier_initial(state0)
-    want_mass = limit.integrate_density(model, spectrum, n_theta=20, n_rad=16).total
+    want_mass = limit.integrate_density(model, spectrum, n_theta=20, n_rad=16)[0].total
     assert mass == float(want_mass)
     assert rows[0][3] == 1.0
     for _, emp, spe, den, gap in rows:
         assert gap == max(abs(emp - spe), abs(emp - den), abs(spe - den))
     for (xi1, xi2), _, _, den, _ in rows[1:]:
         weight = lambda a, b: np.exp(1j * (xi1 * a + xi2 * b))
-        total = limit.integrate_density(model, spectrum, weight, n_theta=20, n_rad=16).total
+        total = limit.integrate_density(model, spectrum, [weight], n_theta=20, n_rad=16)[0].total
         assert den == complex(total / want_mass)
 
 
