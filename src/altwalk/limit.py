@@ -30,15 +30,15 @@ enumeration is the authoritative density; the published closed-form region
 bookkeeping is retained only as a soft cross-check (``_table_matches``, run
 by ``verify.check_weight_table``).
 
-``density_grid`` enumerates only the evaluable points (inside the support
-and outside the boundary shell), and runs the four m slots of each (p, n)
-only on those whose band-p rotated coordinates lie in square n's closed
-u-quadrant, the first gate of ``branch_preimages``; for an interior point
-off the rotated axes that is two squares per band.  One accumulation path
-serves generic and degenerate coins alike.  Each preimage is weighed with
-the tau = a cos(l1) - b cos(l2) that the forward-consistency gate has
-computed there, which ``branch_preimages`` returns and
-``spectral.band_weights`` takes.
+``density_grid`` takes the points in blocks, masks each block and
+enumerates only its evaluable points (inside the support and outside the
+boundary shell).  It runs the four m slots of each (p, n) only on those
+whose band-p rotated coordinates lie in square n's closed u-quadrant, the
+first gate of ``branch_preimages``; for an interior point off the rotated
+axes that is two squares per band.  One accumulation path serves generic
+and degenerate coins alike.  Each preimage is weighed with the
+tau = a cos(l1) - b cos(l2) that the forward-consistency gate has computed
+there, which ``branch_preimages`` returns and ``spectral.band_weights`` takes.
 """
 
 from __future__ import annotations
@@ -74,12 +74,10 @@ _SHELL_FLOOR = 1e-14  # density refuses points with E_R * E_T below this
 _FORWARD_CONSISTENCY_TOL = 1e-9  # forward-map residual accepted for a preimage
 _DEDUP_K_TOL = 1e-7  # torus distance below which two preimages count once
 _QUADRATURE_SHELL = 1e-4  # width of the boundary shell integrate_density excises
-# density_grid's mask pass runs in blocks of this many points, whose temporaries (57
-# bytes a point) stay in cache: 28-32 ms on 800^2 on a 2-vCPU Xeon VM, 51-57 ms at 2^18.
+# points per block of density_grid; a thread masks a block and enumerates it in one
+# _accumulate call, whose temporaries set the peak memory: `density --grid_n 800` on 2 vCPUs
+# ran 1.03, 0.82 and 0.78 s and peaked at 53, 59 and 68 MB with 2^15, 2^16 and 2^17
 _DENSITY_BLOCK = 1 << 16
-# evaluable points per _accumulate call; 2^16 handed the interpreter lock over less
-# often and ran faster, but its temporaries peaked 8 MB higher (ROADMAP)
-_DENSITY_CHUNK = 1 << 15
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -381,10 +379,10 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
     (the boundary shell where the Jacobian blows up), get f = 0 and are
     flagged through the masks.  Only the remaining (evaluable) points are
     enumerated, and each (p, n) slot only on those of them whose band-p
-    rotated coordinates lie in square n's closed u-quadrant.  Every step is
-    per point, so no value depends on the mask pass's blocks of ``_DENSITY_BLOCK``
-    points or on the chunks of ``_DENSITY_CHUNK`` evaluable points that the
-    calling thread and, past one chunk, a helper thread draw in turn.
+    rotated coordinates lie in square n's closed u-quadrant.  The calling
+    thread and, past one block, a helper thread draw blocks of
+    ``_DENSITY_BLOCK`` points in turn, and each masks and enumerates its own.
+    Every step is per point, so no value depends on the blocks or the threads.
     """
     v1 = np.asarray(v1, dtype=np.float64)
     v2 = np.asarray(v2, dtype=np.float64)
@@ -396,33 +394,32 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
     evaluable = np.zeros(fv1.shape, dtype=bool)
     n_plus = np.zeros(fv1.shape, dtype=np.int8)  # a count is at most the 64 (p, n, m) slots
     n_minus = np.zeros(fv1.shape, dtype=np.int8)
-    for lo in range(0, fv1.size, _DENSITY_BLOCK):
-        block = slice(lo, lo + _DENSITY_BLOCK)
-        u1, u2 = rotated_coords(fv1[block], fv2[block])
-        inside[block] = _inside_mask(model, u1, u2)
-        with np.errstate(invalid="ignore"):  # an infinite v is outside, not an error
-            e_r, e_t = _slacks(model, u1, u2)
-        evaluable[block] = inside[block] & (e_r * e_t >= _SHELL_FLOOR)
-        del u1, u2, e_r, e_t  # freed before the chunks' temporaries
-    points = np.flatnonzero(evaluable)
-    chunks = iter(range(0, points.size, _DENSITY_CHUNK))  # one next() is one atomic C call
+    blocks = iter(range(0, fv1.size, _DENSITY_BLOCK))  # one next() is one atomic C call
 
-    def run_chunks():
+    def run_blocks():
         try:
-            for lo in chunks:
-                at = points[lo:lo + _DENSITY_CHUNK]
-                f[at], n_plus[at], n_minus[at] = _accumulate(model, spectrum, fv1[at], fv2[at])
+            for lo in blocks:
+                block = slice(lo, lo + _DENSITY_BLOCK)
+                u1, u2 = rotated_coords(fv1[block], fv2[block])
+                inside[block] = _inside_mask(model, u1, u2)
+                with np.errstate(invalid="ignore"):  # an infinite v is outside, not an error
+                    e_r, e_t = _slacks(model, u1, u2)
+                evaluable[block] = inside[block] & (e_r * e_t >= _SHELL_FLOOR)
+                del u1, u2, e_r, e_t  # freed before _accumulate's temporaries
+                at = lo + np.flatnonzero(evaluable[block])
+                if at.size:
+                    f[at], n_plus[at], n_minus[at] = _accumulate(model, spectrum, fv1[at], fv2[at])
         finally:
-            for _ in chunks:  # after a failure, neither thread starts another chunk
+            for _ in blocks:  # after a failure, neither thread starts another block
                 pass
 
-    if points.size <= _DENSITY_CHUNK:
-        run_chunks()
+    if fv1.size <= _DENSITY_BLOCK:
+        run_blocks()
     else:  # imported here: concurrent.futures loads logging, which no other command needs
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(1) as pool:
-            helper = pool.submit(run_chunks)
-            run_chunks()
+            helper = pool.submit(run_blocks)
+            run_blocks()
             helper.result()  # raises the helper's exception, if any
     return DensityGrid(
         f=f.reshape(shape),
@@ -471,10 +468,11 @@ def _keep_new(idx, k1, k2, kept):
 def _accumulate(model, spectrum, v1, v2):
     """f and the (plus, minus) branch counts at evaluable points.
 
-    A degenerate model has only the plus family.  Preimages closer than
-    _DEDUP_K_TOL on the torus count once: for a degenerate model anywhere and
-    across the bands, for a generic model within a band on the rotated axes,
-    where the angles sit on corners shared by adjacent wavenumber squares.
+    A degenerate model has only the plus family.  Preimages of one band closer
+    than _DEDUP_K_TOL on the torus count once: for a degenerate model anywhere,
+    for a generic model on the rotated axes, where the angles sit on corners
+    shared by adjacent wavenumber squares.  No repeat is sought across the
+    bands: at v = 0 band 2's preimage of -v is band 1's k, and both weights count.
     """
     degenerate = model.derived.degenerate
     jinv = _jacobian_factors(model, v1, v2)  # indexed by family: plus, minus
@@ -482,7 +480,7 @@ def _accumulate(model, spectrum, v1, v2):
     counts = (np.zeros(v1.shape, dtype=np.int8), np.zeros(v1.shape, dtype=np.int8))
     u1, u2 = rotated_coords(v1, v2)
     may_repeat = degenerate | (np.abs(u1) < 1e-7) | (np.abs(u2) < 1e-7)
-    kept = [[]] * 2 if degenerate else [[], []]  # per band; one list shared if degenerate
+    kept = [[], []]  # per band
     for p, _, m, idx, k1, k2, ok, tau in _preimage_slots(model, v1, v2):
         family = 0 if degenerate else m % 2
         at = np.nonzero(ok & may_repeat[idx])[0]

@@ -70,8 +70,10 @@ CHECK_NAMES = {name: tuple(check.tolerances) for name, check in _CHECKS.items()}
 _TOLERANCES = {rep: tol for check in _CHECKS.values() for rep, tol in check.tolerances.items()}
 
 # sites or density cells per block of the per-point work on a walk's position
-# distribution and on the analytic bins; the walk-free side's share of the
-# suite's peak memory grows with it
+# distribution and on the analytic bins; the walk-free side's share of the suite's
+# peak memory grows with it.  A bin strip stays within one limit._DENSITY_BLOCK, so the
+# calling thread alone enumerates it: strips of a whole density block ran verify 0.06-0.16 s
+# faster on two threads, but peaked at 81.6-82.5 MB against 77.1-77.2 MB on 2 vCPUs
 _SITE_BLOCK = 1 << 15
 
 
@@ -264,7 +266,7 @@ def _analytic_bin_masses(model: Model, spectrum, bins: int, refine: int) -> tupl
     rows = max(1, _SITE_BLOCK // n)
     for lo in range(0, n, rows):
         grid = limit.density_grid(model, spectrum, mid[lo:lo + rows, None], mid[None, :])
-        cell[lo:lo + rows] = np.where(grid.evaluable, grid.f, 0.0)
+        cell[lo:lo + rows] = grid.f  # 0 where not evaluable
         evaluable[lo:lo + rows] = grid.evaluable
         refused[lo:lo + rows] = grid.inside & ~grid.evaluable
     cell *= (2.0 / n) ** 2

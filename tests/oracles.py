@@ -18,8 +18,10 @@ reduction before the exact fmod took over what it left out of range, must be
 reproduced wherever its result is in range.  The readers of single sites and
 window edges (``amplitude``, ``x1_max``, ``x2_max``, ``nonzero_sites``) and the
 band eigenvalues at k (``eigenvalues``) serve only the tests.  ``konno_cos`` is
-a closed form from the literature that shares no code with the package, and
-``kgrid_moments`` the moments of the limit law as smooth k-space integrals.
+a closed form from the literature that shares no code with the package,
+``kgrid_moments`` the moments of the limit law as smooth k-space integrals, and
+``closed_form_c`` and ``closed_form_density`` the limit density of a one-site
+start as (4 + c.v) times one even base law per coin, with no preimage in it.
 ``Branch`` and ``BranchError`` are the scalar label (n, m, s, p) and the refusal
 of the scalar loops; ``limit`` works with label arrays (n, m, is_r) instead.
 """
@@ -547,6 +549,47 @@ def kgrid_moments(model, spectrum, n):
     second = np.array([[np.sum(np.where(ok, (w1 + w2) * vi * vj, 0.0)) for vj in v]
                        for vi in v]) / (n * n)
     return mean, second
+
+
+def closed_form_c(model, spinor):
+    """The vector c of the one-site start ``spinor`` in f = (4 + c.v) x base law.
+
+    With r = Re(e^{i(alpha1 - beta1)} psi1 conj(psi2)):
+    c1 = -4 r / (|a1||b1|) and
+    c2 = -4 (|psi1|^2 - |psi2|^2) + 4 r (|a1|^2 - |b1|^2) / (|a1||b1|).
+    Coin 2 does not enter.  Since the base law is even, c = 4 E[V V^T]^-1 E[V].
+    """
+    psi1, psi2 = complex(spinor[0]), complex(spinor[1])
+    r = (np.exp(1j * (model.alpha1 - model.beta1)) * psi1 * np.conj(psi2)).real
+    ab = model.modulus_a1 * model.modulus_b1
+    c1 = -4.0 * r / ab
+    c2 = (-4.0 * (abs(psi1) ** 2 - abs(psi2) ** 2)
+          + 4.0 * r * (model.modulus_a1 ** 2 - model.modulus_b1 ** 2) / ab)
+    return np.array([c1, c2])
+
+
+def closed_form_density(model, spinor, v1, v2):
+    """The limit density of a one-site start in closed form, at points inside the support.
+
+    f = (4 + c.v) B / (A sqrt(D_quarter)) with A = (1 - v1^2)(1 - v2^2),
+    B = 1 - a^2 - b^2 - (v1^2 + v2^2)/2 + (a^2 - b^2) v1 v2 and
+    D_quarter = 4 a^2 b^2 E_R E_T from the slacks of the two support ellipses;
+    on a flagged-degenerate coin f = (4 + c.v) / A.  B / (A sqrt(D_quarter))
+    is the sum of the two Jacobian families' inverse Jacobians.
+    """
+    d = model.derived
+    c1, c2 = closed_form_c(model, spinor)
+    v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
+    affine = 4.0 + c1 * v1 + c2 * v2
+    big_a = (1.0 - v1 * v1) * (1.0 - v2 * v2)
+    if d.degenerate:
+        return affine / big_a
+    a, b = d.a, d.b
+    big_b = 1.0 - a * a - b * b - 0.5 * (v1 * v1 + v2 * v2) + (a * a - b * b) * v1 * v2
+    u1sq, u2sq = 0.5 * (v1 + v2) ** 2, 0.5 * (v1 - v2) ** 2
+    e_r = 1.0 - u1sq / d.axis_R1 - u2sq / d.axis_R2
+    e_t = 1.0 - u1sq / d.axis_T1 - u2sq / d.axis_T2
+    return affine * big_b / (big_a * np.sqrt(4.0 * a * a * b * b * e_r * e_t))
 
 
 def _strided_coin_shift(c, src, dst, axis):

@@ -374,8 +374,9 @@ TINY_MODULI = ["1e-300", "5e-324"]
 
 @pytest.mark.parametrize("a1_sq", TINY_MODULI)
 @pytest.mark.parametrize("args", [
-    ["support"], ["density"], ["chars", "--steps", "3"], ["verify", "--only", "support"],
-], ids=["support", "density", "chars", "verify"])
+    ["support"], ["density"], ["density", "--grid_n", "300"], ["chars", "--steps", "3"],
+    ["verify", "--only", "support"],
+], ids=["support", "density", "density-two-blocks", "chars", "verify"])
 def test_tiny_modulus_refused_by_the_limit_layer(args, a1_sq, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from altwalk import lattice, limit, spectral
@@ -16,6 +16,9 @@ from oracles import (
     Branch,
     BranchError,
     angles_for_square,
+    closed_form_c,
+    closed_form_density,
+    kgrid_moments,
     per_weight_integrate_density,
     scalar_classify_branch,
     scalar_inverse_map,
@@ -405,6 +408,15 @@ def test_degenerate_branches_deduplicated(degenerate_model):
     assert np.all(grid.f > 0.0)
 
 
+def test_degenerate_density_at_the_origin_counts_both_bands(degenerate_model):
+    # band 2's preimage of -0 is band 1's k: both weights count, so f is the
+    # affine profile (4 + c.v) / ((1 - v1^2)(1 - v2^2)) at v = 0, where it reads 4
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([1.0, 0.0])))
+    assert limit.density(degenerate_model, spectrum, 0.0, 0.0) == pytest.approx(4.0, rel=1e-12)
+    grid = limit.density_grid(degenerate_model, spectrum, np.zeros(1), np.zeros(1))
+    assert grid.branch_plus.tolist() == [8] and grid.branch_minus.tolist() == [0]
+
+
 def test_density_mass_near_one(reference_model, reference_spectrum):
     [result] = limit.integrate_density(reference_model, reference_spectrum)
     assert result.total == pytest.approx(1.0, abs=1e-2)
@@ -470,8 +482,8 @@ def full_density_grid(model, spectrum, v1, v2):
     """Oracle: every (p, n, m) slot of branch_preimages run over every point.
 
     This is the enumeration density_grid made before it selected points per
-    slot.  Generic models drop repeated preimages per band at points on the
-    rotated axes; degenerate models at every point and across both bands.
+    slot.  Repeated preimages are dropped within a band: for generic models at
+    points on the rotated axes, for degenerate models at every point.
     Returns flat (f, inside, evaluable, branch_plus, branch_minus).
     """
     v1, v2 = (a.ravel() for a in np.broadcast_arrays(np.asarray(v1, float), np.asarray(v2, float)))
@@ -490,10 +502,8 @@ def full_density_grid(model, spectrum, v1, v2):
         dedup = (np.abs(u1) < 1e-7) | (np.abs(u2) < 1e-7)
     f = np.zeros(v1.shape)
     counts = (np.zeros(v1.shape, dtype=np.int64), np.zeros(v1.shape, dtype=np.int64))
-    kept = []
     for p, sign in ((1, 1.0), (2, -1.0)):
-        if not degenerate:
-            kept = []
+        kept = []
         for n in range(1, 9):
             for m in range(1, 5):
                 k1, k2, ok, _ = limit.branch_preimages(model, sign * v1, sign * v2, n, m)
@@ -585,6 +595,58 @@ def test_density_grid_matches_full_enumeration_property(a1_sq, a2_sq, degenerate
     assert_matches_full_enumeration(model, spectrum, mid[:, None], mid[None, :])
 
 
+# --- the closed form of a one-site start ------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(unit, unit, st.booleans(), st.lists(phase, min_size=6, max_size=6),
+       st.floats(0.0, math.pi / 2), phase)
+@example(0.5, 0.5, True, [0.0] * 6, 0.0, 0.0)
+@example(0.9, 0.1, False, [0.0] * 6, 0.6435, 1.5707963267948966)
+def test_density_grid_matches_the_closed_form(a1_sq, a2_sq, degenerate, phases, theta,
+                                              psi_phase):
+    # f = (4 + c.v) B / (A sqrt(D_quarter)), or (4 + c.v) / A on a degenerate coin,
+    # at every evaluable cell of an odd midpoint grid, whose centre is v = 0.  Both
+    # sides lose digits as 1 / (E_R E_T) at the boundary, and the enumeration also
+    # at a preimage whose cos l nears 0 or +-1.  Over 8,500 random coins on 15^2 to
+    # 101^2 grids |difference| E_R E_T / max f read at most 1.5e-14, except one draw
+    # at 2.1e-12 with a preimage's cos l within 3.9e-8 of 0 or +-1
+    if degenerate:  # equal moduli give a + b = 1
+        a2_sq = a1_sq
+    model = Model(a1_sq, a2_sq, *phases)
+    d = model.derived
+    assume(d.degenerate or abs(d.a + d.b - 1.0) >= 1e-3)
+    spinor = np.array([math.cos(theta), np.exp(1j * psi_phase) * math.sin(theta)])
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(spinor))
+    mid = -1.0 + (2.0 * np.arange(41) + 1.0) / 41
+    v1, v2 = np.broadcast_arrays(mid[:, None], mid[None, :])
+    grid = limit.density_grid(model, spectrum, v1, v2)
+    ev = grid.evaluable
+    assert ev[20, 20]
+    assert (grid.branch_plus[ev] == 8).all()
+    assert (grid.branch_minus[ev] == (0 if d.degenerate else 8)).all()
+    f = grid.f[ev]
+    e_r, e_t = limit._slacks(model, *limit.rotated_coords(v1[ev], v2[ev]))
+    gap = np.abs(f - closed_form_density(model, spinor, v1[ev], v2[ev]))
+    assert (gap * e_r * e_t).max() <= 1e-11 * f.max()
+
+
+@pytest.mark.parametrize("model", [
+    Model(0.9, 0.1),
+    Model(0.7, 0.33, 0.3, -1.1, 0.5, 2.0, -0.7, 1.3),
+    Model(0.3, 0.8, 0.3, -1.1, 0.5, 2.0, -0.7, 1.3),
+],
+                         ids=["reference", "phased", "phased-0.3-0.8"])
+def test_closed_form_c_is_four_times_the_moment_ratio(model):
+    # the base law is even, so E[V] = E[V V^T] c / 4; on the k-grid at 128^2 the
+    # two agreed to 5.3e-16 of max |c| on these coins and starts
+    for spinor in ([0.6, 0.8j], [0.6, 0.8 * np.exp(0.3j)]):
+        spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array(spinor)))
+        mean, second = kgrid_moments(model, spectrum, 128)
+        c = closed_form_c(model, spinor)
+        assert np.abs(c - 4.0 * np.linalg.solve(second, mean)).max() <= 2e-15 * np.abs(c).max()
+
+
 # --- reference curves -------------------------------------------------------
 
 
@@ -644,13 +706,12 @@ def test_preimage_squares_are_the_u_quadrants(a1_sq, a2_sq, phases, seed):
 
 @pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
 def test_density_grid_blocks_are_exact(coin, request, monkeypatch):
-    # odd blocks that cross rows of a 2-d grid, and odd chunks that the calling
-    # and the helper thread draw in turn, against the full enumeration
+    # odd blocks that cross rows of a 2-d grid, which the calling and the helper
+    # thread draw in turn, mask and enumerate, against the full enumeration
     model = request.getfixturevalue(coin)
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
     vv = np.linspace(-0.95, 0.95, 25)  # the diagonals lie on the rotated axes
     monkeypatch.setattr(limit, "_DENSITY_BLOCK", 37)
-    monkeypatch.setattr(limit, "_DENSITY_CHUNK", 37)
     calls = []
     accumulate = limit._accumulate
     monkeypatch.setattr(limit, "_accumulate", lambda *args: calls.append(1) or accumulate(*args))
@@ -662,36 +723,45 @@ def test_density_grid_blocks_are_exact(coin, request, monkeypatch):
         sys.setswitchinterval(interval)
     assert grid.f.shape == (25, 25)
     assert grid.evaluable.any() and not grid.inside.all()
-    assert len(calls) == -(-np.count_nonzero(grid.evaluable) // 37) > 2  # each chunk once
+    evaluable = grid.evaluable.ravel()
+    # each block with an evaluable point once, and no other
+    assert len(calls) == sum(evaluable[lo:lo + 37].any() for lo in range(0, 625, 37)) > 2
 
 
 @pytest.mark.parametrize("failing", ["calling", "helper"])
 def test_density_grid_reraises_a_failed_chunk(failing, reference_model, monkeypatch):
-    # one thread's chunk raises while the other thread holds a chunk: the error
-    # reaches the caller, no chunk of the ten left starts, and the helper has ended
+    # one thread's block raises while the other thread holds a block: the error
+    # reaches the caller, at most one block starts after it, and the helper has ended
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
     vv = np.linspace(-0.95, 0.95, 25)
-    monkeypatch.setattr(limit, "_DENSITY_CHUNK", 10)  # 113 evaluable points: 12 chunks
-    accumulate = limit._accumulate
+    monkeypatch.setattr(limit, "_DENSITY_BLOCK", 10)  # 63 blocks, 24 with evaluable points
+    accumulate, inside_mask = limit._accumulate, limit._inside_mask
     held, failed = threading.Event(), threading.Event()
-    calls = []  # the thread of each chunk, in the order the chunks start
+    calls, late = [], []  # the thread of each enumeration; the blocks masked after the error
 
-    def chunk(*args):
+    def enumerate_block(*args):
         thread = "calling" if threading.current_thread() is threading.main_thread() else "helper"
         calls.append(thread)
         if thread == failing:
             assert held.wait(10)
             failed.set()
-            raise RuntimeError(f"chunk failed on the {thread} thread")
+            raise RuntimeError(f"block failed on the {thread} thread")
         held.set()
         assert failed.wait(10)
         return accumulate(*args)
 
-    monkeypatch.setattr(limit, "_accumulate", chunk)
+    def mask_block(*args):
+        if failed.is_set():
+            late.append(1)
+        return inside_mask(*args)
+
+    monkeypatch.setattr(limit, "_accumulate", enumerate_block)
+    monkeypatch.setattr(limit, "_inside_mask", mask_block)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match=f"on the {failing} thread"):
         limit.density_grid(reference_model, spectrum, vv[:, None], vv[None, :])
     assert threading.active_count() == threads
-    # the failed chunk, the held one, and at most one drawn before the other
+    # the failed block, the held one, and at most one drawn before the failing
     # thread emptied the iterator
     assert sorted(set(calls)) == ["calling", "helper"] and len(calls) <= 3
+    assert len(late) <= 1

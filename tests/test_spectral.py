@@ -95,15 +95,6 @@ def test_group_velocity_matches_fd(reference_model, phased_model):
             assert np.abs(v1 - fd).max() < 1e-6 * max(1.0, np.abs(fd).max())
 
 
-def test_band_velocities_opposite_without_phases(reference_model):
-    rng = np.random.default_rng(7)
-    k1, k2 = _rand_k(rng, 100)
-    v1a, v2a = spectral.group_velocity(reference_model, k1, k2)
-    v1b, v2b = (-v for v in spectral.group_velocity(reference_model, k1, k2))
-    assert np.abs(v1a + v1b).max() < 1e-12
-    assert np.abs(v2a + v2b).max() < 1e-12
-
-
 def test_fourier_initial_phase_convention():
     state = lattice.initial_state_from_sites({(1, 0): (1.0, 0.0)})
     spectrum = spectral.fourier_initial(state)

@@ -292,6 +292,20 @@ def test_site_blocks_are_exact(coin, request, monkeypatch):
     assert np.array_equal(masses, want_masses) and info == want_info
 
 
+def test_walk_free_density_runs_on_the_calling_thread(reference_model, monkeypatch):
+    # at the suite's sizes each bin strip (32,000 cells) and each quadrature arc
+    # (9,216 nodes) is one density block, so density_grid starts no helper thread
+    threads = []
+    accumulate = limit._accumulate
+    monkeypatch.setattr(limit, "_accumulate",
+                        lambda *args: threads.append(threading.get_ident()) or accumulate(*args))
+    verify._analytic_bin_masses(reference_model, spectral.fourier_initial(DELTA), 50, 16)
+    strips = len(threads)
+    verify._CharFunction(reference_model, DELTA, 300, verify.STANDARD_XI).prepare(0)
+    assert 0 < strips < len(threads)
+    assert set(threads) == {threading.get_ident()}
+
+
 def test_weight_table_soft(reference_model):
     rep = verify.check_weight_table(reference_model, samples=10, seed=3)[0]
     assert rep.passed  # mismatches are informational, never fatal
