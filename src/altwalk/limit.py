@@ -32,11 +32,13 @@ by ``verify.check_weight_table``).
 
 ``density_grid`` takes the points in blocks, masks each block and
 enumerates only its evaluable points (inside the support and outside the
-boundary shell).  It runs the four m slots of each (p, n) only on those
-whose band-p rotated coordinates lie in square n's closed u-quadrant, the
-first gate of ``branch_preimages``; for an interior point off the rotated
-axes that is two squares per band.  One accumulation path serves generic
-and degenerate coins alike.  Each preimage is weighed with the
+boundary shell).  Each (p, n) takes only those whose band-p rotated
+coordinates lie in square n's closed u-quadrant; for an interior point off
+the rotated axes that is two squares per band.  ``_square_roots`` does a
+square's sector-free work once, and ``branch_preimages`` only each m slot's
+sign pick, angles and forward gate.  One accumulation path serves generic
+and degenerate coins alike, and drops repeated preimages against one
+idx-sorted set per band.  Each preimage is weighed with the
 tau = a cos(l1) - b cos(l2) that the forward-consistency gate has computed
 there, which ``branch_preimages`` returns and ``spectral.band_weights`` takes.
 """
@@ -75,8 +77,9 @@ _FORWARD_CONSISTENCY_TOL = 1e-9  # forward-map residual accepted for a preimage
 _DEDUP_K_TOL = 1e-7  # torus distance below which two preimages count once
 _QUADRATURE_SHELL = 1e-4  # width of the boundary shell integrate_density excises
 # points per block of density_grid; a thread masks a block and enumerates it in one
-# _accumulate call, whose temporaries set the peak memory: `density --grid_n 800` on 2 vCPUs
-# ran 1.03, 0.82 and 0.78 s and peaked at 53, 59 and 68 MB with 2^15, 2^16 and 2^17
+# _accumulate call, whose temporaries set the peak memory: on 2 vCPUs the `bench/run.py`
+# medians of density_grid800 over five rounds read 1.05-1.41, 0.81-0.98 and 0.79-1.01 s
+# and peaked at 53.0-53.4, 58.3-58.7 and 67.5-67.8 MB with 2^15, 2^16 and 2^17
 _DENSITY_BLOCK = 1 << 16
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -282,55 +285,63 @@ def _square_angles(n, arc1, arc2):
     return (l1 + o1 if o1 else l1), (l2 + o2 if o2 else l2)
 
 
-def branch_preimages(model: Model, w1, w2, n: int, m: int):
-    """Vectorized band-1 preimage construction of w for one (n, m) slot; band 2's
-    preimages of v are band 1's of w = -v.
-
-    Returns (k1, k2, ok, tau): wavenumbers in [-pi, pi)^2, a boolean mask of
-    the points where this slot produces a preimage whose forward velocity
-    reproduces the target within 1e-9, and tau at (k1, k2) as the forward
-    gate computed it.  Entries with ok == False hold junk.
+def _square_roots(model: Model, w1, w2, n: int, ms):
+    """Square n's sector-free work for its slots ms at the band-1 target arrays w:
+    the u-quadrant gate, A, B and the root of D_quarter once, and 1 - tau^2, the
+    cosine magnitudes, their relative sign and both sign choices' sectors once per
+    parity of m.  Returns the square (n, w1, w2, sectors) of ``branch_preimages``,
+    sectors[m] = (ok, first, mag1, mag2): the gates passed, whether the first sign
+    choice lies in sector m, |cos l1|, and |cos l2| signed as cos l1 cos l2.
     """
     d = model.derived
     a, b = d.a, d.b
-    w1 = np.asarray(w1, dtype=np.float64)
-    w2 = np.asarray(w2, dtype=np.float64)
     u1, u2 = rotated_coords(w1, w2)
-    ok = _in_quadrant(n, u1, u2)
+    gate = _in_quadrant(n, u1, u2)
     big_a, big_b, _, _, d_quarter = _terms_from_u(model, u1, u2)
-    ok &= d_quarter >= -1e-15
+    gate &= d_quarter >= -1e-15
     root = np.sqrt(np.maximum(d_quarter, 0.0))
-    gap_sq = (big_b + root if m % 2 == 0 else big_b - root) / big_a  # 1 - tau^2
-    ok &= gap_sq > DEGENERATE_GAP_TOL
-    safe_gap = np.where(ok, gap_sq, 0.0)
-    c1sq = 1.0 - safe_gap * u1 * u1 / (2.0 * a * a)
-    c2sq = 1.0 - safe_gap * u2 * u2 / (2.0 * b * b)
-    ok &= (c1sq > -1e-12) & (c2sq > -1e-12)
-    c1sq = np.clip(c1sq, 0.0, 1.0)
-    c2sq = np.clip(c2sq, 0.0, 1.0)
-    mag1 = np.sqrt(c1sq)
-    mag2 = np.sqrt(c2sq)
-    # the product c1 * c2 is determined by tau^2; it fixes the relative sign
-    prod = (a * a * c1sq + b * b * c2sq - (1.0 - safe_gap)) / (2.0 * a * b)
-    rel = np.where(prod >= 0.0, 1.0, -1.0)
-    # of the two antipodal sign choices, keep the one lying in sector m
-    first = _sector_of(mag1, rel * mag2, d.j_plus) == m
-    second = _sector_of(-mag1, -rel * mag2, d.j_plus) == m
-    ok &= first | second
+    sectors = {}
+    for parity in {m % 2 for m in ms}:
+        gap_sq = (big_b + root if parity == 0 else big_b - root) / big_a  # 1 - tau^2
+        ok = gate & (gap_sq > DEGENERATE_GAP_TOL)
+        safe_gap = np.where(ok, gap_sq, 0.0)
+        c1sq = 1.0 - safe_gap * u1 * u1 / (2.0 * a * a)
+        c2sq = 1.0 - safe_gap * u2 * u2 / (2.0 * b * b)
+        ok &= (c1sq > -1e-12) & (c2sq > -1e-12)
+        c1sq = np.clip(c1sq, 0.0, 1.0)
+        c2sq = np.clip(c2sq, 0.0, 1.0)
+        # the product c1 * c2 is determined by tau^2; it fixes the relative sign
+        prod = (a * a * c1sq + b * b * c2sq - (1.0 - safe_gap)) / (2.0 * a * b)
+        mag1 = np.sqrt(c1sq)
+        mag2 = np.where(prod >= 0.0, 1.0, -1.0) * np.sqrt(c2sq)
+        first = _sector_of(mag1, mag2, d.j_plus)
+        second = _sector_of(-mag1, -mag2, d.j_plus)
+        for m in ms:
+            if m % 2 == parity:
+                sectors[m] = (ok & ((first == m) | (second == m)), first == m, mag1, mag2)
+    return n, w1, w2, sectors
+
+
+def branch_preimages(model: Model, square, m: int):
+    """Band-1 preimages of one (n, m) slot from the square of ``_square_roots``;
+    band 2's preimages of v are band 1's of w = -v.  The sign choice in sector m
+    gives the angles.  Returns (k1, k2, ok, tau): wavenumbers in [-pi, pi)^2, the
+    mask of points whose preimage's forward velocity reproduces w within 1e-9, and
+    tau at (k1, k2) as that gate computed it.  Entries with ok == False hold junk.
+    """
+    d = model.derived
+    n, w1, w2, sectors = square
+    ok, first, mag1, mag2 = sectors[m]
     pick = np.where(first, 1.0, -1.0)
-    c1 = pick * mag1
-    c2 = pick * rel * mag2
-    l1, l2 = _square_angles(n, np.arccos(c1), np.arccos(c2))
+    l1, l2 = _square_angles(n, np.arccos(pick * mag1), np.arccos(pick * mag2))
     k1 = wrap_angle(0.5 * (l1 - l2) - d.phi_1)
     k2 = wrap_angle(0.5 * (l1 + l2) - d.phi_2)
     # authoritative gate: the forward map must reproduce the target velocity
     _, _, _, s1f, _, s2f, tauf = angle_terms(model, k1, k2)
     f1, f2 = band1_velocity(model, s1f, s2f,
                             np.sqrt(np.maximum(1.0 - tauf * tauf, DEGENERATE_GAP_TOL)))
-    ok &= (np.abs(f1 - w1) <= _FORWARD_CONSISTENCY_TOL) & (
-        np.abs(f2 - w2) <= _FORWARD_CONSISTENCY_TOL
-    )
-    return k1, k2, ok, tauf
+    tol = _FORWARD_CONSISTENCY_TOL
+    return k1, k2, ok & (np.abs(f1 - w1) <= tol) & (np.abs(f2 - w2) <= tol), tauf
 
 
 def _inverse_labelled(model: Model, v1, v2, n, m, is_r):
@@ -350,7 +361,8 @@ def _inverse_labelled(model: Model, v1, v2, n, m, is_r):
         for sec in range(1, 5):
             idx = np.nonzero(gate & (n == sq) & (m == sec))[0]
             if idx.size:
-                k1[idx], k2[idx], ok[idx], _ = branch_preimages(model, v1[idx], v2[idx], sq, sec)
+                square = _square_roots(model, v1[idx], v2[idx], sq, (sec,))
+                k1[idx], k2[idx], ok[idx], _ = branch_preimages(model, square, sec)
     return k1, k2, ok
 
 
@@ -434,34 +446,40 @@ def _preimage_slots(model: Model, v1, v2):
     """Yield (p, n, m, idx, k1, k2, ok, tau) for every (p, n, m) slot in that order.
 
     Slot (p, n, m) runs ``branch_preimages`` on w = v for band 1 and w = -v for
-    band 2, only at the points idx whose rotated w passes that routine's first
-    gate, square n's closed u-quadrant, so points on the rotated axes reach both
-    adjacent squares.  A (p, n) pair with no such point is skipped.
+    band 2, only at the points idx whose rotated w lies in square n's closed
+    u-quadrant, so points on the rotated axes reach both adjacent squares.  A
+    (p, n) pair with no such point is skipped; the others do their sector-free
+    work once, in ``_square_roots``.
     """
-    for p, (w1, w2) in ((1, (v1, v2)), (2, (-v1, -v2))):
+    for p in (1, 2):
+        w1, w2 = (v1, v2) if p == 1 else (-v1, -v2)
         u1, u2 = rotated_coords(w1, w2)
         for n in range(1, 9):
             idx = np.nonzero(_in_quadrant(n, u1, u2))[0]
             if idx.size == 0:
                 continue
-            s1, s2 = w1[idx], w2[idx]
+            square = _square_roots(model, w1[idx], w2[idx], n, range(1, 5))
             for m in range(1, 5):
-                yield (p, n, m, idx, *branch_preimages(model, s1, s2, n, m))
+                yield (p, n, m, idx, *branch_preimages(model, square, m))
+            del square  # freed before the next square's temporaries
 
 
 def _keep_new(idx, k1, k2, kept):
-    """Mask of the preimages (k1, k2) at points idx that repeat none in ``kept``.
-
-    ``kept`` holds (idx, k1, k2) triples with sorted idx; two preimages at the
-    same point repeat when closer than _DEDUP_K_TOL on the torus.  The new
-    preimages are appended to ``kept``.
+    """Mask of the preimages (k1, k2) at the distinct, sorted points idx that
+    repeat none in ``kept``, the list [idx, k1, k2] of the kept preimages sorted by
+    idx: two at one point repeat when closer than _DEDUP_K_TOL on the torus.  All
+    pairs at shared points are measured at once; the new ones merge into ``kept``.
     """
+    kidx, kk1, kk2 = kept
+    lo = np.searchsorted(kidx, idx, side="left")
+    hi = np.searchsorted(kidx, idx, side="right")
+    count = hi - lo
+    pair_new = np.repeat(np.arange(idx.size), count)
+    pair_kept = np.arange(pair_new.size) - np.repeat(np.cumsum(count) - count - lo, count)
+    near = _torus_dist(k1[pair_new], k2[pair_new], kk1[pair_kept], kk2[pair_kept]) < _DEDUP_K_TOL
     new = np.ones(idx.shape, dtype=bool)
-    for kidx, kk1, kk2 in kept:
-        at = np.minimum(np.searchsorted(kidx, idx), kidx.size - 1)
-        new &= ~((kidx[at] == idx) & (_torus_dist(k1, k2, kk1[at], kk2[at]) < _DEDUP_K_TOL))
-    if new.any():
-        kept.append((idx[new], k1[new], k2[new]))
+    new[pair_new[near]] = False
+    kept[:] = [np.insert(old, hi[new], add[new]) for old, add in zip(kept, (idx, k1, k2))]
     return new
 
 
@@ -480,7 +498,8 @@ def _accumulate(model, spectrum, v1, v2):
     counts = (np.zeros(v1.shape, dtype=np.int8), np.zeros(v1.shape, dtype=np.int8))
     u1, u2 = rotated_coords(v1, v2)
     may_repeat = degenerate | (np.abs(u1) < 1e-7) | (np.abs(u2) < 1e-7)
-    kept = [[], []]  # per band
+    del u1, u2
+    kept = [[np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)] for _ in range(2)]  # per band
     for p, _, m, idx, k1, k2, ok, tau in _preimage_slots(model, v1, v2):
         family = 0 if degenerate else m % 2
         at = np.nonzero(ok & may_repeat[idx])[0]

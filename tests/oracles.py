@@ -11,8 +11,11 @@ multiplied e^{-ik.x} into the amplitudes for a start at the origin too, the
 CSV writers that formatted one cell or site at a time, the scalar inverse
 Jacobian over ``limit._jacobian_factors``, the three literal
 encodings of the windmill squares (quadrant signs, closed boxes and angle
-reconstruction) that ``limit._SQUARES`` replaced, and the class stepper that
-stepped each parity class as a strided view of a wider buffer.  The code that
+reconstruction) that ``limit._SQUARES`` replaced, the class stepper that
+stepped each parity class as a strided view of a wider buffer, the preimage
+construction that redid a windmill square's sector-free work in each of its
+four sector slots, and the dedup that scanned one chunk of kept preimages per
+earlier slot.  ``one_slot`` runs ``limit.branch_preimages`` on one slot.  The code that
 replaced them must reproduce them exactly; ``floor_wrap_angle``, the angle
 reduction before the exact fmod took over what it left out of range, must be
 reproduced wherever its result is in range.  The readers of single sites and
@@ -135,6 +138,65 @@ def scalar_classify_branch(model, k1, k2):
     return Branch(n=n_found, m=m, s=s, p=1)
 
 
+def per_slot_branch_preimages(model, w1, w2, n, m):
+    """Band-1 preimages (k1, k2, ok, tau) of w for one (n, m) slot, all of whose
+    work, the sector-free part too, is done for that slot alone."""
+    d = model.derived
+    a, b = d.a, d.b
+    w1 = np.asarray(w1, dtype=np.float64)
+    w2 = np.asarray(w2, dtype=np.float64)
+    u1, u2 = limit.rotated_coords(w1, w2)
+    ok = limit._in_quadrant(n, u1, u2)
+    big_a, big_b, _, _, d_quarter = limit._terms_from_u(model, u1, u2)
+    ok &= d_quarter >= -1e-15
+    root = np.sqrt(np.maximum(d_quarter, 0.0))
+    gap_sq = (big_b + root if m % 2 == 0 else big_b - root) / big_a  # 1 - tau^2
+    ok &= gap_sq > spectral.DEGENERATE_GAP_TOL
+    safe_gap = np.where(ok, gap_sq, 0.0)
+    c1sq = 1.0 - safe_gap * u1 * u1 / (2.0 * a * a)
+    c2sq = 1.0 - safe_gap * u2 * u2 / (2.0 * b * b)
+    ok &= (c1sq > -1e-12) & (c2sq > -1e-12)
+    c1sq = np.clip(c1sq, 0.0, 1.0)
+    c2sq = np.clip(c2sq, 0.0, 1.0)
+    mag1 = np.sqrt(c1sq)
+    mag2 = np.sqrt(c2sq)
+    prod = (a * a * c1sq + b * b * c2sq - (1.0 - safe_gap)) / (2.0 * a * b)
+    rel = np.where(prod >= 0.0, 1.0, -1.0)
+    first = limit._sector_of(mag1, rel * mag2, d.j_plus) == m
+    second = limit._sector_of(-mag1, -rel * mag2, d.j_plus) == m
+    ok &= first | second
+    pick = np.where(first, 1.0, -1.0)
+    c1 = pick * mag1
+    c2 = pick * rel * mag2
+    l1, l2 = limit._square_angles(n, np.arccos(c1), np.arccos(c2))
+    k1 = wrap_angle(0.5 * (l1 - l2) - d.phi_1)
+    k2 = wrap_angle(0.5 * (l1 + l2) - d.phi_2)
+    _, _, _, s1f, _, s2f, tauf = angle_terms(model, k1, k2)
+    f1, f2 = spectral.band1_velocity(
+        model, s1f, s2f, np.sqrt(np.maximum(1.0 - tauf * tauf, spectral.DEGENERATE_GAP_TOL)))
+    ok &= (np.abs(f1 - w1) <= 1e-9) & (np.abs(f2 - w2) <= 1e-9)
+    return k1, k2, ok, tauf
+
+
+def chunk_list_keep_new(idx, k1, k2, kept):
+    """Dedup mask of the preimages at the sorted points idx against ``kept``, a
+    list of (idx, k1, k2) chunks, one per earlier slot, scanned one by one; the
+    new preimages are appended as one more chunk."""
+    new = np.ones(idx.shape, dtype=bool)
+    for kidx, kk1, kk2 in kept:
+        at = np.minimum(np.searchsorted(kidx, idx), kidx.size - 1)
+        near = limit._torus_dist(k1, k2, kk1[at], kk2[at]) < limit._DEDUP_K_TOL
+        new &= ~((kidx[at] == idx) & near)
+    if new.any():
+        kept.append((idx[new], k1[new], k2[new]))
+    return new
+
+
+def one_slot(model, w1, w2, n, m):
+    """``limit.branch_preimages`` for the single (n, m) slot at the band-1 targets w."""
+    return limit.branch_preimages(model, limit._square_roots(model, w1, w2, n, (m,)), m)
+
+
 def scalar_inverse_map(model, v1, v2, branch):
     """Shape gate for even m, then a one-point ``branch_preimages`` call in band p."""
     if limit.support_contains(model, v1, v2) != "inside":
@@ -146,7 +208,7 @@ def scalar_inverse_map(model, v1, v2, branch):
         u_shape = "R" if d.a * abs(u2) >= d.b * abs(u1) else "T"
         if branch.s != u_shape:
             raise BranchError(f"branch {branch} demands the other shape")
-    k1, k2, ok, _ = limit.branch_preimages(
+    k1, k2, ok, _ = one_slot(
         model, np.array([band_sign * v1]), np.array([band_sign * v2]), branch.n, branch.m
     )
     if not bool(ok[0]):
@@ -239,9 +301,10 @@ def scalar_weight_table_sets(model, v1, v2):
     actual = {1: set(), 2: set()}
     for p, sign in ((1, 1.0), (2, -1.0)):
         for n in range(1, 9):
+            square = limit._square_roots(model, np.array([sign * v1]), np.array([sign * v2]),
+                                         n, range(1, 5))
             for m in range(1, 5):
-                _, _, ok, _ = limit.branch_preimages(
-                    model, np.array([sign * v1]), np.array([sign * v2]), n, m)
+                _, _, ok, _ = limit.branch_preimages(model, square, m)
                 if bool(ok[0]):
                     actual[p].add(n)
     return actual

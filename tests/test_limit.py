@@ -18,7 +18,10 @@ from oracles import (
     angles_for_square,
     closed_form_c,
     closed_form_density,
+    chunk_list_keep_new,
     kgrid_moments,
+    one_slot,
+    per_slot_branch_preimages,
     per_weight_integrate_density,
     scalar_classify_branch,
     scalar_inverse_map,
@@ -239,8 +242,9 @@ def test_sixteen_branches_interior(reference_model):
     count_minus = np.zeros(v1.shape, dtype=int)
     for sign in (1.0, -1.0):
         for n in range(1, 9):
+            square = limit._square_roots(reference_model, sign * v1, sign * v2, n, range(1, 5))
             for m in range(1, 5):
-                _, _, ok, _ = limit.branch_preimages(reference_model, sign * v1, sign * v2, n, m)
+                _, _, ok, _ = limit.branch_preimages(reference_model, square, m)
                 if m % 2 == 0:
                     count_plus += ok
                 else:
@@ -255,9 +259,9 @@ def test_forward_consistency_of_preimages(reference_model):
     for p in (1, 2):
         sign = 1.0 if p == 1 else -1.0
         for n in range(1, 9):
+            square = limit._square_roots(reference_model, sign * v1, sign * v2, n, range(1, 5))
             for m in range(1, 5):
-                k1, k2, ok, _ = limit.branch_preimages(reference_model, sign * v1, sign * v2,
-                                                       n, m)
+                k1, k2, ok, _ = limit.branch_preimages(reference_model, square, m)
                 if not ok.any():
                     continue
                 w1, w2 = spectral.group_velocity(reference_model, k1[ok], k2[ok])
@@ -479,7 +483,7 @@ def test_balanced_spinor_density_symmetric(reference_model):
 
 
 def full_density_grid(model, spectrum, v1, v2):
-    """Oracle: every (p, n, m) slot of branch_preimages run over every point.
+    """Oracle: every (p, n, m) slot of the per-slot construction run over every point.
 
     This is the enumeration density_grid made before it selected points per
     slot.  Repeated preimages are dropped within a band: for generic models at
@@ -506,7 +510,7 @@ def full_density_grid(model, spectrum, v1, v2):
         kept = []
         for n in range(1, 9):
             for m in range(1, 5):
-                k1, k2, ok, _ = limit.branch_preimages(model, sign * v1, sign * v2, n, m)
+                k1, k2, ok, _ = per_slot_branch_preimages(model, sign * v1, sign * v2, n, m)
                 ok &= evaluable
                 for pk1, pk2, pok in kept:
                     ok &= ~(pok & (limit._torus_dist(k1, k2, pk1, pk2) < limit._DEDUP_K_TOL))
@@ -529,7 +533,7 @@ def test_gate_tau_is_tau_at_the_preimages(coin, request):
     for sign in (1.0, -1.0):
         for n in range(1, 9):
             for m in range(1, 5):
-                k1, k2, ok, tau = limit.branch_preimages(model, sign * v1, sign * v2, n, m)
+                k1, k2, ok, tau = one_slot(model, sign * v1, sign * v2, n, m)
                 assert np.array_equal(tau, spectral.angle_terms(model, k1, k2)[6])
                 found += int(ok.sum())
     assert found > 0
@@ -765,3 +769,154 @@ def test_density_grid_reraises_a_failed_chunk(failing, reference_model, monkeypa
     # thread emptied the iterator
     assert sorted(set(calls)) == ["calling", "helper"] and len(calls) <= 3
     assert len(late) <= 1
+
+
+# --- shared windmill squares and the dedup merge -----------------------------
+
+
+def _slot_probe_points(model, rng):
+    """Velocity points well inside the support, on its rotated axes, within 1e-6 to
+    1e-13 of its boundary and just outside it, as (v1, v2)."""
+    theta = rng.uniform(0.0, 2.0 * math.pi, 48)
+    frac = np.concatenate([rng.uniform(0.05, 0.95, 24), 1.0 - 10.0 ** -rng.uniform(6, 13, 16),
+                           rng.uniform(1.0, 1.05, 8)])
+    rho = frac * limit.support_radius(model, theta)
+    u1, u2 = rho * np.cos(theta), rho * np.sin(theta)
+    u1[:6] = 0.0  # v1 = -v2: the rotated axis u1 = 0, then the axis u2 = 0
+    u2[6:12] = 0.0
+    return limit.rotated_coords(u1, u2)
+
+
+def _assert_same_bits(got, want):
+    for x, y in zip(got[:2] + got[3:], want[:2] + want[3:]):  # k1, k2 and tau
+        assert np.array_equal(x, y, equal_nan=True)
+        assert np.array_equal(np.signbit(x), np.signbit(y))
+    assert np.array_equal(got[2], want[2])
+
+
+@settings(max_examples=25, deadline=None)
+@given(unit, unit, st.booleans(), st.lists(phase, min_size=6, max_size=6),
+       st.integers(0, 2**32 - 1))
+@example(0.5, 0.5, True, [0.0] * 6, 0)
+@example(0.5, 0.5, True, [0.3, -0.4, 0.7, -0.2, 0.5, -0.1], 1)
+@example(0.9, 0.1, False, [0.0] * 6, 2)
+@example(0.3, 1 - 1e-6, False, [0.0] * 6, 3)
+@example(1e-6, 0.3, False, [0.0] * 6, 4)
+def test_shared_square_slots_match_the_per_slot_construction(a1_sq, a2_sq, degenerate, phases,
+                                                             seed):
+    # one square's sector-free work done once gives every sector slot the bits of
+    # the construction that redid it per slot, junk entries included
+    if degenerate:  # equal moduli give a + b = 1
+        a2_sq = a1_sq
+    model = Model(a1_sq, a2_sq, *phases)
+    v1, v2 = _slot_probe_points(model, np.random.default_rng(seed))
+    found = 0
+    for sign in (1.0, -1.0):
+        w1, w2 = sign * v1, sign * v2
+        for n in range(1, 9):
+            square = limit._square_roots(model, w1, w2, n, range(1, 5))
+            for m in range(1, 5):
+                want = per_slot_branch_preimages(model, w1, w2, n, m)
+                _assert_same_bits(limit.branch_preimages(model, square, m), want)
+                _assert_same_bits(one_slot(model, w1, w2, n, m), want)
+                found += int(want[2].sum())
+    assert found > 0
+
+
+def _assert_dedups_agree(slots):
+    """Feed (idx, k1, k2) slots to ``_keep_new`` and to the chunk-list dedup."""
+    merged = [np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)]
+    chunks = []
+    for idx, k1, k2 in slots:
+        want = chunk_list_keep_new(idx, k1, k2, chunks)
+        assert np.array_equal(limit._keep_new(idx, k1, k2, merged), want)
+        assert (np.diff(merged[0]) >= 0).all()
+    # the same preimages kept, one set in idx order
+    flat = [np.concatenate(col) for col in zip(*chunks)] if chunks else merged
+    assert np.array_equal(np.sort(merged[0]), np.sort(flat[0]))
+    for got, want in zip(merged, flat):
+        assert np.array_equal(got[np.lexsort(merged[::-1])], want[np.lexsort(flat[::-1])])
+    return merged
+
+
+def test_keep_new_matches_the_chunk_list_dedup():
+    eps = 0.5 * limit._DEDUP_K_TOL
+    one = np.array([3])
+    slots = [
+        (np.array([1, 3, 4]), np.array([0.1, 0.2, 0.3]), np.array([0.0, 0.0, 0.0])),  # into an empty set
+        (one, np.array([0.5]), np.array([1.0])),  # several kept preimages at one point
+        (one, np.array([-0.5]), np.array([-1.0])),
+        (one, np.array([0.5 + eps]), np.array([1.0 - eps])),  # repeats the second
+        (one, np.array([-math.pi]), np.array([2.0])),
+        (one, np.array([math.pi - eps]), np.array([2.0])),  # repeats across the torus seam
+        (np.array([0, 3, 5]), np.array([0.2, 0.2, 0.2]), np.array([0.0, 3 * eps, 0.0])),
+        (np.array([3, 4]), np.array([-0.5 - eps, 0.3]), np.array([-1.0, eps])),
+    ]
+    merged = _assert_dedups_agree(slots)
+    assert merged[0].tolist() == [0, 1, 3, 3, 3, 3, 3, 4, 5]
+    empty = np.empty(0, dtype=np.intp)
+    assert limit._keep_new(empty, np.empty(0), np.empty(0), merged).size == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True),
+                          st.integers(0, 2**32 - 1)), min_size=1, max_size=12))
+def test_keep_new_matches_the_chunk_list_dedup_property(slots):
+    # few distinct wavenumbers, some nudged within the tolerance, so repeats are common
+    values = np.array([-math.pi, -1.0, 0.0, 0.7, math.pi - 1e-9])
+    drawn = []
+    for points, seed in slots:
+        rng = np.random.default_rng(seed)
+        idx = np.sort(np.array(points))
+        k1, k2 = (values[rng.integers(0, 5, idx.size)]
+                  + rng.choice([0.0, 0.4 * limit._DEDUP_K_TOL, 3.0 * limit._DEDUP_K_TOL], idx.size)
+                  for _ in range(2))
+        drawn.append((idx, k1, k2))
+    _assert_dedups_agree(drawn)
+
+
+def test_keep_new_matches_the_chunk_list_dedup_on_a_degenerate_coin(degenerate_model):
+    # every preimage a degenerate coin's slots find, dedup'd per band, plus each slot
+    # planted again a fraction of the tolerance away, which must all repeat
+    vv = np.linspace(-0.6, 0.6, 13)  # the diagonals and v = 0 lie on the rotated axes
+    v1, v2 = (a.ravel() for a in np.broadcast_arrays(vv[:, None], vv[None, :]))
+    bands = {1: [], 2: []}
+    for p, _, _, idx, k1, k2, ok, _ in limit._preimage_slots(degenerate_model, v1, v2):
+        bands[p].append((idx[ok], k1[ok], k2[ok]))
+        bands[p].append((idx[ok], k1[ok] + 0.3 * limit._DEDUP_K_TOL, k2[ok]))
+    for slots in bands.values():
+        merged = _assert_dedups_agree(slots)
+        # four distinct preimages per point and band, as the 8 plus branches say
+        assert np.array_equal(np.bincount(merged[0], minlength=v1.size), np.full(v1.size, 4))
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_density_grid_calls_branch_preimages_once_per_slot(coin, request, monkeypatch):
+    # the benchmark counts the points of each branch_preimages call from its ok
+    # array: one call per non-empty (p, n, m) slot, in that order, on the
+    # evaluable points of the band-p u-quadrant of square n
+    model = request.getfixturevalue(coin)
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    vv = np.linspace(-0.95, 0.95, 25)  # one block; the diagonals lie on the rotated axes
+    calls = []
+    preimages = limit.branch_preimages
+
+    def spy(model, square, m):
+        result = preimages(model, square, m)
+        calls.append((square[0], m, result[2].size))
+        return result
+
+    monkeypatch.setattr(limit, "branch_preimages", spy)
+    grid = limit.density_grid(model, spectrum, vv[:, None], vv[None, :])
+    ev = grid.evaluable
+    v1, v2 = np.broadcast_arrays(vv[:, None], vv[None, :])
+    want = []
+    for sign in (1.0, -1.0):
+        u1, u2 = limit.rotated_coords(sign * v1[ev], sign * v2[ev])
+        for n in range(1, 9):
+            s1, s2 = REGION_SIGNS[n]
+            gated = int(np.count_nonzero((s1 * u1 >= 0.0) & (s2 * u2 >= 0.0)))
+            if gated:
+                want += [(n, m, gated) for m in range(1, 5)]
+    assert calls == want
+    assert sum(size for *_, size in calls) == sum(size for *_, size in want) > 4 * ev.sum()
