@@ -6,19 +6,18 @@ the rotated frame u = ((v1 + v2)/sqrt2, (v1 - v2)/sqrt2) the two ellipses are
 axis-aligned with squared semi-axes (axis_R1, axis_R2) and (axis_T1, axis_T2).
 
 f(v) is assembled from the preimages of v under the band-1 group-velocity map.
-Preimages are labelled by a branch tuple (n, m, s, p):
+Preimages are labelled by a branch tuple (n, m, p):
 
 * n in 1..8 picks one square of the windmill tiling of the rotated-angle
   plane (l1, l2); ``_SQUARES[n] = (s1, s2, o1, o2)`` gives its angles
   l_i = s_i arccos(c_i) + o_i, its closed box from o_i to o_i + s_i pi, and
   the u-quadrant it maps onto, with signs (-s1, -s2).
 * m in 1..4 picks one sector of the (cos l1, cos l2) square, cut by the two
-  lines c2 = j_plus * c1 and c1 = j_plus * c2; odd-m sectors pair with the
-  smaller root of 1 - tau^2 (Jacobian label "-"), even-m sectors with the
-  larger root (label "+").
-* s in {R, T} records which half of the sector square the cosine pair lies
-  in (|c2| <= |c1| is R); for even m the shape is forced by which side of the
-  lines a|u2| = b|u1| the point u falls on, for odd m it is redundant.
+  lines c2 = j_plus * c1 and c1 = j_plus * c2.  Odd m takes the smaller root
+  of 1 - tau^2 (Jacobian label "-"), even m the larger ("+").  The root fixes
+  the cosine pair up to one sign: m = 1 takes cos l1 <= 0, m = 3 cos l1 >= 0,
+  m = 2 the sign with c1 <= j_plus * c2 and m = 4 the other.  The published
+  shape label s (whether |c2| <= |c1|) is implied by (n, m, v).
 * p in {1, 2} is the band; band-2 preimages of v are band-1 preimages of -v.
 
 For interior velocity points exactly 16 branches produce a preimage, eight
@@ -35,7 +34,7 @@ enumerates only its evaluable points (inside the support and outside the
 boundary shell).  Each (p, n) takes only those whose band-p rotated
 coordinates lie in square n's closed u-quadrant; for an interior point off
 the rotated axes that is two squares per band.  ``_square_roots`` does a
-square's sector-free work once, and ``branch_preimages`` only each m slot's
+square's sign-free work once, and ``branch_preimages`` only each m slot's
 sign pick, angles and forward gate.  One accumulation path serves generic
 and degenerate coins alike, and drops repeated preimages against one
 idx-sorted set per band.  Each preimage is weighed with the
@@ -251,8 +250,8 @@ def _sector_of(c1, c2, j_plus):
 
 
 def _branch_labels(model: Model, k1, k2):
-    """Branch labels (n, m, is_r) of band-1 wavenumber arrays, is_r meaning s == "R";
-    windmill-square and sector ties resolve to the lowest admissible index."""
+    """Branch labels (n, m) of band-1 wavenumber arrays; windmill-square and
+    sector ties resolve to the lowest admissible index."""
     l1, l2, c1, _, c2, _, _ = angle_terms(model, k1, k2)
     l1r = wrap_angle(l1)
     l2r = wrap_angle(l2)
@@ -268,7 +267,7 @@ def _branch_labels(model: Model, k1, k2):
                 cand2 = l2r + 2 * _PI * off2
                 hit = (parity == (off1 + off2) % 2) & (lo1 <= cand1) & (cand1 <= hi1)
                 n = np.where(hit & (lo2 <= cand2) & (cand2 <= hi2), sq, n)
-    return n, _sector_of(c1, c2, model.derived.j_plus), np.abs(c2) <= np.abs(c1)
+    return n, _sector_of(c1, c2, model.derived.j_plus)
 
 
 def _in_quadrant(n, u1, u2):
@@ -286,12 +285,12 @@ def _square_angles(n, arc1, arc2):
 
 
 def _square_roots(model: Model, w1, w2, n: int, ms):
-    """Square n's sector-free work for its slots ms at the band-1 target arrays w:
-    the u-quadrant gate, A, B and the root of D_quarter once, and 1 - tau^2, the
-    cosine magnitudes, their relative sign and both sign choices' sectors once per
-    parity of m.  Returns the square (n, w1, w2, sectors) of ``branch_preimages``,
-    sectors[m] = (ok, first, mag1, mag2): the gates passed, whether the first sign
-    choice lies in sector m, |cos l1|, and |cos l2| signed as cos l1 cos l2.
+    """Square n's sign-free work for its slots ms at the band-1 target arrays w:
+    the u-quadrant gate, A, B and the root of D_quarter once, and 1 - tau^2 and the
+    cosine magnitudes once per parity of m.  Returns the square (n, w1, w2, roots)
+    of ``branch_preimages``, roots[m % 2] = (ok, mag1, mag2, lead): the gates
+    passed, |cos l1|, |cos l2| signed as cos l1 cos l2, and for even parity the
+    mask mag1 <= j_plus * mag2 of the sign choice slot 2 takes (None for odd).
     """
     d = model.derived
     a, b = d.a, d.b
@@ -300,7 +299,7 @@ def _square_roots(model: Model, w1, w2, n: int, ms):
     big_a, big_b, _, _, d_quarter = _terms_from_u(model, u1, u2)
     gate &= d_quarter >= -1e-15
     root = np.sqrt(np.maximum(d_quarter, 0.0))
-    sectors = {}
+    roots = {}
     for parity in {m % 2 for m in ms}:
         gap_sq = (big_b + root if parity == 0 else big_b - root) / big_a  # 1 - tau^2
         ok = gate & (gap_sq > DEGENERATE_GAP_TOL)
@@ -314,25 +313,23 @@ def _square_roots(model: Model, w1, w2, n: int, ms):
         prod = (a * a * c1sq + b * b * c2sq - (1.0 - safe_gap)) / (2.0 * a * b)
         mag1 = np.sqrt(c1sq)
         mag2 = np.where(prod >= 0.0, 1.0, -1.0) * np.sqrt(c2sq)
-        first = _sector_of(mag1, mag2, d.j_plus)
-        second = _sector_of(-mag1, -mag2, d.j_plus)
-        for m in ms:
-            if m % 2 == parity:
-                sectors[m] = (ok & ((first == m) | (second == m)), first == m, mag1, mag2)
-    return n, w1, w2, sectors
+        roots[parity] = (ok, mag1, mag2, None if parity else mag1 <= d.j_plus * mag2)
+    return n, w1, w2, roots
 
 
 def branch_preimages(model: Model, square, m: int):
     """Band-1 preimages of one (n, m) slot from the square of ``_square_roots``;
-    band 2's preimages of v are band 1's of w = -v.  The sign choice in sector m
-    gives the angles.  Returns (k1, k2, ok, tau): wavenumbers in [-pi, pi)^2, the
-    mask of points whose preimage's forward velocity reproduces w within 1e-9, and
-    tau at (k1, k2) as that gate computed it.  Entries with ok == False hold junk.
+    band 2's preimages of v are band 1's of w = -v.  The slot's cosine pair is
+    +-(mag1, mag2): m = 1 takes cos l1 <= 0, m = 3 cos l1 >= 0, m = 2 the sign
+    that ``lead`` marks and m = 4 the other.  Returns (k1, k2, ok, tau):
+    wavenumbers in [-pi, pi)^2, the mask of points whose preimage's forward
+    velocity reproduces w within 1e-9, and tau at (k1, k2) as that gate computed
+    it.  Entries with ok == False hold junk.
     """
     d = model.derived
-    n, w1, w2, sectors = square
-    ok, first, mag1, mag2 = sectors[m]
-    pick = np.where(first, 1.0, -1.0)
+    n, w1, w2, roots = square
+    ok, mag1, mag2, lead = roots[m % 2]
+    pick = (1.0 if m == 3 else -1.0) if lead is None else np.where(lead == (m == 2), 1.0, -1.0)
     l1, l2 = _square_angles(n, np.arccos(pick * mag1), np.arccos(pick * mag2))
     k1 = wrap_angle(0.5 * (l1 - l2) - d.phi_1)
     k2 = wrap_angle(0.5 * (l1 + l2) - d.phi_2)
@@ -344,16 +341,13 @@ def branch_preimages(model: Model, square, m: int):
     return k1, k2, ok & (np.abs(f1 - w1) <= tol) & (np.abs(f2 - w2) <= tol), tauf
 
 
-def _inverse_labelled(model: Model, v1, v2, n, m, is_r):
-    """Band-1 preimages (k1, k2, ok) of v under labels (n, m, is_r), arrays or scalars.
+def _inverse_labelled(model: Model, v1, v2, n, m):
+    """Band-1 preimages (k1, k2, ok) of v under labels (n, m), arrays or scalars.
 
-    ok is False off the open support, where an even-m label demands the other
-    shape, or where ``branch_preimages`` finds no preimage for the label.
+    ok is False off the open support or where ``branch_preimages`` finds no
+    preimage for the label.
     """
-    d = model.derived
-    u1, u2 = rotated_coords(v1, v2)
-    gate = _inside_mask(model, u1, u2)
-    gate &= (m % 2 == 1) | (is_r == (d.a * np.abs(u2) >= d.b * np.abs(u1)))
+    gate = _inside_mask(model, *rotated_coords(v1, v2))
     k1 = np.zeros(gate.shape)
     k2 = np.zeros(gate.shape)
     ok = np.zeros(gate.shape, dtype=bool)
@@ -448,7 +442,7 @@ def _preimage_slots(model: Model, v1, v2):
     Slot (p, n, m) runs ``branch_preimages`` on w = v for band 1 and w = -v for
     band 2, only at the points idx whose rotated w lies in square n's closed
     u-quadrant, so points on the rotated axes reach both adjacent squares.  A
-    (p, n) pair with no such point is skipped; the others do their sector-free
+    (p, n) pair with no such point is skipped; the others do their sign-free
     work once, in ``_square_roots``.
     """
     for p in (1, 2):

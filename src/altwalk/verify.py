@@ -196,7 +196,7 @@ def check_jacobian(model: Model, samples: int = 1000, *,
     col2 = [(p - m) / (2.0 * h) for p, m in zip(dp2, dm2)]
     det = np.abs(col1[0] * col2[1] - col1[1] * col2[0])
     fd_worst = float(np.max(np.abs(det - jf) / jf, initial=0.0))
-    _, m, _ = limit._branch_labels(model, k1, k2)
+    _, m = limit._branch_labels(model, k1, k2)
     plus, minus = limit._jacobian_factors(model, v1, v2)
     jinv = np.where(m % 2 == 0, plus, minus)
     br_worst = float(np.max(np.abs(jinv - 1.0 / jf) * jf, initial=0.0))

@@ -25,8 +25,11 @@ a closed form from the literature that shares no code with the package,
 ``kgrid_moments`` the moments of the limit law as smooth k-space integrals, and
 ``closed_form_c`` and ``closed_form_density`` the limit density of a one-site
 start as (4 + c.v) times one even base law per coin, with no preimage in it.
-``Branch`` and ``BranchError`` are the scalar label (n, m, s, p) and the refusal
-of the scalar loops; ``limit`` works with label arrays (n, m, is_r) instead.
+``Branch`` and ``BranchError`` are the scalar label (n, m, p) and the refusal
+of the scalar loops; ``limit`` works with label arrays (n, m) instead.
+``per_slot_branch_preimages`` also keeps the sector gate that picked each slot's
+sign before a fixed rule per m replaced it; the two agree wherever a preimage is
+found, and only the junk entries differ.
 """
 
 import math
@@ -90,11 +93,10 @@ class BranchError(ValueError):
 
 @dataclass(frozen=True)
 class Branch:
-    """Preimage label (n, m, s, p); see the ``limit`` module docstring."""
+    """Preimage label (n, m, p); see the ``limit`` module docstring."""
 
     n: int
     m: int
-    s: str
     p: int
 
     def __post_init__(self):
@@ -102,8 +104,6 @@ class Branch:
             raise ValueError(f"n must be in 1..8, got {self.n}")
         if self.m not in range(1, 5):
             raise ValueError(f"m must be in 1..4, got {self.m}")
-        if self.s not in ("R", "T"):
-            raise ValueError(f"s must be 'R' or 'T', got {self.s!r}")
         if self.p not in (1, 2):
             raise ValueError(f"p must be 1 or 2, got {self.p}")
 
@@ -133,9 +133,7 @@ def scalar_classify_branch(model, k1, k2):
             break
     if n_found is None:
         raise RuntimeError(f"windmill classification failed for l = ({l1}, {l2})")
-    m = int(limit._sector_of(c1, c2, model.derived.j_plus))
-    s = "R" if abs(c2) <= abs(c1) else "T"
-    return Branch(n=n_found, m=m, s=s, p=1)
+    return Branch(n=n_found, m=int(limit._sector_of(c1, c2, model.derived.j_plus)), p=1)
 
 
 def per_slot_branch_preimages(model, w1, w2, n, m):
@@ -198,16 +196,10 @@ def one_slot(model, w1, w2, n, m):
 
 
 def scalar_inverse_map(model, v1, v2, branch):
-    """Shape gate for even m, then a one-point ``branch_preimages`` call in band p."""
+    """A one-point ``branch_preimages`` call in band p, refused off the open support."""
     if limit.support_contains(model, v1, v2) != "inside":
         raise limit.OutsideSupportError(f"({v1}, {v2}) is not strictly inside the support")
-    d = model.derived
     band_sign = 1.0 if branch.p == 1 else -1.0
-    u1, u2 = limit.rotated_coords(band_sign * v1, band_sign * v2)
-    if branch.m % 2 == 0:
-        u_shape = "R" if d.a * abs(u2) >= d.b * abs(u1) else "T"
-        if branch.s != u_shape:
-            raise BranchError(f"branch {branch} demands the other shape")
     k1, k2, ok, _ = one_slot(
         model, np.array([band_sign * v1]), np.array([band_sign * v2]), branch.n, branch.m
     )
@@ -285,7 +277,7 @@ def scalar_check_jacobian(model, samples=1000, *, seed=0):
         fd_worst = max(fd_worst, abs(det - jf) / jf)
         accepted.append((k1, k2, v1, v2, jf))
     k1, k2, v1, v2, jf = np.array(accepted, dtype=np.float64).reshape(-1, 5).T
-    _, m, _ = limit._branch_labels(model, k1, k2)
+    _, m = limit._branch_labels(model, k1, k2)
     plus, minus = limit._jacobian_factors(model, v1, v2)
     jinv = np.where(m % 2 == 0, plus, minus)
     br_worst = float(np.max(np.abs(jinv - 1.0 / jf) * jf, initial=0.0))

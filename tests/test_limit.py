@@ -168,8 +168,8 @@ def test_degenerate_jacobian_form(degenerate_model):
 
 
 def test_classify_branch_example(reference_model):
-    n, m, is_r = limit._branch_labels(reference_model, math.pi / 2, math.pi / 2)
-    assert (int(n), int(m), bool(is_r)) == (1, 1, True)
+    n, m = limit._branch_labels(reference_model, math.pi / 2, math.pi / 2)
+    assert (int(n), int(m)) == (1, 1)
 
 
 def test_squares_table_matches_the_literal_tables():
@@ -195,17 +195,15 @@ def test_squares_table_matches_the_literal_tables():
 def test_branch_validation():
     # the scalar label the oracles compare the label arrays against
     with pytest.raises(ValueError):
-        Branch(0, 1, "R", 1)
+        Branch(0, 1, 1)
     with pytest.raises(ValueError):
-        Branch(1, 5, "R", 1)
+        Branch(1, 5, 1)
     with pytest.raises(ValueError):
-        Branch(1, 1, "X", 1)
-    with pytest.raises(ValueError):
-        Branch(1, 1, "R", 3)
+        Branch(1, 1, 3)
 
 
 def test_inverse_map_center(reference_model):
-    k1, k2, ok = limit._inverse_labelled(reference_model, np.zeros(1), np.zeros(1), 1, 1, True)
+    k1, k2, ok = limit._inverse_labelled(reference_model, np.zeros(1), np.zeros(1), 1, 1)
     assert ok.tolist() == [True]
     assert k1[0] == pytest.approx(math.pi / 2, abs=1e-12)
     assert k2[0] == pytest.approx(math.pi / 2, abs=1e-12)
@@ -216,9 +214,9 @@ def test_inverse_map_outside_raises(reference_model):
     v1, v2 = np.array([0.9]), np.array([0.3])
     for n in range(1, 9):
         for m in range(1, 5):
-            assert not limit._inverse_labelled(reference_model, v1, v2, n, m, True)[2][0]
+            assert not limit._inverse_labelled(reference_model, v1, v2, n, m)[2][0]
     with pytest.raises(limit.OutsideSupportError):
-        scalar_inverse_map(reference_model, 0.9, 0.3, Branch(1, 1, "R", 1))
+        scalar_inverse_map(reference_model, 0.9, 0.3, Branch(1, 1, 1))
 
 
 def test_roundtrip_with_phases(phased_model):
@@ -293,11 +291,10 @@ def _label_probe_wavenumbers(model, rng, count):
 
 
 def assert_labels_match_scalar_loop(model, k1, k2):
-    n, m, is_r = limit._branch_labels(model, k1, k2)
+    n, m = limit._branch_labels(model, k1, k2)
     for i in range(k1.size):
         want = scalar_classify_branch(model, k1[i], k2[i])
-        got = (int(n[i]), int(m[i]), "R" if is_r[i] else "T")
-        assert got == (want.n, want.m, want.s), (k1[i], k2[i])
+        assert (int(n[i]), int(m[i])) == (want.n, want.m), (k1[i], k2[i])
 
 
 @pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
@@ -314,6 +311,29 @@ def test_branch_labels_match_scalar_loop_property(a1_sq, a2_sq, phases, seed):
     model = Model(a1_sq, a2_sq, *phases)
     k1, k2 = _label_probe_wavenumbers(model, np.random.default_rng(seed), 20)
     assert_labels_match_scalar_loop(model, k1, k2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.01, 0.99), st.floats(0.01, 0.99),
+       st.lists(st.floats(-math.pi, math.pi), min_size=6, max_size=6), st.integers(0, 2**32 - 1))
+def test_branch_labels_follow_the_geometry(a1_sq, a2_sq, phases, seed):
+    # m's parity is the Jacobian family, m = 3 and m = 2 pick the sign of the cosine
+    # pair as branch_preimages does, and for even m the shape |c2| <= |c1| that the
+    # published labels carry as s is implied by v
+    model = Model(a1_sq, a2_sq, *phases)
+    d = model.derived
+    assume(not d.degenerate)
+    k1, k2 = np.random.default_rng(seed).uniform(-math.pi, math.pi, (2, 5000))
+    _, m = limit._branch_labels(model, k1, k2)
+    _, _, c1, _, c2, _, _ = spectral.angle_terms(model, k1, k2)
+    even = m % 2 == 0
+    quad = d.a * d.b * c2 * c2 + (1.0 - d.a * d.a - d.b * d.b) * c1 * c2 + d.a * d.b * c1 * c1
+    assert np.array_equal(even, quad > 0.0)
+    assert np.array_equal((m == 3)[~even], (c1 > 0.0)[~even])
+    assert np.array_equal((m == 2)[even], (c1 <= d.j_plus * c2)[even])
+    u1, u2 = limit.rotated_coords(*spectral.group_velocity(model, k1, k2))
+    assert np.array_equal((np.abs(c2) <= np.abs(c1))[even],
+                          (d.a * np.abs(u2) >= d.b * np.abs(u1))[even])
 
 
 def _scalar_outcome(model, v1, v2, branch):
@@ -334,14 +354,12 @@ def test_inverse_map_matches_scalar_path(coin, request):
         sign = 1.0 if p == 1 else -1.0
         for n in range(1, 9):
             for m in range(1, 5):
-                for s in ("R", "T"):
-                    br = Branch(n, m, s, p)
-                    k1, k2, ok = limit._inverse_labelled(model, sign * v1, sign * v2,
-                                                         n, m, s == "R")
-                    got = [(float(a), float(b)) if c else None for a, b, c in zip(k1, k2, ok)]
-                    want = [_scalar_outcome(model, w1, w2, br)
-                            for w1, w2 in zip(v1.tolist(), v2.tolist())]
-                    assert got == want, br
+                br = Branch(n, m, p)
+                k1, k2, ok = limit._inverse_labelled(model, sign * v1, sign * v2, n, m)
+                got = [(float(a), float(b)) if c else None for a, b, c in zip(k1, k2, ok)]
+                want = [_scalar_outcome(model, w1, w2, br)
+                        for w1, w2 in zip(v1.tolist(), v2.tolist())]
+                assert got == want, br
 
 
 # --- density ----------------------------------------------------------------
@@ -635,6 +653,29 @@ def test_density_grid_matches_the_closed_form(a1_sq, a2_sq, degenerate, phases, 
     assert (gap * e_r * e_t).max() <= 1e-11 * f.max()
 
 
+@pytest.mark.xfail(strict=True, reason="a preimage with cos l_i = 0 fails the forward gate: "
+                   "|cos l_i| is recovered as sqrt(1 - gap u_i^2 / 2a^2), about 3.5e-8 there")
+@pytest.mark.parametrize("model, spinor, l2", [
+    (Model(0.5, 0.5), np.array([0.6, 0.8j]), 1.0),
+    (Model(0.7, 0.33), np.array([1.0, 0.0]), 2.0),
+])
+def test_density_keeps_the_branches_with_cos_l_zero(model, spinor, l2):
+    # v is the image of the k with rotated angles (pi/2, l2), so one preimage of v
+    # has cos l1 = 0 exactly; every branch must still count, and f meet the closed
+    # form as in test_density_grid_matches_the_closed_form
+    d = model.derived
+    l1 = 0.5 * math.pi
+    v1, v2 = spectral.group_velocity(model, np.array([0.5 * (l1 - l2) - d.phi_1]),
+                                     np.array([0.5 * (l1 + l2) - d.phi_2]))
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(spinor))
+    grid = limit.density_grid(model, spectrum, v1, v2)
+    assert grid.evaluable[0]
+    assert (int(grid.branch_plus[0]), int(grid.branch_minus[0])) == (8, 0 if d.degenerate else 8)
+    e_r, e_t = limit._slacks(model, *limit.rotated_coords(v1, v2))
+    want = closed_form_density(model, spinor, v1, v2)
+    assert abs(grid.f[0] - want[0]) * e_r[0] * e_t[0] <= 1e-11 * grid.f[0]
+
+
 @pytest.mark.parametrize("model", [
     Model(0.9, 0.1),
     Model(0.7, 0.33, 0.3, -1.1, 0.5, 2.0, -0.7, 1.3),
@@ -776,7 +817,8 @@ def test_density_grid_reraises_a_failed_chunk(failing, reference_model, monkeypa
 
 def _slot_probe_points(model, rng):
     """Velocity points well inside the support, on its rotated axes, within 1e-6 to
-    1e-13 of its boundary and just outside it, as (v1, v2)."""
+    1e-13 of its boundary, just outside it, and the images of wavenumbers with
+    cos l1 = 0 or cos l2 = 0, where a slot's sign is a tie, as (v1, v2)."""
     theta = rng.uniform(0.0, 2.0 * math.pi, 48)
     frac = np.concatenate([rng.uniform(0.05, 0.95, 24), 1.0 - 10.0 ** -rng.uniform(6, 13, 16),
                            rng.uniform(1.0, 1.05, 8)])
@@ -784,14 +826,21 @@ def _slot_probe_points(model, rng):
     u1, u2 = rho * np.cos(theta), rho * np.sin(theta)
     u1[:6] = 0.0  # v1 = -v2: the rotated axis u1 = 0, then the axis u2 = 0
     u2[6:12] = 0.0
-    return limit.rotated_coords(u1, u2)
+    v1, v2 = limit.rotated_coords(u1, u2)
+    tie, free = rng.choice([-0.5 * math.pi, 0.5 * math.pi], 16), rng.uniform(-math.pi, math.pi, 16)
+    l1, l2 = np.where(np.arange(16) < 8, [tie, free], [free, tie])
+    d = model.derived
+    c1, c2 = spectral.group_velocity(model, 0.5 * (l1 - l2) - d.phi_1, 0.5 * (l1 + l2) - d.phi_2)
+    return np.concatenate([v1, c1]), np.concatenate([v2, c2])
 
 
-def _assert_same_bits(got, want):
-    for x, y in zip(got[:2] + got[3:], want[:2] + want[3:]):  # k1, k2 and tau
-        assert np.array_equal(x, y, equal_nan=True)
-        assert np.array_equal(np.signbit(x), np.signbit(y))
-    assert np.array_equal(got[2], want[2])
+def _assert_same_ok(got, want):
+    """The same ok, and the same bits of k1, k2 and tau wherever ok holds."""
+    ok = want[2]
+    assert np.array_equal(got[2], ok)
+    for x, y in zip(got[:2] + got[3:], want[:2] + want[3:]):
+        assert np.array_equal(x[ok], y[ok])
+        assert np.array_equal(np.signbit(x[ok]), np.signbit(y[ok]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -804,8 +853,10 @@ def _assert_same_bits(got, want):
 @example(1e-6, 0.3, False, [0.0] * 6, 4)
 def test_shared_square_slots_match_the_per_slot_construction(a1_sq, a2_sq, degenerate, phases,
                                                              seed):
-    # one square's sector-free work done once gives every sector slot the bits of
-    # the construction that redid it per slot, junk entries included
+    # one square's sign-free work done once, and each slot's sign picked by the rule
+    # for its m, find the preimages of the construction that redid that work per slot
+    # and gated each sign choice on its sector: the same ok everywhere, and the same
+    # bits wherever ok holds (elsewhere the entries are junk, picked differently)
     if degenerate:  # equal moduli give a + b = 1
         a2_sq = a1_sq
     model = Model(a1_sq, a2_sq, *phases)
@@ -817,8 +868,8 @@ def test_shared_square_slots_match_the_per_slot_construction(a1_sq, a2_sq, degen
             square = limit._square_roots(model, w1, w2, n, range(1, 5))
             for m in range(1, 5):
                 want = per_slot_branch_preimages(model, w1, w2, n, m)
-                _assert_same_bits(limit.branch_preimages(model, square, m), want)
-                _assert_same_bits(one_slot(model, w1, w2, n, m), want)
+                _assert_same_ok(limit.branch_preimages(model, square, m), want)
+                _assert_same_ok(one_slot(model, w1, w2, n, m), want)
                 found += int(want[2].sum())
     assert found > 0
 

@@ -266,6 +266,17 @@ def test_analytic_bins_total(reference_model):
     assert info["refused_cells"] == 0
 
 
+def test_analytic_bins_fill_refused_cells_from_their_neighbours():
+    # a degenerate coin whose 40^2 midpoint grid puts 4 inside cells in the boundary
+    # shell: each is credited the mean of its evaluable neighbours, as on one grid
+    model = Model(0.7714117521159393, 0.7714117521159393)
+    spectrum = spectral.fourier_initial(DELTA)
+    masses, info = verify._analytic_bin_masses(model, spectrum, 10, 4)
+    want_masses, want_info = whole_grid_analytic_bin_masses(model, spectrum, 10, 4)
+    assert info["refused_cells"] > 0
+    assert np.array_equal(masses, want_masses) and info == want_info
+
+
 @pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
 def test_weight_table_matches_scalar_loop(coin, request):
     # one batched pass over the samples: same draws, same mismatch count
