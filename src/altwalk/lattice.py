@@ -15,9 +15,9 @@ and a complex128 array of shape (2, m1, m2), component index first, whose
 ``[:, i, j]`` is the spinor at (x1_min + p + 2 i, x2_min + q + 2 j).  A class
 with no nonzero amplitude is not stored, so from one site the state holds one
 class, a quarter of the window.
-``norm_sq`` and ``position_distribution`` square the classes into a
-zero-filled real window, so their sums run in the dense order and keep every
-bit; ``LatticeState.amps`` builds the dense (2, n1, n2) window on demand.
+``LatticeState.amps`` builds the dense (2, n1, n2) window on demand; ``norm_sq`` sums its
+squares a few rows at a time in ``np.sum``'s pairwise order, bit for bit, and
+``position_distribution`` squares each class straight into a zero-filled real window.
 
 ``evolve`` steps each class in place in one flat (2, size) buffer at a row stride
 w > m2, and returns it as a (2, m1, m2) view: cell (i, j) is flat cell i w + j, and
@@ -32,6 +32,7 @@ the block's steps + 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,8 @@ _BLOCK_STEPS = 16
 # cells per ufunc call of a half step: two class rows and four product rows (1.2 MB) stay
 # in a 2 MB L2 cache, and the calls are few, for each may hand the lock to another thread
 _CHUNK = 12288
+# window cells ``norm_sq`` squares and sums in one np.sum call; never below numpy's 128
+_SUM_PIECE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -78,20 +81,38 @@ class LatticeState:
         )
         return cls(classes, x1_min, x2_min, amps.shape[1:], time)
 
+    def _cells(self, lo: int, hi: int) -> np.ndarray:
+        """Flat cells [lo, hi) of the dense window, from the (2 n1, n2) rows over them."""
+        n1, n2 = self.shape
+        r0, r1 = lo // n2, -(-hi // n2)
+        rows = np.zeros((r1 - r0, n2), dtype=np.complex128)
+        for p, q, amps in self.classes:
+            for c in (0, 1):  # class rows i whose window row c n1 + p + 2 i is in [r0, r1)
+                i0 = max(0, (r0 - c * n1 - p + 1) // 2)
+                i1 = min(amps.shape[1], (r1 - c * n1 - p + 1) // 2)
+                if i0 < i1:
+                    at = c * n1 + p + 2 * i0 - r0
+                    rows[at : at + 2 * (i1 - i0) : 2, q::2] = amps[c, i0:i1]
+        return rows.reshape(-1)[lo - r0 * n2 : hi - r0 * n2]
+
     @property
     def amps(self) -> np.ndarray:
         """The dense complex128 window, shape (2, n1, n2), built anew on each read."""
-        out = np.zeros((2, *self.shape), dtype=np.complex128)
-        for p, q, amps in self.classes:
-            out[:, p::2, q::2] = amps
-        return out
+        return self._cells(0, 2 * math.prod(self.shape)).reshape(2, *self.shape)
 
     def norm_sq(self) -> float:
-        sq = np.zeros((2, *self.shape))
-        for p, q, amps in self.classes:
-            a = sq[:, p::2, q::2]  # squared where it lands: no class-sized temporary
-            np.square(np.abs(amps, out=a), out=a)
-        return float(np.sum(sq))
+        """``np.sum(np.abs(self.amps) ** 2)`` bit for bit, from a few rows at a time."""
+        return float(_pairwise_sum(lambda lo, hi: np.sum(np.abs(self._cells(lo, hi)) ** 2),
+                                   2 * math.prod(self.shape)))
+
+
+def _pairwise_sum(piece, n: int, lo: int = 0):
+    """Values [lo, lo + n) summed in ``np.sum``'s order; ``piece(a, b)`` is np.sum of [a, b).
+    numpy splits a run of over 128 values at n // 2 - n // 2 % 8 and adds the halves' sums."""
+    if n <= _SUM_PIECE:
+        return piece(lo, lo + n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(piece, half, lo) + _pairwise_sum(piece, n - half, lo + half)
 
 
 @dataclass
@@ -208,15 +229,14 @@ def trajectory(model, state0: LatticeState, times):
 
 
 def position_distribution(state: LatticeState) -> PositionDistribution:
-    # |psi_1|^2 + |psi_2|^2 per class, squared in place, added into a zero-filled window
+    # |psi_1|^2 squared where it lands in a zero-filled window, then |psi_2|^2 added to it
     probs = np.zeros(state.shape)
     for p, q, amps in state.classes:
-        sq = np.abs(amps)
-        np.square(sq, out=sq)
-        np.add(sq[0], sq[1], out=probs[p::2, q::2])
-    return PositionDistribution(
-        probs=probs, x1_min=state.x1_min, x2_min=state.x2_min, time=state.time
-    )
+        out = probs[p::2, q::2]
+        np.square(np.abs(amps[0], out=out), out=out)
+        sq = np.abs(amps[1])
+        np.add(out, np.square(sq, out=sq), out=out)
+    return PositionDistribution(probs, state.x1_min, state.x2_min, state.time)
 
 
 def moments(dist: PositionDistribution) -> Moments:

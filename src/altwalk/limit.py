@@ -387,39 +387,45 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
     enumerated, and each (p, n) slot only on those of them whose band-p
     rotated coordinates lie in square n's closed u-quadrant.  The calling
     thread and, past one block, a helper thread draw blocks of
-    ``_DENSITY_BLOCK`` points in turn, and each masks and enumerates its own.
-    Every step is per point, so no value depends on the blocks or the threads.
+    ``_DENSITY_BLOCK`` points in turn, and each copies, masks and enumerates its
+    own, so no broadcast input is copied whole.  Every step is per point, so no
+    value depends on the blocks or the threads.
     """
     v1 = np.asarray(v1, dtype=np.float64)
     v2 = np.asarray(v2, dtype=np.float64)
     shape = np.broadcast_shapes(v1.shape, v2.shape)
-    fv1 = np.broadcast_to(v1, shape).ravel()
-    fv2 = np.broadcast_to(v2, shape).ravel()
-    f = np.zeros(fv1.shape)
-    inside = np.zeros(fv1.shape, dtype=bool)
-    evaluable = np.zeros(fv1.shape, dtype=bool)
-    n_plus = np.zeros(fv1.shape, dtype=np.int8)  # a count is at most the 64 (p, n, m) slots
-    n_minus = np.zeros(fv1.shape, dtype=np.int8)
-    blocks = iter(range(0, fv1.size, _DENSITY_BLOCK))  # one next() is one atomic C call
+    size = math.prod(shape)
+    f = np.zeros(size)
+    inside = np.zeros(size, dtype=bool)
+    evaluable = np.zeros(size, dtype=bool)
+    n_plus = np.zeros(size, dtype=np.int8)  # a count is at most the 64 (p, n, m) slots
+    n_minus = np.zeros(size, dtype=np.int8)
+    blocks = iter(range(0, size, _DENSITY_BLOCK))  # one next() is one atomic C call
 
     def run_blocks():
+        # one flat iterator of each input per thread: indexing one moves its position
+        fv1 = np.broadcast_to(v1, shape).flat
+        fv2 = np.broadcast_to(v2, shape).flat
         try:
             for lo in blocks:
                 block = slice(lo, lo + _DENSITY_BLOCK)
-                u1, u2 = rotated_coords(fv1[block], fv2[block])
+                w1, w2 = fv1[block], fv2[block]
+                u1, u2 = rotated_coords(w1, w2)
                 inside[block] = _inside_mask(model, u1, u2)
                 with np.errstate(invalid="ignore"):  # an infinite v is outside, not an error
                     e_r, e_t = _slacks(model, u1, u2)
                 evaluable[block] = inside[block] & (e_r * e_t >= _SHELL_FLOOR)
                 del u1, u2, e_r, e_t  # freed before _accumulate's temporaries
-                at = lo + np.flatnonzero(evaluable[block])
+                at = np.flatnonzero(evaluable[block])
                 if at.size:
-                    f[at], n_plus[at], n_minus[at] = _accumulate(model, spectrum, fv1[at], fv2[at])
+                    out = lo + at
+                    f[out], n_plus[out], n_minus[out] = _accumulate(
+                        model, spectrum, w1[at], w2[at])
         finally:
             for _ in blocks:  # after a failure, neither thread starts another block
                 pass
 
-    if fv1.size <= _DENSITY_BLOCK:
+    if size <= _DENSITY_BLOCK:
         run_blocks()
     else:  # imported here: concurrent.futures loads logging, which no other command needs
         from concurrent.futures import ThreadPoolExecutor

@@ -364,6 +364,57 @@ def test_parity_classes_never_interfere(a1_sq, a2_sq, phases, sites, t):
     assert np.array_equal(whole.probs.view(np.int64), parts.view(np.int64))
 
 
+@settings(max_examples=50, deadline=None)
+@given(unit, unit, st.lists(phase, min_size=6, max_size=6),
+       st.one_of(st.dictionaries(site, spinor, min_size=1, max_size=1),
+                 st.dictionaries(site, spinor, min_size=2, max_size=6)),
+       st.integers(0, 40), st.sampled_from([128, 1000]))
+def test_norm_sq_sums_small_pieces_in_numpy_order(a1_sq, a2_sq, phases, sites, t, piece):
+    # pieces far below the window's size split it many times, on one class or several
+    state = lattice.evolve(Model(a1_sq, a2_sq, *phases), lattice.initial_state_from_sites(sites), t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_SUM_PIECE", piece)
+        assert state.norm_sq() == whole_window_norm_sq(state)
+
+
+@STARTS
+def test_norm_sq_at_t200_splits_and_keeps_the_bits(phased_model, start):
+    # every start's window at T = 200 holds at least (2, 401, 401) cells: several pieces
+    state = lattice.evolve(phased_model, start, 200)
+    assert 2 * np.prod(state.shape) > 4 * lattice._SUM_PIECE
+    assert state.norm_sq() == whole_window_norm_sq(state)
+
+
+def test_norm_sq_never_builds_the_dense_window(reference_model):
+    # one piece's window cells and their squares, and the rows' ends around them
+    state = lattice.evolve(reference_model, lattice.initial_state_delta(np.array([0.6, 0.8j])), 200)
+    tracemalloc.start()
+    try:
+        norm = state.norm_sq()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert norm == pytest.approx(1.0, abs=1e-12)
+    piece = lattice._SUM_PIECE * (np.dtype(np.complex128).itemsize + np.dtype(np.float64).itemsize)
+    assert peak < piece + 64 * 1024
+
+
+def test_position_distribution_squares_one_component_aside(reference_model):
+    # component 1 squares into the window; only component 2 takes a class-sized
+    # temporary, plus numpy's buffers for a strided call: three operands of bufsize cells
+    state = lattice.evolve(reference_model, lattice.initial_state_delta(np.array([0.6, 0.8j])), 200)
+    (_, _, amps), = state.classes
+    tracemalloc.start()
+    try:
+        probs = lattice.position_distribution(state).probs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    component = amps[1].size * probs.itemsize
+    buffers = 3 * np.getbufsize() * probs.itemsize
+    assert peak < probs.nbytes + component + buffers
+
+
 def test_evolve_never_builds_the_dense_window(reference_model):
     # from one site only one parity class of the (2, 401, 401) complex window is
     # ever occupied; stepping it and squaring it stays well below the window's size

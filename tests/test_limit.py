@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -810,6 +811,66 @@ def test_density_grid_reraises_a_failed_chunk(failing, reference_model, monkeypa
     # thread emptied the iterator
     assert sorted(set(calls)) == ["calling", "helper"] and len(calls) <= 3
     assert len(late) <= 1
+
+
+DENSITY_FIELDS = ("f", "inside", "evaluable", "branch_plus", "branch_minus")
+
+
+def assert_same_grid(got, want):
+    for name in DENSITY_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("coin", ["phased_model", "degenerate_model"])
+def test_density_grid_of_broadcast_axes_matches_materialized_grid(coin, request, monkeypatch):
+    # each block copies its own points of an (n, 1) and a (1, n) axis; ten blocks
+    # that cross rows give the fields of the same call on two whole (n, n) arrays
+    model = request.getfixturevalue(coin)
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    monkeypatch.setattr(limit, "_DENSITY_BLOCK", 1 << 10)
+    mid = -1.0 + (2.0 * np.arange(101) + 1.0) / 101
+    grid = limit.density_grid(model, spectrum, mid[:, None], mid[None, :])
+    v1, v2 = np.meshgrid(mid, mid, indexing="ij")
+    assert_same_grid(grid, limit.density_grid(model, spectrum, v1.copy(), v2.copy()))
+    assert grid.f.shape == (101, 101) and grid.evaluable.any()
+
+
+@pytest.mark.parametrize("block", [1 << 10, None])
+def test_density_grid_bits_do_not_depend_on_the_block_size(block, phased_model, monkeypatch):
+    # the temporaries' sizes must not reach the rounding: 2^10-point blocks and one
+    # block of the whole grid give the default's bytes on a grid of two default blocks
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    mid = -1.0 + (2.0 * np.arange(300) + 1.0) / 300
+    want = limit.density_grid(phased_model, spectrum, mid[:, None], mid[None, :])
+    monkeypatch.setattr(limit, "_DENSITY_BLOCK", block or mid.size ** 2)
+    assert_same_grid(limit.density_grid(phased_model, spectrum, mid[:, None], mid[None, :]), want)
+
+
+def test_density_grid_copies_no_whole_grid_input(phased_model, monkeypatch):
+    # off the support only the masks run, so past the blocks' work the peak grows with
+    # the grid by the outputs alone (12 B a point); whole-grid copies of the two
+    # broadcast inputs would add 16 B a point, so bound it by outputs plus half of them
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    monkeypatch.setattr(limit, "_DENSITY_BLOCK", 1 << 12)  # the same block work at both sizes
+
+    def peak_and_output_bytes(n):
+        mid = 1.0 + (2.0 * np.arange(n) + 1.0) / n  # in (1, 3): no v is inside
+        limit.density_grid(phased_model, spectrum, mid[:, None], mid[None, :])  # warm up
+        tracemalloc.start()
+        try:
+            grid = limit.density_grid(phased_model, spectrum, mid[:, None], mid[None, :])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not grid.inside.any()
+        return peak, sum(getattr(grid, name).nbytes for name in DENSITY_FIELDS)
+
+    small, small_out = peak_and_output_bytes(300)
+    large, large_out = peak_and_output_bytes(600)
+    half_copies = np.dtype(np.float64).itemsize * (600 ** 2 - 300 ** 2)
+    assert large - small < large_out - small_out + half_copies
 
 
 # --- shared windmill squares and the dedup merge -----------------------------
