@@ -5,19 +5,20 @@ f(v) / (2pi)^2 supported on the intersection of two concentric ellipses.  In
 the rotated frame u = ((v1 + v2)/sqrt2, (v1 - v2)/sqrt2) the two ellipses are
 axis-aligned with squared semi-axes (axis_R1, axis_R2) and (axis_T1, axis_T2).
 
-f(v) is assembled from the preimages of v under the band-1 group-velocity map.
-Preimages are labelled by a branch tuple (n, m, p):
+f(v) sums the preimages of v under the band-1 group-velocity map over the
+slots (n, m, p), each of which gives at most one preimage per point:
 
 * n in 1..8 picks one square of the windmill tiling of the rotated-angle
   plane (l1, l2); ``_SQUARES[n] = (s1, s2, o1, o2)`` gives its angles
   l_i = s_i arccos(c_i) + o_i, its closed box from o_i to o_i + s_i pi, and
   the u-quadrant it maps onto, with signs (-s1, -s2).
-* m in 1..4 picks one sector of the (cos l1, cos l2) square, cut by the two
-  lines c2 = j_plus * c1 and c1 = j_plus * c2.  Odd m takes the smaller root
-  of 1 - tau^2 (Jacobian label "-"), even m the larger ("+").  The root fixes
+* m in 1..4 picks the root and the sign.  Odd m takes the smaller root of
+  1 - tau^2 (Jacobian family "-"), even m the larger ("+").  The root fixes
   the cosine pair up to one sign: m = 1 takes cos l1 <= 0, m = 3 cos l1 >= 0,
-  m = 2 the sign with c1 <= j_plus * c2 and m = 4 the other.  The published
-  shape label s (whether |c2| <= |c1|) is implied by (n, m, v).
+  m = 2 the sign with c1 <= j_plus * c2 and m = 4 the other, so slot m's
+  preimages lie in sector m of the (cos l1, cos l2) square, cut by the two
+  lines c2 = j_plus * c1 and c1 = j_plus * c2.  The published shape label s
+  (whether |c2| <= |c1|) is implied by (n, m, v).
 * p in {1, 2} is the band; band-2 preimages of v are band-1 preimages of -v.
 
 For interior velocity points exactly 16 branches produce a preimage, eight
@@ -25,9 +26,10 @@ per Jacobian sign.  Each contributes its spectral weight P_p(k) times the
 inverse Jacobian, and every inverse is validated by applying the forward map
 and checking the velocity is reproduced within 1e-9; branches that fail any
 algebraic gate or that final check simply do not contribute.  This
-enumeration is the authoritative density; the published closed-form region
-bookkeeping is retained only as a soft cross-check (``_table_matches``, run
-by ``verify.check_weight_table``).
+enumeration is the authoritative density and the one inverse map, which
+``verify``'s round trip and branch-matched Jacobian read too; the published
+region bookkeeping is retained only as a soft cross-check (``_table_matches``,
+run by ``verify.check_weight_table``).
 
 ``density_grid`` takes the points in blocks, masks each block and
 enumerates only its evaluable points (inside the support and outside the
@@ -36,8 +38,8 @@ coordinates lie in square n's closed u-quadrant; for an interior point off
 the rotated axes that is two squares per band.  ``_square_roots`` does a
 square's sign-free work once, and ``branch_preimages`` only each m slot's
 sign pick, angles and forward gate.  One accumulation path serves generic
-and degenerate coins alike, and drops repeated preimages against one
-idx-sorted set per band.  Each preimage is weighed with the
+and degenerate coins alike, and at points on the rotated axes drops repeated
+preimages against one idx-sorted set per band.  Each preimage is weighed with the
 tau = a cos(l1) - b cos(l2) that the forward-consistency gate has computed
 there, which ``branch_preimages`` returns and ``spectral.band_weights`` takes.
 """
@@ -237,39 +239,6 @@ def jacobian_forward(model: Model, k1, k2):
     return 4.0 * a * b * np.abs(quad) / (gap_sq * gap_sq)
 
 
-def _sector_of(c1, c2, j_plus):
-    """Sector index 1..4 of the cosine pair; ties go to the lower index."""
-    c1 = np.asarray(c1)
-    c2 = np.asarray(c2)
-    low_a = c1 <= j_plus * c2  # on or below the line c1 = j_plus * c2
-    high_b = c2 >= j_plus * c1  # on or above the line c2 = j_plus * c1
-    low_b = c2 <= j_plus * c1
-    return np.where(
-        low_a & high_b, 1, np.where(low_a & low_b, 2, np.where(low_b, 3, 4))
-    )
-
-
-def _branch_labels(model: Model, k1, k2):
-    """Branch labels (n, m) of band-1 wavenumber arrays; windmill-square and
-    sector ties resolve to the lowest admissible index."""
-    l1, l2, c1, _, c2, _, _ = angle_terms(model, k1, k2)
-    l1r = wrap_angle(l1)
-    l2r = wrap_angle(l2)
-    parity = (np.rint((l1 - l1r) / (2 * _PI)) + np.rint((l2 - l2r) / (2 * _PI))) % 2
-    n = np.zeros(np.shape(l1), dtype=np.int64)
-    for sq in range(8, 0, -1):  # descending, so a tie keeps the lowest square
-        s1, s2, o1, o2 = _SQUARES[sq]
-        lo1, hi1 = sorted((o1, o1 + s1 * _PI))
-        lo2, hi2 = sorted((o2, o2 + s2 * _PI))
-        for off1 in (-1, 0, 1):
-            for off2 in (-1, 0, 1):
-                cand1 = l1r + 2 * _PI * off1
-                cand2 = l2r + 2 * _PI * off2
-                hit = (parity == (off1 + off2) % 2) & (lo1 <= cand1) & (cand1 <= hi1)
-                n = np.where(hit & (lo2 <= cand2) & (cand2 <= hi2), sq, n)
-    return n, _sector_of(c1, c2, model.derived.j_plus)
-
-
 def _in_quadrant(n, u1, u2):
     """Mask of the rotated coordinates u in square n's closed u-quadrant."""
     s1, s2, _, _ = _SQUARES[n]
@@ -339,25 +308,6 @@ def branch_preimages(model: Model, square, m: int):
                             np.sqrt(np.maximum(1.0 - tauf * tauf, DEGENERATE_GAP_TOL)))
     tol = _FORWARD_CONSISTENCY_TOL
     return k1, k2, ok & (np.abs(f1 - w1) <= tol) & (np.abs(f2 - w2) <= tol), tauf
-
-
-def _inverse_labelled(model: Model, v1, v2, n, m):
-    """Band-1 preimages (k1, k2, ok) of v under labels (n, m), arrays or scalars.
-
-    ok is False off the open support or where ``branch_preimages`` finds no
-    preimage for the label.
-    """
-    gate = _inside_mask(model, *rotated_coords(v1, v2))
-    k1 = np.zeros(gate.shape)
-    k2 = np.zeros(gate.shape)
-    ok = np.zeros(gate.shape, dtype=bool)
-    for sq in range(1, 9):
-        for sec in range(1, 5):
-            idx = np.nonzero(gate & (n == sq) & (m == sec))[0]
-            if idx.size:
-                square = _square_roots(model, v1[idx], v2[idx], sq, (sec,))
-                k1[idx], k2[idx], ok[idx], _ = branch_preimages(model, square, sec)
-    return k1, k2, ok
 
 
 def _torus_dist(a1, a2, b1, b2):
@@ -487,17 +437,17 @@ def _accumulate(model, spectrum, v1, v2):
     """f and the (plus, minus) branch counts at evaluable points.
 
     A degenerate model has only the plus family.  Preimages of one band closer
-    than _DEDUP_K_TOL on the torus count once: for a degenerate model anywhere,
-    for a generic model on the rotated axes, where the angles sit on corners
-    shared by adjacent wavenumber squares.  No repeat is sought across the
-    bands: at v = 0 band 2's preimage of -v is band 1's k, and both weights count.
+    than _DEDUP_K_TOL on the torus count once; on any model they repeat only where
+    u1 or u2 is 0, which reaches two adjacent squares, so only there are they
+    sought.  No repeat is sought across the bands: at v = 0 band 2's preimage of
+    -v is band 1's k, and both weights count.
     """
     degenerate = model.derived.degenerate
     jinv = _jacobian_factors(model, v1, v2)  # indexed by family: plus, minus
     f = np.zeros(v1.shape)
     counts = (np.zeros(v1.shape, dtype=np.int8), np.zeros(v1.shape, dtype=np.int8))
     u1, u2 = rotated_coords(v1, v2)
-    may_repeat = degenerate | (np.abs(u1) < 1e-7) | (np.abs(u2) < 1e-7)
+    may_repeat = (u1 == 0.0) | (u2 == 0.0)
     del u1, u2
     kept = [[np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)] for _ in range(2)]  # per band
     for p, _, m, idx, k1, k2, ok, tau in _preimage_slots(model, v1, v2):

@@ -142,11 +142,29 @@ def _draw(model: Model, samples: int, rng, accept):
     return [np.concatenate(col) for col in zip(*kept)], excluded
 
 
+def _recovered(model: Model, k1, k2, v1, v2):
+    """Torus distance from each k to the nearest band-1 preimage of its v that the
+    density's enumeration finds (inf where it finds none), and the m of the slot
+    that finds it (0 where none does)."""
+    dist = np.full(k1.shape, np.inf)
+    found_m = np.zeros(k1.shape, dtype=np.int64)
+    for p, _, m, idx, r1, r2, ok, _ in limit._preimage_slots(model, v1, v2):
+        if p == 2:  # the slots come lazily, band 1 first
+            break
+        near = limit._torus_dist(k1[idx], k2[idx], r1, r2)
+        closer = ok & (near < dist[idx])
+        dist[idx[closer]] = near[closer]
+        found_m[idx[closer]] = m
+    return dist, found_m
+
+
 def _roundtrip_worst(model: Model, samples: int, rng) -> tuple[float, int]:
     """Worst round-trip error over ``samples`` successes, and the draws excluded."""
     def accept(k1, k2, v1, v2):
-        r1, r2, ok = limit._inverse_labelled(model, v1, v2, *limit._branch_labels(model, k1, k2))
-        return ok, limit._torus_dist(k1[ok], k2[ok], r1[ok], r2[ok])
+        at = np.nonzero(limit._inside_mask(model, *limit.rotated_coords(v1, v2)))[0]
+        dist, _ = _recovered(model, k1[at], k2[at], v1[at], v2[at])
+        found = np.isfinite(dist)
+        return at[found], dist[found]
 
     (*_, errors), excluded = _draw(model, samples, rng, accept)
     return float(errors.max(initial=0.0)), excluded
@@ -154,7 +172,8 @@ def _roundtrip_worst(model: Model, samples: int, rng) -> tuple[float, int]:
 
 def check_roundtrip(model: Model, samples: int = 10_000, *,
                     seed: int = 0) -> list[ComparisonReport]:
-    """k -> v -> branch -> k angular round trip on random interior wavenumbers.
+    """k -> v -> the enumeration's nearest preimage of v: its torus distance to k,
+    worst over random k whose v is inside; draws with no preimage are excluded.
 
     When the supplied model has no coin phases, a fixed phased sibling is run
     through the same loop so the phase-shift bookkeeping is exercised too.
@@ -177,9 +196,10 @@ def check_jacobian(model: Model, samples: int = 1000, *,
                    seed: int = 0) -> list[ComparisonReport]:
     """Forward Jacobian against finite differences and the branch-matched inverse.
 
-    Points with |J| <= 1e-4 sit near the fold curves where the derivative
-    degenerates; they are excluded and counted, as are points off the open
-    support.
+    k -> v -> the enumeration's nearest preimage of v, whose slot's family (plus
+    for even m) picks the inverse.  Points with |J| <= 1e-4 sit near the fold
+    curves where the derivative degenerates; they are excluded and counted, as
+    are points off the open support.
     """
     def accept(k1, k2, v1, v2):
         at = np.nonzero(limit._inside_mask(model, *limit.rotated_coords(v1, v2)))[0]
@@ -196,7 +216,7 @@ def check_jacobian(model: Model, samples: int = 1000, *,
     col2 = [(p - m) / (2.0 * h) for p, m in zip(dp2, dm2)]
     det = np.abs(col1[0] * col2[1] - col1[1] * col2[0])
     fd_worst = float(np.max(np.abs(det - jf) / jf, initial=0.0))
-    _, m = limit._branch_labels(model, k1, k2)
+    _, m = _recovered(model, k1, k2, v1, v2)
     plus, minus = limit._jacobian_factors(model, v1, v2)
     jinv = np.where(m % 2 == 0, plus, minus)
     br_worst = float(np.max(np.abs(jinv - 1.0 / jf) * jf, initial=0.0))

@@ -1,8 +1,10 @@
 """Scalar reference implementations kept as test oracles.
 
 These are the per-sample loops that ``limit`` and ``verify`` used before the
-branch labels, the labelled inversion, the round trip, the Jacobian check and
-the weight table became array code, the quadrature that evaluated the density once per weight,
+round trip, the Jacobian check and the weight table became array code, the
+labelled round trip and Jacobian family that read the one slot a wavenumber's
+label (n, m) names before both read the nearest preimage of the density's
+enumeration, the quadrature that evaluated the density once per weight,
 the density and walk-site work done on whole arrays before it went in blocks,
 the suite run on one thread, the characteristic function that built its
 wavenumber grid once per xi, the band weights that always computed their own
@@ -26,7 +28,8 @@ a closed form from the literature that shares no code with the package,
 ``closed_form_c`` and ``closed_form_density`` the limit density of a one-site
 start as (4 + c.v) times one even base law per coin, with no preimage in it.
 ``Branch`` and ``BranchError`` are the scalar label (n, m, p) and the refusal
-of the scalar loops; ``limit`` works with label arrays (n, m) instead.
+of the scalar loops, and ``sector_of`` the sector m of a cosine pair that
+``scalar_classify_branch`` labels it with; ``limit`` labels no wavenumber.
 ``per_slot_branch_preimages`` also keeps the sector gate that picked each slot's
 sign before a fixed rule per m replaced it; the two agree wherever a preimage is
 found, and only the junk entries differ.
@@ -108,6 +111,18 @@ class Branch:
             raise ValueError(f"p must be 1 or 2, got {self.p}")
 
 
+def sector_of(c1, c2, j_plus):
+    """Sector index 1..4 of the cosine pair; ties go to the lower index."""
+    c1 = np.asarray(c1)
+    c2 = np.asarray(c2)
+    low_a = c1 <= j_plus * c2  # on or below the line c1 = j_plus * c2
+    high_b = c2 >= j_plus * c1  # on or above the line c2 = j_plus * c1
+    low_b = c2 <= j_plus * c1
+    return np.where(
+        low_a & high_b, 1, np.where(low_a & low_b, 2, np.where(low_b, 3, 4))
+    )
+
+
 def scalar_classify_branch(model, k1, k2):
     """Windmill square by a loop over 8 squares x 9 translates, lowest index first."""
     l1, l2, c1, _, c2, _, _ = angle_terms(model, k1, k2)
@@ -133,7 +148,7 @@ def scalar_classify_branch(model, k1, k2):
             break
     if n_found is None:
         raise RuntimeError(f"windmill classification failed for l = ({l1}, {l2})")
-    return Branch(n=n_found, m=int(limit._sector_of(c1, c2, model.derived.j_plus)), p=1)
+    return Branch(n=n_found, m=int(sector_of(c1, c2, model.derived.j_plus)), p=1)
 
 
 def per_slot_branch_preimages(model, w1, w2, n, m):
@@ -160,8 +175,8 @@ def per_slot_branch_preimages(model, w1, w2, n, m):
     mag2 = np.sqrt(c2sq)
     prod = (a * a * c1sq + b * b * c2sq - (1.0 - safe_gap)) / (2.0 * a * b)
     rel = np.where(prod >= 0.0, 1.0, -1.0)
-    first = limit._sector_of(mag1, rel * mag2, d.j_plus) == m
-    second = limit._sector_of(-mag1, -rel * mag2, d.j_plus) == m
+    first = sector_of(mag1, rel * mag2, d.j_plus) == m
+    second = sector_of(-mag1, -rel * mag2, d.j_plus) == m
     ok &= first | second
     pick = np.where(first, 1.0, -1.0)
     c1 = pick * mag1
@@ -251,7 +266,8 @@ def scalar_roundtrip_worst(model, samples, rng):
 
 
 def scalar_check_jacobian(model, samples=1000, *, seed=0):
-    """``verify.check_jacobian`` drawing, gating and differencing one sample at a time."""
+    """``verify.check_jacobian`` drawing, gating and differencing one sample at a time,
+    with each sample's family from its scalar label's m."""
     rng = np.random.default_rng(seed)
     h = 1e-5
     fd_worst = 0.0
@@ -276,8 +292,8 @@ def scalar_check_jacobian(model, samples=1000, *, seed=0):
         det = abs(col1[0] * col2[1] - col1[1] * col2[0])
         fd_worst = max(fd_worst, abs(det - jf) / jf)
         accepted.append((k1, k2, v1, v2, jf))
+    m = np.array([scalar_classify_branch(model, a, b).m for a, b, *_ in accepted], dtype=np.int64)
     k1, k2, v1, v2, jf = np.array(accepted, dtype=np.float64).reshape(-1, 5).T
-    _, m = limit._branch_labels(model, k1, k2)
     plus, minus = limit._jacobian_factors(model, v1, v2)
     jinv = np.where(m % 2 == 0, plus, minus)
     br_worst = float(np.max(np.abs(jinv - 1.0 / jf) * jf, initial=0.0))

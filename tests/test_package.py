@@ -17,7 +17,7 @@ DELETED = ["Branch", "BranchError", "classify_branch", "inverse_map", "EigenSyst
            "read_state_binary", "forward_map", "step", "tau_of", "CoinParameters",
            "from_squared_moduli", "build_model", "derive_constants", "jacobian_inverse",
            "SHELL_FLOOR", "FORWARD_CONSISTENCY_TOL", "DEDUP_K_TOL", "bloch_entries",
-           "DEGENERACY_TOL", "eigenvalues"]
+           "DEGENERACY_TOL", "eigenvalues", "_sector_of", "_branch_labels", "_inverse_labelled"]
 
 # the public names of each module, 39 in all
 ALL_SIZES = {"model": 4, "lattice": 10, "spectral": 10, "limit": 15}

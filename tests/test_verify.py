@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from altwalk import lattice, limit, spectral, verify
 from altwalk.lattice import PositionDistribution
@@ -177,6 +179,23 @@ def test_roundtrip_matches_scalar_loop(coin, seed, request, monkeypatch):
     monkeypatch.setattr(verify, "_roundtrip_worst", scalar_roundtrip_worst)
     want = [r.to_json() for r in verify.check_roundtrip(model, samples=300, seed=seed)]
     assert got == want
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.booleans(),
+       st.lists(st.floats(-np.pi, np.pi), min_size=6, max_size=6), st.integers(0, 2**32 - 1))
+@example(0.5, 0.5, True, [0.0] * 6, 0)
+@example(1e-6, 0.3, False, [0.0] * 6, 1)
+def test_enumeration_checks_match_the_labelled_oracles(a1_sq, a2_sq, equal, phases, seed):
+    # the round trip and the branch-matched Jacobian read the enumeration's nearest
+    # preimage; the scalar oracles read the one slot each k's label names
+    model = Model(a1_sq, a1_sq if equal else a2_sq, *phases)
+    got = [r.to_json() for r in verify.check_roundtrip(model, samples=60, seed=seed)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_roundtrip_worst", scalar_roundtrip_worst)
+        want = [r.to_json() for r in verify.check_roundtrip(model, samples=60, seed=seed)]
+    assert got == want
+    assert verify.check_jacobian(model, 60, seed=seed) == scalar_check_jacobian(model, 60, seed=seed)
 
 
 def test_support_check_reports(reference_model):
