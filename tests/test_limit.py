@@ -197,13 +197,23 @@ def test_branch_validation():
         Branch(1, 1, 3)
 
 
+def test_classify_branch_example(reference_model):
+    # the scalar loop labels k = (pi/2, pi/2) (1, 1), and (1, 1) is the first band-1 slot
+    # of the density's enumeration that recovers k from its velocity
+    assert scalar_classify_branch(reference_model, math.pi / 2, math.pi / 2) == Branch(1, 1, 1)
+    k1, k2 = np.array([math.pi / 2]), np.array([math.pi / 2])
+    v1, v2 = spectral.group_velocity(reference_model, k1, k2)
+    found = [(n, m) for p, n, m, idx, r1, r2, ok, _ in limit._preimage_slots(reference_model, v1, v2)
+             if p == 1 and (ok & (limit._torus_dist(k1[idx], k2[idx], r1, r2) < 1e-12)).any()]
+    assert found[0] == (1, 1)
+
+
 def test_inverse_map_center(reference_model):
-    # slot (1, 1) inverts v = 0 to k = (pi/2, pi/2), which the scalar loop labels (1, 1)
+    # slot (1, 1) inverts v = 0 to k = (pi/2, pi/2)
     k1, k2, ok, _ = one_slot(reference_model, np.zeros(1), np.zeros(1), 1, 1)
     assert ok.tolist() == [True]
     assert k1[0] == pytest.approx(math.pi / 2, abs=1e-12)
     assert k2[0] == pytest.approx(math.pi / 2, abs=1e-12)
-    assert scalar_classify_branch(reference_model, math.pi / 2, math.pi / 2) == Branch(1, 1, 1)
 
 
 def test_inverse_map_outside_raises(reference_model):
