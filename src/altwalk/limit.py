@@ -13,12 +13,12 @@ slots (n, m, p), each of which gives at most one preimage per point:
   l_i = s_i arccos(c_i) + o_i, its closed box from o_i to o_i + s_i pi, and
   the u-quadrant it maps onto, with signs (-s1, -s2).
 * m in 1..4 picks the root and the sign.  Odd m takes the smaller root of
-  1 - tau^2 (Jacobian family "-"), even m the larger ("+").  The root fixes
-  the cosine pair up to one sign: m = 1 takes cos l1 <= 0, m = 3 cos l1 >= 0,
-  m = 2 the sign with c1 <= j_plus * c2 and m = 4 the other, so slot m's
-  preimages lie in sector m of the (cos l1, cos l2) square, cut by the two
-  lines c2 = j_plus * c1 and c1 = j_plus * c2.  The published shape label s
-  (whether |c2| <= |c1|) is implied by (n, m, v).
+  1 - tau^2 (Jacobian family "-", J > 0), even m the larger ("+", J < 0).
+  The root fixes the cosine pair up to one sign: m = 1 takes cos l1 <= 0,
+  m = 3 cos l1 >= 0, m = 2 the sign with c1 <= j_plus * c2 and m = 4 the
+  other, so slot m's preimages lie in sector m of the (cos l1, cos l2)
+  square, cut by the two lines c2 = j_plus * c1 and c1 = j_plus * c2.  The
+  published shape label s (whether |c2| <= |c1|) is implied by (n, m, v).
 * p in {1, 2} is the band; band-2 preimages of v are band-1 preimages of -v.
 
 For interior velocity points exactly 16 branches produce a preimage, eight
@@ -27,9 +27,9 @@ inverse Jacobian, and every inverse is validated by applying the forward map
 and checking the velocity is reproduced within 1e-9; branches that fail any
 algebraic gate or that final check simply do not contribute.  This
 enumeration is the authoritative density and the one inverse map, which
-``verify``'s round trip and branch-matched Jacobian read too; the published
-region bookkeeping is retained only as a soft cross-check (``_table_matches``,
-run by ``verify.check_weight_table``).
+``verify``'s round trip reads too; the published region bookkeeping is
+retained only as a soft cross-check (``_table_matches``, run by
+``verify.check_weight_table``).
 
 ``density_grid`` takes the points in blocks, masks each block and
 enumerates only its evaluable points (inside the support and outside the
@@ -224,9 +224,10 @@ def _jacobian_factors(model: Model, v1, v2):
     return (big_b + root) / (2.0 * big_a * root), (big_b - root) / (2.0 * big_a * root)
 
 
-def jacobian_forward(model: Model, k1, k2):
-    """|J|(k): absolute Jacobian determinant of the band-1 velocity map, broadcast
-    over k; raises OutsideSupportError if any k is spectrally degenerate."""
+def _signed_jacobian(model: Model, k1, k2):
+    """J(k) = det dv/dk of the band-1 velocity map, broadcast over k: negative on the
+    plus family (even m), positive on the minus family.  Raises OutsideSupportError
+    if any k is spectrally degenerate."""
     d = model.derived
     a, b = d.a, d.b
     _, _, c1, _, c2, _, tau = angle_terms(model, k1, k2)
@@ -236,7 +237,12 @@ def jacobian_forward(model: Model, k1, k2):
             f"velocity map undefined at spectrally degenerate k = ({k1}, {k2})"
         )
     quad = a * b * (c2 * c2) + (1.0 - a * a - b * b) * c1 * c2 + a * b * (c1 * c1)
-    return 4.0 * a * b * np.abs(quad) / (gap_sq * gap_sq)
+    return -4.0 * a * b * quad / (gap_sq * gap_sq)
+
+
+def jacobian_forward(model: Model, k1, k2):
+    """|J|(k), broadcast over k and refused where ``_signed_jacobian`` refuses."""
+    return np.abs(_signed_jacobian(model, k1, k2))
 
 
 def _in_quadrant(n, u1, u2):
@@ -253,8 +259,8 @@ def _square_angles(n, arc1, arc2):
     return (l1 + o1 if o1 else l1), (l2 + o2 if o2 else l2)
 
 
-def _square_roots(model: Model, w1, w2, n: int, ms):
-    """Square n's sign-free work for its slots ms at the band-1 target arrays w:
+def _square_roots(model: Model, w1, w2, n: int):
+    """Square n's sign-free work for its four m slots at the band-1 target arrays w:
     the u-quadrant gate, A, B and the root of D_quarter once, and 1 - tau^2 and the
     cosine magnitudes once per parity of m.  Returns the square (n, w1, w2, roots)
     of ``branch_preimages``, roots[m % 2] = (ok, mag1, mag2, lead): the gates
@@ -269,7 +275,7 @@ def _square_roots(model: Model, w1, w2, n: int, ms):
     gate &= d_quarter >= -1e-15
     root = np.sqrt(np.maximum(d_quarter, 0.0))
     roots = {}
-    for parity in {m % 2 for m in ms}:
+    for parity in (0, 1):
         gap_sq = (big_b + root if parity == 0 else big_b - root) / big_a  # 1 - tau^2
         ok = gate & (gap_sq > DEGENERATE_GAP_TOL)
         safe_gap = np.where(ok, gap_sq, 0.0)
@@ -408,7 +414,7 @@ def _preimage_slots(model: Model, v1, v2):
             idx = np.nonzero(_in_quadrant(n, u1, u2))[0]
             if idx.size == 0:
                 continue
-            square = _square_roots(model, w1[idx], w2[idx], n, range(1, 5))
+            square = _square_roots(model, w1[idx], w2[idx], n)
             for m in range(1, 5):
                 yield (p, n, m, idx, *branch_preimages(model, square, m))
             del square  # freed before the next square's temporaries

@@ -75,6 +75,9 @@ _TOLERANCES = {rep: tol for check in _CHECKS.values() for rep, tol in check.tole
 # calling thread alone enumerates it: strips of a whole density block ran verify 0.06-0.16 s
 # faster on two threads, but peaked at 81.6-82.5 MB against 77.1-77.2 MB on 2 vCPUs
 _SITE_BLOCK = 1 << 15
+# draws per sample after which a sampled check stops short and fails; the coins tried drew
+# at most 1.3, but on (0.999999, 0.000001) |J| <= 4e-6, so check_jacobian accepts none
+_DRAWS_PER_SAMPLE = 100
 
 
 @dataclass
@@ -119,55 +122,59 @@ def _report(name, metric, seed, details) -> ComparisonReport:
 # individual checks
 
 
-def _draw(model: Model, samples: int, rng, accept):
+def _draw(model: Model, samples: int, rng, accept, details: dict, prefix: str = ""):
     """(k1, k2, v1, v2, value) of ``samples`` uniform wavenumbers that pass
-    ``accept``, and the count of draws excluded.
+    ``accept``; ``details[prefix + "excluded"]`` counts the draws excluded.
 
     ``accept(k1, k2, v1, v2)`` gets a round's draws with their band-1 group
     velocities and returns the ones it accepts, as a mask or indices, and one
     value for each.  Each round draws as many pairs as are missing, so the
     stream stops at the last acceptance, as it would drawing one pair at a time.
+    After ``_DRAWS_PER_SAMPLE`` draws per sample it stops short, with the count
+    it accepted in ``details[prefix + "accepted"]`` and NaN for each sample it
+    lacks, so a worst error taken over them is NaN and fails at any tolerance.
     """
     kept = [(np.empty(0),) * 5]
     excluded = 0
     done = 0
-    while done < samples:
-        remaining = samples - done
+    budget = _DRAWS_PER_SAMPLE * samples
+    while done < samples and done + excluded < budget:
+        remaining = min(samples - done, budget - done - excluded)
         k1, k2 = rng.uniform(-math.pi, math.pi, size=(remaining, 2)).T
         v1, v2 = spectral.group_velocity(model, k1, k2)
         at, value = accept(k1, k2, v1, v2)
         kept.append((k1[at], k2[at], v1[at], v2[at], value))
         excluded += remaining - value.size
         done += value.size
-    return [np.concatenate(col) for col in zip(*kept)], excluded
+    details[prefix + "excluded"] = excluded
+    if done < samples:
+        details[prefix + "accepted"] = done
+        kept.append((np.full(samples - done, np.nan),) * 5)
+    return [np.concatenate(col) for col in zip(*kept)]
 
 
 def _recovered(model: Model, k1, k2, v1, v2):
     """Torus distance from each k to the nearest band-1 preimage of its v that the
-    density's enumeration finds (inf where it finds none), and the m of the slot
-    that finds it (0 where none does)."""
+    density's enumeration finds, inf where it finds none."""
     dist = np.full(k1.shape, np.inf)
-    found_m = np.zeros(k1.shape, dtype=np.int64)
-    for p, _, m, idx, r1, r2, ok, _ in limit._preimage_slots(model, v1, v2):
+    for p, _, _, idx, r1, r2, ok, _ in limit._preimage_slots(model, v1, v2):
         if p == 2:  # the slots come lazily, band 1 first
             break
         near = limit._torus_dist(k1[idx], k2[idx], r1, r2)
-        closer = ok & (near < dist[idx])
-        dist[idx[closer]] = near[closer]
-        found_m[idx[closer]] = m
-    return dist, found_m
+        dist[idx] = np.minimum(dist[idx], np.where(ok, near, np.inf))
+    return dist
 
 
-def _roundtrip_worst(model: Model, samples: int, rng) -> tuple[float, int]:
-    """Worst round-trip error over ``samples`` successes, and the draws excluded."""
+def _roundtrip_worst(model: Model, samples: int, rng, details: dict, prefix: str) -> float:
+    """Worst round-trip error over ``samples`` successes, drawn by ``_draw``."""
     def accept(k1, k2, v1, v2):
         at = np.nonzero(limit._inside_mask(model, *limit.rotated_coords(v1, v2)))[0]
-        dist, _ = _recovered(model, k1[at], k2[at], v1[at], v2[at])
+        dist = _recovered(model, k1[at], k2[at], v1[at], v2[at])
         found = np.isfinite(dist)
         return at[found], dist[found]
 
-    (*_, errors), excluded = _draw(model, samples, rng, accept)
-    return float(errors.max(initial=0.0)), excluded
+    *_, errors = _draw(model, samples, rng, accept, details, prefix)
+    return float(errors.max(initial=0.0))
 
 
 def check_roundtrip(model: Model, samples: int = 10_000, *,
@@ -179,16 +186,14 @@ def check_roundtrip(model: Model, samples: int = 10_000, *,
     through the same loop so the phase-shift bookkeeping is exercised too.
     """
     rng = np.random.default_rng(seed)
-    worst, excluded = _roundtrip_worst(model, samples, rng)
-    details = {"samples": samples, "excluded": excluded, "base_error": worst}
+    details = {"samples": samples}
+    worst = details["base_error"] = _roundtrip_worst(model, samples, rng, details, "")
     if not any((model.alpha1, model.beta1, model.delta1,
                 model.alpha2, model.beta2, model.delta2)):
         phased = replace(model, alpha1=0.3, beta1=-0.4, delta1=0.7,
                          alpha2=-0.2, beta2=0.5, delta2=-0.1)
-        worst_p, excl_p = _roundtrip_worst(phased, samples, rng)
-        details["phased_error"] = worst_p
-        details["phased_excluded"] = excl_p
-        worst = max(worst, worst_p)
+        details["phased_error"] = _roundtrip_worst(phased, samples, rng, details, "phased_")
+        worst = float(np.maximum(worst, details["phased_error"]))  # NaN if either is
     return [_report("roundtrip", worst, seed, details)]
 
 
@@ -196,31 +201,29 @@ def check_jacobian(model: Model, samples: int = 1000, *,
                    seed: int = 0) -> list[ComparisonReport]:
     """Forward Jacobian against finite differences and the branch-matched inverse.
 
-    k -> v -> the enumeration's nearest preimage of v, whose slot's family (plus
-    for even m) picks the inverse.  Points with |J| <= 1e-4 sit near the fold
+    The sign of J(k) picks the inverse: the plus family (even m) where J < 0,
+    the minus family where J > 0.  Points with |J| <= 1e-4 sit near the fold
     curves where the derivative degenerates; they are excluded and counted, as
     are points off the open support.
     """
     def accept(k1, k2, v1, v2):
         at = np.nonzero(limit._inside_mask(model, *limit.rotated_coords(v1, v2)))[0]
-        jf = limit.jacobian_forward(model, k1[at], k2[at])
-        return at[jf > 1e-4], jf[jf > 1e-4]
+        j = limit._signed_jacobian(model, k1[at], k2[at])
+        keep = np.abs(j) > 1e-4
+        return at[keep], j[keep]
 
     h = 1e-5
-    (k1, k2, v1, v2, jf), excluded = _draw(model, samples, np.random.default_rng(seed), accept)
-    dp1 = spectral.group_velocity(model, k1 + h, k2)
-    dm1 = spectral.group_velocity(model, k1 - h, k2)
-    dp2 = spectral.group_velocity(model, k1, k2 + h)
-    dm2 = spectral.group_velocity(model, k1, k2 - h)
-    col1 = [(p - m) / (2.0 * h) for p, m in zip(dp1, dm1)]
-    col2 = [(p - m) / (2.0 * h) for p, m in zip(dp2, dm2)]
-    det = np.abs(col1[0] * col2[1] - col1[1] * col2[0])
-    fd_worst = float(np.max(np.abs(det - jf) / jf, initial=0.0))
-    _, m = _recovered(model, k1, k2, v1, v2)
+    details = {"samples": samples, "h": h}
+    k1, k2, v1, v2, j = _draw(model, samples, np.random.default_rng(seed), accept, details)
+    jf = np.abs(j)
+    gv = spectral.group_velocity
+    col1 = [(p - m) / (2.0 * h) for p, m in zip(gv(model, k1 + h, k2), gv(model, k1 - h, k2))]
+    col2 = [(p - m) / (2.0 * h) for p, m in zip(gv(model, k1, k2 + h), gv(model, k1, k2 - h))]
+    det = col1[0] * col2[1] - col1[1] * col2[0]  # signed, so a wrong sign of J shows
     plus, minus = limit._jacobian_factors(model, v1, v2)
-    jinv = np.where(m % 2 == 0, plus, minus)
+    jinv = np.where(j < 0.0, plus, minus)
+    fd_worst = float(np.max(np.abs(det - j) / jf, initial=0.0))
     br_worst = float(np.max(np.abs(jinv - 1.0 / jf) * jf, initial=0.0))
-    details = {"samples": samples, "excluded": excluded, "h": h}
     return [
         _report("jacobian_fd", fd_worst, seed, details),
         _report("jacobian_branch", br_worst, seed, details),
@@ -291,19 +294,13 @@ def _analytic_bin_masses(model: Model, spectrum, bins: int, refine: int) -> tupl
         refused[lo:lo + rows] = grid.inside & ~grid.evaluable
     cell *= (2.0 / n) ** 2
     cell /= (2.0 * math.pi) ** 2
-    n_refused = int(refused.sum())
-    if n_refused:
-        idx1, idx2 = np.nonzero(refused)
-        for i, j in zip(idx1, idx2):
-            neigh = []
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                a, b = i + di, j + dj
-                if 0 <= a < n and 0 <= b < n and evaluable[a, b]:
-                    neigh.append(cell[a, b])
-            if neigh:
-                cell[i, j] = float(np.mean(neigh))
+    for i, j in zip(*np.nonzero(refused)):
+        neigh = [cell[a, b] for a, b in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1))
+                 if 0 <= a < n and 0 <= b < n and evaluable[a, b]]
+        if neigh:
+            cell[i, j] = float(np.mean(neigh))
     masses = cell.reshape(bins, refine, bins, refine).sum(axis=(1, 3))
-    info = {"refine": refine, "refused_cells": n_refused,
+    info = {"refine": refine, "refused_cells": int(refused.sum()),
             "analytic_total": float(cell.sum())}
     return masses, info
 
@@ -318,29 +315,6 @@ def _sites(dist: lattice.PositionDistribution, t: int):
         block = dist.probs[lo:lo + rows]
         idx1, idx2 = np.nonzero(block)
         yield (dist.x1_min + lo + idx1) / t, (dist.x2_min + idx2) / t, block[idx1, idx2]
-
-
-def _empirical_bin_masses(dist: lattice.PositionDistribution, bins: int) -> np.ndarray:
-    """Histogram of the rescaled walk X_t/t; edge points go to the lower bin."""
-    h = 2.0 / bins
-    out = np.zeros((bins, bins))
-    for v1, v2, probs in _sites(dist, dist.time):
-        b1 = np.clip(np.ceil((v1 + 1.0) / h).astype(int) - 1, 0, bins - 1)
-        b2 = np.clip(np.ceil((v2 + 1.0) / h).astype(int) - 1, 0, bins - 1)
-        np.add.at(out, (b1, b2), probs)
-    return out
-
-
-def _escape_mass(model: Model, dist: lattice.PositionDistribution, t: int) -> float:
-    """Mass of the rescaled walk X_t/t strictly beyond a 0.05 radial margin."""
-    escaped = []
-    for v1, v2, probs in _sites(dist, t):
-        u1, u2 = limit.rotated_coords(v1, v2)
-        rho = np.hypot(u1, u2)
-        theta = np.arctan2(u2, u1)
-        escaped.append(probs[rho > limit.support_radius(model, theta) + 0.05])
-    # one sum over the escaped sites in row-major order, as over the whole window
-    return float(np.concatenate(escaped).sum())
 
 
 def check_weight_table(model: Model, samples: int = 200, *,
@@ -373,9 +347,11 @@ def check_weight_table(model: Model, samples: int = 200, *,
 #
 # ``_CHECKS`` builds one runner per selected check.  A runner's ``times`` are
 # the step counts it reads off the walk, empty for a check that reads none;
-# ``observe(t, state)`` keeps what it needs of the state t steps after the
-# start.  ``_observe_walk`` feeds every runner from one trajectory, so the
-# suite evolves the walk once; only lattice_vs_spectral keeps a whole state (t=20).
+# ``observe(t, x)`` keeps what it needs of the snapshot t steps after the start:
+# its position distribution if the runner's class is ``squared``, else its state.
+# ``_observe_walk`` feeds every runner from one trajectory, so the suite evolves the
+# walk once and squares a snapshot at most once; no runner writes into what it gets,
+# and only lattice_vs_spectral keeps a whole state (t=20).
 # ``prepare(seed)`` does the check's work that reads no walk, and
 # ``reports(seed)`` builds its reports once both are done.
 # ``run_suite`` observes the walk as one task on a second thread while the caller's
@@ -387,9 +363,12 @@ def _observe_walk(model: Model, state0, runners, stop=None) -> None:
     return after a snapshot once the ``threading.Event`` ``stop`` is set."""
     times = sorted({t for runner in runners for t in runner.times})
     for t, state in zip(times, lattice.trajectory(model, state0, times)):
-        for runner in runners:
-            if t in runner.times:
-                runner.observe(t, state)
+        readers = [runner for runner in runners if t in runner.times]
+        dist = (lattice.position_distribution(state)
+                if any(runner.squared for runner in readers) else None)
+        for runner in readers:
+            runner.observe(t, dist if runner.squared else state)
+        del dist  # freed before the walk steps on
         if stop is not None and stop.is_set():
             return
 
@@ -398,6 +377,7 @@ class _Runner:
     """A runner's defaults: it reads no walk and prepares nothing."""
 
     times = ()
+    squared = False
 
     def prepare(self, seed):
         pass
@@ -459,20 +439,19 @@ class _CharFunction(_Runner):
     forms the last two, reading no walk, from one evaluation of f and one grid.
     """
 
+    squared = True
+
     def __init__(self, model: Model, state0, t: int, xi_list, grid_n: int = 256,
                  quad: tuple[int, int] = (96, 96)):
         self.model, self.state0, self.grid_n, self.quad = model, state0, grid_n, quad
         self.xis = [(float(xi[0]), float(xi[1])) for xi in xi_list]
         self.times = (t,)
 
-    def observe(self, t, state):
-        dist = lattice.position_distribution(state)
+    def observe(self, t, dist):
         x1 = (dist.x1_min + np.arange(dist.probs.shape[0]))[:, None] / t
         x2 = (dist.x2_min + np.arange(dist.probs.shape[1]))[None, :] / t
-        self.emps = []
-        for xi1, xi2 in self.xis:
-            phase = np.exp(1j * (xi1 * x1 + xi2 * x2))
-            self.emps.append(complex(np.sum(dist.probs * phase)))
+        self.emps = [complex(np.sum(dist.probs * np.exp(1j * (xi1 * x1 + xi2 * x2))))
+                     for xi1, xi2 in self.xis]
 
     def prepare(self, seed):
         spectrum = spectral.fourier_initial(self.state0)
@@ -505,8 +484,11 @@ class _CharFunction(_Runner):
 class _WeakLimit(_Runner):
     """L1 distance between the rescaled walk and the analytic density, per time.
 
-    Keeps the walk's bin masses at each time and its escape mass at the last;
+    Keeps the walk's bin masses at each time (edge points go to the lower bin)
+    and, from the same pass over the sites, its escape mass at the last time;
     ``prepare`` forms the analytic bin masses."""
+
+    squared = True
 
     def __init__(self, model: Model, state0, times, bins: int, refine: int):
         self.model, self.state0 = model, state0
@@ -514,11 +496,22 @@ class _WeakLimit(_Runner):
         self.bins, self.refine = bins, refine
         self.emp = {}
 
-    def observe(self, t, state):
-        dist = lattice.position_distribution(state)
-        self.emp[t] = _empirical_bin_masses(dist, self.bins)
-        if t == self.times[-1]:
-            self.escape = _escape_mass(self.model, dist, t)
+    def observe(self, t, dist):
+        h = 2.0 / self.bins
+        hist = np.zeros((self.bins, self.bins))
+        last = t == self.times[-1]
+        escaped = []
+        for v1, v2, probs in _sites(dist, t):
+            b1 = np.clip(np.ceil((v1 + 1.0) / h).astype(int) - 1, 0, self.bins - 1)
+            b2 = np.clip(np.ceil((v2 + 1.0) / h).astype(int) - 1, 0, self.bins - 1)
+            np.add.at(hist, (b1, b2), probs)
+            if last:
+                u1, u2 = limit.rotated_coords(v1, v2)
+                radius = limit.support_radius(self.model, np.arctan2(u2, u1))
+                escaped.append(probs[np.hypot(u1, u2) > radius + 0.05])
+        self.emp[t] = hist
+        if last:  # the mass beyond a 0.05 radial margin, summed once in row-major order
+            self.escape = float(np.concatenate(escaped).sum())
 
     def prepare(self, seed):
         spectrum = spectral.fourier_initial(self.state0)

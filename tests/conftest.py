@@ -40,6 +40,29 @@ def evolve_steps(monkeypatch):
     return _count_evolve_steps(monkeypatch)
 
 
+def _record_squares(mp):
+    """Patch ``lattice.position_distribution`` through ``mp`` to record the time of each
+    snapshot it squares and return its window read-only, so a reader writing into it
+    would raise."""
+    times = []
+    square = lattice.position_distribution
+
+    def recording(state):
+        times.append(state.time)
+        dist = square(state)
+        dist.probs.flags.writeable = False
+        return dist
+
+    mp.setattr(lattice, "position_distribution", recording)
+    return times
+
+
+@pytest.fixture
+def squared_at(monkeypatch):
+    """The time of each snapshot ``lattice.position_distribution`` squares in the test."""
+    return _record_squares(monkeypatch)
+
+
 # the reports of the reference coin's suite, in the order _CHECKS lists them
 REFERENCE_REPORT_NAMES = [
     "unitarity", "lattice_vs_spectral", "roundtrip", "jacobian_fd", "jacobian_branch",
@@ -52,14 +75,16 @@ REFERENCE_REPORT_NAMES = [
 def reference_suite(reference_model):
     """``run_suite(reference_model, seed=3)`` at full size, run once per session.
 
-    Returns the reports by name and the number of steps ``lattice.evolve`` took
-    during the run.
+    Returns the reports by name, the number of steps ``lattice.evolve`` took
+    during the run and the times ``_record_squares`` records.
     """
     with pytest.MonkeyPatch.context() as mp:
         steps = _count_evolve_steps(mp)
+        squared_at = _record_squares(mp)
         reports = verify.run_suite(reference_model, seed=3)
     names = [r.name for r in reports]
     assert names == REFERENCE_REPORT_NAMES
     assert names == [rep for reps in verify.CHECK_NAMES.values() for rep in reps
                      if rep != "support_ellipse_membership"]
-    return {"reports": {r.name: r for r in reports}, "evolve_steps": sum(steps)}
+    return {"reports": {r.name: r for r in reports}, "evolve_steps": sum(steps),
+            "squared_at": squared_at}

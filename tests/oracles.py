@@ -4,7 +4,8 @@ These are the per-sample loops that ``limit`` and ``verify`` used before the
 round trip, the Jacobian check and the weight table became array code, the
 labelled round trip and Jacobian family that read the one slot a wavenumber's
 label (n, m) names before both read the nearest preimage of the density's
-enumeration, the quadrature that evaluated the density once per weight,
+enumeration (``nearest_band1_slot``; the family is now the sign of J), the
+quadrature that evaluated the density once per weight,
 the density and walk-site work done on whole arrays before it went in blocks,
 the suite run on one thread, the characteristic function that built its
 wavenumber grid once per xi, the band weights that always computed their own
@@ -27,6 +28,8 @@ a closed form from the literature that shares no code with the package,
 ``kgrid_moments`` the moments of the limit law as smooth k-space integrals, and
 ``closed_form_c`` and ``closed_form_density`` the limit density of a one-site
 start as (4 + c.v) times one even base law per coin, with no preimage in it.
+``bloch_vector`` and ``stokes_vector`` write the band weights in closed form,
+P_1 = (|psi_hat_0|^2 + s.n)/2, which is where c comes from.
 ``Branch`` and ``BranchError`` are the scalar label (n, m, p) and the refusal
 of the scalar loops, and ``sector_of`` the sector m of a cosine pair that
 ``scalar_classify_branch`` labels it with; ``limit`` labels no wavenumber.
@@ -207,7 +210,7 @@ def chunk_list_keep_new(idx, k1, k2, kept):
 
 def one_slot(model, w1, w2, n, m):
     """``limit.branch_preimages`` for the single (n, m) slot at the band-1 targets w."""
-    return limit.branch_preimages(model, limit._square_roots(model, w1, w2, n, (m,)), m)
+    return limit.branch_preimages(model, limit._square_roots(model, w1, w2, n), m)
 
 
 def scalar_inverse_map(model, v1, v2, branch):
@@ -243,8 +246,9 @@ def scalar_jacobian_inverse(model, v1, v2, sign):
     return value
 
 
-def scalar_roundtrip_worst(model, samples, rng):
-    """One draw at a time until ``samples`` round trips succeed."""
+def scalar_roundtrip_worst(model, samples, rng, details, prefix):
+    """One draw at a time until ``samples`` round trips succeed; the draws excluded
+    go in ``details[prefix + "excluded"]``."""
     worst = 0.0
     excluded = 0
     done = 0
@@ -262,7 +266,22 @@ def scalar_roundtrip_worst(model, samples, rng):
             continue
         worst = max(worst, limit._torus_dist(k1, k2, r1, r2))
         done += 1
-    return worst, excluded
+    details[prefix + "excluded"] = excluded
+    return worst
+
+
+def nearest_band1_slot(model, k1, k2, v1, v2):
+    """Torus distance from each k to the nearest band-1 preimage of its v that
+    ``limit._preimage_slots`` finds (inf where none), and that slot's m (0 where none)."""
+    dist = np.full(k1.shape, np.inf)
+    found_m = np.zeros(k1.shape, dtype=np.int64)
+    for p, _, m, idx, r1, r2, ok, _ in limit._preimage_slots(model, v1, v2):
+        if p == 1:
+            near = limit._torus_dist(k1[idx], k2[idx], r1, r2)
+            closer = ok & (near < dist[idx])
+            dist[idx[closer]] = near[closer]
+            found_m[idx[closer]] = m
+    return dist, found_m
 
 
 def scalar_check_jacobian(model, samples=1000, *, seed=0):
@@ -309,8 +328,7 @@ def scalar_weight_table_sets(model, v1, v2):
     actual = {1: set(), 2: set()}
     for p, sign in ((1, 1.0), (2, -1.0)):
         for n in range(1, 9):
-            square = limit._square_roots(model, np.array([sign * v1]), np.array([sign * v2]),
-                                         n, range(1, 5))
+            square = limit._square_roots(model, np.array([sign * v1]), np.array([sign * v2]), n)
             for m in range(1, 5):
                 _, _, ok, _ = limit.branch_preimages(model, square, m)
                 if bool(ok[0]):
@@ -373,7 +391,7 @@ def whole_grid_analytic_bin_masses(model, spectrum, bins, refine):
 
 
 def whole_window_bin_masses(dist, bins):
-    """``verify._empirical_bin_masses`` over all nonzero sites at once."""
+    """The histogram ``verify._WeakLimit.observe`` keeps, over all nonzero sites at once."""
     t = dist.time
     h = 2.0 / bins
     out = np.zeros((bins, bins))
@@ -387,7 +405,8 @@ def whole_window_bin_masses(dist, bins):
 
 
 def whole_window_escape_mass(model, dist, t):
-    """``verify._escape_mass`` over all nonzero sites at once."""
+    """The escape mass ``verify._WeakLimit.observe`` keeps at its last time, over all
+    nonzero sites at once."""
     idx1, idx2 = np.nonzero(dist.probs)
     v1 = (dist.x1_min + idx1) / t
     v2 = (dist.x2_min + idx2) / t
@@ -661,6 +680,32 @@ def closed_form_density(model, spinor, v1, v2):
     e_r = 1.0 - u1sq / d.axis_R1 - u2sq / d.axis_R2
     e_t = 1.0 - u1sq / d.axis_T1 - u2sq / d.axis_T2
     return affine * big_b / (big_a * np.sqrt(4.0 * a * a * b * b * e_r * e_t))
+
+
+def bloch_vector(model, k1, k2):
+    """The band-1 Bloch vector n(k), with the band-1 projector (1 + n.sigma)/2 in
+    the coin basis turned by theta = alpha1 - beta1 about z:
+    n_x = (-v1 + (|a1|^2 - |b1|^2) v2) / (2 |a1||b1|), n_y = (|a2||b1| cos l1 +
+    |a1||b2| cos l2) / sqrt(1 - tau^2) and n_z = -v2, with v = v_1(k).  So
+    P_1 = (|psi_hat_0|^2 + s.n)/2 with the Stokes vector s of ``stokes_vector``.
+    n_x and n_z depend on k only through v, and n_x^2 + n_z^2 <= 1 bounds the
+    velocity image by an ellipse of coin 1 alone.
+    """
+    _, _, c1, s1, c2, s2, tau = angle_terms(model, k1, k2)
+    gap = np.sqrt(1.0 - tau * tau)
+    v1, v2 = spectral.band1_velocity(model, s1, s2, gap)
+    a1, b1 = model.modulus_a1, model.modulus_b1
+    n_x = (-v1 + (a1 * a1 - b1 * b1) * v2) / (2.0 * a1 * b1)
+    n_y = (model.modulus_a2 * b1 * c1 + a1 * model.modulus_b2 * c2) / gap
+    return n_x, n_y, -v2
+
+
+def stokes_vector(model, psi):
+    """(2 Re q, -2 Im q, |psi1|^2 - |psi2|^2) with q = e^{i(alpha1 - beta1)} psi1 conj(psi2),
+    over the last axis of ``psi``: the Stokes vector in ``bloch_vector``'s frame."""
+    psi1, psi2 = psi[..., 0], psi[..., 1]
+    q = np.exp(1j * (model.alpha1 - model.beta1)) * psi1 * np.conj(psi2)
+    return 2.0 * q.real, -2.0 * q.imag, np.abs(psi1) ** 2 - np.abs(psi2) ** 2
 
 
 def _strided_coin_shift(c, src, dst, axis):

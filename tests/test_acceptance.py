@@ -147,7 +147,7 @@ def test_criterion_08_branch_count(reference_model):
     count_minus = np.zeros(1000, dtype=int)
     for sign in (1.0, -1.0):
         for n in range(1, 9):
-            square = limit._square_roots(reference_model, sign * v1, sign * v2, n, range(1, 5))
+            square = limit._square_roots(reference_model, sign * v1, sign * v2, n)
             for m in range(1, 5):
                 _, _, ok, _ = limit.branch_preimages(reference_model, square, m)
                 if m % 2 == 0:

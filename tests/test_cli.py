@@ -294,6 +294,19 @@ def test_verify_infinite_tolerance_accepted():
                     "--tolerance", "support_containment=inf"]) == cli.EXIT_OK
 
 
+def test_verify_jacobian_fails_where_no_draw_is_admissible(tmp_path, capsys):
+    # |J| <= 4e-6 on this valid coin, below the check's 1e-4 gate: the sampling stops
+    # after 100 draws per sample and both reports fail, even at an infinite tolerance
+    args = ["verify", "--only", "jacobian", "--a1_sq", "0.999999", "--a2_sq", "0.000001",
+            "--tolerance", "jacobian_fd=inf", "--out", str(tmp_path)]
+    assert run_cli(args) == cli.EXIT_VERIFY
+    assert "FAILED: jacobian_fd, jacobian_branch" in capsys.readouterr().err
+    for line in (tmp_path / "reports.jsonl").read_text().splitlines():
+        rep = json.loads(line)
+        assert math.isnan(rep["metric"]) and rep["passed"] is False
+        assert (rep["details"]["accepted"], rep["details"]["excluded"]) == (0, 100_000)
+
+
 def test_chars_small(tmp_path, capsys):
     code = run_cli(["chars", "--steps", "40", "--grid_n", "64",
                     "--xi", "0,0", "--out", str(tmp_path)])

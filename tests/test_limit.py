@@ -19,7 +19,9 @@ from oracles import (
     closed_form_c,
     closed_form_density,
     chunk_list_keep_new,
+    bloch_vector,
     kgrid_moments,
+    nearest_band1_slot,
     one_slot,
     per_slot_branch_preimages,
     per_weight_integrate_density,
@@ -29,6 +31,7 @@ from oracles import (
     scalar_octant,
     scalar_table_matches,
     scalar_weight_table_sets,
+    stokes_vector,
 )
 
 
@@ -124,6 +127,24 @@ def test_scalar_jacobian_inverse_matches_array_factors(coin, request):
     for sign, want in ((+1, plus), (-1, minus)):
         got = [scalar_jacobian_inverse(model, a, b, sign) for a, b in points]
         assert np.array_equal(np.array(got), want)
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_signed_jacobian_is_the_determinant(coin, request):
+    # J against the central-difference det dv/dk, sign included, away from the folds;
+    # jacobian_forward is its absolute value, bit for bit
+    model = request.getfixturevalue(coin)
+    k1, k2 = np.random.default_rng(32).uniform(-math.pi, math.pi, size=(2, 4000))
+    j = limit._signed_jacobian(model, k1, k2)
+    h = 1e-6
+    gv = spectral.group_velocity
+    col1 = [(p - m) / (2.0 * h) for p, m in zip(gv(model, k1 + h, k2), gv(model, k1 - h, k2))]
+    col2 = [(p - m) / (2.0 * h) for p, m in zip(gv(model, k1, k2 + h), gv(model, k1, k2 - h))]
+    det = col1[0] * col2[1] - col1[1] * col2[0]
+    away = np.abs(j) > 1e-2
+    assert away.mean() > 0.5
+    assert np.all(np.abs(det - j)[away] <= 1e-5 * np.abs(j)[away])
+    assert np.array_equal(limit.jacobian_forward(model, k1, k2), np.abs(j))
 
 
 def test_jacobian_forward_positive_inside(reference_model):
@@ -234,8 +255,9 @@ def test_roundtrip_with_phases(phased_model):
                        for a, b in zip(v1, v2)])
     k1, k2, v1, v2 = k1[inside], k2[inside], v1[inside], v2[inside]
     assert k1.size >= 200
-    dist, _ = verify._recovered(phased_model, k1, k2, v1, v2)
+    dist = verify._recovered(phased_model, k1, k2, v1, v2)
     assert dist.max() < 1e-9
+    assert np.array_equal(dist, nearest_band1_slot(phased_model, k1, k2, v1, v2)[0])
 
 
 def test_sixteen_branches_interior(reference_model):
@@ -245,7 +267,7 @@ def test_sixteen_branches_interior(reference_model):
     count_minus = np.zeros(v1.shape, dtype=int)
     for sign in (1.0, -1.0):
         for n in range(1, 9):
-            square = limit._square_roots(reference_model, sign * v1, sign * v2, n, range(1, 5))
+            square = limit._square_roots(reference_model, sign * v1, sign * v2, n)
             for m in range(1, 5):
                 _, _, ok, _ = limit.branch_preimages(reference_model, square, m)
                 if m % 2 == 0:
@@ -262,7 +284,7 @@ def test_forward_consistency_of_preimages(reference_model):
     for p in (1, 2):
         sign = 1.0 if p == 1 else -1.0
         for n in range(1, 9):
-            square = limit._square_roots(reference_model, sign * v1, sign * v2, n, range(1, 5))
+            square = limit._square_roots(reference_model, sign * v1, sign * v2, n)
             for m in range(1, 5):
                 k1, k2, ok, _ = limit.branch_preimages(reference_model, square, m)
                 if not ok.any():
@@ -279,9 +301,10 @@ def test_forward_consistency_of_preimages(reference_model):
 @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99),
        st.lists(st.floats(-math.pi, math.pi), min_size=6, max_size=6), st.integers(0, 2**32 - 1))
 def test_branch_labels_follow_the_geometry(a1_sq, a2_sq, phases, seed):
-    # the slot whose preimage of v recovers k: m's parity is the Jacobian family, m = 3
-    # and m = 2 pick the sign of the cosine pair by their rules, and for even m the
-    # shape |c2| <= |c1| that the published labels carry as s is implied by v
+    # the slot whose preimage of v recovers k: m's parity is the Jacobian family, which
+    # the sign of J gives (check_jacobian reads it there), m = 3 and m = 2 pick the sign
+    # of the cosine pair by their rules, and for even m the shape |c2| <= |c1| that the
+    # published labels carry as s is implied by v
     model = Model(a1_sq, a2_sq, *phases)
     d = model.derived
     assume(not d.degenerate)
@@ -290,7 +313,7 @@ def test_branch_labels_follow_the_geometry(a1_sq, a2_sq, phases, seed):
     u1, u2 = limit.rotated_coords(v1, v2)
     inside = limit._inside_mask(model, u1, u2)
     k1, k2, v1, v2, u1, u2 = (x[inside] for x in (k1, k2, v1, v2, u1, u2))
-    dist, m = verify._recovered(model, k1, k2, v1, v2)
+    dist, m = nearest_band1_slot(model, k1, k2, v1, v2)
     found = dist < 1e-9
     assert found.sum() > 0.99 * found.size > 0
     m, k1, k2, u1, u2 = m[found], k1[found], k2[found], u1[found], u2[found]
@@ -298,6 +321,7 @@ def test_branch_labels_follow_the_geometry(a1_sq, a2_sq, phases, seed):
     even = m % 2 == 0
     quad = d.a * d.b * c2 * c2 + (1.0 - d.a * d.a - d.b * d.b) * c1 * c2 + d.a * d.b * c1 * c1
     assert np.array_equal(even, quad > 0.0)
+    assert np.array_equal(even, limit._signed_jacobian(model, k1, k2) < 0.0)
     assert np.array_equal((m == 3)[~even], (c1 > 0.0)[~even])
     assert np.array_equal((m == 2)[even], (c1 <= d.j_plus * c2)[even])
     assert np.array_equal((np.abs(c2) <= np.abs(c1))[even],
@@ -679,6 +703,76 @@ def test_closed_form_c_is_four_times_the_moment_ratio(model):
         assert np.abs(c - 4.0 * np.linalg.solve(second, mean)).max() <= 2e-15 * np.abs(c).max()
 
 
+@settings(max_examples=15, deadline=None)
+@given(unit, unit, st.booleans(), st.lists(phase, min_size=6, max_size=6),
+       st.floats(0.0, math.pi / 2), phase, st.integers(0, 2**32 - 1))
+@example(0.7, 0.33, False, [0.3, -1.1, 0.5, 2.0, -0.7, 1.3], 0.6435, 0.3, 0)
+@example(0.5, 0.5, True, [0.0] * 6, 0.6435, 1.5707963267948966, 1)
+def test_paired_slots_split_their_weight_about_the_mean(a1_sq, a2_sq, degenerate, phases,
+                                                        theta, psi_phase, seed):
+    # slots m and m + 2 of one (p, n) negate the cosine pair at fixed sin l, so they
+    # share v, |J| and the family, and n_x, n_z, which depend on v alone; only n_y
+    # changes sign.  So each weight is 1/2 + c.v/8 + g, g_m + g_{m+2} = 0, and each
+    # family's weights sum to 4 + c.v.  Over 600 random coins, 300 interior points
+    # each, |g_m + g_{m+2}| read at most 1.4e-9, on moduli within 0.003 of each other
+    if degenerate:  # equal moduli give a + b = 1
+        a2_sq = a1_sq
+    model = Model(a1_sq, a2_sq, *phases)
+    spinor = np.array([math.cos(theta), np.exp(1j * psi_phase) * math.sin(theta)])
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(spinor))
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, 2.0 * math.pi, 200)
+    rho = rng.uniform(0.02, 0.98, 200) * limit.support_radius(model, angle)
+    v1, v2 = limit.rotated_coords(rho * np.cos(angle), rho * np.sin(angle))
+    c1, c2 = closed_form_c(model, spinor)
+    g = {}
+    for p, n, m, idx, k1, k2, ok, tau in limit._preimage_slots(model, v1, v2):
+        weight = spectral.band_weights(model, spectrum, k1, k2, tau)[p - 1]
+        g[p, n, m] = ok, weight - 0.5 - (c1 * v1[idx] + c2 * v2[idx]) / 8.0
+    pairs = 0
+    for (p, n, m), (ok, g_m) in g.items():
+        if m <= 2:
+            ok_2, g_2 = g[p, n, m + 2]
+            assert np.array_equal(ok, ok_2)
+            pairs += int(ok.sum())
+            assert np.all(np.abs(g_m + g_2)[ok] <= 1e-8)
+    assert pairs == (4 if model.derived.degenerate else 8) * v1.size
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit, unit, st.booleans(), st.lists(phase, min_size=6, max_size=6))
+@example(0.9, 0.1, False, [0.0] * 6)
+@example(0.5, 0.5, True, [0.0] * 6)
+def test_support_lies_in_the_coin_1_ellipse_and_touches_it(a1_sq, a2_sq, degenerate, phases):
+    # n_x^2 + n_z^2 <= 1, with n_z = -v2 and n_x a function of v alone, bounds every
+    # velocity by an ellipse of coin 1 only.  The support boundary reaches it, and on a
+    # degenerate coin runs along it everywhere: it is one of the two support ellipses.
+    # Over 3,000 random coins the form on 512 boundary points peaked between 1 - 3.6e-15
+    # and 1 + 1.3e-13 (within 7.6e-15 of 1 throughout on the degenerate ones), and along
+    # the coin-1 ellipse one support form stayed within 1.3e-13 of 1
+    if degenerate:
+        a2_sq = a1_sq
+    model = Model(a1_sq, a2_sq, *phases)
+    v1, v2 = limit.support_boundary(model, 512).T
+    a1, b1 = model.modulus_a1, model.modulus_b1
+    form = v2 * v2 + ((-v1 + (a1 * a1 - b1 * b1) * v2) / (2.0 * a1 * b1)) ** 2
+    assert abs(form.max() - 1.0) <= 1e-12
+    if model.derived.degenerate:
+        assert np.abs(form - 1.0).max() <= 1e-12
+    # the ellipse itself: v2 = cos t and n_x = sin t
+    t = np.linspace(0.0, 2.0 * math.pi, 64)
+    on1, on2 = (a1 * a1 - b1 * b1) * np.cos(t) - 2.0 * a1 * b1 * np.sin(t), np.cos(t)
+    q_r, q_t = limit._ellipse_forms(model, *limit.rotated_coords(on1, on2))
+    assert min(np.abs(q_r - 1.0).max(), np.abs(q_t - 1.0).max()) <= 1e-12
+    # the same form is n_x^2 + n_z^2 of the Bloch vector at any k, inside or not
+    k1, k2 = np.random.default_rng(0).uniform(-math.pi, math.pi, (2, 500))
+    n_x, n_y, n_z = bloch_vector(model, k1, k2)
+    w1, w2 = spectral.group_velocity(model, k1, k2)
+    image = w2 * w2 + ((-w1 + (a1 * a1 - b1 * b1) * w2) / (2.0 * a1 * b1)) ** 2
+    assert np.allclose(n_x * n_x + n_z * n_z, image, rtol=0.0, atol=1e-12)
+    assert np.allclose(n_x * n_x + n_y * n_y + n_z * n_z, 1.0, rtol=0.0, atol=1e-9)
+
+
 # --- reference curves -------------------------------------------------------
 
 
@@ -912,7 +1006,7 @@ def test_shared_square_slots_match_the_per_slot_construction(a1_sq, a2_sq, degen
     for sign in (1.0, -1.0):
         w1, w2 = sign * v1, sign * v2
         for n in range(1, 9):
-            square = limit._square_roots(model, w1, w2, n, range(1, 5))
+            square = limit._square_roots(model, w1, w2, n)
             for m in range(1, 5):
                 want = per_slot_branch_preimages(model, w1, w2, n, m)
                 _assert_same_ok(limit.branch_preimages(model, square, m), want)

@@ -160,6 +160,34 @@ def test_roundtrip_adds_phased_sibling(reference_model):
     assert rep.details["phased_error"] <= rep.tolerance
 
 
+def test_sampled_checks_fail_when_the_draws_run_out(reference_model, monkeypatch):
+    # one draw per sample: where the first round excludes some (the round trip of the
+    # phased sibling every other draw, here), the loop stops short and its report reads
+    # NaN, which fails at any tolerance, never the worst over fewer samples than it names
+    monkeypatch.setattr(verify, "_DRAWS_PER_SAMPLE", 1)
+    recovered = verify._recovered
+    monkeypatch.setattr(verify, "_recovered", lambda model, k1, *rest: np.where(
+        (np.arange(k1.size) % 2) & (model.alpha1 != 0.0), np.inf, recovered(model, k1, *rest)))
+    rt, fd, br = (verify.check_roundtrip(reference_model, samples=300, seed=4)
+                  + verify.check_jacobian(reference_model, samples=150, seed=0))
+    assert 0.0 < rt.details["base_error"] < 1e-9 and rt.details["excluded"] == 0
+    assert "accepted" not in rt.details
+    assert rt.details["phased_accepted"] == rt.details["phased_excluded"] == 150
+    assert np.isnan(rt.details["phased_error"]) and np.isnan(rt.metric) and not rt.passed
+    for rep in (fd, br):
+        assert np.isnan(rep.metric) and not rep.passed
+        assert 0 < rep.details["accepted"] == 150 - rep.details["excluded"] < 150
+
+
+def test_jacobian_check_fails_on_a_coin_with_no_admissible_draw():
+    # |J| <= 4e-6 everywhere on this coin, below the 1e-4 gate: 100 draws per sample,
+    # none accepted, and both reports fail with no sample instead of drawing forever
+    fd, br = verify.check_jacobian(Model(0.999999, 0.000001), samples=50, seed=0)
+    for rep in (fd, br):
+        assert np.isnan(rep.metric) and not rep.passed
+        assert rep.details == {"samples": 50, "h": 1e-5, "excluded": 5000, "accepted": 0}
+
+
 def test_sampled_checks_take_zero_samples(reference_model):
     # no draw at all: metric 0 and nothing excluded, on the phased sibling too
     reports = (verify.check_roundtrip(reference_model, samples=0, seed=1)
@@ -268,12 +296,13 @@ def test_char_triples_density_matches_integrate_density(coin, request):
         assert den == complex(total / want_mass)
 
 
-def test_empirical_bins_lower_edge_rule():
+def test_empirical_bins_lower_edge_rule(reference_model):
     # mass exactly on a bin edge goes to the lower bin
     probs = np.array([[1.0]])
     dist = PositionDistribution(probs=probs, x1_min=0, x2_min=0, time=10)
-    bins = verify._empirical_bin_masses(dist, 4)  # v = 0 on the 2x2 edge
-    assert bins[1, 1] == 1.0
+    reader = verify._WeakLimit(reference_model, DELTA, (10,), 4, 4)
+    reader.observe(10, dist)  # v = 0 on the 2x2 edge
+    assert reader.emp[10][1, 1] == 1.0 and reader.escape == 0.0
 
 
 def test_analytic_bins_total(reference_model):
@@ -312,10 +341,10 @@ def test_site_blocks_are_exact(coin, request, monkeypatch):
     s0 = lattice.initial_state_delta(np.array([0.6, 0.8j]))
     dist = lattice.position_distribution(lattice.evolve(model, s0, 80))
     monkeypatch.setattr(verify, "_SITE_BLOCK", 501)  # 3 of 161 rows; 12 of 40 strip rows
-    assert np.array_equal(verify._empirical_bin_masses(dist, 10),
-                          whole_window_bin_masses(dist, 10))
-    escape = verify._escape_mass(model, dist, 80)
-    assert escape > 0.0 and escape == whole_window_escape_mass(model, dist, 80)
+    reader = verify._WeakLimit(model, s0, (80,), 10, 4)
+    reader.observe(80, dist)
+    assert np.array_equal(reader.emp[80], whole_window_bin_masses(dist, 10))
+    assert reader.escape > 0.0 and reader.escape == whole_window_escape_mass(model, dist, 80)
     spectrum = spectral.fourier_initial(s0)
     masses, info = verify._analytic_bin_masses(model, spectrum, 10, 4)
     want_masses, want_info = whole_grid_analytic_bin_masses(model, spectrum, 10, 4)
@@ -376,6 +405,32 @@ def test_run_suite_shares_one_walk(reference_model, reference_suite):
     direct.append(verify._report("lattice_vs_spectral", gap, 3, {"t": 20}))
     for r in direct:
         assert reference_suite["reports"][r.name].to_json() == r.to_json()
+
+
+def test_run_suite_squares_each_snapshot_once(reference_model, reference_suite):
+    # char_function reads t = 300 and weak_limit 100, 300 and 500; unitarity reads the
+    # state at 500 and lattice_vs_spectral at 20, which are not squared
+    assert reference_suite["squared_at"] == [100, 300, 500]
+
+
+@pytest.mark.parametrize("only", [["unitarity"], ["lattice_vs_spectral"]])
+def test_state_readers_square_nothing(only, reference_model, squared_at, small_walk_checks):
+    assert [r.name for r in verify.run_suite(reference_model, only=only)] == only
+    assert squared_at == []
+
+
+def test_char_triples_squares_once(reference_model, squared_at):
+    verify.char_triples(reference_model, DELTA, 12, SMALL_XI, grid_n=32, quad=(20, 16))
+    assert squared_at == [12]
+
+
+def test_jacobian_check_runs_no_enumeration(reference_model, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Jacobian family comes from the sign of J")
+
+    monkeypatch.setattr(limit, "_preimage_slots", refuse)
+    names = [r.name for r in verify.run_suite(reference_model, only=["jacobian"])]
+    assert names == ["jacobian_fd", "jacobian_branch"]
 
 
 def test_run_suite_roundtrip_runs_no_walk(reference_model, evolve_steps):
@@ -498,9 +553,9 @@ def test_walk_checks_read_their_snapshots(phased_model):
     assert unit.details["norm_sq"] == states[80].norm_sq()
     analytic, _ = verify._analytic_bin_masses(phased_model, spectral.fourier_initial(s0), 10, 4)
     assert weak[0].details["l1"] == {
-        str(t): float(np.abs(verify._empirical_bin_masses(d, 10) - analytic).sum())
+        str(t): float(np.abs(whole_window_bin_masses(d, 10) - analytic).sum())
         for t, d in dists.items()}
-    assert weak[2].metric == verify._escape_mass(phased_model, dists[80], 80)
+    assert weak[2].metric == whole_window_escape_mass(phased_model, dists[80], 80)
     emps = whole_window_chars(dists[60], 60, xi_list)
     assert [v["empirical"] for v in char.details["values"].values()] == emps
 
