@@ -138,7 +138,7 @@ def initial_state_delta(spinor) -> LatticeState:
     spinor = np.asarray(spinor, dtype=np.complex128)
     if spinor.shape != (2,):
         raise ValueError(f"spinor must have shape (2,), got {spinor.shape}")
-    if abs(float(np.sum(np.abs(spinor) ** 2)) - 1.0) > 1e-12:
+    if not abs(float(np.sum(np.abs(spinor) ** 2)) - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError("initial spinor must have unit norm within 1e-12")
     return initial_state_from_sites({(0, 0): spinor})
 

@@ -65,7 +65,6 @@ __all__ = [
     "support_radius",
     "support_boundary",
     "jacobian_forward",
-    "branch_preimages",
     "density",
     "density_grid",
     "integrate_density",

@@ -6,6 +6,7 @@ a squared modulus |a_q|^2 in (0, 1) and three phases (alpha_q, beta_q,
 delta_q); the off-diagonal modulus is |b_q| = sqrt(1 - |a_q|^2), so the coin is
 unitary with determinant e^{i delta_q}.  ``Model(a1_sq, a2_sq, alpha1=...)``
 is the one object that holds them, under the names of the configuration keys.
+Its stored phases are reduced by ``wrap_angle``, one array path for any input.
 
 Everything downstream (spectral formulas, limit support, Jacobians) depends on
 the parameters only through the products a = |a_1||a_2| and b = |b_1||b_2| and
@@ -38,20 +39,20 @@ class ParameterDomainError(ValueError):
 
 
 def wrap_angle(x):
-    """Reduce an angle (or array of angles) to the half-open interval [-pi, pi)."""
-    r = x - _TWO_PI * np.floor((x + math.pi) / _TWO_PI)
+    """Reduce an angle (or array of angles) to the half-open interval [-pi, pi).
+
+    A scalar comes back as a numpy scalar, and NaN or +-inf as NaN."""
+    x = np.asarray(x)
+    r = np.asarray(x - _TWO_PI * np.floor((x + math.pi) / _TWO_PI))
     # just below an odd multiple of pi, (x + pi) / 2pi rounds up and r lands below -pi;
     # past about 1e16 the product misses x by ulps of x, so what is still out of range
     # takes the exact fmod, to below 2pi in magnitude, where the formula holds
-    if isinstance(r, np.ndarray):
-        if r.size and not np.abs(r).max() < math.pi:  # some r is out of range, -pi or NaN
-            np.add(r, _TWO_PI, out=r, where=r < -math.pi)
-            out = (r < -math.pi) | (r >= math.pi)
-            if out.any():
-                r[out] = wrap_angle(np.fmod(x[out], _TWO_PI))
-        return r
-    r = r + _TWO_PI if r < -math.pi else r
-    return r if -math.pi <= r < math.pi else wrap_angle(math.fmod(x, _TWO_PI))
+    if r.size and not np.abs(r).max() < math.pi:  # some r is out of range, -pi or NaN
+        np.add(r, _TWO_PI, out=r, where=r < -math.pi)
+        out = (r < -math.pi) | (r >= math.pi)
+        if out.any():
+            r[out] = wrap_angle(np.fmod(x[out], _TWO_PI))
+    return r[()]
 
 
 @dataclass(frozen=True)

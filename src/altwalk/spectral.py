@@ -199,6 +199,12 @@ def band_weights(model, spectrum: InitialSpectrum, k1, k2, tau):
     return w1, nrm - w1
 
 
+def _wavenumber_grid(n: int):
+    """The grid -pi + 2 pi j / n, j < n, as a column and a row that broadcast to n x n."""
+    g = -math.pi + (2.0 * math.pi / n) * np.arange(n)
+    return g[:, None], g[None, :]
+
+
 def numeric_char_function(model, spectrum: InitialSpectrum, xi, grid_n: int):
     """Limit characteristic function E[e^{i xi . V}] by uniform grid quadrature.
 
@@ -216,8 +222,7 @@ def numeric_char_function(model, spectrum: InitialSpectrum, xi, grid_n: int):
     xis = np.asarray(xi, dtype=np.float64)
     if xis.ndim != 2 or xis.shape[1] != 2:
         raise ValueError(f"xi must be a sequence of pairs, got shape {xis.shape}")
-    g1 = -math.pi + (2.0 * math.pi / grid_n) * np.arange(grid_n)[:, None]
-    g2 = -math.pi + (2.0 * math.pi / grid_n) * np.arange(grid_n)[None, :]
+    g1, g2 = _wavenumber_grid(grid_n)
     _, _, _, s1, _, s2, tau = angle_terms(model, g1, g2)
     gap_sq = 1.0 - tau * tau
     ok = gap_sq > DEGENERATE_GAP_TOL

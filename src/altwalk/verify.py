@@ -126,10 +126,10 @@ def _draw(model: Model, samples: int, rng, accept, details: dict, prefix: str = 
     """(k1, k2, v1, v2, value) of ``samples`` uniform wavenumbers that pass
     ``accept``; ``details[prefix + "excluded"]`` counts the draws excluded.
 
-    ``accept(k1, k2, v1, v2)`` gets a round's draws with their band-1 group
-    velocities and returns the ones it accepts, as a mask or indices, and one
-    value for each.  Each round draws as many pairs as are missing, so the
-    stream stops at the last acceptance, as it would drawing one pair at a time.
+    ``accept(k1, k2, v1, v2)`` gets a round's draws inside the open support with
+    their band-1 group velocities, and returns a mask over them of the ones it
+    accepts and one value for each.  Each round draws as many pairs as are missing,
+    so the stream stops at the last acceptance, as drawing one pair at a time would.
     After ``_DRAWS_PER_SAMPLE`` draws per sample it stops short, with the count
     it accepted in ``details[prefix + "accepted"]`` and NaN for each sample it
     lacks, so a worst error taken over them is NaN and fails at any tolerance.
@@ -142,6 +142,8 @@ def _draw(model: Model, samples: int, rng, accept, details: dict, prefix: str = 
         remaining = min(samples - done, budget - done - excluded)
         k1, k2 = rng.uniform(-math.pi, math.pi, size=(remaining, 2)).T
         v1, v2 = spectral.group_velocity(model, k1, k2)
+        inside = limit._inside_mask(model, *limit.rotated_coords(v1, v2))
+        k1, k2, v1, v2 = k1[inside], k2[inside], v1[inside], v2[inside]
         at, value = accept(k1, k2, v1, v2)
         kept.append((k1[at], k2[at], v1[at], v2[at], value))
         excluded += remaining - value.size
@@ -168,10 +170,9 @@ def _recovered(model: Model, k1, k2, v1, v2):
 def _roundtrip_worst(model: Model, samples: int, rng, details: dict, prefix: str) -> float:
     """Worst round-trip error over ``samples`` successes, drawn by ``_draw``."""
     def accept(k1, k2, v1, v2):
-        at = np.nonzero(limit._inside_mask(model, *limit.rotated_coords(v1, v2)))[0]
-        dist = _recovered(model, k1[at], k2[at], v1[at], v2[at])
+        dist = _recovered(model, k1, k2, v1, v2)
         found = np.isfinite(dist)
-        return at[found], dist[found]
+        return found, dist[found]
 
     *_, errors = _draw(model, samples, rng, accept, details, prefix)
     return float(errors.max(initial=0.0))
@@ -207,10 +208,9 @@ def check_jacobian(model: Model, samples: int = 1000, *,
     are points off the open support.
     """
     def accept(k1, k2, v1, v2):
-        at = np.nonzero(limit._inside_mask(model, *limit.rotated_coords(v1, v2)))[0]
-        j = limit._signed_jacobian(model, k1[at], k2[at])
+        j = limit._signed_jacobian(model, k1, k2)
         keep = np.abs(j) > 1e-4
-        return at[keep], j[keep]
+        return keep, j[keep]
 
     h = 1e-5
     details = {"samples": samples, "h": h}
@@ -234,10 +234,8 @@ def check_support(model: Model, grid_n: int = 512, *, seed: int = 0) -> list[Com
     """Forward image containment in the two-ellipse region, plus tightness."""
     if grid_n < 128:
         raise ValueError(f"need grid_n >= 128, got {grid_n}")
-    g = -math.pi + 2.0 * math.pi * np.arange(grid_n) / grid_n
-    k1, k2 = np.meshgrid(g, g, indexing="ij")
     with np.errstate(divide="ignore", invalid="ignore"):
-        v1, v2 = spectral.group_velocity(model, k1, k2)
+        v1, v2 = spectral.group_velocity(model, *spectral._wavenumber_grid(grid_n))
         u1, u2 = limit.rotated_coords(v1, v2)
     d = model.derived
     q_r, q_t = limit._ellipse_forms(model, u1, u2)
@@ -254,7 +252,7 @@ def check_support(model: Model, grid_n: int = 512, *, seed: int = 0) -> list[Com
     ]
     if d.degenerate:
         vv = -1.0 + (2.0 * np.arange(200) + 1.0) / 200.0
-        w1, w2 = np.meshgrid(vv, vv, indexing="ij")
+        w1, w2 = vv[:, None], vv[None, :]
         member = limit.reference_ellipse_grover(d.a, w1, w2)
         inside = limit._inside_mask(model, *limit.rotated_coords(w1, w2))
         mism = int(np.count_nonzero(inside != member))
@@ -333,10 +331,7 @@ def check_weight_table(model: Model, samples: int = 200, *,
     # frac <= 0.95 keeps every sample strictly inside: its ellipse form is frac^2
     theta, frac = rng.uniform((0.0, 0.05), (2.0 * math.pi, 0.95), size=(samples, 2)).T
     rho = frac * limit.support_radius(model, theta)
-    u1 = rho * np.cos(theta)
-    u2 = rho * np.sin(theta)
-    v1 = (u1 + u2) / math.sqrt(2.0)
-    v2 = (u1 - u2) / math.sqrt(2.0)
+    v1, v2 = limit.rotated_coords(rho * np.cos(theta), rho * np.sin(theta))
     mismatches = int(np.count_nonzero(~limit._table_matches(model, v1, v2)))
     return [_report("weight_table", mismatches / samples, seed,
                     {"samples": samples, "mismatches": mismatches})]

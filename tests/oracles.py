@@ -30,6 +30,10 @@ a closed form from the literature that shares no code with the package,
 start as (4 + c.v) times one even base law per coin, with no preimage in it.
 ``bloch_vector`` and ``stokes_vector`` write the band weights in closed form,
 P_1 = (|psi_hat_0|^2 + s.n)/2, which is where c comes from.
+``closed_form_constants`` gives D_J, the support axes and the roots j_plus and
+j_minus from the two squared moduli with no cancellation, and
+``coin_grover_forms`` the two coins' own Grover ellipses, whose intersection
+the support is.
 ``Branch`` and ``BranchError`` are the scalar label (n, m, p) and the refusal
 of the scalar loops, and ``sector_of`` the sector m of a cosine pair that
 ``scalar_classify_branch`` labels it with; ``limit`` labels no wavenumber.
@@ -706,6 +710,32 @@ def stokes_vector(model, psi):
     psi1, psi2 = psi[..., 0], psi[..., 1]
     q = np.exp(1j * (model.alpha1 - model.beta1)) * psi1 * np.conj(psi2)
     return 2.0 * q.real, -2.0 * q.imag, np.abs(psi1) ** 2 - np.abs(psi2) ** 2
+
+
+def closed_form_constants(a1_sq, a2_sq):
+    """D_J, (axis_R1, axis_R2, axis_T1, axis_T2) and (j_plus, j_minus) of a coin pair
+    from its squared moduli, in the arithmetic of the arguments; D_J and the axes are
+    exact for ``fractions.Fraction`` arguments.
+
+    With hi and lo the larger and smaller of |a1|^2 and |a2|^2: D_J = (hi - lo)^2,
+    axis_R1 = 2 hi, axis_R2 = 2 (1 - hi), axis_T1 = 2 lo and axis_T2 = 2 (1 - lo).
+    So ellipse R is the Grover ellipse (v1 + v2)^2 / (4|a|^2) + (v1 - v2)^2 / (4|b|^2)
+    < 1 of the coin with the larger |a|^2, and ellipse T that of the other coin.
+    j_plus = -sqrt(lo (1 - hi) / (hi (1 - lo))) and j_minus = 1 / j_plus.
+    """
+    hi, lo = max(a1_sq, a2_sq), min(a1_sq, a2_sq)
+    axes = (2 * hi, 2 * (1 - hi), 2 * lo, 2 * (1 - lo))
+    j_plus = -((lo * (1 - hi)) / (hi * (1 - lo))) ** 0.5
+    return (a1_sq - a2_sq) ** 2, axes, (j_plus, 1 / j_plus)
+
+
+def coin_grover_forms(model, v1, v2):
+    """The Grover-ellipse forms (v1 + v2)^2 / (4 A) + (v1 - v2)^2 / (4 (1 - A)) at v of
+    the coin with the larger A = |a_q|^2 and of the coin with the smaller, the forms
+    whose < 1 ``limit.reference_ellipse_grover`` tests."""
+    v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
+    return tuple((v1 + v2) ** 2 / (4.0 * a) + (v1 - v2) ** 2 / (4.0 * (1.0 - a))
+                 for a in sorted((model.a1_sq, model.a2_sq), reverse=True))
 
 
 def _strided_coin_shift(c, src, dst, axis):

@@ -104,6 +104,15 @@ def test_delta_state_requires_unit_norm():
         lattice.initial_state_delta(np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("spinor", [[np.nan, 0.0], [complex(0.6, np.nan), 0.8],
+                                    [np.inf, 0.0], [0.0, -np.inf]])
+def test_delta_state_refuses_a_non_finite_spinor(spinor):
+    # a NaN norm compares False against any bound, so the check must require the
+    # norm to be within 1e-12 of 1 rather than refuse one that is not
+    with pytest.raises(ValueError, match="unit norm"):
+        lattice.initial_state_delta(np.array(spinor))
+
+
 def test_single_step_hadamard_corners(degenerate_model, origin_state):
     dist = lattice.position_distribution(
         lattice.evolve(degenerate_model, origin_state, 1))

@@ -1,14 +1,15 @@
 import math
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from altwalk.cli import RunConfig
 from altwalk.model import _DEGENERACY_TOL, Model, ParameterDomainError, wrap_angle
-from oracles import floor_wrap_angle
+from oracles import closed_form_constants, floor_wrap_angle
 
 
 def test_wrap_angle_range():
@@ -45,6 +46,16 @@ def test_wrap_angle_in_range_for_every_finite_float(x):
     floor = floor_wrap_angle(x)
     if -math.pi <= floor < math.pi:
         assert scalar == floor
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_wrap_angle_returns_nan_for_a_non_finite_angle(x):
+    # scalars take the array path: a scalar branch of its own recursed without end
+    # on NaN and raised ValueError on +-inf, where the array code returns NaN
+    with np.errstate(invalid="ignore"):  # inf - inf inside the floor formula
+        scalar, array = wrap_angle(x), wrap_angle(np.array([7.0, x]))
+    assert type(scalar) is np.float64 and math.isnan(scalar)
+    assert array[0] == wrap_angle(np.array(7.0)) and math.isnan(array[1])
 
 
 def test_wrap_angle_reduces_what_the_floor_formula_leaves_out_of_range():
@@ -105,6 +116,35 @@ def test_coin_determinant_is_global_phase():
         np.exp(1j * m.delta1), abs=1e-14)
     assert np.linalg.det(m.coin_matrix(2)) == pytest.approx(
         np.exp(1j * m.delta2), abs=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(0, 1, max_denominator=10**9), st.fractions(0, 1, max_denominator=10**9))
+@example(Fraction(9, 10), Fraction(1, 10))
+@example(Fraction(1, 2), Fraction(1, 2))
+@example(Fraction(1, 10**6), Fraction(3, 10))
+@example(Fraction(1, 2), Fraction(500001, 1000000))
+def test_derived_constants_are_the_closed_forms_exactly(a1_sq, a2_sq):
+    # _derive_constants' formulas in exact arithmetic: D_J is a square, so its root
+    # is exact, and the two support ellipses are the coins' own Grover ellipses
+    assume(0 < a1_sq < 1 and 0 < a2_sq < 1)
+    a_sq, b_sq = a1_sq * a2_sq, (1 - a1_sq) * (1 - a2_sq)
+    lin = 1 - a_sq - b_sq
+    d_j = lin * lin - 4 * a_sq * b_sq
+    closed_d_j, (r1, r2, t1, t2), (j_plus, j_minus) = closed_form_constants(a1_sq, a2_sq)
+    root = abs(a1_sq - a2_sq)
+    assert d_j == closed_d_j == root * root
+    assert (r1, r2, t1, t2) == (1 + a_sq - b_sq + root, 1 - a_sq + b_sq - root,
+                                1 + a_sq - b_sq - root, 1 - a_sq + b_sq + root)
+    assert r1 * t1 == 4 * a_sq and r2 * t2 == 4 * b_sq
+    assert r1 == 2 * max(a1_sq, a2_sq) and t1 == 2 * min(a1_sq, a2_sq)
+    # the roots of a b x^2 + lin x + a b: product 1, and j_plus = (root - lin) / (2 a b)
+    # is negative with square t1 r2 / (r1 t2), which the closed form takes the root of
+    assert (lin * lin - d_j) / (4 * a_sq * b_sq) == 1
+    assert root - lin < 0
+    assert (root - lin) ** 2 / (4 * a_sq * b_sq) == t1 * r2 / (r1 * t2) <= 1
+    assert math.isclose(j_plus ** 2, t1 * r2 / (r1 * t2), rel_tol=1e-15)
+    assert j_plus < 0 and j_minus == 1 / j_plus
 
 
 def test_reference_derived_constants(reference_model):

@@ -122,6 +122,19 @@ def test_parseval_on_grid():
     assert mean_norm == pytest.approx(state.norm_sq(), abs=1e-13)
 
 
+@pytest.mark.parametrize("n", [1, 128, 200, 333, 512])
+def test_wavenumber_grid_is_one_broadcast_pair(n):
+    col, row = spectral._wavenumber_grid(n)
+    assert col.shape == (n, 1) and row.shape == (1, n)
+    assert np.array_equal(col.ravel(), row.ravel()) and col[0, 0] == -math.pi
+    # verify.check_support's own expression before it took this grid: the same bits
+    # when n is a power of two, within two ulps of 2 pi otherwise (n < 3000 reach two)
+    own = -math.pi + 2.0 * math.pi * np.arange(n) / n
+    if n & (n - 1) == 0:
+        assert np.array_equal(row.ravel(), own)
+    assert np.abs(row.ravel() - own).max() <= 2.0 * np.spacing(2.0 * math.pi)
+
+
 def test_band_weights_sum_to_norm(reference_model):
     state = lattice.initial_state_delta(np.array([1.0, 1.0j]) / math.sqrt(2))
     spectrum = spectral.fourier_initial(state)

@@ -179,6 +179,35 @@ def test_sampled_checks_fail_when_the_draws_run_out(reference_model, monkeypatch
         assert 0 < rep.details["accepted"] == 150 - rep.details["excluded"] < 150
 
 
+def test_draw_gates_on_the_open_support_before_accept(phased_model, monkeypatch):
+    # _draw owns the support gate: accept sees only the draws the gate keeps, with
+    # their velocities, and its mask is over those draws.  Nearly every v of this coin
+    # is inside, so a gate narrowed to u1 > 0 stands in for the support
+    outside, rejected = [], []
+    inside_mask = limit._inside_mask
+
+    def half_mask(model, u1, u2):
+        mask = inside_mask(model, u1, u2) & (u1 > 0.0)
+        outside.append(mask.size - np.count_nonzero(mask))
+        return mask
+
+    def accept(k1, k2, v1, v2):
+        assert np.all(limit.rotated_coords(v1, v2)[0] > 0.0)
+        assert np.array_equal(np.stack((v1, v2)),
+                              spectral.group_velocity(phased_model, k1, k2))
+        keep = k1 > -2.0
+        rejected.append(k1.size - np.count_nonzero(keep))
+        return keep, k1[keep]
+
+    monkeypatch.setattr(limit, "_inside_mask", half_mask)
+    details = {}
+    k1, k2, v1, v2, value = verify._draw(phased_model, 200, np.random.default_rng(5),
+                                         accept, details)
+    assert k1.size == 200 and np.array_equal(value, k1) and np.all(k1 > -2.0)
+    assert sum(outside) > 0 and sum(rejected) > 0
+    assert details == {"excluded": sum(outside) + sum(rejected)}
+
+
 def test_jacobian_check_fails_on_a_coin_with_no_admissible_draw():
     # |J| <= 4e-6 everywhere on this coin, below the 1e-4 gate: 100 draws per sample,
     # none accepted, and both reports fail with no sample instead of drawing forever
