@@ -173,24 +173,19 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.steps < 0:
         raise ConfigError(f"steps must be nonnegative, got {cfg.steps}")
     out = _out_dir(cfg)
-    model = model_from(cfg)
-    state = lattice.initial_state_delta(spinor_from(cfg))
-    final = lattice.evolve(model, state, cfg.steps)
-    dist = lattice.position_distribution(final)
+    model, start = model_from(cfg), lattice.initial_state_delta(spinor_from(cfg))
+    # the walk's buffer is freed once squared, before ``moments`` builds the dense window
+    dist = lattice.position_distribution(lattice.evolve(model, start, cfg.steps))
     csv_path = out / "distribution.csv"
     lattice.write_distribution_csv(dist, csv_path)
+    mom = lattice.moments(dist) if cfg.steps >= 1 else None
     summary = {
         "time": cfg.steps,
-        "total_probability": float(dist.probs.sum()),
-        "sites": int(np.count_nonzero(dist.probs)),
+        "total_probability": dist.total(),
+        "sites": sum(int(np.count_nonzero(probs)) for _, _, probs in dist.classes),
+        "mean_velocity": None if mom is None else mom.mean.tolist(),
+        "second_moments": None if mom is None else mom.second.tolist(),
     }
-    if cfg.steps >= 1:
-        mom = lattice.moments(dist)
-        summary["mean_velocity"] = [float(v) for v in mom.mean]
-        summary["second_moments"] = [[float(v) for v in row] for row in mom.second]
-    else:
-        summary["mean_velocity"] = None
-        summary["second_moments"] = None
     json_path = out / "moments.json"
     _write_json(json_path, summary)
     print(csv_path)

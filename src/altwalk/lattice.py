@@ -10,14 +10,10 @@ all amplitude outside it is exactly zero.
 A shift along axis q moves component 1 to x - e_q and component 2 to x + e_q.
 Every step thus moves each site by +-1 on both axes, so the four parity classes
 of the window, the sites at offsets (p, q) + 2 (i, j) from its origin, never
-mix.  A state stores only its occupied classes: for each, the offsets (p, q)
-and a complex128 array of shape (2, m1, m2), component index first, whose
-``[:, i, j]`` is the spinor at (x1_min + p + 2 i, x2_min + q + 2 j).  A class
-with no nonzero amplitude is not stored, so from one site the state holds one
-class, a quarter of the window.
-``LatticeState.amps`` builds the dense (2, n1, n2) window on demand; ``norm_sq`` sums its
-squares a few rows at a time in ``np.sum``'s pairwise order, bit for bit, and
-``position_distribution`` squares each class straight into a zero-filled real window.
+mix.  States and position distributions store only their occupied classes: for
+each, the offsets (p, q) and an array whose ``[..., i, j]`` holds the site
+(x1_min + p + 2 i, x2_min + q + 2 j), so from one site they hold one class, a
+quarter of the window.  ``amps`` and ``probs`` build the dense window when read.
 
 ``evolve`` steps each class in place in one flat (2, size) buffer at a row stride
 w > m2, and returns it as a (2, m1, m2) view: cell (i, j) is flat cell i w + j, and
@@ -55,45 +51,54 @@ _BLOCK_STEPS = 16
 # cells per ufunc call of a half step: two class rows and four product rows (1.2 MB) stay
 # in a 2 MB L2 cache, and the calls are few, for each may hand the lock to another thread
 _CHUNK = 12288
-# window cells ``norm_sq`` squares and sums in one np.sum call; never below numpy's 128
+# window cells per np.sum piece (never below numpy's 128) and per block of rows built
 _SUM_PIECE = 1 << 15
 
 
 @dataclass(frozen=True)
-class LatticeState:
-    """Spinor field on a finite window of the integer plane, by parity class."""
+class _ByClass:
+    """A field of ``_dtype`` values on a window of the integer plane, by parity class."""
 
-    classes: tuple  # (p, q, amps) per occupied class; amps complex128, shape (2, m1, m2)
+    classes: tuple  # (p, q, values) per occupied class; values (k, m1, m2) or (m1, m2)
     x1_min: int
     x2_min: int
     shape: tuple  # (n1, n2): the window's extent
     time: int
 
+    def _cells(self, lo: int, hi: int) -> np.ndarray:
+        """Flat cells [lo, hi) of the dense window, whose k planes stack as k n1 rows."""
+        n1, n2 = self.shape
+        r0, r1 = lo // n2, -(-hi // n2)
+        rows = np.zeros((r1 - r0, n2), dtype=self._dtype)
+        for p, q, values in self.classes:
+            for c, plane in enumerate(values.reshape(-1, *values.shape[-2:])):
+                top = c * n1 + p - r0  # class row i is row top + 2 i of ``rows``: keep [i0, i1)
+                i0, i1 = max(0, (1 - top) // 2), min(len(plane), (r1 - r0 - top + 1) // 2)
+                if i0 < i1:
+                    rows[top + 2 * i0 : top + 2 * i1 : 2, q::2] = plane[i0:i1]
+        return rows.reshape(-1)[lo - r0 * n2 : hi - r0 * n2]
+
+    def _sum(self, f, n: int, lo: int = 0):
+        """np.sum of ``f`` of cells [lo, lo + n), split as numpy splits a run of over 128."""
+        if n <= _SUM_PIECE:
+            return np.sum(f(self._cells(lo, lo + n)))
+        half = n // 2 - n // 2 % 8
+        return self._sum(f, half, lo) + self._sum(f, n - half, lo + half)
+
+
+@dataclass(frozen=True)
+class LatticeState(_ByClass):
+    """Spinor field by parity class, each class complex128 of shape (2, m1, m2)."""
+
+    _dtype = np.complex128
+
     @classmethod
     def from_amps(cls, amps, x1_min: int, x2_min: int, time: int) -> LatticeState:
         """State of a dense (2, n1, n2) window; classes without amplitude are dropped."""
         amps = np.asarray(amps, dtype=np.complex128)
-        classes = tuple(
-            (p, q, amps[:, p::2, q::2].copy())
-            for p in (0, 1)
-            for q in (0, 1)
-            if np.any(amps[:, p::2, q::2])
-        )
+        classes = tuple((p, q, amps[:, p::2, q::2].copy()) for p in (0, 1) for q in (0, 1)
+                        if np.any(amps[:, p::2, q::2]))
         return cls(classes, x1_min, x2_min, amps.shape[1:], time)
-
-    def _cells(self, lo: int, hi: int) -> np.ndarray:
-        """Flat cells [lo, hi) of the dense window, from the (2 n1, n2) rows over them."""
-        n1, n2 = self.shape
-        r0, r1 = lo // n2, -(-hi // n2)
-        rows = np.zeros((r1 - r0, n2), dtype=np.complex128)
-        for p, q, amps in self.classes:
-            for c in (0, 1):  # class rows i whose window row c n1 + p + 2 i is in [r0, r1)
-                i0 = max(0, (r0 - c * n1 - p + 1) // 2)
-                i1 = min(amps.shape[1], (r1 - c * n1 - p + 1) // 2)
-                if i0 < i1:
-                    at = c * n1 + p + 2 * i0 - r0
-                    rows[at : at + 2 * (i1 - i0) : 2, q::2] = amps[c, i0:i1]
-        return rows.reshape(-1)[lo - r0 * n2 : hi - r0 * n2]
 
     @property
     def amps(self) -> np.ndarray:
@@ -102,27 +107,30 @@ class LatticeState:
 
     def norm_sq(self) -> float:
         """``np.sum(np.abs(self.amps) ** 2)`` bit for bit, from a few rows at a time."""
-        return float(_pairwise_sum(lambda lo, hi: np.sum(np.abs(self._cells(lo, hi)) ** 2),
-                                   2 * math.prod(self.shape)))
+        return float(self._sum(lambda a: np.abs(a) ** 2, 2 * math.prod(self.shape)))
 
 
-def _pairwise_sum(piece, n: int, lo: int = 0):
-    """Values [lo, lo + n) summed in ``np.sum``'s order; ``piece(a, b)`` is np.sum of [a, b).
-    numpy splits a run of over 128 values at n // 2 - n // 2 % 8 and adds the halves' sums."""
-    if n <= _SUM_PIECE:
-        return piece(lo, lo + n)
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(piece, half, lo) + _pairwise_sum(piece, n - half, lo + half)
+@dataclass(frozen=True)
+class PositionDistribution(_ByClass):
+    """Site probabilities |psi_1|^2 + |psi_2|^2 by parity class, each float64 (m1, m2)."""
 
+    _dtype = np.float64
 
-@dataclass
-class PositionDistribution:
-    """Site probabilities |psi_1|^2 + |psi_2|^2 over the state's window."""
+    @property
+    def probs(self) -> np.ndarray:
+        """The dense float64 window, shape (n1, n2), built anew on each read."""
+        return self._cells(0, math.prod(self.shape)).reshape(self.shape)
 
-    probs: np.ndarray  # float64, shape (n1, n2)
-    x1_min: int
-    x2_min: int
-    time: int
+    def blocks(self, cells: int):
+        """Yield (x1, the rows of ``probs`` from x1 on) in blocks of about ``cells`` cells."""
+        n1, n2 = self.shape
+        k = max(1, cells // n2)
+        for r0 in range(0, n1, k):
+            yield self.x1_min + r0, self._cells(r0 * n2, min(r0 + k, n1) * n2).reshape(-1, n2)
+
+    def total(self) -> float:
+        """``float(self.probs.sum())`` bit for bit, from a few rows at a time."""
+        return float(self._sum(lambda a: a, math.prod(self.shape)))
 
 
 @dataclass
@@ -229,14 +237,18 @@ def trajectory(model, state0: LatticeState, times):
 
 
 def position_distribution(state: LatticeState) -> PositionDistribution:
-    # |psi_1|^2 squared where it lands in a zero-filled window, then |psi_2|^2 added to it
-    probs = np.zeros(state.shape)
+    """Each class's |psi_1|^2 + |psi_2|^2 in an array of its own, a block of rows at a time."""
+    classes = []
     for p, q, amps in state.classes:
-        out = probs[p::2, q::2]
-        np.square(np.abs(amps[0], out=out), out=out)
-        sq = np.abs(amps[1])
-        np.add(out, np.square(sq, out=sq), out=out)
-    return PositionDistribution(probs, state.x1_min, state.x2_min, state.time)
+        probs = np.empty(amps.shape[1:])
+        step = max(1, _SUM_PIECE // probs.shape[1])
+        for r0 in range(0, len(probs), step):
+            out, (psi1, psi2) = probs[r0 : r0 + step], amps[:, r0 : r0 + step]
+            np.square(np.abs(psi1, out=out), out=out)
+            sq = np.abs(psi2)
+            np.add(out, np.square(sq, out=sq), out=out)
+        classes.append((p, q, probs))
+    return PositionDistribution(tuple(classes), state.x1_min, state.x2_min, state.shape, state.time)
 
 
 def moments(dist: PositionDistribution) -> Moments:
@@ -244,14 +256,15 @@ def moments(dist: PositionDistribution) -> Moments:
     if dist.time <= 0:
         raise ValueError("moments in velocity units require time >= 1")
     t = float(dist.time)
-    v1 = (dist.x1_min + np.arange(dist.probs.shape[0])) / t
-    v2 = (dist.x2_min + np.arange(dist.probs.shape[1])) / t
-    p1 = dist.probs.sum(axis=1)  # marginal over axis 2
-    p2 = dist.probs.sum(axis=0)
+    probs = dist.probs  # the dense window, built once
+    v1 = (dist.x1_min + np.arange(dist.shape[0])) / t
+    v2 = (dist.x2_min + np.arange(dist.shape[1])) / t
+    p1 = probs.sum(axis=1)  # marginal over axis 2
+    p2 = probs.sum(axis=0)
     mean = np.array([np.dot(p1, v1), np.dot(p2, v2)])
     m11 = float(np.dot(p1, v1 * v1))
     m22 = float(np.dot(p2, v2 * v2))
-    m12 = float(v1 @ dist.probs @ v2)
+    m12 = float(v1 @ probs @ v2)
     return Moments(mean=mean, second=np.array([[m11, m12], [m12, m22]]))
 
 
@@ -261,11 +274,12 @@ def write_distribution_csv(dist: PositionDistribution, path) -> None:
     Each row is its x1 label joined with the x2 labels of its nonzero sites (built
     once per file, each with a ``%.17g`` slot), filled with their probabilities by ``%``.
     """
-    labels = [f",{dist.x2_min + j},%.17g\n" for j in range(dist.probs.shape[1])]
+    labels = [f",{dist.x2_min + j},%.17g\n" for j in range(dist.shape[1])]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("x1,x2,probability\n")
-        for i, row in enumerate(dist.probs):
-            js = np.flatnonzero(row).tolist()
-            if js:
-                x1 = str(dist.x1_min + i)
-                fh.write((x1 + x1.join([labels[j] for j in js])) % tuple(row[js].tolist()))
+        for first, rows in dist.blocks(_SUM_PIECE):
+            for i, row in enumerate(rows, first):
+                js = np.flatnonzero(row).tolist()
+                if js:
+                    x1 = str(i)
+                    fh.write((x1 + x1.join([labels[j] for j in js])) % tuple(row[js].tolist()))

@@ -303,18 +303,6 @@ def _analytic_bin_masses(model: Model, spectrum, bins: int, refine: int) -> tupl
     return masses, info
 
 
-def _sites(dist: lattice.PositionDistribution, t: int):
-    """Yield (v1, v2, probs) of the nonzero sites, v = x / t, in row-major order.
-
-    The sites come in blocks of rows of about ``_SITE_BLOCK`` sites, which
-    bounds the temporaries of the per-site work on a large window."""
-    rows = max(1, _SITE_BLOCK // dist.probs.shape[1])
-    for lo in range(0, dist.probs.shape[0], rows):
-        block = dist.probs[lo:lo + rows]
-        idx1, idx2 = np.nonzero(block)
-        yield (dist.x1_min + lo + idx1) / t, (dist.x2_min + idx2) / t, block[idx1, idx2]
-
-
 def check_weight_table(model: Model, samples: int = 200, *,
                        seed: int = 0) -> list[ComparisonReport]:
     """Soft cross-check of the published band/region case tables.
@@ -443,9 +431,10 @@ class _CharFunction(_Runner):
         self.times = (t,)
 
     def observe(self, t, dist):
-        x1 = (dist.x1_min + np.arange(dist.probs.shape[0]))[:, None] / t
-        x2 = (dist.x2_min + np.arange(dist.probs.shape[1]))[None, :] / t
-        self.emps = [complex(np.sum(dist.probs * np.exp(1j * (xi1 * x1 + xi2 * x2))))
+        probs = dist.probs  # the dense window, built once for every xi
+        x1 = (dist.x1_min + np.arange(dist.shape[0]))[:, None] / t
+        x2 = (dist.x2_min + np.arange(dist.shape[1]))[None, :] / t
+        self.emps = [complex(np.sum(probs * np.exp(1j * (xi1 * x1 + xi2 * x2))))
                      for xi1, xi2 in self.xis]
 
     def prepare(self, seed):
@@ -496,7 +485,9 @@ class _WeakLimit(_Runner):
         hist = np.zeros((self.bins, self.bins))
         last = t == self.times[-1]
         escaped = []
-        for v1, v2, probs in _sites(dist, t):
+        for x1, block in dist.blocks(_SITE_BLOCK):  # the nonzero sites, in row-major order
+            idx1, idx2 = np.nonzero(block)
+            v1, v2, probs = (x1 + idx1) / t, (dist.x2_min + idx2) / t, block[idx1, idx2]
             b1 = np.clip(np.ceil((v1 + 1.0) / h).astype(int) - 1, 0, self.bins - 1)
             b2 = np.clip(np.ceil((v2 + 1.0) / h).astype(int) - 1, 0, self.bins - 1)
             np.add.at(hist, (b1, b2), probs)

@@ -42,7 +42,7 @@ def evolve_steps(monkeypatch):
 
 def _record_squares(mp):
     """Patch ``lattice.position_distribution`` through ``mp`` to record the time of each
-    snapshot it squares and return its window read-only, so a reader writing into it
+    snapshot it squares and return its classes read-only, so a reader writing into them
     would raise."""
     times = []
     square = lattice.position_distribution
@@ -50,7 +50,8 @@ def _record_squares(mp):
     def recording(state):
         times.append(state.time)
         dist = square(state)
-        dist.probs.flags.writeable = False
+        for _, _, probs in dist.classes:
+            probs.flags.writeable = False
         return dist
 
     mp.setattr(lattice, "position_distribution", recording)

@@ -40,6 +40,9 @@ of the scalar loops, and ``sector_of`` the sector m of a cosine pair that
 ``per_slot_branch_preimages`` also keeps the sector gate that picked each slot's
 sign before a fixed rule per m replaced it; the two agree wherever a preimage is
 found, and only the junk entries differ.
+``DenseDistribution`` holds a position distribution as one dense window, as it was
+held before it was stored by parity class, and ``dense_distribution`` squares a
+state into one.
 """
 
 import math
@@ -442,11 +445,43 @@ def whole_window_probs(state):
     return np.abs(state.amps[0]) ** 2 + np.abs(state.amps[1]) ** 2
 
 
-def serial_run_suite(model, spinor=None, *, seed=0, only=None, tolerances=None):
+@dataclass
+class DenseDistribution:
+    """A position distribution as the dense reference holds it: the whole (n1, n2)
+    window of probabilities.  It reads as ``lattice.PositionDistribution`` does, so the
+    CSV writer, ``moments`` and the ``verify`` readers take it in its place."""
+
+    probs: np.ndarray
+    x1_min: int
+    x2_min: int
+    time: int
+
+    @property
+    def shape(self):
+        return self.probs.shape
+
+    def blocks(self, cells):
+        """``PositionDistribution.blocks`` as slices of the window."""
+        k = max(1, cells // self.shape[1])
+        for r0 in range(0, self.shape[0], k):
+            yield self.x1_min + r0, self.probs[r0:r0 + k]
+
+    def total(self):
+        return float(self.probs.sum())
+
+
+def dense_distribution(state):
+    """``lattice.position_distribution`` of a state, squared over its whole dense window."""
+    return DenseDistribution(whole_window_probs(state), state.x1_min, state.x2_min, state.time)
+
+
+def serial_run_suite(model, spinor=None, *, seed=0, only=None, tolerances=None, state0=None):
     """``verify.run_suite`` on one thread: the walk first, then each check in order,
-    then the tolerance overrides."""
+    then the tolerance overrides.  ``state0``, when given, is the start in place of
+    the spinor at the origin, so a start of several sites can be run."""
     names = list(verify.CHECK_NAMES if only is None else dict.fromkeys(only))
-    state0 = lattice.initial_state_delta((1.0, 0.0) if spinor is None else spinor)
+    if state0 is None:
+        state0 = lattice.initial_state_delta((1.0, 0.0) if spinor is None else spinor)
     runners = [verify._CHECKS[name].build(model, state0) for name in names]
     verify._observe_walk(model, state0, runners)
     reports = []

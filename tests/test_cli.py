@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,22 @@ def test_simulate_hadamard_single_step(tmp_path):
         assert float(line.split(",")[2]) == pytest.approx(0.25, abs=1e-14)
     summary = json.loads((tmp_path / "moments.json").read_text())
     assert summary["total_probability"] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_simulate_never_holds_the_walk_and_the_dense_window(tmp_path):
+    # the walk's buffer is freed once its one class is squared, before ``moments``
+    # builds the dense float64 window, so the peak stays below the two together
+    t = 200
+    buffer = 2 * ((1 + t) * (2 + t) + 1) * np.dtype(np.complex128).itemsize  # evolve's
+    window = (2 * t + 1) ** 2 * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        code = run_cli(["simulate", "--steps", str(t), "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < buffer + window
 
 
 def test_simulate_zero_steps(tmp_path):

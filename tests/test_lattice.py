@@ -12,6 +12,7 @@ from altwalk import lattice
 from altwalk.model import Model
 from oracles import (
     amplitude,
+    dense_distribution,
     nonzero_sites,
     per_site_distribution_csv,
     strided_class_evolve,
@@ -81,10 +82,14 @@ def assert_same_state(got, want):
                 site = np.zeros(2)
             assert np.array_equal(amplitude(got, x1, x2), site)
     assert got.norm_sq() == whole_window_norm_sq(want)
-    dist = lattice.position_distribution(got)
-    want_dist = lattice.PositionDistribution(
-        whole_window_probs(want), want.x1_min, want.x2_min, want.time)
+    dist, want_dist = lattice.position_distribution(got), dense_distribution(want)
     assert np.array_equal(dist.probs.view(np.int64), want_dist.probs.view(np.int64))
+    assert dist.total() == want_dist.total()
+    for cells in (1, 3 * dist.shape[1] + 1, 10**9):  # a row, three rows, the whole window
+        blocks, want_blocks = list(dist.blocks(cells)), list(want_dist.blocks(cells))
+        assert [x1 for x1, _ in blocks] == [x1 for x1, _ in want_blocks]
+        for (_, rows), (_, want_rows) in zip(blocks, want_blocks):
+            assert np.array_equal(rows.view(np.int64), want_rows.view(np.int64))
     assert csv_bytes(dist) == csv_bytes(want_dist)
     if got.time > 0:
         mom, want_mom = lattice.moments(dist), lattice.moments(want_dist)
@@ -314,11 +319,16 @@ def test_trajectory_matches_one_shot_evolve(coin, start, request):
 
 @STARTS
 def test_squares_in_place_match_reference(phased_model, start):
-    # |a|^2 squared in place: the same norm and probabilities, bit for bit
+    # |a|^2 squared in place: the same norm and probabilities, bit for bit, each class
+    # into a float64 array of its own
     state = lattice.evolve(phased_model, start, 40)
     assert state.norm_sq() == whole_window_norm_sq(state)
-    probs = lattice.position_distribution(state).probs
-    assert np.array_equal(probs.view(np.int64), whole_window_probs(state).view(np.int64))
+    dist = lattice.position_distribution(state)
+    assert [(p, q, probs.shape) for p, q, probs in dist.classes] == [
+        (p, q, amps.shape[1:]) for p, q, amps in state.classes]
+    assert all(probs.dtype == np.float64 and probs.flags.c_contiguous
+               for _, _, probs in dist.classes)
+    assert np.array_equal(dist.probs.view(np.int64), whole_window_probs(state).view(np.int64))
 
 
 def test_trajectory_rejects_negative_time(reference_model, origin_state):
@@ -368,7 +378,7 @@ def test_parity_classes_never_interfere(a1_sq, a2_sq, phases, sites, t):
         part = lattice.position_distribution(
             lattice.evolve(model, lattice.initial_state_from_sites({x: amps}), t))
         i, j = part.x1_min - whole.x1_min, part.x2_min - whole.x2_min
-        n1, n2 = part.probs.shape
+        n1, n2 = part.shape
         parts[i:i + n1, j:j + n2] += part.probs
     assert np.array_equal(whole.probs.view(np.int64), parts.view(np.int64))
 
@@ -379,11 +389,15 @@ def test_parity_classes_never_interfere(a1_sq, a2_sq, phases, sites, t):
                  st.dictionaries(site, spinor, min_size=2, max_size=6)),
        st.integers(0, 40), st.sampled_from([128, 1000]))
 def test_norm_sq_sums_small_pieces_in_numpy_order(a1_sq, a2_sq, phases, sites, t, piece):
-    # pieces far below the window's size split it many times, on one class or several
+    # pieces far below the window's size split it many times, on one class or several;
+    # the distribution's total too, and the blocks of rows it squares
     state = lattice.evolve(Model(a1_sq, a2_sq, *phases), lattice.initial_state_from_sites(sites), t)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_SUM_PIECE", piece)
         assert state.norm_sq() == whole_window_norm_sq(state)
+        dist = lattice.position_distribution(state)
+        assert dist.total() == float(whole_window_probs(state).sum())
+        assert np.array_equal(dist.probs.view(np.int64), whole_window_probs(state).view(np.int64))
 
 
 @STARTS
@@ -392,6 +406,7 @@ def test_norm_sq_at_t200_splits_and_keeps_the_bits(phased_model, start):
     state = lattice.evolve(phased_model, start, 200)
     assert 2 * np.prod(state.shape) > 4 * lattice._SUM_PIECE
     assert state.norm_sq() == whole_window_norm_sq(state)
+    assert lattice.position_distribution(state).total() == float(whole_window_probs(state).sum())
 
 
 def test_norm_sq_never_builds_the_dense_window(reference_model):
@@ -408,20 +423,25 @@ def test_norm_sq_never_builds_the_dense_window(reference_model):
     assert peak < piece + 64 * 1024
 
 
-def test_position_distribution_squares_one_component_aside(reference_model):
-    # component 1 squares into the window; only component 2 takes a class-sized
-    # temporary, plus numpy's buffers for a strided call: three operands of bufsize cells
+def test_position_distribution_squares_one_component_aside(reference_model, monkeypatch):
+    # the class squares into a float64 array of its own, a quarter of the (401, 401)
+    # window, which is never built; component 1 squares in place and only one block of
+    # rows of component 2 (20 of 201 rows at this piece size) takes a temporary, plus
+    # numpy's buffers for a strided call: three operands of bufsize cells
     state = lattice.evolve(reference_model, lattice.initial_state_delta(np.array([0.6, 0.8j])), 200)
-    (_, _, amps), = state.classes
+    monkeypatch.setattr(lattice, "_SUM_PIECE", 1 << 12)
     tracemalloc.start()
     try:
-        probs = lattice.position_distribution(state).probs
+        dist = lattice.position_distribution(state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    component = amps[1].size * probs.itemsize
+    (_, _, probs), = dist.classes
+    assert probs.shape == (201, 201) and dist.shape == (401, 401)
+    block = lattice._SUM_PIECE // probs.shape[1] * probs.shape[1] * probs.itemsize
     buffers = 3 * np.getbufsize() * probs.itemsize
-    assert peak < probs.nbytes + component + buffers
+    assert block + buffers < probs.nbytes  # so a second class-sized array shows
+    assert peak < probs.nbytes + block + buffers
 
 
 def test_evolve_never_builds_the_dense_window(reference_model):

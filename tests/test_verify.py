@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from altwalk import lattice, limit, spectral, verify
-from altwalk.lattice import PositionDistribution
 from altwalk.model import Model, ParameterDomainError
 from oracles import (
+    DenseDistribution,
+    dense_distribution,
     scalar_check_jacobian,
     scalar_check_weight_table,
     scalar_roundtrip_worst,
@@ -327,8 +328,7 @@ def test_char_triples_density_matches_integrate_density(coin, request):
 
 def test_empirical_bins_lower_edge_rule(reference_model):
     # mass exactly on a bin edge goes to the lower bin
-    probs = np.array([[1.0]])
-    dist = PositionDistribution(probs=probs, x1_min=0, x2_min=0, time=10)
+    dist = DenseDistribution(np.array([[1.0]]), x1_min=0, x2_min=0, time=10)
     reader = verify._WeakLimit(reference_model, DELTA, (10,), 4, 4)
     reader.observe(10, dist)  # v = 0 on the 2x2 edge
     assert reader.emp[10][1, 1] == 1.0 and reader.escape == 0.0
@@ -489,6 +489,34 @@ def test_run_suite_matches_serial_oracle(coin, request, small_suite):
     got = verify.run_suite(model, spinor, seed=4)
     want = serial_run_suite(model, spinor, seed=4)
     assert [r.name for r in got] == [r.name for r in want]
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+
+
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model"])
+def test_walk_readers_keep_their_bits_on_several_classes(coin, request, small_walk_checks,
+                                                         monkeypatch):
+    # one site in each parity class: the readers of the class-stored distribution
+    # against the same suite squaring each snapshot into one dense window; blocks of
+    # about 501 sites take three or four rows of the windows, 104 to 164 columns wide
+    model = request.getfixturevalue(coin)
+    start = lattice.initial_state_from_sites({
+        (0, 0): (0.3, 0.2j), (1, 0): (0.1 - 0.4j, 0.5),
+        (0, 3): (0.4j, -0.3), (3, 1): (0.2, 0.55 + 0.1j)})
+    monkeypatch.setattr(verify, "_SITE_BLOCK", 501)
+    only = ["unitarity", "char_function", "weak_limit"]
+    square = lattice.position_distribution
+    classes = []
+
+    def counting(state):
+        dist = square(state)
+        classes.append(len(dist.classes))
+        return dist
+
+    monkeypatch.setattr(lattice, "position_distribution", counting)
+    got = serial_run_suite(model, seed=5, only=only, state0=start)
+    monkeypatch.setattr(lattice, "position_distribution", dense_distribution)
+    want = serial_run_suite(model, seed=5, only=only, state0=start)
+    assert classes == [4, 4, 4]
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
 
 
