@@ -104,8 +104,7 @@ class OutsideSupportError(ValueError):
 
 def rotated_coords(v1, v2):
     """Rotate (v1, v2) into the ellipse-aligned frame; the map is involutory."""
-    v1 = np.asarray(v1, dtype=np.float64)
-    v2 = np.asarray(v2, dtype=np.float64)
+    v1, v2 = np.asarray(v1, dtype=np.float64), np.asarray(v2, dtype=np.float64)
     return _SQRT_HALF * (v1 + v2), _SQRT_HALF * (v1 - v2)
 
 
@@ -159,17 +158,13 @@ def support_corners(model: Model) -> np.ndarray:
         return np.empty((0, 2))
     p, q, r, s = 1.0 / r1, 1.0 / r2, 1.0 / t1, 1.0 / t2
     det = p * s - q * r
-    u1sq = (s - q) / det
-    u2sq = (p - r) / det
-    u1c, u2c = math.sqrt(u1sq), math.sqrt(u2sq)
+    u1c, u2c = math.sqrt((s - q) / det), math.sqrt((p - r) / det)
     return np.stack(rotated_coords([u1c, -u1c, -u1c, u1c], [u2c, u2c, -u2c, -u2c]), axis=1)
 
 
 def support_radius(model: Model, theta):
     """Boundary radius of the support along direction theta in the u-plane."""
-    c = np.cos(theta)
-    s = np.sin(theta)
-    return 1.0 / np.sqrt(np.maximum(*_ellipse_forms(model, c, s)))
+    return 1.0 / np.sqrt(np.maximum(*_ellipse_forms(model, np.cos(theta), np.sin(theta))))
 
 
 def support_boundary(model: Model, n: int = 512) -> np.ndarray:
@@ -262,9 +257,10 @@ def _square_roots(model: Model, w1, w2, n: int):
     """Square n's sign-free work for its four m slots at the band-1 target arrays w:
     the u-quadrant gate, A, B and the root of D_quarter once, and 1 - tau^2 and the
     cosine magnitudes once per parity of m.  Returns the square (n, w1, w2, roots)
-    of ``branch_preimages``, roots[m % 2] = (ok, mag1, mag2, lead): the gates
-    passed, |cos l1|, |cos l2| signed as cos l1 cos l2, and for even parity the
-    mask mag1 <= j_plus * mag2 of the sign choice slot 2 takes (None for odd).
+    of ``branch_preimages``, roots[m % 2] = (ok, mag1, mag2, lead, sin_sq): the
+    gates passed, |cos l1|, |cos l2| signed as cos l1 cos l2, for even parity the
+    mask mag1 <= j_plus * mag2 of the sign choice slot 2 takes (None for odd), and
+    (sin^2 l1, sin^2 l2) as computed before 1 - sin^2 cancels.
     """
     d = model.derived
     a, b = d.a, d.b
@@ -278,16 +274,15 @@ def _square_roots(model: Model, w1, w2, n: int):
         gap_sq = (big_b + root if parity == 0 else big_b - root) / big_a  # 1 - tau^2
         ok = gate & (gap_sq > DEGENERATE_GAP_TOL)
         safe_gap = np.where(ok, gap_sq, 0.0)
-        c1sq = 1.0 - safe_gap * u1 * u1 / (2.0 * a * a)
-        c2sq = 1.0 - safe_gap * u2 * u2 / (2.0 * b * b)
+        sin_sq = (safe_gap * u1 * u1 / (2.0 * a * a), safe_gap * u2 * u2 / (2.0 * b * b))
+        c1sq, c2sq = 1.0 - sin_sq[0], 1.0 - sin_sq[1]
         ok &= (c1sq > -1e-12) & (c2sq > -1e-12)
-        c1sq = np.clip(c1sq, 0.0, 1.0)
-        c2sq = np.clip(c2sq, 0.0, 1.0)
+        c1sq, c2sq = np.clip(c1sq, 0.0, 1.0), np.clip(c2sq, 0.0, 1.0)
         # the product c1 * c2 is determined by tau^2; it fixes the relative sign
         prod = (a * a * c1sq + b * b * c2sq - (1.0 - safe_gap)) / (2.0 * a * b)
         mag1 = np.sqrt(c1sq)
         mag2 = np.where(prod >= 0.0, 1.0, -1.0) * np.sqrt(c2sq)
-        roots[parity] = (ok, mag1, mag2, None if parity else mag1 <= d.j_plus * mag2)
+        roots[parity] = (ok, mag1, mag2, None if parity else mag1 <= d.j_plus * mag2, sin_sq)
     return n, w1, w2, roots
 
 
@@ -298,21 +293,35 @@ def branch_preimages(model: Model, square, m: int):
     that ``lead`` marks and m = 4 the other.  Returns (k1, k2, ok, tau):
     wavenumbers in [-pi, pi)^2, the mask of points whose preimage's forward
     velocity reproduces w within 1e-9, and tau at (k1, k2) as that gate computed
-    it.  Entries with ok == False hold junk.
+    it.  Entries with ok == False hold junk.  Angles come from arccos; where the
+    gate refuses them, as near a rotated axis, where cos l_i rounds to +-1, they
+    are retaken from atan2 of the uncancelled sine; accepted arccos angles stay.
     """
-    d = model.derived
     n, w1, w2, roots = square
-    ok, mag1, mag2, lead = roots[m % 2]
+    ok, mag1, mag2, lead, sin_sq = roots[m % 2]
     pick = (1.0 if m == 3 else -1.0) if lead is None else np.where(lead == (m == 2), 1.0, -1.0)
-    l1, l2 = _square_angles(n, np.arccos(pick * mag1), np.arccos(pick * mag2))
+    cos = (pick * mag1, pick * mag2)
+    k1, k2, tau, hit = _forward_gate(model, n, w1, w2, np.arccos(cos[0]), np.arccos(cos[1]))
+    miss = np.nonzero(ok & ~hit)[0]
+    if miss.size:
+        arcs = [np.arctan2(np.sqrt(s[miss]), c[miss]) for s, c in zip(sin_sq, cos)]
+        retake = _forward_gate(model, n, w1[miss], w2[miss], *arcs)
+        k1[miss], k2[miss], tau[miss], hit[miss] = retake
+    return k1, k2, ok & hit, tau
+
+
+def _forward_gate(model: Model, n: int, w1, w2, arc1, arc2):
+    """(k1, k2, tau, hit) at square n's angles from the values arc in [0, pi], hit
+    the authoritative gate: the forward velocity reproduces the target w within 1e-9."""
+    d = model.derived
+    l1, l2 = _square_angles(n, arc1, arc2)
     k1 = wrap_angle(0.5 * (l1 - l2) - d.phi_1)
     k2 = wrap_angle(0.5 * (l1 + l2) - d.phi_2)
-    # authoritative gate: the forward map must reproduce the target velocity
     _, _, _, s1f, _, s2f, tauf = angle_terms(model, k1, k2)
     f1, f2 = band1_velocity(model, s1f, s2f,
                             np.sqrt(np.maximum(1.0 - tauf * tauf, DEGENERATE_GAP_TOL)))
     tol = _FORWARD_CONSISTENCY_TOL
-    return k1, k2, ok & (np.abs(f1 - w1) <= tol) & (np.abs(f2 - w2) <= tol), tauf
+    return k1, k2, tauf, (np.abs(f1 - w1) <= tol) & (np.abs(f2 - w2) <= tol)
 
 
 def _torus_dist(a1, a2, b1, b2):
@@ -388,13 +397,7 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
             helper = pool.submit(run_blocks)
             run_blocks()
             helper.result()  # raises the helper's exception, if any
-    return DensityGrid(
-        f=f.reshape(shape),
-        inside=inside.reshape(shape),
-        evaluable=evaluable.reshape(shape),
-        branch_plus=n_plus.reshape(shape),
-        branch_minus=n_minus.reshape(shape),
-    )
+    return DensityGrid(*(x.reshape(shape) for x in (f, inside, evaluable, n_plus, n_minus)))
 
 
 def _preimage_slots(model: Model, v1, v2):
@@ -549,11 +552,9 @@ def integrate_density(model: Model, spectrum, weights=(None,), n_theta: int = 64
     inv_two_pi_sq = 1.0 / (2.0 * math.pi) ** 2
     results = []
     for wt, arcs_sum, shell_sum in zip(weights, total, shell_mass):
-        value = arcs_sum * inv_two_pi_sq
-        shell_est = shell_sum * inv_two_pi_sq
+        value, shell_est = arcs_sum * inv_two_pi_sq, shell_sum * inv_two_pi_sq
         if wt is None:
-            value = value.real
-            shell_est = shell_est.real
+            value, shell_est = value.real, shell_est.real
         results.append(IntegralResult(value=value, shell_estimate=shell_est,
                                       total=value + shell_est))
     return results
@@ -566,8 +567,7 @@ def reference_ellipse_grover(a_param: float, v1, v2):
     """
     if not 0.0 < a_param < 1.0:
         raise ValueError(f"a_param must lie in (0, 1), got {a_param}")
-    v1 = np.asarray(v1, dtype=np.float64)
-    v2 = np.asarray(v2, dtype=np.float64)
+    v1, v2 = np.asarray(v1, dtype=np.float64), np.asarray(v2, dtype=np.float64)
     form = (v1 + v2) ** 2 / (4.0 * a_param) + (v1 - v2) ** 2 / (4.0 * (1.0 - a_param))
     return form < 1.0
 

@@ -39,7 +39,8 @@ of the scalar loops, and ``sector_of`` the sector m of a cosine pair that
 ``scalar_classify_branch`` labels it with; ``limit`` labels no wavenumber.
 ``per_slot_branch_preimages`` also keeps the sector gate that picked each slot's
 sign before a fixed rule per m replaced it; the two agree wherever a preimage is
-found, and only the junk entries differ.
+found, and only the junk entries differ.  Where the arccos angles miss the forward
+gate it takes the atan2 angles it computed for the whole slot.
 ``DenseDistribution`` holds a position distribution as one dense window, as it was
 held before it was stored by parity class, and ``dense_distribution`` squares a
 state into one.
@@ -176,8 +177,10 @@ def per_slot_branch_preimages(model, w1, w2, n, m):
     gap_sq = (big_b + root if m % 2 == 0 else big_b - root) / big_a  # 1 - tau^2
     ok &= gap_sq > spectral.DEGENERATE_GAP_TOL
     safe_gap = np.where(ok, gap_sq, 0.0)
-    c1sq = 1.0 - safe_gap * u1 * u1 / (2.0 * a * a)
-    c2sq = 1.0 - safe_gap * u2 * u2 / (2.0 * b * b)
+    s1sq = safe_gap * u1 * u1 / (2.0 * a * a)
+    s2sq = safe_gap * u2 * u2 / (2.0 * b * b)
+    c1sq = 1.0 - s1sq
+    c2sq = 1.0 - s2sq
     ok &= (c1sq > -1e-12) & (c2sq > -1e-12)
     c1sq = np.clip(c1sq, 0.0, 1.0)
     c2sq = np.clip(c2sq, 0.0, 1.0)
@@ -191,14 +194,23 @@ def per_slot_branch_preimages(model, w1, w2, n, m):
     pick = np.where(first, 1.0, -1.0)
     c1 = pick * mag1
     c2 = pick * rel * mag2
-    l1, l2 = limit._square_angles(n, np.arccos(c1), np.arccos(c2))
-    k1 = wrap_angle(0.5 * (l1 - l2) - d.phi_1)
-    k2 = wrap_angle(0.5 * (l1 + l2) - d.phi_2)
-    _, _, _, s1f, _, s2f, tauf = angle_terms(model, k1, k2)
-    f1, f2 = spectral.band1_velocity(
-        model, s1f, s2f, np.sqrt(np.maximum(1.0 - tauf * tauf, spectral.DEGENERATE_GAP_TOL)))
-    ok &= (np.abs(f1 - w1) <= 1e-9) & (np.abs(f2 - w2) <= 1e-9)
-    return k1, k2, ok, tauf
+
+    def forward(l1, l2):
+        k1 = wrap_angle(0.5 * (l1 - l2) - d.phi_1)
+        k2 = wrap_angle(0.5 * (l1 + l2) - d.phi_2)
+        _, _, _, s1f, _, s2f, tauf = angle_terms(model, k1, k2)
+        f1, f2 = spectral.band1_velocity(
+            model, s1f, s2f, np.sqrt(np.maximum(1.0 - tauf * tauf, spectral.DEGENERATE_GAP_TOL)))
+        return k1, k2, tauf, (np.abs(f1 - w1) <= 1e-9) & (np.abs(f2 - w2) <= 1e-9)
+
+    k1, k2, tauf, hit = forward(*limit._square_angles(n, np.arccos(c1), np.arccos(c2)))
+    # where arccos misses, l_i from atan2 of the sine and the cosine, at every point
+    # of the slot, then kept only where the arccos angles missed the gate
+    retake = forward(*limit._square_angles(n, np.arctan2(np.sqrt(s1sq), c1),
+                                           np.arctan2(np.sqrt(s2sq), c2)))
+    miss = ok & ~hit
+    k1, k2, tauf, hit = (np.where(miss, y, x) for x, y in zip((k1, k2, tauf, hit), retake))
+    return k1, k2, ok & hit, tauf
 
 
 def chunk_list_keep_new(idx, k1, k2, kept):
