@@ -51,8 +51,33 @@ _BLOCK_STEPS = 16
 # cells per ufunc call of a half step: two class rows and four product rows (1.2 MB) stay
 # in a 2 MB L2 cache, and the calls are few, for each may hand the lock to another thread
 _CHUNK = 12288
-# window cells per np.sum piece (never below numpy's 128) and per block of rows built
+# window cells per piece of a streamed sum and per block of rows built
 _SUM_PIECE = 1 << 15
+
+
+def _pairwise_sum(n: int, dtype, pieces) -> np.ndarray:
+    """``np.sum(run, axis=-1)`` bit for bit for a run of n items of ``dtype`` that comes as
+    ``pieces``, (series, m) arrays cut anywhere.  numpy splits a run of over 128 floats at
+    its half rounded down to a multiple of 8, and a complex run of n items as its 2n floats;
+    a subtree of that split within one piece is one ``np.sum``, added in numpy's order."""
+    floats = 2 if np.dtype(dtype).kind == "c" else 1
+    pieces, piece, at = iter(pieces), np.empty(0), 0
+
+    def run(m):  # the sum of the next m items
+        nonlocal piece, at
+        while piece.shape[-1] - at < m and (at == piece.shape[-1] or floats * m <= 128):
+            # the spent piece goes before the next is made; a leaf across the cut joins both
+            rest, piece = piece[..., at:].copy(), None
+            piece, at = next(pieces), 0
+            if rest.shape[-1]:
+                piece = np.concatenate([rest, piece], axis=-1)
+        if piece.shape[-1] - at >= m:
+            at += m
+            return np.sum(piece[..., at - m : at], axis=-1)
+        half = (floats * m // 2 - floats * m // 2 % 8) // floats
+        return run(half) + run(m - half)
+
+    return run(n)
 
 
 @dataclass(frozen=True)
@@ -78,12 +103,10 @@ class _ByClass:
                     rows[top + 2 * i0 : top + 2 * i1 : 2, q::2] = plane[i0:i1]
         return rows.reshape(-1)[lo - r0 * n2 : hi - r0 * n2]
 
-    def _sum(self, f, n: int, lo: int = 0):
-        """np.sum of ``f`` of cells [lo, lo + n), split as numpy splits a run of over 128."""
-        if n <= _SUM_PIECE:
-            return np.sum(f(self._cells(lo, lo + n)))
-        half = n // 2 - n // 2 % 8
-        return self._sum(f, half, lo) + self._sum(f, n - half, lo + half)
+    def _sum(self, f, n: int) -> float:
+        """np.sum of ``f`` of the first n cells, of ``_SUM_PIECE`` cells at a time."""
+        return float(_pairwise_sum(n, np.float64, (
+            f(self._cells(lo, min(lo + _SUM_PIECE, n))) for lo in range(0, n, _SUM_PIECE))))
 
 
 @dataclass(frozen=True)
@@ -106,8 +129,9 @@ class LatticeState(_ByClass):
         return self._cells(0, 2 * math.prod(self.shape)).reshape(2, *self.shape)
 
     def norm_sq(self) -> float:
-        """``np.sum(np.abs(self.amps) ** 2)`` bit for bit, from a few rows at a time."""
-        return float(self._sum(lambda a: np.abs(a) ** 2, 2 * math.prod(self.shape)))
+        """``np.sum(np.abs(self.amps) ** 2)`` bit for bit, from a few rows at a time, each
+        squared in place: ``** 2`` takes a second array where numpy elides no temporary."""
+        return self._sum(lambda a: np.square(sq := np.abs(a), out=sq), 2 * math.prod(self.shape))
 
 
 @dataclass(frozen=True)
@@ -130,7 +154,7 @@ class PositionDistribution(_ByClass):
 
     def total(self) -> float:
         """``float(self.probs.sum())`` bit for bit, from a few rows at a time."""
-        return float(self._sum(lambda a: a, math.prod(self.shape)))
+        return self._sum(lambda a: a, math.prod(self.shape))
 
 
 @dataclass

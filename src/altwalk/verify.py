@@ -69,11 +69,9 @@ _CHECKS = {
 CHECK_NAMES = {name: tuple(check.tolerances) for name, check in _CHECKS.items()}
 _TOLERANCES = {rep: tol for check in _CHECKS.values() for rep, tol in check.tolerances.items()}
 
-# sites or density cells per block of the per-point work on a walk's position
-# distribution and on the analytic bins; the walk-free side's share of the suite's
-# peak memory grows with it.  A bin strip stays within one limit._DENSITY_BLOCK, so the
-# calling thread alone enumerates it: strips of a whole density block ran verify 0.06-0.16 s
-# faster on two threads, but peaked at 81.6-82.5 MB against 77.1-77.2 MB on 2 vCPUs
+# sites or density cells per block of the per-point work on a walk's position distribution
+# and on the analytic bins; a bin strip stays within one limit._DENSITY_BLOCK, so the
+# calling thread alone enumerates it, and wider strips raised verify's peak memory
 _SITE_BLOCK = 1 << 15
 # draws per sample after which a sampled check stops short and fails; the coins tried drew
 # at most 1.3, but on (0.999999, 0.000001) |J| <= 4e-6, so check_jacobian accepts none
@@ -234,18 +232,25 @@ def check_support(model: Model, grid_n: int = 512, *, seed: int = 0) -> list[Com
     """Forward image containment in the two-ellipse region, plus tightness."""
     if grid_n < 128:
         raise ValueError(f"need grid_n >= 128, got {grid_n}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v1, v2 = spectral.group_velocity(model, *spectral._wavenumber_grid(grid_n))
-        u1, u2 = limit.rotated_coords(v1, v2)
+    col, row = spectral._wavenumber_grid(grid_n)
+    rows = max(1, spectral._GRID_BLOCK // grid_n)
     d = model.derived
-    q_r, q_t = limit._ellipse_forms(model, u1, u2)
-    # band crossings (degenerate models only) have no group velocity; skip them
-    finite = np.isfinite(q_r) & np.isfinite(q_t)
-    violation = float(max(0.0, np.maximum(q_r[finite], q_t[finite]).max() - 1.0))
-    min_er = float((1.0 - q_r[finite]).min())
-    min_et = float((1.0 - q_t[finite]).min())
-    details = {"grid_n": grid_n, "min_E_R": min_er, "min_E_T": min_et,
-               "singular_points": int((~finite).sum())}
+    extremes, singular = [], 0
+    for lo in range(0, grid_n, rows):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v1, v2 = spectral.group_velocity(model, col[lo:lo + rows], row)
+            u1, u2 = limit.rotated_coords(v1, v2)
+        q_r, q_t = limit._ellipse_forms(model, u1, u2)
+        # band crossings (degenerate models only) have no group velocity; skip them
+        finite = np.isfinite(q_r) & np.isfinite(q_t)
+        singular += int((~finite).sum())
+        if finite.any():
+            q_r, q_t = q_r[finite], q_t[finite]
+            extremes.append((np.maximum(q_r, q_t).max(), (1.0 - q_r).min(), (1.0 - q_t).min()))
+    tops, ers, ets = zip(*extremes)  # in any block order; no finite point at all raises here
+    violation = float(max(0.0, max(tops) - 1.0))
+    min_er, min_et = float(min(ers)), float(min(ets))
+    details = {"grid_n": grid_n, "min_E_R": min_er, "min_E_T": min_et, "singular_points": singular}
     reports = [
         _report("support_containment", violation, seed, details),
         _report("support_tightness", max(min_er, min_et), seed, details),
@@ -280,27 +285,32 @@ def _analytic_bin_masses(model: Model, spectrum, bins: int, refine: int) -> tupl
     """
     n = bins * refine
     mid = -1.0 + (2.0 * np.arange(n) + 1.0) / n
-    cell = np.empty((n, n))
-    evaluable = np.empty((n, n), dtype=bool)
-    refused = np.empty((n, n), dtype=bool)
-    # strips of about _SITE_BLOCK cells: no n x n field of the density grid is kept whole
-    rows = max(1, _SITE_BLOCK // n)
-    for lo in range(0, n, rows):
-        grid = limit.density_grid(model, spectrum, mid[lo:lo + rows, None], mid[None, :])
-        cell[lo:lo + rows] = grid.f  # 0 where not evaluable
-        evaluable[lo:lo + rows] = grid.evaluable
-        refused[lo:lo + rows] = grid.inside & ~grid.evaluable
-    cell *= (2.0 / n) ** 2
-    cell /= (2.0 * math.pi) ** 2
-    for i, j in zip(*np.nonzero(refused)):
-        neigh = [cell[a, b] for a, b in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1))
-                 if 0 <= a < n and 0 <= b < n and evaluable[a, b]]
-        if neigh:
-            cell[i, j] = float(np.mean(neigh))
-    masses = cell.reshape(bins, refine, bins, refine).sum(axis=(1, 3))
-    info = {"refine": refine, "refused_cells": int(refused.sum()),
-            "analytic_total": float(cell.sum())}
-    return masses, info
+    rows = refine * max(1, _SITE_BLOCK // n // refine)  # whole bin rows per strip
+
+    def filled():  # each strip's cell masses, once the first row below it is known
+        above, held = (np.zeros((0, n)),) * 2, None
+        for lo in range(0, n + rows, rows):  # the strip below the last one is empty
+            grid = limit.density_grid(model, spectrum, mid[lo:lo + rows, None], mid[None, :])
+            below = (grid.f * (2.0 / n) ** 2 / (2.0 * math.pi) ** 2,  # 0 where not evaluable
+                     grid.evaluable, grid.inside & ~grid.evaluable)
+            if held:
+                (cell, evaluable, refused), top = held, len(above[0])
+                pc, pe = (np.vstack([above[k], held[k], below[k][:1]]) for k in (0, 1))
+                for i, j in zip(*np.nonzero(refused)):
+                    neigh = [pc[a, b] for a, b in ((i + top + 1, j), (i + top - 1, j),
+                                                   (i + top, j + 1), (i + top, j - 1))
+                             if 0 <= a < len(pc) and 0 <= b < n and pe[a, b]]
+                    if neigh:
+                        cell[i, j] = float(np.mean(neigh))
+                masses.append(cell.reshape(-1, refine, bins, refine).sum(axis=(1, 3)))
+                info["refused_cells"] += int(refused.sum())
+                yield cell.reshape(-1)
+                above = (cell[-1:], evaluable[-1:])
+            held = below
+
+    masses, info = [], {"refine": refine, "refused_cells": 0}
+    info["analytic_total"] = float(lattice._pairwise_sum(n * n, np.float64, filled()))
+    return np.concatenate(masses), info
 
 
 def check_weight_table(model: Model, samples: int = 200, *,
@@ -431,11 +441,16 @@ class _CharFunction(_Runner):
         self.times = (t,)
 
     def observe(self, t, dist):
-        probs = dist.probs  # the dense window, built once for every xi
-        x1 = (dist.x1_min + np.arange(dist.shape[0]))[:, None] / t
-        x2 = (dist.x2_min + np.arange(dist.shape[1]))[None, :] / t
-        self.emps = [complex(np.sum(probs * np.exp(1j * (xi1 * x1 + xi2 * x2))))
-                     for xi1, xi2 in self.xis]
+        xi1, xi2 = np.reshape(self.xis, (-1, 2)).T[:, :, None, None]  # one xi per outer row
+        x2 = (dist.x2_min + np.arange(dist.shape[1])) / t
+
+        def pieces():  # p(x) e^{i xi.x/t}, a block of rows at a time
+            for first, rows in dist.blocks(spectral._GRID_BLOCK):
+                x1 = (first + np.arange(len(rows)))[:, None] / t
+                yield (rows * np.exp(1j * (xi1 * x1 + xi2 * x2))).reshape(len(xi1), rows.size)
+
+        sums = lattice._pairwise_sum(math.prod(dist.shape), np.complex128, pieces())
+        self.emps = [complex(total) for total in sums]
 
     def prepare(self, seed):
         spectrum = spectral.fourier_initial(self.state0)

@@ -7,6 +7,9 @@ label (n, m) names before both read the nearest preimage of the density's
 enumeration (``nearest_band1_slot``; the family is now the sign of J), the
 quadrature that evaluated the density once per weight,
 the density and walk-site work done on whole arrays before it went in blocks,
+the support check and characteristic function on the whole wavenumber grid
+before both went in row blocks (``whole_grid_check_support``,
+``whole_grid_char_function``),
 the suite run on one thread, the characteristic function that built its
 wavenumber grid once per xi, the band weights that always computed their own
 tau, the Bloch entries built from the complex exp, the initial spectrum that
@@ -409,6 +412,37 @@ def whole_grid_analytic_bin_masses(model, spectrum, bins, refine):
     return masses, info
 
 
+def whole_grid_check_support(model, grid_n=512, *, seed=0):
+    """``verify.check_support`` over the whole wavenumber grid at once."""
+    if grid_n < 128:
+        raise ValueError(f"need grid_n >= 128, got {grid_n}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v1, v2 = spectral.group_velocity(model, *spectral._wavenumber_grid(grid_n))
+        u1, u2 = limit.rotated_coords(v1, v2)
+    d = model.derived
+    q_r, q_t = limit._ellipse_forms(model, u1, u2)
+    finite = np.isfinite(q_r) & np.isfinite(q_t)
+    violation = float(max(0.0, np.maximum(q_r[finite], q_t[finite]).max() - 1.0))
+    min_er = float((1.0 - q_r[finite]).min())
+    min_et = float((1.0 - q_t[finite]).min())
+    details = {"grid_n": grid_n, "min_E_R": min_er, "min_E_T": min_et,
+               "singular_points": int((~finite).sum())}
+    reports = [
+        verify._report("support_containment", violation, seed, details),
+        verify._report("support_tightness", max(min_er, min_et), seed, details),
+    ]
+    if d.degenerate:
+        vv = -1.0 + (2.0 * np.arange(200) + 1.0) / 200.0
+        w1, w2 = vv[:, None], vv[None, :]
+        member = limit.reference_ellipse_grover(d.a, w1, w2)
+        inside = limit._inside_mask(model, *limit.rotated_coords(w1, w2))
+        mism = int(np.count_nonzero(inside != member))
+        reports.append(verify._report(
+            "support_ellipse_membership", mism / inside.size, seed,
+            {"grid_n": 200, "mismatches": mism}))
+    return reports
+
+
 def whole_window_bin_masses(dist, bins):
     """The histogram ``verify._WeakLimit.observe`` keeps, over all nonzero sites at once."""
     t = dist.time
@@ -580,6 +614,30 @@ def per_xi_char_function(model, spectrum, xi, grid_n):
     if n_ok == 0:
         raise spectral.DegeneracyError("all grid points are spectrally degenerate")
     return complex(np.sum(np.where(ok, vals, 0.0)) / n_ok), grid_n * grid_n - n_ok
+
+
+def whole_grid_char_function(model, spectrum, xi, grid_n):
+    """``spectral.numeric_char_function`` over the whole wavenumber grid at once."""
+    if grid_n < 1:
+        raise ValueError(f"grid size must be positive, got {grid_n}")
+    xis = np.asarray(xi, dtype=np.float64)
+    if xis.ndim != 2 or xis.shape[1] != 2:
+        raise ValueError(f"xi must be a sequence of pairs, got shape {xis.shape}")
+    g1, g2 = spectral._wavenumber_grid(grid_n)
+    _, _, _, s1, _, s2, tau = angle_terms(model, g1, g2)
+    gap_sq = 1.0 - tau * tau
+    ok = gap_sq > spectral.DEGENERATE_GAP_TOL
+    n_ok = int(np.count_nonzero(ok))
+    if n_ok == 0:
+        raise spectral.DegeneracyError("all grid points are spectrally degenerate")
+    v1, v2 = spectral.band1_velocity(model, s1, s2, np.sqrt(np.where(ok, gap_sq, 1.0)))
+    w1, w2 = spectral.band_weights(model, spectrum, g1, g2, tau)
+    values = []
+    for xi1, xi2 in xis.tolist():
+        phase = xi1 * v1 + xi2 * v2
+        vals = np.exp(1j * phase) * w1 + np.exp(-1j * phase) * w2
+        values.append(complex(np.sum(np.where(ok, vals, 0.0)) / n_ok))
+    return values, grid_n * grid_n - n_ok
 
 
 def own_tau_band_weights(model, spectrum, k1, k2):

@@ -383,6 +383,26 @@ def test_parity_classes_never_interfere(a1_sq, a2_sq, phases, sites, t):
     assert np.array_equal(whole.probs.view(np.int64), parts.view(np.int64))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300_000), st.sampled_from([np.float64, np.complex128]),
+       st.integers(1, 4), st.lists(st.floats(0.0, 1.0), max_size=12), st.integers(0, 2**32 - 1))
+@example(300_000, np.complex128, 4, [0.0, 0.5, 0.5, 1.0], 0)  # empty pieces at both ends
+@example(129, np.float64, 1, [64 / 129], 1)  # one numpy leaf on each side of the cut
+def test_pairwise_sum_keeps_np_sum_bits(n, dtype, series, cuts, seed):
+    # any cut of the run into (series, m) pieces, empty ones too, sums as one np.sum per
+    # series; values of many magnitudes and signed zeros, compared bit for bit
+    rng = np.random.default_rng(seed)
+    run = np.ldexp(rng.standard_normal((series, n)), rng.integers(-60, 60, (series, n)))
+    if dtype is np.complex128:
+        run = run + 1j * np.ldexp(rng.standard_normal((series, n)), rng.integers(-60, 60, (series, n)))
+    run[rng.random((series, n)) < 0.1] = -0.0
+    bounds = [0, *sorted(round(c * n) for c in cuts), n]
+    pieces = (run[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+    got = lattice._pairwise_sum(n, dtype, pieces)
+    want = np.array([np.sum(row) for row in run])
+    assert got.dtype == dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @settings(max_examples=50, deadline=None)
 @given(unit, unit, st.lists(phase, min_size=6, max_size=6),
        st.one_of(st.dictionaries(site, spinor, min_size=1, max_size=1),

@@ -1002,6 +1002,22 @@ def assert_same_grid(got, want):
 
 
 @pytest.mark.parametrize("coin", ["phased_model", "degenerate_model"])
+def test_density_grid_values_do_not_depend_on_the_blocks(coin, request, monkeypatch):
+    # blocks of 2^8 and 2^12 of the 200^2 points run the helper thread, 2^16 is one
+    # block on the calling thread: f, the masks and the branch counts keep every bit
+    model = request.getfixturevalue(coin)
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    mid = -1.0 + (2.0 * np.arange(200) + 1.0) / 200
+    grids = []
+    for block in (1 << 8, 1 << 12, 1 << 16):
+        monkeypatch.setattr(limit, "_DENSITY_BLOCK", block)
+        grids.append(limit.density_grid(model, spectrum, mid[:, None], mid[None, :]))
+    assert grids[0].evaluable.any()
+    for grid in grids[1:]:
+        assert_same_grid(grid, grids[0])
+
+
+@pytest.mark.parametrize("coin", ["phased_model", "degenerate_model"])
 def test_density_grid_of_broadcast_axes_matches_materialized_grid(coin, request, monkeypatch):
     # each block copies its own points of an (n, 1) and a (1, n) axis; ten blocks
     # that cross rows give the fields of the same call on two whole (n, n) arrays

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from oracles import (
     own_tau_band_weights,
     per_xi_char_function,
     stokes_vector,
+    whole_grid_char_function,
     x1_max,
     x2_max,
 )
@@ -371,6 +373,39 @@ def test_char_function_of_many_xi_matches_one_call_per_xi(coin, request):
     assert (skipped > 0) == model.derived.degenerate
 
 
+def _bits(values):
+    return np.array(values, dtype=np.complex128).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("grid_n", [128, 200, 256, 257, 1000])
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_char_function_row_blocks_keep_the_whole_grid_bits(coin, grid_n, request):
+    # one block at 128, a short last block at 200, 257 and 1000 (8 of 1000 rows); the
+    # degenerate coin skips its band crossings at 128, 200, 256 and 1000
+    model = request.getfixturevalue(coin)
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    values, skipped = spectral.numeric_char_function(model, spectrum, _XIS, grid_n)
+    want, want_skipped = whole_grid_char_function(model, spectrum, _XIS, grid_n)
+    assert _bits(values) == _bits(want) and skipped == want_skipped
+    assert (skipped > 0) == (model.derived.degenerate and grid_n != 257)
+
+
+def test_char_function_peak_memory_is_flat_in_grid_n(reference_model):
+    # the rows of one block at a time: 16x the points cost no more than 256^2 does,
+    # where the whole grid took 14.2 MB at 256^2 and the blocks 1.05 MB at both sizes
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([1.0, 0.0])))
+
+    def peak(grid_n):
+        tracemalloc.start()
+        try:
+            spectral.numeric_char_function(reference_model, spectrum, _XIS, grid_n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1024) < 1.5 * peak(256)
+
+
 def test_char_function_rejects_bad_xi_shapes(reference_model):
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([1.0, 0.0])))
     for xi in ((1.0, 0.0), (1.0,), (1.0, 0.0, 0.0), [], [[(0.0, 0.0)]], 0.5):
@@ -385,6 +420,8 @@ def test_char_function_rejects_all_degenerate_grid():
     for xi in ([(0.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)]):
         with pytest.raises(spectral.DegeneracyError):
             spectral.numeric_char_function(model, spectrum, xi, 1)
+        with pytest.raises(spectral.DegeneracyError):
+            whole_grid_char_function(model, spectrum, xi, 1)
     with pytest.raises(ValueError):
         spectral.numeric_char_function(model, spectrum, [(0.0, 0.0)], 0)
 

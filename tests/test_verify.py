@@ -1,6 +1,7 @@
 import json
 import threading
 import time
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -18,6 +19,7 @@ from oracles import (
     scalar_roundtrip_worst,
     serial_run_suite,
     whole_grid_analytic_bin_masses,
+    whole_grid_check_support,
     whole_window_chars,
     whole_window_bin_masses,
     whole_window_escape_mass,
@@ -380,8 +382,139 @@ def test_site_blocks_are_exact(coin, request, monkeypatch):
     assert np.array_equal(masses, want_masses) and info == want_info
 
 
+def _bits(values):
+    return np.array(values, dtype=np.complex128).view(np.int64).tolist()
+
+
+def _peak_bytes(f, *args):
+    """The ``tracemalloc`` peak of one call of f."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("grid_n", [128, 300, 512])
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
+def test_support_row_blocks_keep_the_whole_grid_reports(coin, grid_n, request):
+    model = request.getfixturevalue(coin)
+    got = verify.check_support(model, grid_n, seed=4)
+    want = whole_grid_check_support(model, grid_n, seed=4)
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+
+
+def test_support_skips_blocks_without_a_finite_point(reference_model, monkeypatch):
+    # no finite velocity on the grid rows with k1 < 0, whole blocks of them: those blocks
+    # are skipped as the whole grid skips their points; a grid with none at all raises
+    group_velocity = spectral.group_velocity
+
+    def half_singular(model, k1, k2):
+        v1, v2 = group_velocity(model, k1, k2)
+        return np.where(k1 < 0.0, np.nan, v1), np.where(k1 < 0.0, np.inf, v2)
+
+    monkeypatch.setattr(spectral, "group_velocity", half_singular)
+    got = verify.check_support(reference_model, 256)
+    assert got[0].details["singular_points"] == 128 * 256
+    assert [r.to_json() for r in got] == [r.to_json() for r in whole_grid_check_support(
+        reference_model, 256)]
+    monkeypatch.setattr(spectral, "group_velocity", lambda model, k1, k2: (k1 + k2 * np.nan,) * 2)
+    for check in (verify.check_support, whole_grid_check_support):
+        with pytest.raises(ValueError):
+            check(reference_model, 128)
+
+
+def _refused_on_strip_edges(model, n, rows):
+    """Whether a refused cell of the n x n midpoint grid sits on the first and one on the
+    last row of a strip of ``rows`` rows, each beside an evaluable cell of the next strip."""
+    mid = -1.0 + (2.0 * np.arange(n) + 1.0) / n
+    u1, u2 = limit.rotated_coords(mid[:, None], mid[None, :])
+    e_r, e_t = limit._slacks(model, u1, u2)
+    inside = limit._inside_mask(model, u1, u2)
+    evaluable = inside & (e_r * e_t >= limit._SHELL_FLOOR)
+    i, j = np.nonzero(inside & ~evaluable)
+    top = (i % rows == 0) & (i > 0) & evaluable[np.maximum(i - 1, 0), j]
+    bottom = (i % rows == rows - 1) & (i < n - 1) & evaluable[np.minimum(i + 1, n - 1), j]
+    return bool(top.any() and bottom.any())
+
+
+# degenerate coins (a1_sq = a2_sq) whose boundary shell refuses cells on both edges of
+# a strip: (bins, refine, _SITE_BLOCK) -> a1_sq; the block sets strips of 32, 5 and 3 rows
+_EDGE_COINS = {(50, 16, 1 << 15): 0.27774544361434034, (7, 5, 35): 0.533644032658043,
+               (13, 3, 39): 0.8485154380468127}
+
+
+@pytest.mark.parametrize("sizes", list(_EDGE_COINS))
+def test_bin_strips_keep_the_whole_grid_bits(sizes, monkeypatch):
+    # a refused cell on a strip's first or last row is filled from the row the strip
+    # before it or after it carries over, so the bins and the total keep every bit
+    bins, refine, block = sizes
+    model = Model(_EDGE_COINS[sizes], _EDGE_COINS[sizes])
+    monkeypatch.setattr(verify, "_SITE_BLOCK", block)
+    rows = refine * max(1, block // (bins * refine) // refine)
+    assert model.derived.degenerate and _refused_on_strip_edges(model, bins * refine, rows)
+    spectrum = spectral.fourier_initial(DELTA)
+    masses, info = verify._analytic_bin_masses(model, spectrum, bins, refine)
+    want_masses, want_info = whole_grid_analytic_bin_masses(model, spectrum, bins, refine)
+    assert info["refused_cells"] > 0 and info == want_info
+    assert np.array_equal(masses.view(np.int64), want_masses.view(np.int64))
+
+
+@pytest.mark.parametrize("bins, refine", [(7, 5), (13, 3)])
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model"])
+def test_bin_strips_of_one_bin_row_keep_the_whole_grid_bits(coin, bins, refine, request,
+                                                             monkeypatch):
+    model = request.getfixturevalue(coin)
+    monkeypatch.setattr(verify, "_SITE_BLOCK", 1)  # one bin row per strip
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    masses, info = verify._analytic_bin_masses(model, spectrum, bins, refine)
+    want_masses, want_info = whole_grid_analytic_bin_masses(model, spectrum, bins, refine)
+    assert info == want_info
+    assert np.array_equal(masses.view(np.int64), want_masses.view(np.int64))
+
+
+_CHAR_XIS = verify.STANDARD_XI + ((-2.5, 0.75),)
+
+
+@pytest.mark.parametrize("t", [7, 40, 300])
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model"])
+def test_char_observe_keeps_the_whole_window_bits(coin, t, request):
+    model = request.getfixturevalue(coin)
+    s0 = lattice.initial_state_delta(np.array([0.6, 0.8j]))
+    dist = lattice.position_distribution(lattice.evolve(model, s0, t))
+    reader = verify._CharFunction(model, s0, t, _CHAR_XIS)
+    reader.observe(t, dist)
+    assert _bits(reader.emps) == _bits(whole_window_chars(dist, t, reader.xis))
+    reader.observe(t, DenseDistribution(dist.probs, dist.x1_min, dist.x2_min, t))
+    assert _bits(reader.emps) == _bits(whole_window_chars(dist, t, reader.xis))
+
+
+def test_char_observe_of_a_four_class_start(phased_model):
+    # one site in each parity class: the blocks' rows merge all four classes
+    s0 = lattice.initial_state_from_sites({
+        (0, 0): (0.3, 0.2j), (1, 0): (0.1 - 0.4j, 0.5),
+        (0, 3): (0.4j, -0.3), (3, 1): (0.2, 0.55 + 0.1j)})
+    dist = lattice.position_distribution(lattice.evolve(phased_model, s0, 40))
+    assert len(dist.classes) == 4
+    reader = verify._CharFunction(phased_model, s0, 40, _CHAR_XIS)
+    reader.observe(40, dist)
+    assert _bits(reader.emps) == _bits(whole_window_chars(dist, 40, reader.xis))
+
+
+def test_walk_free_readers_hold_no_whole_grid(reference_model):
+    # the T = 300 window's temporaries took 20.2 MB for the four standard xi, and the
+    # bin masses' whole cell grid 12.1 MB; the blocks measured 0.37 MB and 5.6 MB
+    s0 = DELTA
+    dist = lattice.position_distribution(lattice.evolve(reference_model, s0, 300))
+    reader = verify._CharFunction(reference_model, s0, 300, verify.STANDARD_XI)
+    assert _peak_bytes(reader.observe, 300, dist) < 2e6
+    spectrum = spectral.fourier_initial(s0)
+    assert _peak_bytes(verify._analytic_bin_masses, reference_model, spectrum, 50, 16) < 8e6
+
+
 def test_walk_free_density_runs_on_the_calling_thread(reference_model, monkeypatch):
-    # at the suite's sizes each bin strip (32,000 cells) and each quadrature arc
+    # at the suite's sizes each bin strip (25,600 cells) and each quadrature arc
     # (9,216 nodes) is one density block, so density_grid starts no helper thread
     threads = []
     accumulate = limit._accumulate
