@@ -286,6 +286,7 @@ def _analytic_bin_masses(model: Model, spectrum, bins: int, refine: int) -> tupl
     n = bins * refine
     mid = -1.0 + (2.0 * np.arange(n) + 1.0) / n
     rows = refine * max(1, _SITE_BLOCK // n // refine)  # whole bin rows per strip
+    masses, info = [], {"refine": refine, "refused_cells": 0}
 
     def filled():  # each strip's cell masses, once the first row below it is known
         above, held = (np.zeros((0, n)),) * 2, None
@@ -308,7 +309,6 @@ def _analytic_bin_masses(model: Model, spectrum, bins: int, refine: int) -> tupl
                 above = (cell[-1:], evaluable[-1:])
             held = below
 
-    masses, info = [], {"refine": refine, "refused_cells": 0}
     info["analytic_total"] = float(lattice._pairwise_sum(n * n, np.float64, filled()))
     return np.concatenate(masses), info
 
