@@ -70,9 +70,9 @@ CHECK_NAMES = {name: tuple(check.tolerances) for name, check in _CHECKS.items()}
 _TOLERANCES = {rep: tol for check in _CHECKS.values() for rep, tol in check.tolerances.items()}
 
 # sites or density cells per block of the per-point work on a walk's position distribution
-# and on the analytic bins; a bin strip stays within one limit._DENSITY_BLOCK, so the
-# calling thread alone enumerates it, and wider strips raised verify's peak memory
-_SITE_BLOCK = 1 << 15
+# and on the analytic bins; a bin strip (one bin row, 12,800 cells, at the suite's sizes)
+# stays within one limit._DENSITY_BLOCK, so the calling thread alone enumerates it
+_SITE_BLOCK = 1 << 14
 # draws per sample after which a sampled check stops short and fails; the coins tried drew
 # at most 1.3, but on (0.999999, 0.000001) |J| <= 4e-6, so check_jacobian accepts none
 _DRAWS_PER_SAMPLE = 100

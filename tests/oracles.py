@@ -20,8 +20,10 @@ encodings of the windmill squares (quadrant signs, closed boxes and angle
 reconstruction) that ``limit._SQUARES`` replaced, the class stepper that
 stepped each parity class as a strided view of a wider buffer, the preimage
 construction that redid a windmill square's sector-free work in each of its
-four sector slots, and the dedup that scanned one chunk of kept preimages per
-earlier slot.  ``one_slot`` runs ``limit.branch_preimages`` on one slot.  The code that
+four sector slots, the dedup that scanned one chunk of kept preimages per
+earlier slot, and the density that ran each slot's preimages, dedup and band weights
+on their own (``per_slot_accumulate``) before a square's four slots were stacked.
+``one_slot`` runs ``limit.branch_preimages`` on one slot.  The code that
 replaced them must reproduce them exactly; ``floor_wrap_angle``, the angle
 reduction before the exact fmod took over what it left out of range, must be
 reproduced wherever its result is in range.  The readers of single sites and
@@ -228,6 +230,39 @@ def chunk_list_keep_new(idx, k1, k2, kept):
     if new.any():
         kept.append((idx[new], k1[new], k2[new]))
     return new
+
+
+def per_slot_accumulate(model, spectrum, v1, v2):
+    """``limit._accumulate`` one (p, n, m) slot at a time, in that order: a
+    ``branch_preimages`` call, a dedup merge at the points on a rotated axis and a
+    ``band_weights`` call for each slot, and each square's sign-free work redone
+    for each of its two squares of a u-quadrant."""
+    degenerate = model.derived.degenerate
+    jinv = limit._jacobian_factors(model, v1, v2)
+    f = np.zeros(v1.shape)
+    counts = (np.zeros(v1.shape, dtype=np.int8), np.zeros(v1.shape, dtype=np.int8))
+    u1, u2 = limit.rotated_coords(v1, v2)
+    may_repeat = (u1 == 0.0) | (u2 == 0.0)
+    kept = [[np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)] for _ in range(2)]
+    for p, sign in ((1, 1.0), (2, -1.0)):
+        w1, w2 = sign * v1, sign * v2
+        for n in range(1, 9):
+            idx = np.nonzero(limit._in_quadrant(n, *limit.rotated_coords(w1, w2)))[0]
+            if idx.size == 0:
+                continue
+            square = limit._square_roots(model, w1[idx], w2[idx], n)
+            for m in range(1, 5):
+                k1, k2, ok, tau = limit.branch_preimages(model, square, m)
+                family = 0 if degenerate else m % 2
+                at = np.nonzero(ok & may_repeat[idx])[0]
+                if at.size:
+                    ok[at] = limit._keep_new(idx[at], k1[at], k2[at], kept[p - 1])
+                points = idx[ok]
+                if points.size:
+                    f[points] += (spectral.band_weights(model, spectrum, k1[ok], k2[ok], tau[ok])[p - 1]
+                                  * jinv[family][points])
+                    counts[family][points] += 1
+    return f, counts[0], counts[1]
 
 
 def one_slot(model, w1, w2, n, m):

@@ -25,6 +25,7 @@ from oracles import (
     kgrid_moments,
     nearest_band1_slot,
     one_slot,
+    per_slot_accumulate,
     per_slot_branch_preimages,
     per_weight_integrate_density,
     scalar_classify_branch,
@@ -1003,13 +1004,14 @@ def assert_same_grid(got, want):
 
 @pytest.mark.parametrize("coin", ["phased_model", "degenerate_model"])
 def test_density_grid_values_do_not_depend_on_the_blocks(coin, request, monkeypatch):
-    # blocks of 2^8 and 2^12 of the 200^2 points run the helper thread, 2^16 is one
+    # blocks of 37 points (a square's stacked slots then hold a few of them), 2^8,
+    # 2^12 and the default of the 200^2 points run the helper thread, 2^16 is one
     # block on the calling thread: f, the masks and the branch counts keep every bit
     model = request.getfixturevalue(coin)
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
     mid = -1.0 + (2.0 * np.arange(200) + 1.0) / 200
     grids = []
-    for block in (1 << 8, 1 << 12, 1 << 16):
+    for block in (37, 1 << 8, 1 << 12, limit._DENSITY_BLOCK, 1 << 16):
         monkeypatch.setattr(limit, "_DENSITY_BLOCK", block)
         grids.append(limit.density_grid(model, spectrum, mid[:, None], mid[None, :]))
     assert grids[0].evaluable.any()
@@ -1040,6 +1042,30 @@ def test_density_grid_bits_do_not_depend_on_the_block_size(block, phased_model, 
     want = limit.density_grid(phased_model, spectrum, mid[:, None], mid[None, :])
     monkeypatch.setattr(limit, "_DENSITY_BLOCK", block or mid.size ** 2)
     assert_same_grid(limit.density_grid(phased_model, spectrum, mid[:, None], mid[None, :]), want)
+
+
+def test_density_grid_peak_on_the_central_rows(reference_model, monkeypatch):
+    # the rows of the 800^2 grid that held its largest block of 2^16 points (34,832
+    # evaluable); each block stacks a square's four slots in one pass, so a 2^16 block
+    # peaked at about 16.9 MB by tracemalloc on two threads, and the default blocks at
+    # 9.9-10.5 MB (10.0 MB before the stacking, with one slot a pass)
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    mid = -1.0 + (2.0 * np.arange(800) + 1.0) / 800
+    rows = mid[327:410]
+
+    def peak():
+        limit.density_grid(reference_model, spectrum, rows[:, None], mid[None, :])  # warm up
+        tracemalloc.start()
+        try:
+            grid = limit.density_grid(reference_model, spectrum, rows[:, None], mid[None, :])
+            return grid, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grid, default = peak()
+    assert int(grid.evaluable.sum()) == 35306
+    monkeypatch.setattr(limit, "_DENSITY_BLOCK", 1 << 16)
+    assert default < 13e6 < peak()[1]
 
 
 def test_density_grid_copies_no_whole_grid_input(phased_model, monkeypatch):
@@ -1129,6 +1155,28 @@ def test_shared_square_slots_match_the_per_slot_construction(a1_sq, a2_sq, degen
     assert found > 0
 
 
+@pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model",
+                                  "near_degenerate", "small_modulus"])
+def test_stacked_passes_match_the_per_slot_enumeration(coin, request):
+    # a square's four slots in one branch_preimages and one band_weights call, and the
+    # points on the rotated axes (the diagonals of the odd midpoint grid, and points
+    # on and 3e-8 off them) summed after the passes, give the bits of the slot-by-slot
+    # enumeration, its dedup and its weights
+    model = {"near_degenerate": Model(0.5, 0.51), "small_modulus": Model(1e-6, 0.3)}.get(coin)
+    model = model or request.getfixturevalue(coin)
+    spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
+    mid = -1.0 + (2.0 * np.arange(61) + 1.0) / 61
+    v1, v2 = (np.concatenate([g.ravel(), p]) for g, p in zip(
+        np.broadcast_arrays(mid[:, None], mid[None, :]), _probe_points(model)))
+    u1, u2 = limit.rotated_coords(v1, v2)
+    e_r, e_t = limit._slacks(model, u1, u2)
+    at = limit._inside_mask(model, u1, u2) & (e_r * e_t >= limit._SHELL_FLOOR)
+    assert np.count_nonzero(((u1 == 0.0) | (u2 == 0.0))[at]) > 60
+    got = limit._accumulate(model, spectrum, v1[at], v2[at])
+    for a, b in zip(got, per_slot_accumulate(model, spectrum, v1[at], v2[at])):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _assert_dedups_agree(slots):
     """Feed (idx, k1, k2) slots to ``_keep_new`` and to the chunk-list dedup."""
     merged = [np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)]
@@ -1197,32 +1245,36 @@ def test_keep_new_matches_the_chunk_list_dedup_on_a_degenerate_coin(degenerate_m
 
 
 @pytest.mark.parametrize("coin", ["reference_model", "phased_model", "degenerate_model"])
-def test_density_grid_calls_branch_preimages_once_per_slot(coin, request, monkeypatch):
+def test_density_grid_calls_branch_preimages_once_per_square(coin, request, monkeypatch):
     # the benchmark counts the points of each branch_preimages call from its ok
-    # array: one call per non-empty (p, n, m) slot, in that order, on the
-    # evaluable points of the band-p u-quadrant of square n
+    # array: one call per non-empty (p, n) square, band by band and u-quadrant by
+    # u-quadrant (squares n and n + 4 together), with the four m slots of the
+    # evaluable points of the band-p u-quadrant of square n stacked in one call,
+    # so the points total the per-slot count
     model = request.getfixturevalue(coin)
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
     vv = np.linspace(-0.95, 0.95, 25)  # one block; the diagonals lie on the rotated axes
     calls = []
     preimages = limit.branch_preimages
 
-    def spy(model, square, m):
-        result = preimages(model, square, m)
-        calls.append((square[0], m, result[2].size))
+    def spy(model, square, *m):
+        result = preimages(model, square, *m)
+        calls.append((square[0], result[2].shape, result[2].size))
         return result
 
     monkeypatch.setattr(limit, "branch_preimages", spy)
     grid = limit.density_grid(model, spectrum, vv[:, None], vv[None, :])
     ev = grid.evaluable
     v1, v2 = np.broadcast_arrays(vv[:, None], vv[None, :])
-    want = []
+    want, per_slot = [], 0
     for sign in (1.0, -1.0):
         u1, u2 = limit.rotated_coords(sign * v1[ev], sign * v2[ev])
-        for n in range(1, 9):
-            s1, s2 = REGION_SIGNS[n]
-            gated = int(np.count_nonzero((s1 * u1 >= 0.0) & (s2 * u2 >= 0.0)))
-            if gated:
-                want += [(n, m, gated) for m in range(1, 5)]
+        for q in range(1, 5):
+            for n in (q, q + 4):
+                s1, s2 = REGION_SIGNS[n]
+                gated = int(np.count_nonzero((s1 * u1 >= 0.0) & (s2 * u2 >= 0.0)))
+                if gated:
+                    want.append((n, (4, gated), 4 * gated))
+                    per_slot += sum(gated for m in range(1, 5))
     assert calls == want
-    assert sum(size for *_, size in calls) == sum(size for *_, size in want) > 4 * ev.sum()
+    assert sum(size for *_, size in calls) == per_slot > 4 * ev.sum()

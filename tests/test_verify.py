@@ -514,7 +514,7 @@ def test_walk_free_readers_hold_no_whole_grid(reference_model):
 
 
 def test_walk_free_density_runs_on_the_calling_thread(reference_model, monkeypatch):
-    # at the suite's sizes each bin strip (25,600 cells) and each quadrature arc
+    # at the suite's sizes each bin strip (one bin row, 12,800 cells) and each quadrature arc
     # (9,216 nodes) is one density block, so density_grid starts no helper thread
     threads = []
     accumulate = limit._accumulate
