@@ -259,8 +259,8 @@ def per_slot_accumulate(model, spectrum, v1, v2):
                     ok[at] = limit._keep_new(idx[at], k1[at], k2[at], kept[p - 1])
                 points = idx[ok]
                 if points.size:
-                    f[points] += (spectral.band_weights(model, spectrum, k1[ok], k2[ok], tau[ok])[p - 1]
-                                  * jinv[family][points])
+                    w = spectral.band_weights(model, spectrum, k1[ok], k2[ok], tau[ok])[p - 1]
+                    f[points] += w * jinv[family][points]
                     counts[family][points] += 1
     return f, counts[0], counts[1]
 

@@ -1045,10 +1045,10 @@ def test_density_grid_bits_do_not_depend_on_the_block_size(block, phased_model, 
 
 
 def test_density_grid_peak_on_the_central_rows(reference_model, monkeypatch):
-    # the rows of the 800^2 grid that held its largest block of 2^16 points (34,832
-    # evaluable); each block stacks a square's four slots in one pass, so a 2^16 block
-    # peaked at about 16.9 MB by tracemalloc on two threads, and the default blocks at
-    # 9.9-10.5 MB (10.0 MB before the stacking, with one slot a pass)
+    # rows 327-409 of the 800^2 grid, which hold its largest block of 2^16 points (34,832
+    # of their 35,306 evaluable points); each block stacks a square's four slots in one
+    # pass, so a 2^16 block peaked at about 16.9 MB by tracemalloc, and the default
+    # blocks on two threads at 9.9-10.5 MB (10.0 MB before the stacking, a slot a pass)
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
     mid = -1.0 + (2.0 * np.arange(800) + 1.0) / 800
     rows = mid[327:410]
@@ -1266,7 +1266,7 @@ def test_density_grid_calls_branch_preimages_once_per_square(coin, request, monk
     grid = limit.density_grid(model, spectrum, vv[:, None], vv[None, :])
     ev = grid.evaluable
     v1, v2 = np.broadcast_arrays(vv[:, None], vv[None, :])
-    want, per_slot = [], 0
+    want = []
     for sign in (1.0, -1.0):
         u1, u2 = limit.rotated_coords(sign * v1[ev], sign * v2[ev])
         for q in range(1, 5):
@@ -1275,6 +1275,5 @@ def test_density_grid_calls_branch_preimages_once_per_square(coin, request, monk
                 gated = int(np.count_nonzero((s1 * u1 >= 0.0) & (s2 * u2 >= 0.0)))
                 if gated:
                     want.append((n, (4, gated), 4 * gated))
-                    per_slot += sum(gated for m in range(1, 5))
     assert calls == want
-    assert sum(size for *_, size in calls) == per_slot > 4 * ev.sum()
+    assert sum(size for *_, size in calls) == sum(size for *_, size in want) > 4 * ev.sum()
