@@ -35,8 +35,7 @@ retained only as a soft cross-check (``_table_matches``, run by
 (inside the support, outside the boundary shell) in one pass per band and u-quadrant:
 squares n and n + 4 map onto it and share ``_square_roots``, and each stacks its four
 m slots in one ``branch_preimages`` and one ``spectral.band_weights`` call, with the
-tau the forward gate computed.  A point on a rotated axis reaches two u-quadrants; its
-repeats are dropped and its terms added after the passes, all in (p, n, m) order.
+tau the forward gate computed.  ``_accumulate`` keeps each point's (p, n, m) order.
 """
 
 from __future__ import annotations
@@ -183,7 +182,8 @@ def _terms_from_u(model: Model, u1, u2):
     """
     d = model.derived
     a, b = d.a, d.b
-    u1sq, u2sq = np.asarray(u1) ** 2, np.asarray(u2) ** 2
+    u1sq = np.asarray(u1) ** 2
+    u2sq = np.asarray(u2) ** 2
     # (1 - v1^2)(1 - v2^2) and the mixed term, rewritten in the rotated frame
     big_a = 1.0 - (u1sq + u2sq) + 0.25 * (u1sq - u2sq) ** 2
     big_b = 1.0 - (a * a + b * b) - 0.5 * (u1sq + u2sq) + 0.5 * (a * a - b * b) * (u1sq - u2sq)
@@ -214,7 +214,8 @@ def _signed_jacobian(model: Model, k1, k2):
     gap_sq = 1.0 - tau * tau
     if np.any(gap_sq <= DEGENERATE_GAP_TOL):
         raise OutsideSupportError(
-            f"velocity map undefined at spectrally degenerate k = ({k1}, {k2})")
+            f"velocity map undefined at spectrally degenerate k = ({k1}, {k2})"
+        )
     quad = a * b * (c2 * c2) + (1.0 - a * a - b * b) * c1 * c2 + a * b * (c1 * c1)
     return -4.0 * a * b * quad / (gap_sq * gap_sq)
 
@@ -271,32 +272,29 @@ def _square_roots(model: Model, w1, w2, n: int):
     return n, w1, w2, roots
 
 
-def branch_preimages(model: Model, square, m=(1, 2, 3, 4)):
-    """Band-1 preimages of the square of ``_square_roots`` in its (n, m) slots, one row
-    per m of the sequence ``m`` (band 2's of v are band 1's of w = -v), or one slot's
-    for an int m.  Slot m's cosine pair is +-(mag1, mag2): m = 1 takes cos l1 <= 0,
-    m = 3 cos l1 >= 0, m = 2 the sign ``lead`` marks and m = 4 the other.  Returns
-    (k1, k2, ok, tau): wavenumbers in [-pi, pi)^2, the mask of points whose preimage's
-    forward velocity reproduces w within 1e-9 (junk where False), and tau at (k1, k2)
-    as that gate computed it.  Angles come from arccos; where the gate refuses them, as
-    near a rotated axis, they are retaken from atan2 of the uncancelled sine.
+def branch_preimages(model: Model, square):
+    """Band-1 preimages of the square of ``_square_roots`` in its four (n, m) slots, as
+    (4, points) arrays whose row m - 1 is slot m; band 2's of v are band 1's of w = -v.
+    Slot m's cosine pair is +-(mag1, mag2): m = 1 takes cos l1 <= 0, m = 3 cos l1 >= 0,
+    m = 2 the sign ``lead`` marks and m = 4 the other.  Returns (k1, k2, ok, tau):
+    wavenumbers in [-pi, pi)^2, the mask of points whose preimage's forward velocity
+    reproduces w within 1e-9 (junk where False), and tau at (k1, k2) as that gate
+    computed it.  Angles come from arccos; where the gate refuses them, as near a
+    rotated axis, they are retaken from atan2 of the uncancelled sine.
     """
     n, w1, w2, roots = square
-    slots = np.atleast_1d(m)
-    pick = [(1.0 if s == 3 else -1.0) if s % 2 else np.where(roots[0][3] == (s == 2), 1.0, -1.0)
-            for s in slots]
-    ok = np.stack([roots[s % 2][0] for s in slots])
-    cos = [np.stack([sign * roots[s % 2][i] for sign, s in zip(pick, slots)]) for i in (1, 2)]
+    slots = (roots[1], roots[0], roots[1], roots[0])  # slot m's roots, by m - 1
+    pick = (-1.0, np.where(roots[0][3], 1.0, -1.0), 1.0, np.where(roots[0][3], -1.0, 1.0))
+    ok = np.stack([slot[0] for slot in slots])
+    cos = [np.stack([sign * slot[i] for sign, slot in zip(pick, slots)]) for i in (1, 2)]
     k1, k2, tau, hit = _forward_gate(model, n, w1, w2, np.arccos(cos[0]), np.arccos(cos[1]))
-    miss = ok & ~hit
-    if miss.any():
-        miss = np.nonzero(miss)
-        sin_sq = np.stack([roots[s % 2][4] for s in slots], axis=1)[:, miss[0], miss[1]]
+    miss = np.nonzero(ok & ~hit)
+    if miss[0].size:
+        sin_sq = np.stack([slot[4] for slot in slots], axis=1)[:, miss[0], miss[1]]
         arcs = [np.arctan2(np.sqrt(s), c[miss]) for s, c in zip(sin_sq, cos)]
         retake = _forward_gate(model, n, w1[miss[1]], w2[miss[1]], *arcs)
         k1[miss], k2[miss], tau[miss], hit[miss] = retake
-    out = k1, k2, ok & hit, tau
-    return out if np.ndim(m) else tuple(x[0] for x in out)
+    return k1, k2, ok & hit, tau
 
 
 def _forward_gate(model: Model, n: int, w1, w2, arc1, arc2):
@@ -315,7 +313,9 @@ def _forward_gate(model: Model, n: int, w1, w2, arc1, arc2):
 
 def _torus_dist(a1, a2, b1, b2):
     """Max-norm distance between wavenumber pairs on the torus."""
-    return np.maximum(np.abs(wrap_angle(a1 - b1)), np.abs(wrap_angle(a2 - b2)))
+    d1 = np.abs(wrap_angle(a1 - b1))
+    d2 = np.abs(wrap_angle(a2 - b2))
+    return np.maximum(d1, d2)
 
 
 @dataclass
@@ -345,8 +345,10 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
     shape = np.broadcast_shapes(v1.shape, v2.shape)
     size = math.prod(shape)
     f = np.zeros(size)
-    inside, evaluable = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
-    n_plus, n_minus = np.zeros((2, size), dtype=np.int8)  # at most the 64 (p, n, m) slots
+    inside = np.zeros(size, dtype=bool)
+    evaluable = np.zeros(size, dtype=bool)
+    n_plus = np.zeros(size, dtype=np.int8)  # a count is at most the 64 (p, n, m) slots
+    n_minus = np.zeros(size, dtype=np.int8)
     blocks = iter(range(0, size, _DENSITY_BLOCK))  # one next() is one atomic C call
 
     def run_blocks():
@@ -384,11 +386,9 @@ def density_grid(model: Model, spectrum, v1, v2) -> DensityGrid:
 
 
 def _square_passes(model: Model, v1, v2):
-    """Yield (p, n, idx, k1, k2, ok, tau) for each (p, n) square with points, row m - 1
-    of each array from slot (p, n, m), band by band and u-quadrant by u-quadrant, whose
-    squares n and n + 4 share one ``_square_roots``.  idx are the points whose rotated w
-    (v in band 1, -v in band 2) lies in the closed u-quadrant, so a point on a rotated
-    axis reaches two, and one off the axes one per band, in (p, n, m) order."""
+    """Yield (p, n, idx, k1, k2, ok, tau) per (p, n) square with points, the arrays as
+    ``branch_preimages`` stacks them, band by band and u-quadrant by u-quadrant: idx
+    are the points whose w (v in band 1, -v in band 2) lies in the closed u-quadrant."""
     for p, sign in ((1, 1.0), (2, -1.0)):
         u1, u2 = rotated_coords(sign * v1, sign * v2)  # -v has the bits of -1.0 * v
         quadrants = [np.nonzero(_in_quadrant(q, u1, u2))[0] for q in range(1, 5)]
@@ -437,7 +437,7 @@ def _accumulate(model, spectrum, v1, v2):
     """
     jinv = np.stack(_jacobian_factors(model, v1, v2))  # indexed by family: plus, minus
     family = np.array([0, 0, 0, 0] if model.derived.degenerate else [1, 0, 1, 0])  # by m - 1
-    f, top = np.zeros(v1.shape), []
+    f = np.zeros(v1.shape)
     counts = np.zeros((2,) + v1.shape, dtype=np.int8)  # (plus, minus)
 
     def add(band1, idx, row, k1, k2, tau):  # one band_weights call; add.at keeps the order
@@ -455,9 +455,9 @@ def _accumulate(model, spectrum, v1, v2):
             on_axis.append(((p, n), idx[at] + (p - 1) * v1.size, row, k1[on], k2[on], tau[on]))
             ok &= ~on
         (row, at), k1, k2, tau = np.divmod(np.flatnonzero(ok), idx.size), k1[ok], k2[ok], tau[ok]
-        # allocated last, w1 stays until the next square's has been added: above the freed
+        # allocated last, held stays until the next square's has been added: above the freed
         # temporaries, it keeps glibc from trimming them, so the next square reuses them
-        top[:] = [add(p == 1, idx[at], row, k1, k2, tau)]  # 800^2 minor faults: 151k to 72k
+        held = add(p == 1, idx[at], row, k1, k2, tau)  # 800^2 minor faults: 151k to 72k
         del k1, k2, tau, ok  # the rebinding above freed the stacked slots before band_weights
     if on_axis:  # sorted by (p, idx), stably, so each point's preimages in (n, m) order
         point, row, k1, k2, tau = (np.concatenate(x) for x in list(zip(*sorted(on_axis)))[1:])

@@ -23,8 +23,8 @@ construction that redid a windmill square's sector-free work in each of its
 four sector slots, the dedup that scanned one chunk of kept preimages per
 earlier slot, and the density that ran each slot's preimages, dedup and band weights
 on their own (``per_slot_accumulate``) before a square's four slots were stacked.
-``one_slot`` runs ``limit.branch_preimages`` on one slot.  The code that
-replaced them must reproduce them exactly; ``floor_wrap_angle``, the angle
+``one_slot`` reads one slot's row of a ``limit.branch_preimages`` call.  The code
+that replaced them must reproduce them exactly; ``floor_wrap_angle``, the angle
 reduction before the exact fmod took over what it left out of range, must be
 reproduced wherever its result is in range.  The readers of single sites and
 window edges (``amplitude``, ``x1_max``, ``x2_max``, ``nonzero_sites``) and the
@@ -233,10 +233,10 @@ def chunk_list_keep_new(idx, k1, k2, kept):
 
 
 def per_slot_accumulate(model, spectrum, v1, v2):
-    """``limit._accumulate`` one (p, n, m) slot at a time, in that order: a
-    ``branch_preimages`` call, a dedup merge at the points on a rotated axis and a
-    ``band_weights`` call for each slot, and each square's sign-free work redone
-    for each of its two squares of a u-quadrant."""
+    """``limit._accumulate`` one (p, n, m) slot at a time, in that order: the slot's
+    row of its square's ``branch_preimages`` call, a dedup merge at the points on a
+    rotated axis and a ``band_weights`` call for each slot, and each square's
+    sign-free work redone for each of its two squares of a u-quadrant."""
     degenerate = model.derived.degenerate
     jinv = limit._jacobian_factors(model, v1, v2)
     f = np.zeros(v1.shape)
@@ -250,9 +250,9 @@ def per_slot_accumulate(model, spectrum, v1, v2):
             idx = np.nonzero(limit._in_quadrant(n, *limit.rotated_coords(w1, w2)))[0]
             if idx.size == 0:
                 continue
-            square = limit._square_roots(model, w1[idx], w2[idx], n)
+            stacked = limit.branch_preimages(model, limit._square_roots(model, w1[idx], w2[idx], n))
             for m in range(1, 5):
-                k1, k2, ok, tau = limit.branch_preimages(model, square, m)
+                k1, k2, ok, tau = (x[m - 1] for x in stacked)
                 family = 0 if degenerate else m % 2
                 at = np.nonzero(ok & may_repeat[idx])[0]
                 if at.size:
@@ -266,8 +266,9 @@ def per_slot_accumulate(model, spectrum, v1, v2):
 
 
 def one_slot(model, w1, w2, n, m):
-    """``limit.branch_preimages`` for the single (n, m) slot at the band-1 targets w."""
-    return limit.branch_preimages(model, limit._square_roots(model, w1, w2, n), m)
+    """Row m - 1 of ``limit.branch_preimages``: the (n, m) slot at the band-1 targets w."""
+    stacked = limit.branch_preimages(model, limit._square_roots(model, w1, w2, n))
+    return tuple(x[m - 1] for x in stacked)
 
 
 def scalar_inverse_map(model, v1, v2, branch):
@@ -386,10 +387,8 @@ def scalar_weight_table_sets(model, v1, v2):
     for p, sign in ((1, 1.0), (2, -1.0)):
         for n in range(1, 9):
             square = limit._square_roots(model, np.array([sign * v1]), np.array([sign * v2]), n)
-            for m in range(1, 5):
-                _, _, ok, _ = limit.branch_preimages(model, square, m)
-                if bool(ok[0]):
-                    actual[p].add(n)
+            if limit.branch_preimages(model, square)[2].any():  # any of the four m slots
+                actual[p].add(n)
     return actual
 
 

@@ -148,8 +148,8 @@ def test_criterion_08_branch_count(reference_model):
     for sign in (1.0, -1.0):
         for n in range(1, 9):
             square = limit._square_roots(reference_model, sign * v1, sign * v2, n)
-            for m in range(1, 5):
-                _, _, ok, _ = limit.branch_preimages(reference_model, square, m)
+            _, _, oks, _ = limit.branch_preimages(reference_model, square)
+            for m, ok in enumerate(oks, 1):
                 if m % 2 == 0:
                     count_plus += ok
                 else:

@@ -271,8 +271,8 @@ def test_sixteen_branches_interior(reference_model):
     for sign in (1.0, -1.0):
         for n in range(1, 9):
             square = limit._square_roots(reference_model, sign * v1, sign * v2, n)
-            for m in range(1, 5):
-                _, _, ok, _ = limit.branch_preimages(reference_model, square, m)
+            _, _, oks, _ = limit.branch_preimages(reference_model, square)
+            for m, ok in enumerate(oks, 1):
                 if m % 2 == 0:
                     count_plus += ok
                 else:
@@ -288,8 +288,7 @@ def test_forward_consistency_of_preimages(reference_model):
         sign = 1.0 if p == 1 else -1.0
         for n in range(1, 9):
             square = limit._square_roots(reference_model, sign * v1, sign * v2, n)
-            for m in range(1, 5):
-                k1, k2, ok, _ = limit.branch_preimages(reference_model, square, m)
+            for k1, k2, ok, _ in zip(*limit.branch_preimages(reference_model, square)):
                 if not ok.any():
                     continue
                 w1, w2 = spectral.group_velocity(reference_model, k1[ok], k2[ok])
@@ -1044,28 +1043,23 @@ def test_density_grid_bits_do_not_depend_on_the_block_size(block, phased_model, 
     assert_same_grid(limit.density_grid(phased_model, spectrum, mid[:, None], mid[None, :]), want)
 
 
-def test_density_grid_peak_on_the_central_rows(reference_model, monkeypatch):
-    # rows 327-409 of the 800^2 grid, which hold its largest block of 2^16 points (34,832
-    # of their 35,306 evaluable points); each block stacks a square's four slots in one
-    # pass, so a 2^16 block peaked at about 16.9 MB by tracemalloc, and the default
-    # blocks on two threads at 9.9-10.5 MB (10.0 MB before the stacking, a slot a pass)
+def test_density_grid_peak_on_the_central_rows(reference_model):
+    # rows 327-491 of the 800^2 grid hold its two largest blocks of 2^16 points (34,832
+    # and 32,286 evaluable points), which the two threads enumerated at once, one slot a
+    # pass: that code peaked at 18.6-18.8 MB by tracemalloc on these rows, and the
+    # default blocks, a square's four slots a pass, at 11.3-12.0 MB
     spectrum = spectral.fourier_initial(lattice.initial_state_delta(np.array([0.6, 0.8j])))
     mid = -1.0 + (2.0 * np.arange(800) + 1.0) / 800
-    rows = mid[327:410]
-
-    def peak():
-        limit.density_grid(reference_model, spectrum, rows[:, None], mid[None, :])  # warm up
-        tracemalloc.start()
-        try:
-            grid = limit.density_grid(reference_model, spectrum, rows[:, None], mid[None, :])
-            return grid, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    grid, default = peak()
-    assert int(grid.evaluable.sum()) == 35306
-    monkeypatch.setattr(limit, "_DENSITY_BLOCK", 1 << 16)
-    assert default < 13e6 < peak()[1]
+    rows = mid[327:492]
+    limit.density_grid(reference_model, spectrum, rows[:, None], mid[None, :])  # warm up
+    tracemalloc.start()
+    try:
+        grid = limit.density_grid(reference_model, spectrum, rows[:, None], mid[None, :])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(grid.evaluable.sum()) == 67584
+    assert peak < 14e6
 
 
 def test_density_grid_copies_no_whole_grid_input(phased_model, monkeypatch):
@@ -1146,10 +1140,10 @@ def test_shared_square_slots_match_the_per_slot_construction(a1_sq, a2_sq, degen
     for sign in (1.0, -1.0):
         w1, w2 = sign * v1, sign * v2
         for n in range(1, 9):
-            square = limit._square_roots(model, w1, w2, n)
+            stacked = limit.branch_preimages(model, limit._square_roots(model, w1, w2, n))
             for m in range(1, 5):
                 want = per_slot_branch_preimages(model, w1, w2, n, m)
-                _assert_same_ok(limit.branch_preimages(model, square, m), want)
+                _assert_same_ok(tuple(x[m - 1] for x in stacked), want)
                 _assert_same_ok(one_slot(model, w1, w2, n, m), want)
                 found += int(want[2].sum())
     assert found > 0
@@ -1257,8 +1251,8 @@ def test_density_grid_calls_branch_preimages_once_per_square(coin, request, monk
     calls = []
     preimages = limit.branch_preimages
 
-    def spy(model, square, *m):
-        result = preimages(model, square, *m)
+    def spy(model, square):
+        result = preimages(model, square)
         calls.append((square[0], result[2].shape, result[2].size))
         return result
 
